@@ -44,6 +44,7 @@ from .measure import (
     SigmaIdeal,
     SpotReport,
     check_maxitive,
+    check_maxitive_bruteforce,
     delta_sharp,
     find_odot_spots,
     is_negligible,
@@ -60,6 +61,7 @@ from .integral import (
     integrate_threshold,
     pushforward,
     pushforward_measure,
+    threshold_sweep,
 )
 from .density import (
     AchievableSet,

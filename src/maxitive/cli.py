@@ -24,6 +24,7 @@ from .errors import (
     CarrierDomainError,
     DegenerateOperationError,
     MaxitiveError,
+    PreconditionError,
     SizeCapError,
     SpaceMismatchError,
     SpecValidationError,
@@ -165,18 +166,26 @@ def _cmd_density(args) -> Report:
     result = solve_density(pm, nu, tau)
     body = {"operation": pm.describe(), "nu": jsonable(nu), "tau": jsonable(tau),
             "found": result.ok}
+    negative = not result.ok
     if result.ok:
         body["density"] = jsonable(result.density)
         if doc.space.n <= args.max_n:
             body["verified_on_all_subsets"] = verify_density(
                 pm, result.density, nu, tau, args.max_n)
         if args.finitize:
-            c1 = finitize_density(pm, result.density, nu, tau, args.max_n)
-            body["finitized_density"] = jsonable(c1)
+            try:
+                c1 = finitize_density(pm, result.density, nu, tau, args.max_n)
+            except PreconditionError as exc:
+                # a hypothesis of the finitization fails: a verdict, not a fault
+                body["finitized_density"] = None
+                body["finitize_refused"] = str(exc)
+                negative = True
+            else:
+                body["finitized_density"] = jsonable(c1)
     else:
         body["failures"] = [jsonable(f) for f in result.failures]
         body["certificate"] = [str(f) for f in result.failures]
-    return Report("density", body, negative_verdict=not result.ok)
+    return Report("density", body, negative_verdict=negative)
 
 
 def _cmd_diagnose(args) -> Report:
@@ -193,8 +202,8 @@ def _cmd_quotient(args) -> Report:
     doc = _load_doc(args)
     tau = _named("measure", doc.measures, args.tau)
     lattice = build_quotient(tau, args.max_n)
-    complete = None
-    if lattice.k <= min(args.max_n, 12):
+    complete = lattice.verified_complete
+    if complete is None and lattice.k <= min(args.max_n, 12):
         complete = verify_lattice_complete(lattice, min(args.max_n, 12))
     body = {
         "tau": jsonable(tau),
@@ -210,7 +219,8 @@ def _cmd_ideal_measures(args) -> Report:
     tau = _named("measure", doc.measures, args.tau)
     ideal = _resolve_ideal(doc, args.ideal)
     restricted = ideal_restriction_measure(tau, ideal)
-    threshold = nguyen_measure(tau, ideal, validate=doc.space.n <= args.max_n)
+    threshold = nguyen_measure(tau, ideal, validate=doc.space.n <= args.max_n,
+                               limit=args.max_n)
     body = {
         "tau": jsonable(tau),
         "ideal_top": jsonable(ideal.top),

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import DegenerateOperationError, PreconditionError, UnresolvedInfimumError
 from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn
-from .integral import integrate_threshold
+from .integral import threshold_sweep
 from .measure import (
     MaxMeasure,
     MeasurableFn,
@@ -40,7 +40,7 @@ from .pseudomul import (
     PseudoMul,
     StandardProduct,
 )
-from .spaces import SubsetB, _same_space
+from .spaces import _same_space
 
 __all__ = [
     "AchievableSet",
@@ -306,16 +306,26 @@ def solve_density(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> DensityResu
 
 def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasure,
                    limit: int | None = None) -> bool:
-    """Exhaustively check ν(B) = ∫_B c ⊙ dτ over every subset."""
+    """Exhaustively check ν(B) = ∫_B c ⊙ dτ over every subset.
+
+    The integrals come from the whole-powerset threshold sweep
+    (threshold_sweep), ν from its table re-ranked into the sweep's
+    universe and atom order; they are compared block by block up to the
+    first mismatch.  Equal ranks are equal values; unequal ones still
+    pass under an inexact ⊙ when values_equal holds.
+    """
     _require_non_degenerate(pm, "verify_density")
     _same_space(c.space, nu.space)
     _same_space(c.space, tau.space)
-    space = c.space
-    space.check_enum_cap(limit)
-    nu_table = nu.table(limit).values
-    for mask in range(1 << space.n):
-        B = SubsetB(space, mask)
-        if not pm.values_equal(integrate_threshold(pm, c, tau, B), nu_table[mask]):
+    universe, order, blocks = threshold_sweep(pm, c, tau, limit, extra=nu.masses)
+    index = {v: r for r, v in enumerate(universe)}
+    nu_table = nu.in_order(order).table(limit)
+    expected = nu_table.ranks.translate(
+        bytes(index[v] for v in nu_table.universe).ljust(256, b"\0"))
+    for lo, ranks in blocks:
+        want = expected[lo:lo + len(ranks)]
+        if ranks != want and not all(pm.values_equal(universe[a], universe[b])
+                                     for a, b in zip(ranks, want)):
             return False
     return True
 

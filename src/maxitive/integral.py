@@ -15,11 +15,18 @@ Three independent evaluation routes are provided:
   grid of thresholds; it is a lower bound of the integral, converging
   as the grid refines around the values of f (except on discrete
   chains, where no refinement is possible and it stays a bound).
+
+Whole-powerset work (``pushforward`` and ``verify_density``) runs the
+threshold sweep for all 2^n subsets at once through ``threshold_sweep``,
+over byte rank tables; the per-subset routes above stay independent and
+serve as its cross-checks.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import itertools
+from array import array
+from typing import Iterator, Optional, Sequence
 
 from .errors import OracleMismatchError
 from .extreal import INF, ZERO, ExtNonneg, as_extnn
@@ -34,6 +41,7 @@ __all__ = [
     "canonical_grid",
     "pushforward",
     "pushforward_measure",
+    "threshold_sweep",
 ]
 
 
@@ -123,19 +131,88 @@ def canonical_grid(pm: PseudoMul, f: MeasurableFn, B: Optional[SubsetB] = None) 
     return sorted(grid)
 
 
+def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
+                    limit: int | None = None, extra: Sequence[ExtNonneg] = ()) -> tuple:
+    """The threshold sweep for every subset at once, as byte ranks.
+
+    The rule is integrate_threshold's: ∫_B f ⊙ dν is the max of the
+    terms v ⊙ ν(B ∩ L_v) over the levels v that f takes on B, where L_v
+    is {f ≥ v} for a finite positive v and {f = ∞} for v = ∞.  Each
+    term v ⊙ m is computed once, for just the masses m that ν(B ∩ L_v)
+    takes on some such B, so a ⊙ that raises does so before any subset
+    is looked at.
+
+    The atoms are taken in ``order``: by descending f, the atoms where
+    f = 0 last, so every L_v is a prefix.  If the last atom of a mask B
+    lies in level v, then B ⊆ L_v and the levels above v meet B only in
+    B_h = B ∖ {f ≤ v}, hence ∫_B = max(∫_{B_h}, v ⊙ ν(B)): one lookup
+    in ν's table and one in the integral's per subset, and every result
+    equals integrate_threshold's for any ⊙.
+
+    Returns ``(universe, order, blocks)``.  ``universe`` is the ascending
+    tuple of 0, the term values and ``extra``; at most
+    n(n + 1)/2 + len(extra) + 1 values, so a byte holds a rank up to
+    the cap.  ``blocks`` yields ``(lo, ranks)``, ranks[j] being the
+    rank of the integral over the subset whose mask in ``order`` is
+    lo + j: first the empty set, then one block per atom p holding the
+    masks whose last atom is p, so a caller that compares can stop
+    after any block.  Refuses past the enumeration cap before any ⊙ call.
+    """
+    _same_space(f.space, nu.space)
+    n = f.space.n
+    order = sorted(range(n), key=f.values.__getitem__, reverse=True)
+    nu_table = nu.in_order(order).table(limit)
+    masses, nu_ranks = nu_table.universe, nu_table.ranks
+    levels = []  # (start, stop, terms): f = v on the atoms start..stop-1
+    support = 0  # f > 0 on the atoms before it
+    for v, group in itertools.groupby(f.values[i] for i in order):
+        if v.is_zero:
+            break
+        start, stop = support, support + len(list(group))
+        lowest = min(nu_ranks[1 << p] for p in range(start, stop))
+        reached = {r for p in range(stop) if (r := nu_ranks[1 << p]) >= lowest}
+        levels.append((start, stop, {r: pm(v, masses[r]) for r in reached}))
+        support = stop
+    universe = tuple(sorted({ZERO, *extra}.union(*(t.values() for _, _, t in levels))))
+    index = {v: r for r, v in enumerate(universe)}
+
+    def blocks() -> Iterator[tuple]:
+        table = b"\0"
+        yield 0, table
+        for start, stop, terms in levels:
+            row = bytearray(256)  # ν's rank ↦ the rank of this level's term
+            for r, term in terms.items():
+                row[r] = index[term]
+            higher = table  # ∫ over the masks of the levels above
+            for p in range(start, stop):
+                ys = nu_ranks[1 << p:2 << p].translate(row)
+                hs = higher * (1 << (p - start))  # hs[j] = ∫ over B_h
+                block = bytes([y if y > h else h for y, h in zip(ys, hs)]) if start else ys
+                table += block
+                yield 1 << p, block
+        for p in range(support, n):  # an atom where f = 0 adds no term
+            block = table
+            table += block
+            yield 1 << p, block
+
+    return universe, order, blocks()
+
+
 def pushforward(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
                 limit: int | None = None) -> SetFunctionTable:
     """The set function B ↦ ∫_B f ⊙ dν over the whole powerset.
 
+    Computed by the whole-powerset sweep (threshold_sweep).
     σ-maxitivity of the integral makes this a maxitive measure; callers
     verify with check_maxitive.
     """
-    _same_space(f.space, nu.space)
-    space = f.space
-    space.check_enum_cap(limit)
-    values = [integrate_threshold(pm, f, nu, SubsetB(space, mask))
-              for mask in range(1 << space.n)]
-    return SetFunctionTable(space, values)
+    universe, order, blocks = threshold_sweep(pm, f, nu, limit)
+    swept = b"".join(block for _, block in blocks)
+    moved = array("L", [0])  # moved[B]: the mask of B in the sweep's order
+    for p in sorted(range(f.space.n), key=order.__getitem__):
+        bit = 1 << p
+        moved += array("L", (m | bit for m in moved))
+    return SetFunctionTable.from_ranks(f.space, universe, bytes(map(swept.__getitem__, moved)))
 
 
 def pushforward_measure(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> MaxMeasure:

@@ -30,6 +30,8 @@ __all__ = [
     "semi_odot_finite_bruteforce",
     "find_odot_spots",
     "check_maxitive",
+    "check_maxitive_bruteforce",
+    "max_rank_table",
 ]
 
 
@@ -104,16 +106,21 @@ class MaxMeasure(_AtomMap):
         return ~self.support
 
     def table(self, limit: int | None = None) -> "SetFunctionTable":
-        """The full induced set function (2^n entries)."""
+        """The full induced set function (2^n entries, one byte each).
+
+        Each entry is the rank of μ(B) among the ≤ n + 1 distinct values
+        0 and the atom masses, built by max_rank_table.
+        """
         self.space.check_enum_cap(limit)
-        n = self.space.n
-        out = [ZERO] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            rest = mask ^ low
-            v = self._values[low.bit_length() - 1]
-            out[mask] = out[rest] if out[rest] > v else v
-        return SetFunctionTable(self.space, out)
+        universe = tuple(sorted({ZERO, *self._values}))
+        index = {v: r for r, v in enumerate(universe)}
+        return SetFunctionTable.from_ranks(
+            self.space, universe, max_rank_table([index[v] for v in self._values]))
+
+    def in_order(self, order: Sequence[int]) -> "MaxMeasure":
+        """The same masses on the atoms listed in ``order`` (a permutation)."""
+        atoms = self.space.atoms
+        return MaxMeasure(Space([atoms[i] for i in order]), [self._values[i] for i in order])
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}: {v}" for a, v in zip(self.space.atoms, self._values))
@@ -264,32 +271,85 @@ class SigmaIdeal:
 
 
 class SetFunctionTable:
-    """An arbitrary set function given by all 2^n values; zero at ∅."""
+    """An arbitrary set function given by all 2^n values; zero at ∅.
 
-    __slots__ = ("space", "values")
+    Stored as ``universe``, the ascending tuple of the distinct values
+    taken (0 first), and ``ranks``, where ranks[mask] is the position in
+    ``universe`` of the value at mask: one byte per subset when at most
+    256 values occur, a tuple of ints otherwise.  The form is canonical,
+    so equal set functions have equal ``(universe, ranks)``; ``values``
+    is decoded on each access.
+    """
+
+    __slots__ = ("space", "universe", "ranks")
 
     def __init__(self, space: Space, values: Sequence[ExtNonneg]):
-        values = tuple(as_extnn(v) for v in values)
+        values = [as_extnn(v) for v in values]
         if len(values) != (1 << space.n):
             raise ValueError(f"expected {1 << space.n} values, got {len(values)}")
         if not values[0].is_zero:
             raise ValueError("a set function must vanish at the empty set")
         self.space = space
-        self.values = values
+        self.universe = tuple(sorted(set(values)))
+        index = {v: r for r, v in enumerate(self.universe)}
+        ranks = [index[v] for v in values]
+        self.ranks = bytes(ranks) if len(self.universe) <= 256 else tuple(ranks)
+
+    @classmethod
+    def from_ranks(cls, space: Space, universe: Sequence[ExtNonneg],
+                   ranks: bytes) -> "SetFunctionTable":
+        """The table with value universe[ranks[mask]] at each mask.
+
+        ``universe`` must be ascending; the values in it that no entry
+        takes are dropped, which keeps the form canonical.
+        """
+        if len(ranks) != (1 << space.n):
+            raise ValueError(f"expected {1 << space.n} ranks, got {len(ranks)}")
+        if not universe[ranks[0]].is_zero:
+            raise ValueError("a set function must vanish at the empty set")
+        kept = [r for r in range(len(universe)) if bytes([r]) in ranks]
+        if len(kept) < len(universe):
+            remap = bytearray(256)
+            for new, old in enumerate(kept):
+                remap[old] = new
+            ranks = ranks.translate(remap)
+        table = object.__new__(cls)
+        table.space = space
+        table.universe = tuple(universe[r] for r in kept)
+        table.ranks = bytes(ranks)
+        return table
+
+    @property
+    def values(self) -> tuple:
+        return tuple(map(self.universe.__getitem__, self.ranks))
 
     def value(self, B: SubsetB) -> ExtNonneg:
         _same_space(self.space, B.space)
-        return self.values[B.mask]
+        return self.universe[self.ranks[B.mask]]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SetFunctionTable)
-                and self.space == other.space and self.values == other.values)
+        return (isinstance(other, SetFunctionTable) and self.space == other.space
+                and self.universe == other.universe and self.ranks == other.ranks)
 
     def __hash__(self) -> int:
-        return hash((self.space, self.values))
+        return hash((self.space, self.universe, self.ranks))
 
     def __repr__(self) -> str:
         return f"SetFunctionTable(n={self.space.n})"
+
+
+def max_rank_table(ranks: Sequence[int]) -> bytes:
+    """table[mask] = the max of ranks[i] over the atoms i in mask; 0 at ∅.
+
+    One byte per subset (every rank below 256).  The table doubles once
+    per atom: the masks whose highest atom is i take the entry of the
+    rest of the mask clamped from below at rank i, by one translate.
+    """
+    table = b"\0"
+    for r in ranks:
+        clamp = bytes([r]) * r + bytes(range(r, 256))  # x ↦ max(x, r)
+        table += table.translate(clamp)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +396,12 @@ def is_semi_odot_finite(pm: PseudoMul, mu: MaxMeasure, limit: int | None = None)
 
     μ(A) is ⊙-finite exactly when every atom of A has ⊙-finite mass, so
     the supremum equals μ(B ∩ Fin) with Fin the ⊙-finite-mass atoms; the
-    identity is checked for every subset (refusing past the cap).
+    identity is checked for every subset (refusing past the cap) by
+    comparing μ's table with that of μ with the ⊙-infinite masses zeroed.
     """
-    mu.space.check_enum_cap(limit)
-    fin_mask = 0
-    for i, v in enumerate(mu.masses):
-        if pm.is_odot_finite(v):
-            fin_mask |= 1 << i
-    table = mu.table(limit).values
-    return all(table[mask] == table[mask & fin_mask]
-               for mask in range(1 << mu.space.n))
+    finite_part = MaxMeasure(mu.space, [v if pm.is_odot_finite(v) else ZERO
+                                        for v in mu.masses])
+    return mu.table(limit) == finite_part.table(limit)
 
 
 def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure, limit: int = 12) -> bool:
@@ -411,33 +467,30 @@ def find_odot_spots(pm: PseudoMul, mu: MaxMeasure) -> SpotReport:
 def check_maxitive(table: SetFunctionTable, limit: int | None = None) -> bool:
     """Whether table(B ∪ B') = table(B) ⊕ table(B') for all pairs.
 
-    Runs the literal all-pairs scan for n ≤ 10; for larger n (up to the
-    cap) it checks the equivalent atom-generation property
+    Checks the equivalent atom-generation property
     table(B) = ⊕_{x ∈ B} table({x}), which on a powerset characterizes
-    the same measures.
+    the same set functions: the measure with the singleton values as
+    atom masses must have the same table, rank for rank.
+    ``check_maxitive_bruteforce`` is the literal all-pairs scan.
+    """
+    singletons = [table.universe[table.ranks[1 << i]] for i in range(table.space.n)]
+    return MaxMeasure(table.space, singletons).table(limit) == table
+
+
+def check_maxitive_bruteforce(table: SetFunctionTable, limit: int = 10) -> bool:
+    """Literal all-pairs form of check_maxitive (test oracle).
+
+    Scans every pair (B, B') for table(B ∪ B') = table(B) ⊕ table(B');
+    quadratic in 2^n, so capped lower than check_maxitive.  They must
+    agree.
     """
     table.space.check_enum_cap(limit)
-    n = table.space.n
     values = table.values
-    if n <= 10:
-        size = 1 << n
-        for a in range(size):
-            va = values[a]
-            for b in range(a, size):
-                u = values[a | b]
-                vb = values[b]
-                if u != (va if vb < va else vb):
-                    return False
-        return True
-    for mask in range(1, 1 << n):
-        best = ZERO
-        m = mask
-        while m:
-            low = m & -m
-            v = values[low]
-            if best < v:
-                best = v
-            m ^= low
-        if values[mask] != best:
-            return False
+    size = len(values)
+    for a in range(size):
+        va = values[a]
+        for b in range(a, size):
+            vb = values[b]
+            if values[a | b] != (va if vb < va else vb):
+                return False
     return True

@@ -78,12 +78,15 @@ class QuotientLattice:
 
     Isomorphic to the powerset of the non-null atoms; joins and meets
     are unions and intersections of representatives, so the lattice is
-    complete and τ is localizable.
+    complete and τ is localizable.  ``verified_complete`` holds the
+    verdict of the completeness scan once build_quotient has run it,
+    and None before.
     """
 
     def __init__(self, tau: MaxMeasure):
         self.tau = tau
         self.non_null_atoms = tau.support
+        self.verified_complete: Optional[bool] = None
 
     @property
     def k(self) -> int:
@@ -127,12 +130,13 @@ def build_quotient(tau: MaxMeasure, limit: int | None = None) -> QuotientLattice
     """Build the quotient lattice; small quotients are closure-verified.
 
     For ≤ 10 non-null atoms the pairwise join/meet existence scan runs
-    here; verify_lattice_complete exposes it separately (up to 12) for
-    larger quotients, where the in-constructor scan would be too slow.
+    here and its verdict is kept as ``verified_complete``;
+    verify_lattice_complete exposes it separately (up to 12) for larger
+    quotients, where the in-constructor scan would be too slow.
     """
     lattice = QuotientLattice(tau)
     if lattice.k <= min(10, limit if limit is not None else 10):
-        verify_lattice_complete(lattice)
+        lattice.verified_complete = verify_lattice_complete(lattice)
     return lattice
 
 
@@ -208,13 +212,14 @@ def ideal_restriction_measure(tau: MaxMeasure, ideal: SigmaIdeal) -> MaxMeasure:
 
 
 def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
-                   validate: Optional[bool] = None) -> MaxMeasure:
+                   validate: Optional[bool] = None, limit: int | None = None) -> MaxMeasure:
     """The threshold measure ν(B) = inf{t > 0 : B ∈ 𝒥_t}.
 
     𝒥_t collects the unions I ∪ B' with I in the ideal and τ(B') ≤ t; on
     a finite powerset the infimum collapses to the closed form
     ν(B) = τ(B ∖ top).  The closed form is validated against the literal
-    𝒥_t enumeration (by default for spaces of ≤ 8 atoms).
+    𝒥_t enumeration (by default for spaces of ≤ 8 atoms), over every
+    subset up to the enumeration cap ``limit``.
     """
     _same_space(tau.space, ideal.space)
     top = ideal.top.mask
@@ -223,7 +228,7 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
     if validate is None:
         validate = tau.space.n <= 8
     if validate:
-        for B in tau.space.subsets(12):
+        for B in tau.space.subsets(limit):
             if measure_eval(result, B) != nguyen_bruteforce(tau, ideal, B):
                 raise AssertionError(
                     f"Nguyen closed form disagrees with 𝒥_t enumeration at {B!r}")

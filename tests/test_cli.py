@@ -231,3 +231,62 @@ def test_carrier_domain_error_exit_2(chain_doc_path, tmp_path, capsys):
     rc = main(["diagnose", "--space-file", str(bad), "--tau", "off"])
     assert rc == 2
     assert "carrier" in capsys.readouterr().err
+
+
+def test_ideal_measures_validates_up_to_a_raised_cap(tmp_path, capsys):
+    atoms = [f"x{i}" for i in range(14)]
+    path = tmp_path / "fourteen.json"
+    path.write_text(json.dumps({
+        "space": {"atoms": atoms},
+        "measures": {"tau": {a: str(i % 5) for i, a in enumerate(atoms)}},
+        "ideals": {"I": [["x1"], ["x2"]]},
+    }))
+    rc = main(["ideal-measures", "--space-file", str(path), "--tau", "tau",
+               "--ideal", "I", "--max-n", "14", "--json-out", "-"])
+    assert rc == 0
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["restricted_maxitive"] is True
+    assert body["nguyen_maxitive"] is True
+    assert body["nguyen_below_tau"] is True
+
+
+@pytest.fixture
+def not_semi_finite_doc(tmp_path):
+    path = tmp_path / "spot.json"
+    path.write_text(json.dumps({
+        "space": {"atoms": ["a", "b"]},
+        "pseudo_mul": "times",
+        "measures": {"nu": {"a": "inf", "b": "1"}, "tau": {"a": "inf", "b": "1"}},
+    }))
+    return str(path)
+
+
+def test_finitize_refusal_is_a_negative_verdict(not_semi_finite_doc, capsys):
+    argv = ["density", "--space-file", not_semi_finite_doc, "--nu", "nu", "--tau", "tau",
+            "--finitize"]
+    assert main(argv + ["--json-out", "-"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    body = payload["body"]
+    assert payload["negative_verdict"] is True
+    assert body["found"] is True and body["verified_on_all_subsets"] is True
+    assert body["finitized_density"] is None
+    assert "not semi-⊙-finite" in body["finitize_refused"]
+    assert main(argv + ["--fatal-verdicts"]) == 4
+
+
+def test_quotient_runs_the_completeness_scan_once(doc_path, monkeypatch, capsys):
+    import maxitive.cli as cli_module
+    import maxitive.quotient as quotient_module
+    calls = []
+    original = quotient_module.verify_lattice_complete
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(quotient_module, "verify_lattice_complete", counted)
+    monkeypatch.setattr(cli_module, "verify_lattice_complete", counted)
+    assert main(["quotient", "--space-file", doc_path, "--tau", "tau",
+                 "--json-out", "-"]) == 0
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["complete_lattice_verified"] is True
+    assert len(calls) == 1

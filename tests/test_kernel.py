@@ -1,0 +1,258 @@
+"""The whole-powerset sweep and the byte rank tables against their references.
+
+``pushforward`` and ``verify_density`` run the threshold sweep once for
+every subset (``threshold_sweep``); these tests hold them to the
+per-subset ``integrate_threshold`` route, exactly for the exact
+operations and through ``values_equal`` for ``CustomContinuous``.  The
+byte tables of ``MaxMeasure.table`` are held to the ExtNonneg low-bit
+DP they replace.
+"""
+
+import random
+import tracemalloc
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxitive import (
+    INF,
+    ZERO,
+    CustomContinuous,
+    DiscreteChain,
+    ExtNonneg,
+    MaxMeasure,
+    MeasurableFn,
+    Minimum,
+    SetFunctionTable,
+    Space,
+    StandardProduct,
+    integrate_threshold,
+    is_semi_odot_finite,
+    measure_eval,
+    pushforward,
+    pushforward_measure,
+    verify_density,
+)
+from maxitive.measure import max_rank_table
+
+from conftest import float_times
+
+TIMES = StandardProduct()
+MIN = Minimum()
+CHAIN = DiscreteChain.clamped_product(["0", "1", "2", "inf"])
+FLOAT_TIMES = CustomContinuous(float_times, identity=1, name="float-times")
+OPS = {"times": TIMES, "min": MIN, "chain": CHAIN, "float": FLOAT_TIMES}
+
+RATIONALS = [ExtNonneg(Fraction(p, q)) for p in range(0, 13) for q in range(1, 7)]
+DYADICS = [ExtNonneg(Fraction(p, 1 << q)) for p in range(0, 17) for q in range(4)]
+POOLS = {
+    "times": RATIONALS + [INF],
+    "min": RATIONALS + [INF],
+    "chain": list(CHAIN.carrier),
+    "float": DYADICS + [INF],
+}
+
+
+def reference_pushforward(pm, f, nu):
+    return [integrate_threshold(pm, f, nu, B) for B in f.space.subsets()]
+
+
+def reference_verify(pm, c, nu, tau):
+    return all(pm.values_equal(integrate_threshold(pm, c, tau, B), measure_eval(nu, B))
+               for B in c.space.subsets())
+
+
+def agree(pm, got, want):
+    if pm.exact:
+        return list(got) == list(want)
+    return len(got) == len(want) and all(pm.values_equal(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def instances(draw, max_n=6):
+    """(kind, c, τ, candidate): ν = c ⊙ τ and c, possibly changed on one atom."""
+    kind = draw(st.sampled_from(sorted(OPS)))
+    pool = st.sampled_from(POOLS[kind])
+    n = draw(st.integers(1, max_n))
+    space = Space([f"x{i}" for i in range(n)])
+    c = MeasurableFn(space, [draw(pool) for _ in range(n)])
+    tau = MaxMeasure(space, [draw(pool) for _ in range(n)])
+    candidate = c
+    if draw(st.booleans()):
+        candidate = c.with_value(f"x{draw(st.integers(0, n - 1))}", draw(pool))
+    return kind, c, tau, candidate
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_pushforward_equals_per_subset_sweep(inst):
+    kind, c, tau, _ = inst
+    pm = OPS[kind]
+    assert agree(pm, pushforward(pm, c, tau).values, reference_pushforward(pm, c, tau))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_verify_density_equals_per_subset_sweep(inst):
+    kind, c, tau, candidate = inst
+    pm = OPS[kind]
+    nu = pushforward_measure(pm, c, tau)
+    assert verify_density(pm, candidate, nu, tau) == reference_verify(pm, candidate, nu, tau)
+
+
+def test_both_verdicts_occur_for_every_operation():
+    rng = random.Random(11)
+    for kind, pm in OPS.items():
+        verdicts = set()
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            space = Space([f"x{i}" for i in range(n)])
+            c = MeasurableFn(space, [rng.choice(POOLS[kind]) for _ in range(n)])
+            tau = MaxMeasure(space, [rng.choice(POOLS[kind]) for _ in range(n)])
+            nu = pushforward_measure(pm, c, tau)
+            candidate = c.with_value(f"x{rng.randrange(n)}", rng.choice(POOLS[kind]))
+            verdict = verify_density(pm, candidate, nu, tau)
+            assert verdict == reference_verify(pm, candidate, nu, tau)
+            assert verify_density(pm, c, nu, tau) == reference_verify(pm, c, nu, tau)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}, kind
+
+
+def test_misbehaving_custom_operation_matches_term_for_term():
+    # not monotone: products in [3, 4) drop by 1, so a lower level's term
+    # can exceed the top level's and every term counts
+    def folded(s, t):
+        p = 0.0 if s == 0.0 or t == 0.0 else s * t
+        return p - 1.0 if 3.0 <= p < 4.0 else p
+    pm = CustomContinuous(folded, identity=1, name="folded")
+    rng = random.Random(12)
+    # few levels, so atoms share them, and masses whose products straddle the fold
+    levels = [ExtNonneg(v) for v in ("1/2", "1", "2")]
+    masses = [ExtNonneg(v) for v in ("1", "5/4", "3/2", "2", "5/2", "3", "7/2")]
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        space = Space([f"x{i}" for i in range(n)])
+        c = MeasurableFn(space, [rng.choice(levels) for _ in range(n)])
+        tau = MaxMeasure(space, [rng.choice(masses) for _ in range(n)])
+        assert list(pushforward(pm, c, tau).values) == reference_pushforward(pm, c, tau)
+        nu = MaxMeasure(space, [rng.choice(masses) for _ in range(n)])
+        for candidate in (c, c.with_value("x0", rng.choice(levels))):
+            assert (verify_density(pm, candidate, nu, tau)
+                    == reference_verify(pm, candidate, nu, tau))
+
+
+def test_verify_density_accepts_within_the_tolerance_of_an_inexact_operation():
+    space = Space(["a", "b", "c"])
+    c = MeasurableFn(space, ["1/2", "3", "2"])
+    tau = MaxMeasure(space, ["4", "1/4", "5"])
+    exact = pushforward_measure(FLOAT_TIMES, c, tau)
+    nudged = MaxMeasure(space, [v.as_fraction() * (1 + Fraction(1, 10 ** 14))
+                                for v in exact.masses])
+    assert verify_density(FLOAT_TIMES, c, nudged, tau)
+    assert reference_verify(FLOAT_TIMES, c, nudged, tau)
+    moved = MaxMeasure(space, [v.as_fraction() * Fraction(101, 100) for v in exact.masses])
+    assert not verify_density(FLOAT_TIMES, c, moved, tau)
+
+
+def test_verify_density_at_the_cap_of_twenty_atoms():
+    space = Space([f"x{i}" for i in range(20)])
+    rng = random.Random(13)
+    tau = MaxMeasure(space, [rng.choice(RATIONALS[6:]) for _ in range(20)])
+    c = MeasurableFn(space, [rng.choice(RATIONALS) for _ in range(20)])
+    nu = pushforward_measure(TIMES, c, tau)
+    assert verify_density(TIMES, c, nu, tau)
+    assert not verify_density(TIMES, c.with_value("x0", INF), nu, tau)
+
+
+def test_sweep_universe_fits_a_byte_with_every_term_distinct():
+    # one level per atom and distinct masses: n(n + 1)/2 terms, the most
+    # the sweep can meet, plus ν's masses and 0
+    space = Space([f"x{i}" for i in range(20)])
+    c = MeasurableFn(space, [Fraction(1, 2 ** i) for i in range(20)])
+    tau = MaxMeasure(space, [Fraction(3 ** i) for i in range(20)])
+    nu = pushforward_measure(TIMES, c, tau)
+    assert verify_density(TIMES, c, nu, tau)
+    table = pushforward(TIMES, c, tau)
+    assert table == nu.table()
+
+
+# -- the byte rank tables ------------------------------------------------------
+
+def extnonneg_table(mu):
+    """μ's table by the low-bit DP over ExtNonneg values: the reference."""
+    out = [ZERO] * (1 << mu.space.n)
+    for mask in range(1, 1 << mu.space.n):
+        low = mask & -mask
+        rest = mask ^ low
+        v = mu.masses[low.bit_length() - 1]
+        out[mask] = out[rest] if out[rest] > v else v
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_n=7))
+def test_byte_table_decodes_to_the_extnonneg_table(inst):
+    _, _, tau, _ = inst
+    table = tau.table()
+    assert isinstance(table.ranks, bytes) and len(table.ranks) == 1 << tau.space.n
+    assert table.universe[0] == ZERO and list(table.universe) == sorted(set(table.universe))
+    assert table.values == extnonneg_table(tau)
+    assert all(table.value(B) == measure_eval(tau, B) for B in tau.space.subsets())
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_n=6))
+def test_tables_from_values_and_from_ranks_compare_and_hash_alike(inst):
+    kind, c, tau, _ = inst
+    pm = OPS[kind]
+    swept = pushforward(pm, c, tau)
+    from_values = SetFunctionTable(tau.space, reference_pushforward(pm, c, tau))
+    if pm.exact:
+        assert swept == from_values and hash(swept) == hash(from_values)
+    measure_table = tau.table()
+    rebuilt = SetFunctionTable(tau.space, measure_table.values)
+    assert rebuilt == measure_table and hash(rebuilt) == hash(measure_table)
+    universe = measure_table.universe
+    if not universe[-1].is_inf:
+        universe += (INF,)  # a value the table never takes
+    padded = SetFunctionTable.from_ranks(tau.space, universe, measure_table.ranks)
+    assert padded == measure_table and hash(padded) == hash(measure_table)
+
+
+def test_from_ranks_drops_values_the_table_never_takes():
+    space = Space(["a", "b"])
+    universe = (ZERO, ExtNonneg(1), ExtNonneg(2), ExtNonneg(5))
+    table = SetFunctionTable.from_ranks(space, universe, bytes([0, 3, 1, 3]))
+    assert table.universe == (ZERO, ExtNonneg(1), ExtNonneg(5))
+    assert table.values == (ZERO, ExtNonneg(5), ExtNonneg(1), ExtNonneg(5))
+    assert table == SetFunctionTable(space, ["0", "5", "1", "5"])
+
+
+def test_table_with_more_values_than_a_byte_holds():
+    space = Space([f"x{i}" for i in range(9)])
+    values = [ExtNonneg(m) for m in range(1 << 9)]  # 512 distinct values
+    table = SetFunctionTable(space, values)
+    assert table.values == tuple(values)
+    assert table == SetFunctionTable(space, list(values))
+    assert hash(table) == hash(SetFunctionTable(space, list(values)))
+
+
+def test_max_rank_table_small_cases():
+    assert max_rank_table([]) == b"\0"
+    assert max_rank_table([2, 1]) == bytes([0, 2, 1, 2])
+    assert max_rank_table([0, 3, 1]) == bytes([0, 0, 3, 3, 1, 1, 3, 3])
+
+
+def test_semi_odot_finite_peak_memory_at_the_cap():
+    space = Space([f"x{i}" for i in range(20)])
+    rng = random.Random(14)
+    mu = MaxMeasure(space, [rng.choice(RATIONALS) for _ in range(19)] + [INF])
+    tracemalloc.start()
+    try:
+        verdict = is_semi_odot_finite(TIMES, mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict is False
+    assert peak < 6 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"

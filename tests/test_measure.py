@@ -20,6 +20,7 @@ from maxitive import (
     SpaceMismatchError,
     StandardProduct,
     check_maxitive,
+    check_maxitive_bruteforce,
     delta_sharp,
     find_odot_spots,
     is_negligible,
@@ -30,7 +31,7 @@ from maxitive import (
 )
 from maxitive.errors import SizeCapError
 
-from conftest import LABELS, rand_measure, rand_space
+from conftest import LABELS, extnn, rand_measure, rand_space
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -152,8 +153,38 @@ def test_check_maxitive_examples():
     sp = Space(["a", "b"])
     mu = MaxMeasure(sp, {"a": 1, "b": 1})
     assert check_maxitive(mu.table())
+    assert check_maxitive_bruteforce(mu.table())
     additive = SetFunctionTable(sp, [ZERO, ONE, ONE, ExtNonneg(2)])
     assert not check_maxitive(additive)
+    assert not check_maxitive_bruteforce(additive)
+
+
+@st.composite
+def maxitive_or_broken_tables(draw):
+    """A measure's table, or the same table with one entry redrawn."""
+    n = draw(st.integers(1, 5))
+    space = Space(list(LABELS[:n]))
+    values = list(MaxMeasure(space, [draw(extnn) for _ in range(n)]).table().values)
+    if draw(st.booleans()):
+        values[draw(st.integers(1, (1 << n) - 1))] = draw(extnn)
+    return SetFunctionTable(space, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maxitive_or_broken_tables())
+def test_check_maxitive_matches_the_all_pairs_scan(table):
+    assert check_maxitive(table) == check_maxitive_bruteforce(table)
+
+
+def test_check_maxitive_at_ten_atoms_agrees_with_the_all_pairs_scan():
+    rng = random.Random(6)
+    mu = rand_measure(rng, Space([f"x{i}" for i in range(10)]), allow_inf=True)
+    table = mu.table()
+    assert check_maxitive(table) and check_maxitive_bruteforce(table)
+    broken = list(table.values)
+    broken[(1 << 10) - 1] = ZERO if not broken[-1].is_zero else ONE
+    broken = SetFunctionTable(mu.space, broken)
+    assert not check_maxitive(broken) and not check_maxitive_bruteforce(broken)
 
 
 def test_set_function_table_requires_zero_at_empty():

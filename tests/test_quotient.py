@@ -327,3 +327,10 @@ def test_additive_measure_sum_with_infinity():
     m = disjoint_variation(MaxMeasure(sp, {"a": INF, "b": 2}))
     assert m(sp.full) == INF
     assert m(sp.subset(["b"])) == ExtNonneg(2)
+
+
+def test_build_quotient_keeps_the_completeness_verdict():
+    small = build_quotient(delta_sharp(Space(list("abc"))))
+    assert small.verified_complete is True
+    large = build_quotient(delta_sharp(Space([f"x{i}" for i in range(11)])))
+    assert large.verified_complete is None
