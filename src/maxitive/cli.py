@@ -31,7 +31,7 @@ from .errors import (
 )
 from .gallery import GALLERY, run_gallery
 from .integral import canonical_grid, integrate_atomwise, integrate_oracle, integrate_threshold
-from .measure import SigmaIdeal, check_maxitive, measure_eval
+from .measure import SigmaIdeal, check_maxitive
 from .pseudomul import Minimum, PseudoMul, SampleBudget, StandardProduct, validate_pseudo_mul
 from .quotient import (
     build_quotient,
@@ -42,7 +42,7 @@ from .quotient import (
     verify_lattice_complete,
 )
 from .report import Report, jsonable
-from .spaces import SubsetB
+from .spaces import LATTICE_SCAN_CAP, SubsetB
 from .specdoc import SpecDoc, parse_spec
 
 __all__ = ["main", "run_command"]
@@ -203,8 +203,9 @@ def _cmd_quotient(args) -> Report:
     tau = _named("measure", doc.measures, args.tau)
     lattice = build_quotient(tau, args.max_n)
     complete = lattice.verified_complete
-    if complete is None and lattice.k <= min(args.max_n, 12):
-        complete = verify_lattice_complete(lattice, min(args.max_n, 12))
+    cap = min(args.max_n, LATTICE_SCAN_CAP)
+    if complete is None and lattice.k <= cap:
+        complete = verify_lattice_complete(lattice, cap)
     body = {
         "tau": jsonable(tau),
         "non_null_atoms": jsonable(lattice.non_null_atoms),
@@ -242,8 +243,9 @@ def _cmd_variation(args) -> Report:
     m = disjoint_variation(tau)
     same_nulls = None
     if doc.space.n <= args.max_n:
-        same_nulls = all(m(B).is_zero == measure_eval(tau, B).is_zero
-                         for B in doc.space.subsets(args.max_n))
+        # τ's rank 0 is the value 0, so both tables are 0 exactly on the null sets
+        tau_nulls = bytes(map(bool, tau.table(args.max_n).ranks))
+        same_nulls = m.null_table(args.max_n) == tau_nulls
     body = {
         "tau": jsonable(tau),
         "disjoint_variation": jsonable(m),

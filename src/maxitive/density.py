@@ -16,8 +16,10 @@ density theory excludes.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 from typing import Optional
 
 from .errors import DegenerateOperationError, PreconditionError, UnresolvedInfimumError
@@ -30,7 +32,6 @@ from .measure import (
     find_odot_spots,
     is_semi_odot_finite,
     is_sigma_odot_finite,
-    measure_eval,
 )
 from .pseudomul import (
     CustomContinuous,
@@ -40,7 +41,7 @@ from .pseudomul import (
     PseudoMul,
     StandardProduct,
 )
-from .spaces import _same_space
+from .spaces import CROSS_CHECK_CAP, _same_space
 
 __all__ = [
     "AchievableSet",
@@ -132,8 +133,8 @@ def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure,
 
     Sets with ⊙-infinite τ-measure are deliberately unconstrained.  The
     check runs atom by atom (sound on a powerset since F_⊙ is downward
-    closed); ``cross_check`` reruns it exhaustively over all subsets and
-    verifies agreement.
+    closed); ``cross_check`` reruns it exhaustively over all subsets, on
+    the rank tables of ν and τ, and verifies agreement.
     """
     _require_non_degenerate(pm, "is_abs_continuous")
     _same_space(nu.space, tau.space)
@@ -141,12 +142,15 @@ def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure,
         not pm.is_odot_finite(tv) or nv <= achievable_set(pm, tv).upper
         for nv, tv in zip(nu.masses, tau.masses))
     if cross_check:
-        exhaustive = True
-        for B in nu.space.subsets(12):
-            tv = measure_eval(tau, B)
-            if pm.is_odot_finite(tv) and measure_eval(nu, B) > achievable_set(pm, tv).upper:
-                exhaustive = False
-                break
+        nu_table = nu.table(CROSS_CHECK_CAP)
+        tau_table = tau.table(CROSS_CHECK_CAP)
+        # per τ value: the highest rank of ν allowed where τ takes it
+        # (255, no bound, where the value is ⊙-infinite)
+        allowed = bytes(
+            bisect_right(nu_table.universe, achievable_set(pm, tv).upper) - 1
+            if pm.is_odot_finite(tv) else 255 for tv in tau_table.universe)
+        bounds = tau_table.ranks.translate(allowed.ljust(256, b"\0"))
+        exhaustive = not any(map(gt, nu_table.ranks, bounds))
         if exhaustive != atomwise:
             raise AssertionError(
                 "atom-wise absolute continuity disagrees with the exhaustive scan")

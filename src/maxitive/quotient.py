@@ -21,8 +21,15 @@ from typing import Iterator, List, Optional
 
 from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
-from .measure import MaxMeasure, SigmaIdeal, measure_eval
-from .spaces import Space, SubsetB, _same_space
+from .measure import MaxMeasure, SigmaIdeal, max_rank_table, measure_eval
+from .spaces import (
+    ENUM_CAP,
+    LATTICE_BUILD_CAP,
+    LATTICE_SCAN_CAP,
+    Space,
+    SubsetB,
+    _same_space,
+)
 
 __all__ = [
     "QuotientClass",
@@ -129,18 +136,20 @@ class QuotientLattice:
 def build_quotient(tau: MaxMeasure, limit: int | None = None) -> QuotientLattice:
     """Build the quotient lattice; small quotients are closure-verified.
 
-    For ≤ 10 non-null atoms the pairwise join/meet existence scan runs
-    here and its verdict is kept as ``verified_complete``;
-    verify_lattice_complete exposes it separately (up to 12) for larger
-    quotients, where the in-constructor scan would be too slow.
+    For ≤ LATTICE_BUILD_CAP non-null atoms the pairwise join/meet
+    existence scan runs here and its verdict is kept as
+    ``verified_complete``; verify_lattice_complete exposes it separately
+    (up to LATTICE_SCAN_CAP) for larger quotients, where the
+    in-constructor scan would be too slow.
     """
     lattice = QuotientLattice(tau)
-    if lattice.k <= min(10, limit if limit is not None else 10):
+    cap = LATTICE_BUILD_CAP if limit is None else min(LATTICE_BUILD_CAP, limit)
+    if lattice.k <= cap:
         lattice.verified_complete = verify_lattice_complete(lattice)
     return lattice
 
 
-def verify_lattice_complete(lattice: QuotientLattice, limit: int = 12) -> bool:
+def verify_lattice_complete(lattice: QuotientLattice, limit: int = LATTICE_SCAN_CAP) -> bool:
     """Exhaustively verify lattice completeness on the quotient.
 
     Checks for every pair of classes that the join and meet exist in the
@@ -179,27 +188,24 @@ def verify_lattice_complete(lattice: QuotientLattice, limit: int = 12) -> bool:
 def localize(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> SubsetB:
     """The canonical set localizing a σ-ideal: its top with null atoms stripped.
 
-    Asserts both localization conditions: every member leaves L only by
-    a negligible remainder, and L is minimal among sets absorbing the
-    ideal modulo null sets (exhaustively over all B for small spaces,
-    by the monotone top reduction otherwise).
+    Asserts both localization conditions.  Every member leaves L only by
+    a negligible remainder: τ(top ∖ L) = 0.  L is minimal among sets
+    absorbing the ideal modulo null sets: for every B, τ(top ∖ B) = 0
+    implies τ(L ∖ B) = 0, checked over τ's table for all 2^n subsets
+    when n ≤ ``limit`` (default and ceiling ENUM_CAP).  Past the cap only
+    the first condition is checked; minimality then follows from L ⊆ top.
     """
     _same_space(tau.space, ideal.space)
     L = ideal.top & tau.support
-    top = ideal.top
-    if not measure_eval(tau, top - L).is_zero:
+    if not measure_eval(tau, ideal.top - L).is_zero:
         raise AssertionError("localization failed: some member leaves L non-negligibly")
-    n = tau.space.n
-    cap = 12 if limit is None else min(limit, 12)
-    if n <= cap:
-        for B in tau.space.subsets(cap):
-            absorbs = measure_eval(tau, top - B).is_zero
-            if absorbs and not measure_eval(tau, L - B).is_zero:
-                raise AssertionError(f"localization not minimal against {B!r}")
-    else:
-        # L ⊆ top, so any B absorbing top absorbs L; check the witness B = L.
-        if not measure_eval(tau, top - L).is_zero:
-            raise AssertionError("localization not minimal")
+    if tau.space.n <= (ENUM_CAP if limit is None else min(limit, ENUM_CAP)):
+        ranks = tau.table(limit).ranks  # rank 0 is the value 0
+        top, local = ideal.top.mask, L.mask
+        for b in range(len(ranks)):
+            if not ranks[top & ~b] and ranks[local & ~b]:
+                raise AssertionError(
+                    f"localization not minimal against {SubsetB(tau.space, b)!r}")
     return L
 
 
@@ -219,7 +225,10 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
     a finite powerset the infimum collapses to the closed form
     ν(B) = τ(B ∖ top).  The closed form is validated against the literal
     𝒥_t enumeration (by default for spaces of ≤ 8 atoms), over every
-    subset up to the enumeration cap ``limit``.
+    subset up to the enumeration cap ``limit``: each decomposition's
+    τ(B ∖ I) is read from τ's rank table, and the minima are compared
+    with the closed form's table.  nguyen_bruteforce is the per-subset
+    form.
     """
     _same_space(tau.space, ideal.space)
     top = ideal.top.mask
@@ -228,10 +237,29 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
     if validate is None:
         validate = tau.space.n <= 8
     if validate:
-        for B in tau.space.subsets(limit):
-            if measure_eval(result, B) != nguyen_bruteforce(tau, ideal, B):
-                raise AssertionError(
-                    f"Nguyen closed form disagrees with 𝒥_t enumeration at {B!r}")
+        tau_table = tau.table(limit)
+        ranks = tau_table.ranks
+        # The literal 𝒥_t minimum: τ(B ∖ I) over every I ⊆ B ∩ top, as ranks.
+        least = bytearray(len(ranks))
+        for b in range(len(ranks)):
+            inside = b & top
+            low = ranks[b]
+            i = inside
+            while i:
+                r = ranks[b ^ i]
+                if r < low:
+                    low = r
+                i = (i - 1) & inside
+            least[b] = low
+        closed = result.table(limit)
+        position = {v: r for r, v in enumerate(tau_table.universe)}
+        # a value τ never takes is no 𝒥_t minimum: 255 is no rank of τ's
+        into_tau = bytes(position.get(v, 255) for v in closed.universe).ljust(256, b"\0")
+        got = closed.ranks.translate(into_tau)
+        if got != least:
+            b = next(b for b in range(len(got)) if got[b] != least[b])
+            raise AssertionError("Nguyen closed form disagrees with 𝒥_t enumeration "
+                                 f"at {SubsetB(tau.space, b)!r}")
     return result
 
 
@@ -280,6 +308,15 @@ class AdditiveMeasure:
             total = total + self.masses[low.bit_length() - 1]
             mask ^= low
         return total
+
+    def null_table(self, limit: int | None = None) -> bytes:
+        """One byte per subset: 0 where the sum over B is 0, 1 elsewhere.
+
+        A sum of masses in [0, ∞] is 0 exactly when every mass in B is
+        0, so the entry is the max over B of a 0/1 flag per atom.
+        """
+        self.space.check_enum_cap(limit)
+        return max_rank_table([0 if v.is_zero else 1 for v in self.masses])
 
     def __eq__(self, other):
         return (isinstance(other, AdditiveMeasure)

@@ -1,6 +1,7 @@
 """Exit-code contract, report rendering, and the JSON round trip."""
 
 import json
+import sys
 
 import pytest
 
@@ -233,17 +234,27 @@ def test_carrier_domain_error_exit_2(chain_doc_path, tmp_path, capsys):
     assert "carrier" in capsys.readouterr().err
 
 
-def test_ideal_measures_validates_up_to_a_raised_cap(tmp_path, capsys):
-    atoms = [f"x{i}" for i in range(14)]
-    path = tmp_path / "fourteen.json"
+def test_ideal_measures_validates_up_to_a_raised_cap(tmp_path, monkeypatch, capsys):
+    from maxitive.measure import MaxMeasure
+    atoms = [f"x{i}" for i in range(16)]
+    path = tmp_path / "sixteen.json"
     path.write_text(json.dumps({
         "space": {"atoms": atoms},
         "measures": {"tau": {a: str(i % 5) for i, a in enumerate(atoms)}},
         "ideals": {"I": [["x1"], ["x2"]]},
     }))
+    scans = []
+    table = MaxMeasure.table
+
+    def recorded(self, limit=None):
+        scans.append(sys._getframe(1).f_code.co_name)
+        return table(self, limit)
+    monkeypatch.setattr(MaxMeasure, "table", recorded)
     rc = main(["ideal-measures", "--space-file", str(path), "--tau", "tau",
-               "--ideal", "I", "--max-n", "14", "--json-out", "-"])
+               "--ideal", "I", "--max-n", "16", "--json-out", "-"])
     assert rc == 0
+    # the 𝒥_t validation and the localize minimality scan both ran at n = 16
+    assert {"nguyen_measure", "localize"} <= set(scans)
     body = json.loads(capsys.readouterr().out)["body"]
     assert body["restricted_maxitive"] is True
     assert body["nguyen_maxitive"] is True
@@ -290,3 +301,31 @@ def test_quotient_runs_the_completeness_scan_once(doc_path, monkeypatch, capsys)
     body = json.loads(capsys.readouterr().out)["body"]
     assert body["complete_lattice_verified"] is True
     assert len(calls) == 1
+
+
+def test_ideal_measure_and_variation_checks_read_tables(tmp_path, monkeypatch, capsys):
+    import maxitive.cli as cli_module
+    import maxitive.measure as measure_module
+    import maxitive.quotient as quotient_module
+    atoms = [f"x{i}" for i in range(12)]
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps({
+        "space": {"atoms": atoms},
+        "measures": {"tau": {a: ("inf" if i == 3 else str(i % 4)) for i, a in enumerate(atoms)}},
+        "ideals": {"I": [["x1", "x5"], ["x4", "x9"]]},
+    }))
+    calls = []
+    original = measure_module.measure_eval
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for module in (measure_module, quotient_module, cli_module):
+        # raising=False: a module that does not import the name gains it unused
+        monkeypatch.setattr(module, "measure_eval", counted, raising=False)
+    doc = ["--space-file", str(path), "--tau", "tau", "--json-out", "-"]
+    assert main(["variation"] + doc) == 0
+    assert json.loads(capsys.readouterr().out)["body"]["same_null_sets"] is True
+    assert main(["ideal-measures", "--ideal", "I"] + doc) == 0
+    assert json.loads(capsys.readouterr().out)["body"]["localization"] == ["x1", "x5", "x9"]
+    assert len(calls) < 1 << 12
