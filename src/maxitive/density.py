@@ -419,8 +419,6 @@ def diagnose_rn(pm: PseudoMul, tau: MaxMeasure, limit: int | None = None) -> RND
     tv = TotalVsPhi(total, profile.phi, satisfied,
                     pm.is_odot_finite(total) if pm.representable(total) else False,
                     at_boundary=(total == profile.phi))
-    principal = True
-    rn = sigma and principal
     failed = []
     if spots.has_spots:
         failed.append(f"has a ⊙-spot ({spots.maximal_spot!r})")
@@ -432,11 +430,11 @@ def diagnose_rn(pm: PseudoMul, tau: MaxMeasure, limit: int | None = None) -> RND
         failed.append("not σ-⊙-finite")
     return RNDiagnosis(
         sigma_odot_finite=sigma,
-        sigma_principal=principal,
+        sigma_principal=True,
         spots=spots,
         semi_finite=semi,
         total_vs_phi=tv,
-        rn_property=rn,
+        rn_property=sigma,
         failed_conditions=tuple(failed),
         note="every σ-ideal of a finite powerset is principal",
     )

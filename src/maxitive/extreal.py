@@ -41,7 +41,9 @@ class ExtNonneg:
         elif isinstance(value, float):
             if math.isnan(value):
                 raise ValueError("nan is not a point of [0, inf]")
-            v = None if math.isinf(value) and value > 0 else Fraction(value)
+            if value < 0:  # before Fraction(value), which overflows at -inf
+                raise ValueError(f"negative value {value!r} is outside [0, inf]")
+            v = None if math.isinf(value) else Fraction(value)
         elif isinstance(value, str):
             s = value.strip().lower()
             if s in _INF_STRINGS:
@@ -53,7 +55,7 @@ class ExtNonneg:
                     raise ValueError(f"cannot parse {value!r} as a nonnegative rational") from exc
         else:
             raise TypeError(f"cannot build ExtNonneg from {type(value).__name__}")
-        if v is not None and v < 0:
+        if v is not None and v._numerator < 0:
             raise ValueError(f"negative value {value!r} is outside [0, inf]")
         self._v = v
 
@@ -78,11 +80,19 @@ class ExtNonneg:
         return self._v
 
     # -- order ---------------------------------------------------------
+    #
+    # A Fraction is stored normalized (lowest terms, positive
+    # denominator) in its _numerator and _denominator slots.  Comparing
+    # the integers there is exact and skips the numbers.Rational test
+    # that Fraction's own comparisons make on every call.
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        return self._v == other._v
+        a, b = self._v, other._v
+        if a is None or b is None:
+            return a is b
+        return a._numerator == b._numerator and a._denominator == b._denominator
 
     def __hash__(self) -> int:
         return hash(self._v)
@@ -90,28 +100,32 @@ class ExtNonneg:
     def __lt__(self, other: "ExtNonneg") -> bool:
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        if self._v is None:
+        a, b = self._v, other._v
+        if a is None:
             return False
-        if other._v is None:
+        if b is None:
             return True
-        return self._v < other._v
+        return a._numerator * b._denominator < b._numerator * a._denominator
 
     def __le__(self, other: "ExtNonneg") -> bool:
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        if other._v is None:
+        a, b = self._v, other._v
+        if b is None:
             return True
-        if self._v is None:
+        if a is None:
             return False
-        return self._v <= other._v
+        return a._numerator * b._denominator <= b._numerator * a._denominator
 
     def __gt__(self, other: "ExtNonneg") -> bool:
-        result = self.__le__(other)
-        return NotImplemented if result is NotImplemented else not result
+        if not isinstance(other, ExtNonneg):
+            return NotImplemented
+        return other.__lt__(self)
 
     def __ge__(self, other: "ExtNonneg") -> bool:
-        result = self.__lt__(other)
-        return NotImplemented if result is NotImplemented else not result
+        if not isinstance(other, ExtNonneg):
+            return NotImplemented
+        return other.__le__(self)
 
     # -- arithmetic ----------------------------------------------------
 

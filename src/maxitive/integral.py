@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import OracleMismatchError
@@ -122,8 +123,8 @@ def canonical_grid(pm: PseudoMul, f: MeasurableFn, B: Optional[SubsetB] = None) 
     for v in values:
         grid.add(v)
         q = v.as_fraction()
-        for k in range(1, depth + 1):
-            grid.add(ExtNonneg(q - q / (1 << k)))
+        for k in range(1, depth + 1):  # q·(1 − 2^-k), as one Fraction
+            grid.add(ExtNonneg(Fraction(q.numerator * ((1 << k) - 1), q.denominator << k)))
     for a, b in zip(values, values[1:]):
         grid.add(ExtNonneg((a.as_fraction() + b.as_fraction()) / 2))
     if f.attains_inf(B):
@@ -160,7 +161,7 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     """
     _same_space(f.space, nu.space)
     n = f.space.n
-    order = sorted(range(n), key=f.values.__getitem__, reverse=True)
+    order = f.descending_order
     nu_table = nu.in_order(order).table(limit)
     masses, nu_ranks = nu_table.universe, nu_table.ranks
     levels = []  # (start, stop, terms): f = v on the atoms start..stop-1

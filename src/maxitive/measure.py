@@ -8,6 +8,8 @@ finite counterparts, which keeps every hypothesis decidable.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -128,7 +130,13 @@ class MaxMeasure(_AtomMap):
 
 
 class MeasurableFn(_AtomMap):
-    """A map from atoms to [0, ∞]; integrands and densities."""
+    """A map from atoms to [0, ∞]; integrands and densities.
+
+    Level sets are read from one table built on first use and kept (see
+    _level_sets); it takes no part in ==, hash or repr.
+    """
+
+    __slots__ = ("_levels",)
 
     def __call__(self, label: str) -> ExtNonneg:
         return self._values[self.space.index(label)]
@@ -148,31 +156,52 @@ class MeasurableFn(_AtomMap):
         return cls(B.space, [h if (B.mask >> i & 1) else ZERO
                              for i in range(B.space.n)])
 
+    def _level_sets(self) -> tuple:
+        """``(values, masks, order)``, built once.
+
+        ``values`` holds the distinct values of f ascending and
+        ``masks[j]`` the atoms where f ≥ values[j], with a last entry 0,
+        so the level {f = values[j]} is masks[j] ^ masks[j + 1].
+        ``order`` lists the atoms by descending value, ties by index.
+        """
+        try:
+            return self._levels
+        except AttributeError:
+            pass
+        vals = self._values
+        order = tuple(sorted(range(len(vals)), key=vals.__getitem__, reverse=True))
+        values, masks, mask = [], [0], 0
+        for v, group in itertools.groupby(order, vals.__getitem__):
+            for i in group:
+                mask |= 1 << i
+            values.append(v)
+            masks.append(mask)
+        self._levels = (tuple(reversed(values)), tuple(reversed(masks)), order)
+        return self._levels
+
+    @property
+    def descending_order(self) -> tuple:
+        """The atom indices by descending value, ties by index: every
+        level set {f ≥ v} is a prefix."""
+        return self._level_sets()[2]
+
     def strictly_above(self, t: ExtNonneg) -> SubsetB:
         """The level set {f > t}."""
-        t = as_extnn(t)
-        mask = 0
-        for i, v in enumerate(self._values):
-            if v > t:
-                mask |= 1 << i
-        return SubsetB(self.space, mask)
+        values, masks, _ = self._level_sets()
+        return SubsetB(self.space, masks[bisect_right(values, as_extnn(t))])
 
     def at_least(self, v: ExtNonneg) -> SubsetB:
         """The level set {f ≥ v}."""
-        v = as_extnn(v)
-        mask = 0
-        for i, x in enumerate(self._values):
-            if x >= v:
-                mask |= 1 << i
-        return SubsetB(self.space, mask)
+        values, masks, _ = self._level_sets()
+        return SubsetB(self.space, masks[bisect_left(values, as_extnn(v))])
 
     def level(self, v: ExtNonneg) -> SubsetB:
+        """The level set {f = v}."""
         v = as_extnn(v)
-        mask = 0
-        for i, x in enumerate(self._values):
-            if x == v:
-                mask |= 1 << i
-        return SubsetB(self.space, mask)
+        values, masks, _ = self._level_sets()
+        j = bisect_left(values, v)
+        found = j < len(values) and values[j] == v
+        return SubsetB(self.space, masks[j] ^ masks[j + 1] if found else 0)
 
     @property
     def support(self) -> SubsetB:
@@ -182,13 +211,15 @@ class MeasurableFn(_AtomMap):
         """Distinct finite nonzero values taken on B (default: everywhere), ascending."""
         if B is not None:
             _same_space(self.space, B.space)
-        out = {v for i, v in enumerate(self._values)
-               if v.is_finite and not v.is_zero and (B is None or B.mask >> i & 1)}
-        return sorted(out)
+        values, masks, _ = self._level_sets()
+        within = -1 if B is None else B.mask
+        return [v for j, v in enumerate(values)
+                if v.is_finite and not v.is_zero and (masks[j] ^ masks[j + 1]) & within]
 
     def attains_inf(self, B: Optional[SubsetB] = None) -> bool:
-        return any(v.is_inf and (B is None or B.mask >> i & 1)
-                   for i, v in enumerate(self._values))
+        values, masks, _ = self._level_sets()
+        within = -1 if B is None else B.mask
+        return values[-1].is_inf and bool(masks[-2] & within)
 
     def pointwise_max(self, other: "MeasurableFn") -> "MeasurableFn":
         _same_space(self.space, other.space)

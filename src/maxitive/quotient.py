@@ -112,7 +112,7 @@ class QuotientLattice:
 
     def classes(self, limit: int | None = None) -> Iterator[QuotientClass]:
         k = self.k
-        cap = 20 if limit is None else limit
+        cap = ENUM_CAP if limit is None else limit
         if k > cap:
             raise SizeCapError(f"quotient has 2^{k} classes, beyond the cap of {cap}")
         sub = self.non_null_atoms.mask

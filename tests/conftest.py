@@ -73,6 +73,12 @@ def rand_fn(rng: random.Random, space: Space, **kw) -> MeasurableFn:
     return MeasurableFn(space, [rand_mass(rng, **kw) for _ in space.atoms])
 
 
+def fraction_key(x: ExtNonneg) -> tuple:
+    """Fraction's own order, with ∞ above every Fraction: a sort key that
+    does not use ExtNonneg's comparisons."""
+    return (1, 0) if x.is_inf else (0, x.as_fraction())
+
+
 # -- hypothesis strategies ---------------------------------------------------
 
 finite_extnn = st.fractions(min_value=0, max_value=64, max_denominator=16).map(ExtNonneg)

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from maxitive import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_max, ext_min
 
-from conftest import extnn
+from conftest import extnn, fraction_key
 
 
 def test_construction_and_parsing():
@@ -22,7 +23,7 @@ def test_construction_and_parsing():
     assert ExtNonneg(math.inf).is_inf
 
 
-@pytest.mark.parametrize("bad", ["-1", "nan", "x", -2, float("nan"), -0.5, True])
+@pytest.mark.parametrize("bad", ["-1", "nan", "x", -2, float("nan"), -0.5, float("-inf"), True])
 def test_rejected_values(bad):
     with pytest.raises((ValueError, TypeError)):
         ExtNonneg(bad)
@@ -41,6 +42,38 @@ def test_order_endpoints():
 def test_total_order(a, b):
     assert (a <= b) or (b <= a)
     assert (a <= b and b <= a) == (a == b)
+
+
+# Far wider than conftest.extnn, so cross-multiplied products overflow
+# any fixed-width integer.
+wide_extnn = st.one_of(
+    st.just(INF), st.just(ZERO),
+    st.builds(Fraction, st.integers(0, 1 << 100), st.integers(1, 1 << 100)).map(ExtNonneg))
+
+
+def assert_order_matches_fractions(a: ExtNonneg, b: ExtNonneg) -> None:
+    ka, kb = fraction_key(a), fraction_key(b)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+    assert (a == b) == (ka == kb)
+    assert (a != b) == (ka != kb)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(a=wide_extnn, b=wide_extnn)
+def test_order_agrees_with_fraction_order(a, b):
+    assert_order_matches_fractions(a, b)
+    if a.is_finite:
+        q = a.as_fraction()
+        step = Fraction(1, q.denominator << 100)
+        # the same value built afresh, its nearest neighbours, and ∞
+        for c in (ExtNonneg(Fraction(q.numerator, q.denominator)), ExtNonneg(q + step),
+                  ExtNonneg(q - step) if q >= step else ZERO, INF):
+            assert_order_matches_fractions(a, c)
+            assert_order_matches_fractions(c, a)
 
 
 @given(a=extnn)

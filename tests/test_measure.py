@@ -1,6 +1,8 @@
 """Measures, level sets, σ-ideals, finiteness and spot diagnostics."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from maxitive import (
     Space,
     SpaceMismatchError,
     StandardProduct,
+    SubsetB,
     check_maxitive,
     check_maxitive_bruteforce,
     delta_sharp,
@@ -31,7 +34,7 @@ from maxitive import (
 )
 from maxitive.errors import SizeCapError
 
-from conftest import LABELS, extnn, rand_measure, rand_space
+from conftest import LABELS, extnn, fraction_key, rand_measure, rand_space
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -228,6 +231,89 @@ def test_level_sets_and_support():
     assert f.support == sp.subset(["b", "c"])
     assert f.finite_positive_values() == [ExtNonneg("1/2")]
     assert f.attains_inf()
+
+
+# -- the cached level-set builder, held to the literal per-atom loops --------
+
+LEVEL_POOL = (ZERO, ExtNonneg("1/3"), ExtNonneg("1/2"), ONE, ExtNonneg(2), ExtNonneg("7/2"), INF)
+
+
+def _literal_mask(f: MeasurableFn, keep) -> int:
+    mask = 0
+    for i, v in enumerate(f.values):
+        if keep(fraction_key(v)):
+            mask |= 1 << i
+    return mask
+
+
+def _thresholds(f: MeasurableFn) -> list:
+    """At, between, below and above the values of f."""
+    finite = sorted({v.as_fraction() for v in f.values if v.is_finite})
+    points = set(finite) | {(a + b) / 2 for a, b in zip(finite, finite[1:])}
+    points |= {finite[0] / 2, finite[-1] + 1} if finite else {Fraction(1)}
+    return [ExtNonneg(q) for q in points] + [INF]
+
+
+def _forms(t: ExtNonneg) -> list:
+    """t as an ExtNonneg, as a str and, where it is an integer, as an int."""
+    forms = [t, str(t)]
+    if t.is_finite and t.as_fraction().denominator == 1:
+        forms.append(int(t.as_fraction()))
+    return forms
+
+
+def test_level_sets_match_the_per_atom_loops():
+    rng = random.Random(61)
+    for _ in range(300):
+        sp = rand_space(rng, 1, 8)
+        f = MeasurableFn(sp, [rng.choice(LEVEL_POOL) for _ in sp.atoms])
+        for t in _thresholds(f):
+            kt = fraction_key(t)
+            above = _literal_mask(f, lambda kv: kv > kt)
+            at_least = _literal_mask(f, lambda kv: kv >= kt)
+            level = _literal_mask(f, lambda kv: kv == kt)
+            for form in _forms(t):
+                assert f.strictly_above(form).mask == above
+                assert f.at_least(form).mask == at_least
+                assert f.level(form).mask == level
+        assert f.support.mask == _literal_mask(f, lambda kv: kv > (0, 0))
+        for B in (None, *(SubsetB(sp, rng.randrange(1 << sp.n)) for _ in range(4))):
+            inside = [v for i, v in enumerate(f.values) if B is None or B.mask >> i & 1]
+            want = sorted({v for v in inside if v.is_finite and not v.is_zero}, key=fraction_key)
+            assert f.finite_positive_values(B) == want
+            assert f.attains_inf(B) == any(v.is_inf for v in inside)
+        assert f.descending_order == tuple(
+            sorted(range(sp.n), key=lambda i: fraction_key(f.values[i]), reverse=True))
+
+
+def test_level_cache_leaves_equality_hash_and_repr_alone():
+    sp = Space(list("abcd"))
+    values = [ONE, INF, ZERO, ONE]
+    f, g = MeasurableFn(sp, values), MeasurableFn(sp, values)
+    before = (hash(f), repr(f))
+    f.strictly_above(ZERO)  # builds f's cache, not g's
+    assert f == g and g == f
+    assert (hash(f), repr(f)) == before == (hash(g), repr(g))
+    assert {f, g} == {g}
+
+
+def test_strictly_above_bisects_the_cache(monkeypatch):
+    sp = Space(list(LABELS))
+    f = MeasurableFn(sp, [ExtNonneg(Fraction(k, 3)) for k in range(1, 10)] + [INF])
+    thresholds = [ExtNonneg(Fraction(k, 7)) for k in range(100)]
+    f.strictly_above(ZERO)  # builds the cache
+    calls = []
+    for name in ("__lt__", "__le__"):
+        original = getattr(ExtNonneg, name)
+
+        def counted(a, b, _original=original):
+            calls.append(1)
+            return _original(a, b)
+        monkeypatch.setattr(ExtNonneg, name, counted)
+    for t in thresholds:
+        f.strictly_above(t)
+    # ⌈log₂ 11⌉ + 1 comparisons a call; a per-atom scan makes 10
+    assert len(calls) <= len(thresholds) * (math.ceil(math.log2(sp.n + 1)) + 1)
 
 
 def test_indicator():
