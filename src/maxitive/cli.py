@@ -16,6 +16,7 @@ failure (including a failing gallery self-assertion).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -39,11 +40,10 @@ from .quotient import (
     disjoint_variation,
     localize,
     nguyen_measure,
-    verify_lattice_complete,
 )
 from .report import Report, jsonable
-from .spaces import LATTICE_SCAN_CAP, SubsetB
-from .specdoc import SpecDoc, parse_spec
+from .spaces import SubsetB
+from .specdoc import SpecDoc, load_spec
 
 __all__ = ["main", "run_command"]
 
@@ -65,7 +65,7 @@ def _maybe_doc(args) -> Optional[SpecDoc]:
     if doc is not None:
         return doc
     if getattr(args, "space_file", None):
-        return parse_spec(args.space_file)
+        return load_spec(args.space_file)
     return None
 
 
@@ -202,15 +202,11 @@ def _cmd_quotient(args) -> Report:
     doc = _load_doc(args)
     tau = _named("measure", doc.measures, args.tau)
     lattice = build_quotient(tau, args.max_n)
-    complete = lattice.verified_complete
-    cap = min(args.max_n, LATTICE_SCAN_CAP)
-    if complete is None and lattice.k <= cap:
-        complete = verify_lattice_complete(lattice, cap)
     body = {
         "tau": jsonable(tau),
         "non_null_atoms": jsonable(lattice.non_null_atoms),
         "class_count": lattice.count,
-        "complete_lattice_verified": complete,
+        "complete_lattice_verified": lattice.verified_complete,
     }
     return Report("quotient", body)
 
@@ -287,6 +283,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # parsing neither changes the parser nor keeps state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxitive",

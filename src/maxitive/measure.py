@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import SizeCapError
 from .extreal import ONE, ZERO, ExtNonneg, as_extnn, ext_max
 from .pseudomul import PseudoMul
-from .spaces import ENUM_CAP, Space, SubsetB, _same_space
+from .spaces import ENUM_CAP, Space, SubsetB, _same_space, submasks
 
 __all__ = [
     "MaxMeasure",
@@ -282,13 +282,8 @@ class SigmaIdeal:
         cap = ENUM_CAP if limit is None else min(limit, ENUM_CAP)
         if k > cap:
             raise SizeCapError(f"ideal has 2^{k} members, beyond the cap of {cap}")
-        sub = self.top.mask
-        mask = 0
-        while True:
+        for mask in submasks(self.top.mask):
             yield SubsetB(self.space, mask)
-            if mask == sub:
-                return
-            mask = (mask - sub) & sub
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SigmaIdeal)

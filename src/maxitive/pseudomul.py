@@ -533,64 +533,81 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
     below the identity, the frontier identities at φ (idempotency and
     absorption), the no-crossing property at φ, and the agreement of the
     left and right invertibility criteria for ⊙-finiteness.
+
+    ⊙ is computed once on every pair of sample values, and the checks
+    over sample values read that table; only the outer products of
+    associativity, the checks at φ and the finiteness probes call ⊙
+    again.
     """
     rng = random.Random(budget.seed + 1)
     samples = _sample_values(pm, budget)
-    positives = [v for v in samples if not v.is_zero]
+    # Samples ascend without repeats, so indices compare as their values.
+    idx = range(len(samples))
+    positives = [i for i in idx if not samples[i].is_zero]
     exhaustive = isinstance(pm, DiscreteChain)
     checks = []
 
     # Totality gate: a custom map may blow up (nan, negatives) on some
     # pair; that is itself an axiom failure and must not crash the rest.
-    for s, t in itertools.product(samples, samples):
-        try:
-            pm(s, t)
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            gate = AxiomCheck("defined on all sampled pairs", False, (s, t), str(exc))
-            return AxiomReport(pm.describe(), False, (gate,))
+    # Its results are the sample table: op[i][j] = samples[i] ⊙ samples[j].
+    op = []
+    for s in samples:
+        row = []
+        for t in samples:
+            try:
+                row.append(pm(s, t))
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                gate = AxiomCheck("defined on all sampled pairs", False, (s, t), str(exc))
+                return AxiomReport(pm.describe(), False, (gate,))
+        op.append(row)
 
+    def values(*indices):
+        return tuple(samples[i] for i in indices)
+
+    # Drawing from idx consumes the random stream as drawing from samples would.
     def pick_pairs(count):
         if exhaustive:
-            return list(itertools.product(samples, samples))
-        return [(rng.choice(samples), rng.choice(samples)) for _ in range(count)]
+            return list(itertools.product(idx, idx))
+        return [(rng.choice(idx), rng.choice(idx)) for _ in range(count)]
 
     def pick_triples(count):
         if exhaustive:
-            return list(itertools.product(samples, samples, samples))
-        return [(rng.choice(samples), rng.choice(samples), rng.choice(samples))
+            return list(itertools.product(idx, idx, idx))
+        return [(rng.choice(idx), rng.choice(idx), rng.choice(idx))
                 for _ in range(count)]
 
     # Left identity, annihilator, zero divisors: over all samples.
-    witness = next((t for t in samples if not pm.values_equal(pm(pm.identity, t), t)), None)
+    one, zero = samples.index(pm.identity), samples.index(ZERO)
+    witness = next((t for t in idx if not pm.values_equal(op[one][t], samples[t])), None)
     checks.append(AxiomCheck("left identity", witness is None,
-                             None if witness is None else (pm.identity, witness)))
+                             None if witness is None else (pm.identity, samples[witness])))
 
-    witness = next((t for t in samples
-                    if not (pm(ZERO, t).is_zero and pm(t, ZERO).is_zero)), None)
+    witness = next((t for t in idx
+                    if not (op[zero][t].is_zero and op[t][zero].is_zero)), None)
     checks.append(AxiomCheck("annihilator", witness is None,
-                             None if witness is None else (ZERO, witness)))
+                             None if witness is None else (ZERO, samples[witness])))
 
-    witness = next(((s, t) for s in positives for t in positives
-                    if pm(s, t).is_zero), None)
+    witness = next((values(s, t) for s in positives for t in positives
+                    if op[s][t].is_zero), None)
     checks.append(AxiomCheck("no zero divisors", witness is None, witness))
 
     # Monotonicity in both arguments.
     mono_witness = None
     if exhaustive:
-        mono_candidates = itertools.product(samples, samples, samples)
+        mono_candidates = itertools.product(idx, idx, idx)
     else:
-        mono_candidates = ((a, b, rng.choice(samples))
+        mono_candidates = ((a, b, rng.choice(idx))
                            for a, b in pick_pairs(budget.pairs // 4))
     for a, b, t in mono_candidates:
         lo, hi = (a, b) if a <= b else (b, a)
-        if pm(lo, t) > pm(hi, t) or pm(t, lo) > pm(t, hi):
-            mono_witness = (lo, hi, t)
+        if op[lo][t] > op[hi][t] or op[t][lo] > op[t][hi]:
+            mono_witness = values(lo, hi, t)
             break
     checks.append(AxiomCheck("monotonicity", mono_witness is None, mono_witness))
 
     assoc_witness = next(
-        ((s, t, u) for (s, t, u) in pick_triples(budget.triples)
-         if not pm.values_equal(pm(pm(s, t), u), pm(s, pm(t, u)))),
+        (values(s, t, u) for (s, t, u) in pick_triples(budget.triples)
+         if not pm.values_equal(pm(op[s][t], samples[u]), pm(samples[s], op[t][u]))),
         None)
     checks.append(AxiomCheck("associativity", assoc_witness is None, assoc_witness))
 
@@ -603,9 +620,9 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
         checks.append(AxiomCheck("finiteness profile resolves", False, None, str(exc)))
         return AxiomReport(pm.describe(), False, tuple(checks))
     if not profile.degenerate:
-        below = [v for v in samples if v <= pm.identity]
-        comm_witness = next(((a, b) for a in below for b in below
-                             if not pm.values_equal(pm(a, b), pm(b, a))), None)
+        below = [i for i in idx if samples[i] <= pm.identity]
+        comm_witness = next((values(a, b) for a in below for b in below
+                             if not pm.values_equal(op[a][b], op[b][a])), None)
         checks.append(AxiomCheck("commutative on [0, 1_⊙]", comm_witness is None, comm_witness))
 
         if profile.shape is FrontierShape.HALF_OPEN and pm.representable(profile.phi):
@@ -623,14 +640,14 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
             checks.append(AxiomCheck("φ absorbing on (0, φ]", absorb_witness is None, absorb_witness))
 
             cross_witness = None
-            lows = [t for t in samples if t < phi]
-            highs = [t for t in samples if t > phi]
+            lows = [i for i in idx if samples[i] < phi]
+            highs = [i for i in idx if samples[i] > phi]
             cross_pairs = (itertools.product(lows, highs) if exhaustive else
                            ((rng.choice(lows), rng.choice(highs))
                             for _ in range(budget.pairs)) if lows and highs else ())
             for (t, u) in cross_pairs:
-                if pm.values_equal(pm(t, u), phi):
-                    cross_witness = (t, u)
+                if pm.values_equal(op[t][u], phi):
+                    cross_witness = values(t, u)
                     break
             checks.append(AxiomCheck("no crossing at φ", cross_witness is None, cross_witness,
                                      detail="no t < φ, t' > φ with t ⊙ t' = φ"))

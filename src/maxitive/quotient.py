@@ -22,14 +22,7 @@ from typing import Iterator, List, Optional
 from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, max_rank_table, measure_eval
-from .spaces import (
-    ENUM_CAP,
-    LATTICE_BUILD_CAP,
-    LATTICE_SCAN_CAP,
-    Space,
-    SubsetB,
-    _same_space,
-)
+from .spaces import ENUM_CAP, Space, SubsetB, _same_space, submasks
 
 __all__ = [
     "QuotientClass",
@@ -86,7 +79,7 @@ class QuotientLattice:
     Isomorphic to the powerset of the non-null atoms; joins and meets
     are unions and intersections of representatives, so the lattice is
     complete and τ is localizable.  ``verified_complete`` holds the
-    verdict of the completeness scan once build_quotient has run it,
+    verdict of verify_lattice_complete once build_quotient has run it,
     and None before.
     """
 
@@ -115,13 +108,8 @@ class QuotientLattice:
         cap = ENUM_CAP if limit is None else limit
         if k > cap:
             raise SizeCapError(f"quotient has 2^{k} classes, beyond the cap of {cap}")
-        sub = self.non_null_atoms.mask
-        mask = 0
-        while True:
+        for mask in submasks(self.non_null_atoms.mask):
             yield QuotientClass(self.tau, SubsetB(self.tau.space, mask))
-            if mask == sub:
-                return
-            mask = (mask - sub) & sub
 
     def join(self, a: QuotientClass, b: QuotientClass) -> QuotientClass:
         return QuotientClass(self.tau, a.representative | b.representative)
@@ -134,55 +122,30 @@ class QuotientLattice:
 
 
 def build_quotient(tau: MaxMeasure, limit: int | None = None) -> QuotientLattice:
-    """Build the quotient lattice; small quotients are closure-verified.
+    """Build the quotient lattice, verified on τ's table when n ≤ ``limit``.
 
-    For ≤ LATTICE_BUILD_CAP non-null atoms the pairwise join/meet
-    existence scan runs here and its verdict is kept as
-    ``verified_complete``; verify_lattice_complete exposes it separately
-    (up to LATTICE_SCAN_CAP) for larger quotients, where the
-    in-constructor scan would be too slow.
+    ``limit`` defaults to and is capped at ENUM_CAP; past it
+    ``verified_complete`` stays None.
     """
     lattice = QuotientLattice(tau)
-    cap = LATTICE_BUILD_CAP if limit is None else min(LATTICE_BUILD_CAP, limit)
-    if lattice.k <= cap:
-        lattice.verified_complete = verify_lattice_complete(lattice)
+    if tau.space.n <= (ENUM_CAP if limit is None else min(limit, ENUM_CAP)):
+        lattice.verified_complete = verify_lattice_complete(lattice, limit)
     return lattice
 
 
-def verify_lattice_complete(lattice: QuotientLattice, limit: int = LATTICE_SCAN_CAP) -> bool:
-    """Exhaustively verify lattice completeness on the quotient.
+def verify_lattice_complete(lattice: QuotientLattice, limit: int | None = None) -> bool:
+    """Verify that the quotient is the powerset lattice of the non-null atoms.
 
-    Checks for every pair of classes that the join and meet exist in the
-    lattice (closure of representatives), and for ≤ 6 non-null atoms
-    additionally that they are least upper and greatest lower bounds.
-    A finite lattice with all pairwise bounds is complete.
+    The class of B is B ∩ support, so the classes modulo τ-null sets
+    correspond to the subsets of the support exactly when τ(B) = 0 ⇔
+    B ∩ support = ∅ for every B; that powerset lattice is complete.  On
+    τ's byte table rank 0 is the value 0, so this is one byte per subset
+    against the table of the support's atom flags, over all 2^n subsets
+    up to the enumeration cap ``limit`` (SizeCapError past it).
     """
-    k = lattice.k
-    if k > limit:
-        raise SizeCapError(f"completeness scan over 2^{k} classes exceeds the cap of {limit}")
-    sub = lattice.non_null_atoms.mask
-    masks = []
-    m = 0
-    while True:
-        masks.append(m)
-        if m == sub:
-            break
-        m = (m - sub) & sub
-    valid = set(masks)
-    for a in masks:
-        for b in masks:
-            if (a | b) not in valid or (a & b) not in valid:
-                return False
-    if k <= 6:
-        for a in masks:
-            for b in masks:
-                j, mt = a | b, a & b
-                for c in masks:
-                    if (c | a == c) and (c | b == c) and (c | j != c):
-                        return False
-                    if (c & a == c) and (c & b == c) and (c & mt != c):
-                        return False
-    return True
+    support = lattice.non_null_atoms.mask
+    non_null = lattice.tau.table(limit).ranks.translate(b"\0" + b"\1" * 255)
+    return non_null == max_rank_table([support >> i & 1 for i in range(lattice.tau.space.n)])
 
 
 def localize(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> SubsetB:
@@ -273,15 +236,10 @@ def nguyen_bruteforce(tau: MaxMeasure, ideal: SigmaIdeal, B: SubsetB) -> ExtNonn
     _same_space(tau.space, B.space)
     inside = B.mask & ideal.top.mask
     best = None
-    i_mask = 0
-    while True:
-        rest = SubsetB(tau.space, B.mask & ~i_mask)
-        v = measure_eval(tau, rest)
+    for i_mask in submasks(inside):
+        v = measure_eval(tau, SubsetB(tau.space, B.mask & ~i_mask))
         if best is None or v < best:
             best = v
-        if i_mask == inside:
-            break
-        i_mask = (i_mask - inside) & inside
     return best
 
 
@@ -462,15 +420,8 @@ def enumerate_quotient_sigma_ideals(lattice: QuotientLattice, cap: int = 5) -> l
         raise SizeCapError(
             f"σ-ideal enumeration over 2^{k} classes refused (cap {cap}); "
             f"down-set counts grow as Dedekind numbers")
-    sub = lattice.non_null_atoms.mask
-    masks = []
-    m = 0
-    while True:
-        masks.append(m)
-        if m == sub:
-            break
-        m = (m - sub) & sub
-    masks.sort(key=lambda x: (bin(x).count("1"), x))
+    masks = sorted(submasks(lattice.non_null_atoms.mask),
+                   key=lambda x: (bin(x).count("1"), x))
     pos = {m: i for i, m in enumerate(masks)}
     included = [False] * len(masks)
     downsets: list = []

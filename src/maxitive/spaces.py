@@ -11,22 +11,25 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, SpaceMismatchError
 
-__all__ = ["Space", "SubsetB", "ENUM_CAP", "LATTICE_SCAN_CAP", "LATTICE_BUILD_CAP",
-           "CROSS_CHECK_CAP"]
+__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "submasks"]
 
 # Hard ceiling for exhaustive powerset enumeration; operations refuse
 # beyond it rather than sample.
 ENUM_CAP = 20
-# verify_lattice_complete tests every pair of quotient classes, 4^k
-# pairs for k non-null atoms (16.8 M at k = 12).
-LATTICE_SCAN_CAP = 12
-# build_quotient runs that scan unasked only while it is cheap (4^10,
-# about a million pairs); larger quotients are verified on request.
-LATTICE_BUILD_CAP = 10
 # is_abs_continuous(cross_check=True) re-derives a verdict the atom-wise
 # check already gives; it is a test aid, so it refuses large spaces
 # rather than scan 2^20 subsets by accident.
 CROSS_CHECK_CAP = 12
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask``, ascending from 0 to ``mask`` itself."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 class Space:

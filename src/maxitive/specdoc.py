@@ -226,6 +226,18 @@ def _reject_duplicates(pairs):
     return seen
 
 
+def _read_file(path) -> str:
+    """The UTF-8 text of the file at ``path``; an unreadable file is a located issue."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        cause = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        cause = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise SpecValidationError([SpecIssue(os.fspath(path), f"cannot read the file: {cause}")])
+
+
 def parse_spec(source) -> SpecDoc:
     """Parse a spec document from a dict, JSON text, or file path.
 
@@ -238,8 +250,7 @@ def parse_spec(source) -> SpecDoc:
     else:
         text = source
         if isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            text = _read_file(source)
         try:
             data = json.loads(text, object_pairs_hook=_reject_duplicates)
         except (ValueError, TypeError) as exc:
@@ -311,4 +322,5 @@ def render_spec(doc: SpecDoc) -> str:
 
 
 def load_spec(path) -> SpecDoc:
-    return parse_spec(path)
+    """Parse the spec document in the file at ``path``, which must exist."""
+    return parse_spec(_read_file(path))

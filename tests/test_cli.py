@@ -295,7 +295,7 @@ def test_quotient_runs_the_completeness_scan_once(doc_path, monkeypatch, capsys)
         calls.append(args)
         return original(*args, **kwargs)
     monkeypatch.setattr(quotient_module, "verify_lattice_complete", counted)
-    monkeypatch.setattr(cli_module, "verify_lattice_complete", counted)
+    monkeypatch.setattr(cli_module, "verify_lattice_complete", counted, raising=False)
     assert main(["quotient", "--space-file", doc_path, "--tau", "tau",
                  "--json-out", "-"]) == 0
     body = json.loads(capsys.readouterr().out)["body"]
@@ -329,3 +329,68 @@ def test_ideal_measure_and_variation_checks_read_tables(tmp_path, monkeypatch, c
     assert main(["ideal-measures", "--ideal", "I"] + doc) == 0
     assert json.loads(capsys.readouterr().out)["body"]["localization"] == ["x1", "x5", "x9"]
     assert len(calls) < 1 << 12
+
+
+def test_quotient_verdict_follows_max_n(tmp_path, capsys):
+    # 13 non-null atoms of 14: the verdict is computed exactly when
+    # n ≤ --max-n, whatever the number of classes
+    atoms = [f"x{i}" for i in range(14)]
+    path = tmp_path / "fourteen.json"
+    path.write_text(json.dumps({
+        "space": {"atoms": atoms},
+        "measures": {"tau": {a: ("0" if i == 6 else str(1 + i % 3)) for i, a in enumerate(atoms)}},
+    }))
+    argv = ["quotient", "--space-file", str(path), "--tau", "tau", "--json-out", "-"]
+    assert main(argv + ["--max-n", "14"]) == 0
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["class_count"] == 1 << 13
+    assert body["complete_lattice_verified"] is True
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["body"]["complete_lattice_verified"] is None
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing", "not-utf8"])
+def test_unreadable_space_file_is_a_located_issue(tmp_path, capsys, kind):
+    if kind == "directory":
+        path, cause = tmp_path, "Is a directory"
+    elif kind == "missing":
+        path, cause = tmp_path / "missing.json", "No such file or directory"
+    else:
+        path, cause = tmp_path / "latin1.json", "not UTF-8 text"
+        path.write_bytes('{"space": {"atoms": ["é"]}}'.encode("latin-1"))
+    rc = main(["quotient", "--space-file", str(path), "--tau", "tau"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "invalid spec document:" in err
+    assert f"{path}: cannot read the file: {cause}" in err
+    assert "Traceback" not in err and "not valid JSON" not in err
+
+
+def test_one_parser_serves_every_call(doc_path, capsys):
+    import maxitive.cli as cli_module
+    assert cli_module._build_parser() is cli_module._build_parser()
+    argvs = [
+        ["quotient", "--space-file", doc_path, "--tau", "tau", "--json-out", "-"],
+        ["validate-op", "--op", "min", "--seed", "3"],
+        ["diagnose", "--space-file", doc_path, "--tau", "inf_sharp", "--fatal-verdicts"],
+        ["density", "--space-file", doc_path, "--nu", "nu"],  # argparse: --tau missing
+        ["integrate", "--space-file", doc_path, "--measure", "nu", "--function", "f",
+         "--subset", "a,b"],
+        ["quotient", "--space-file", doc_path, "--tau", "nu", "--max-n", "2"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [run(argv) for argv in argvs]
+    assert [code for code, _, _ in shared] == [0, 0, 4, 2, 0, 0]
+    fresh = []
+    for argv in argvs:
+        cli_module._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh

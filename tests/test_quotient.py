@@ -36,6 +36,7 @@ from maxitive import (
     verify_lattice_complete,
 )
 from maxitive.errors import SizeCapError
+from maxitive.measure import SetFunctionTable
 
 from conftest import rand_measure, rand_space
 
@@ -332,5 +333,76 @@ def test_additive_measure_sum_with_infinity():
 def test_build_quotient_keeps_the_completeness_verdict():
     small = build_quotient(delta_sharp(Space(list("abc"))))
     assert small.verified_complete is True
-    large = build_quotient(delta_sharp(Space([f"x{i}" for i in range(11)])))
-    assert large.verified_complete is None
+    eleven = delta_sharp(Space([f"x{i}" for i in range(11)]))
+    assert build_quotient(eleven).verified_complete is True
+    assert build_quotient(eleven, limit=10).verified_complete is None
+    beyond_cap = delta_sharp(Space([f"x{i}" for i in range(21)]))
+    assert build_quotient(beyond_cap).verified_complete is None
+    with pytest.raises(SizeCapError):
+        verify_lattice_complete(build_quotient(eleven), limit=10)
+
+
+def test_lattice_check_fails_on_a_wrong_support():
+    sp = Space(list("abcd"))
+    tau = MaxMeasure(sp, {"a": 0, "b": 1, "c": INF, "d": 0})
+    lattice = build_quotient(tau)
+    assert lattice.verified_complete is True
+    for wrong in (sp.subset(["b"]), sp.subset(["b", "c", "d"]), sp.full, sp.empty):
+        lattice.non_null_atoms = wrong
+        assert verify_lattice_complete(lattice) is False
+
+
+def test_lattice_check_fails_when_support_is_patched(monkeypatch):
+    sp = Space(list("abc"))
+    tau = MaxMeasure(sp, {"a": 2, "b": 0, "c": 1})
+    monkeypatch.setattr(MaxMeasure, "support", property(lambda self: self.space.full))
+    assert build_quotient(tau).verified_complete is False
+
+
+def test_lattice_check_fails_on_a_doctored_table(monkeypatch):
+    sp = Space(list("abc"))
+    tau = MaxMeasure(sp, {"a": 2, "b": 0, "c": 1})
+    honest = MaxMeasure.table
+    for mask in range(1, 8):
+        def doctored(self, limit=None, mask=mask):
+            table = honest(self, limit)
+            ranks = bytearray(table.ranks)
+            # a non-null set read as null, or a null set read as non-null
+            ranks[mask] = 0 if ranks[mask] else 1
+            return SetFunctionTable.from_ranks(self.space, table.universe, bytes(ranks))
+        monkeypatch.setattr(MaxMeasure, "table", doctored)
+        assert build_quotient(tau).verified_complete is False
+    monkeypatch.setattr(MaxMeasure, "table", honest)
+    assert build_quotient(tau).verified_complete is True
+
+
+def test_quotient_joins_and_meets_are_least_and_greatest_bounds():
+    # The literal bound check: in the order of QuotientClass.leq over
+    # the classes the lattice enumerates, join is the least upper bound
+    # and meet the greatest lower bound of every pair.
+    rng = random.Random(12)
+    sizes = []
+    for _ in range(30):
+        sp = rand_space(rng, hi=7)
+        tau = rand_measure(rng, sp)
+        lattice = build_quotient(tau)
+        if lattice.k > 6:
+            continue
+        sizes.append(lattice.k)
+        classes = list(lattice.classes())
+        assert len(set(classes)) == lattice.count
+        index = {c: i for i, c in enumerate(classes)}
+        leq = [[a.leq(b) for b in classes] for a in classes]
+        every = range(len(classes))
+        for a, b in itertools.product(every, every):
+            j = lattice.join(classes[a], classes[b])
+            m = lattice.meet(classes[a], classes[b])
+            assert lattice.contains(j) and lattice.contains(m)
+            j, m = index[j], index[m]
+            assert leq[a][j] and leq[b][j] and leq[m][a] and leq[m][b]
+            for c in every:
+                if leq[a][c] and leq[b][c]:
+                    assert leq[j][c]
+                if leq[c][a] and leq[c][b]:
+                    assert leq[c][m]
+    assert max(sizes) == 6
