@@ -33,7 +33,7 @@ from .errors import (
 from .gallery import GALLERY, run_gallery
 from .integral import canonical_grid, integrate_atomwise, integrate_oracle, integrate_threshold
 from .measure import SigmaIdeal, check_maxitive
-from .pseudomul import Minimum, PseudoMul, SampleBudget, StandardProduct, validate_pseudo_mul
+from .pseudomul import NAMED_OPERATIONS, PseudoMul, SampleBudget, validate_pseudo_mul
 from .quotient import (
     build_quotient,
     ideal_restriction_measure,
@@ -42,7 +42,7 @@ from .quotient import (
     nguyen_measure,
 )
 from .report import Report, jsonable
-from .spaces import SubsetB
+from .spaces import DEFAULT_MAX_N, SubsetB
 from .specdoc import SpecDoc, load_spec
 
 __all__ = ["main", "run_command"]
@@ -78,17 +78,15 @@ def _load_doc(args) -> SpecDoc:
 
 def _resolve_pm(args, doc: Optional[SpecDoc]) -> PseudoMul:
     choice = getattr(args, "op", None)
-    if choice == "times":
-        return StandardProduct()
-    if choice == "min":
-        return Minimum()
+    if choice in NAMED_OPERATIONS:
+        return NAMED_OPERATIONS[choice]()
     if choice == "chain":
         if doc is None or doc.pseudo_mul is None or doc.pseudo_mul.kind != "chain":
             raise _CliError("--op chain needs a chain pseudo_mul in the spec document")
         return doc.pseudo_mul
     if doc is not None and doc.pseudo_mul is not None:
         return doc.pseudo_mul
-    return StandardProduct()
+    return NAMED_OPERATIONS["times"]()
 
 
 def _named(kind: str, table: dict, name: Optional[str]):
@@ -265,7 +263,7 @@ def run_command(command: str, doc: Optional[SpecDoc], **params) -> Report:
         raise _CliError(f"unknown command {command!r}")
     ns = argparse.Namespace(
         space_file=None, _doc=doc, op=params.pop("op", None),
-        seed=params.pop("seed", 0), max_n=params.pop("max_n", 12),
+        seed=params.pop("seed", 0), max_n=params.pop("max_n", DEFAULT_MAX_N),
         finitize=params.pop("finitize", False), trials=params.pop("trials", None),
         **params)
     return _HANDLERS[command](ns)
@@ -294,13 +292,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--space-file", metavar="PATH",
                        help="JSON spec document with space/measures/functions/ideals")
-        p.add_argument("--op", choices=["times", "min", "chain"],
+        p.add_argument("--op", choices=[*NAMED_OPERATIONS, "chain"],
                        help="pseudo-multiplication (default: document's, then times)")
         p.add_argument("--json-out", metavar="PATH",
                        help="write the machine-readable report ('-' for stdout)")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--max-n", type=int, default=12,
-                       help="cap for exhaustive subset enumeration (default 12)")
+        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                       help=f"cap for exhaustive subset enumeration (default {DEFAULT_MAX_N})")
         p.add_argument("--fatal-verdicts", action="store_true",
                        help="exit 4 when the mathematical verdict is negative")
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import gt
 from typing import Optional
 
 from .errors import DegenerateOperationError, PreconditionError, UnresolvedInfimumError
-from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn
+from .extreal import ZERO, ExtNonneg, as_extnn
 from .integral import threshold_sweep
 from .measure import (
     MaxMeasure,
@@ -33,14 +32,7 @@ from .measure import (
     is_semi_odot_finite,
     is_sigma_odot_finite,
 )
-from .pseudomul import (
-    CustomContinuous,
-    DiscreteChain,
-    FrontierShape,
-    Minimum,
-    PseudoMul,
-    StandardProduct,
-)
+from .pseudomul import AchievableSet, FrontierShape, PseudoMul
 from .spaces import CROSS_CHECK_CAP, _same_space
 
 __all__ = [
@@ -67,64 +59,9 @@ def _require_non_degenerate(pm: PseudoMul, op: str) -> None:
             f"{op} requires a non-degenerate ⊙ (some positive element must be ⊙-finite)")
 
 
-@dataclass(frozen=True)
-class AchievableSet:
-    """The image { c ⊙ t : c ∈ [0, ∞] } for a fixed t.
-
-    For a continuous ⊙ this is {0} ∪ [O(t), ∞ ⊙ t]; whether the lower
-    end is attained is known exactly only for the built-ins
-    (``lower_attained`` is None when undetermined).  For a discrete
-    chain the set is finite and listed explicitly.
-    """
-
-    lower: ExtNonneg
-    upper: ExtNonneg
-    lower_attained: Optional[bool]
-    contains_zero: bool = True
-    explicit_values: Optional[frozenset] = None
-
-    def contains(self, v: ExtNonneg) -> Optional[bool]:
-        """Membership; None when it hinges on unknown lower-end attainment."""
-        if self.explicit_values is not None:
-            return v in self.explicit_values
-        if v.is_zero:
-            return True
-        if v < self.lower or v > self.upper:
-            return False
-        if v == self.lower:
-            return self.lower_attained
-        return True
-
-    def __str__(self):
-        if self.explicit_values is not None:
-            return "{" + ", ".join(str(v) for v in sorted(self.explicit_values)) + "}"
-        if self.lower == self.upper:
-            if self.lower.is_zero:
-                return "{0}"
-            return "{0, " + str(self.lower) + "}"
-        left = "[" if self.lower_attained else "("
-        zero = "{0} ∪ " if not self.lower.is_zero else ""
-        return f"{zero}{left}{self.lower}, {self.upper}]"
-
-
 def achievable_set(pm: PseudoMul, t: ExtNonneg) -> AchievableSet:
     """Describe { c ⊙ t : c ∈ [0, ∞] }; exact for the built-ins."""
-    t = as_extnn(t)
-    if isinstance(pm, StandardProduct):
-        if t.is_zero:
-            return AchievableSet(ZERO, ZERO, True)
-        if t.is_inf:
-            return AchievableSet(INF, INF, True)
-        return AchievableSet(ZERO, INF, True)
-    if isinstance(pm, Minimum):
-        return AchievableSet(ZERO, t, True)
-    if isinstance(pm, DiscreteChain):
-        values = frozenset(pm(c, t) for c in pm.carrier)
-        nonzero = [v for v in values if not v.is_zero]
-        lower = min(nonzero) if nonzero else ZERO
-        return AchievableSet(lower, max(values), True, explicit_values=values)
-    lower = pm.zero_map(t)
-    return AchievableSet(lower, pm(INF, t), None if not lower.is_zero else True)
+    return pm.achievable_set(as_extnn(t))
 
 
 def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure,
@@ -199,56 +136,12 @@ class DensityResult:
         return "no density:\n" + "\n".join("  " + str(f) for f in self.failures)
 
 
-def _solve_custom_atom(pm: CustomContinuous, nu_x: ExtNonneg, tau_x: ExtNonneg,
-                       max_iter: int = 200) -> Optional[ExtNonneg]:
-    # nu_x > 0 here.  c ↦ c ⊙ t is monotone, so bisect for the least c
-    # with c ⊙ t ≥ ν_x and accept it only if equality holds within
-    # tolerance (a gap means the target sits below O(t) or in a jump).
-    lower = pm.zero_map(tau_x)
-    if nu_x < lower and not pm.values_equal(nu_x, lower):
-        return None
-    if pm.values_equal(nu_x, lower):
-        # the target is the infimum of the positive branch; a least
-        # solution need not exist, and the identity is the canonical
-        # representative when it solves
-        if pm.values_equal(pm(pm.identity, tau_x), nu_x):
-            return pm.identity
-    target = float(nu_x)
-    tf = float(tau_x)
-    g = pm.fn
-    hi = None
-    for k in range(0, 101, 4):
-        if g(2.0 ** k, tf) >= target:
-            hi = 2.0 ** k
-            break
-    if hi is None:
-        if pm.values_equal(pm(INF, tau_x), nu_x):
-            return INF
-        return None
-    lo = 0.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # float saturation, finer than any tolerance
-            break
-        if g(mid, tf) >= target:
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise UnresolvedInfimumError(
-            f"bisection for c ⊙ {tau_x} = {nu_x} did not converge",
-            bracket=(ExtNonneg(Fraction(lo)), ExtNonneg(Fraction(hi))))
-    c = ExtNonneg(Fraction(hi))
-    if pm.values_equal(pm(c, tau_x), nu_x):
-        return c
-    return None
-
-
 def solve_atom_density(pm: PseudoMul, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Optional[ExtNonneg]:
     """The least c with c ⊙ tau_x = nu_x, or None when no solution exists.
 
-    Closed forms for the built-ins; an exhaustive ascending scan for
-    chains; bisection inside the achievable bracket otherwise.  One case
+    ν = 0 gives 0; otherwise the operation's ``least_solution`` answers:
+    closed forms for the built-ins, an exhaustive ascending scan for
+    chains, bisection inside the achievable bracket otherwise.  One case
     has no least solution: under the standard product with
     nu_x = tau_x = ∞ every positive c works, and the canonical choice
     1_⊙ is returned.
@@ -258,20 +151,7 @@ def solve_atom_density(pm: PseudoMul, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Opti
     tau_x = as_extnn(tau_x)
     if nu_x.is_zero:
         return ZERO
-    if isinstance(pm, StandardProduct):
-        if tau_x.is_zero:
-            return None
-        if tau_x.is_inf:
-            return ONE if nu_x.is_inf else None
-        return nu_x / tau_x
-    if isinstance(pm, Minimum):
-        return nu_x if nu_x <= tau_x else None
-    if isinstance(pm, DiscreteChain):
-        for c in pm.carrier:
-            if pm(c, tau_x) == nu_x:
-                return c
-        return None
-    return _solve_custom_atom(pm, nu_x, tau_x)
+    return pm.least_solution(nu_x, tau_x)
 
 
 def solve_density(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> DensityResult:

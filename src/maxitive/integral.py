@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import OracleMismatchError
 from .extreal import INF, ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, measure_eval
-from .pseudomul import CustomContinuous, DiscreteChain, PseudoMul
+from .pseudomul import PseudoMul
 from .spaces import SubsetB, _same_space
 
 __all__ = [
@@ -113,23 +112,9 @@ def canonical_grid(pm: PseudoMul, f: MeasurableFn, B: Optional[SubsetB] = None) 
     values, and a large probe 2^40 when f attains ∞.  The approach depth
     is 20 in exact mode and 40 in approximate mode (deep enough for a
     1e-9 relative tolerance).  For discrete chains the grid is the
-    carrier itself, the only representable thresholds.
+    carrier itself, the only representable thresholds (``threshold_grid``).
     """
-    if isinstance(pm, DiscreteChain):
-        return [c for c in pm.carrier if c.is_finite]
-    depth = 20 if pm.exact else 40
-    values = f.finite_positive_values(B)
-    grid = {ZERO}
-    for v in values:
-        grid.add(v)
-        q = v.as_fraction()
-        for k in range(1, depth + 1):  # q·(1 − 2^-k), as one Fraction
-            grid.add(ExtNonneg(Fraction(q.numerator * ((1 << k) - 1), q.denominator << k)))
-    for a, b in zip(values, values[1:]):
-        grid.add(ExtNonneg((a.as_fraction() + b.as_fraction()) / 2))
-    if f.attains_inf(B):
-        grid.add(ExtNonneg(1 << 40))
-    return sorted(grid)
+    return pm.threshold_grid(f, B)
 
 
 def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
@@ -235,7 +220,7 @@ def assert_oracle_consistent(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: 
     if oracle > sweep:
         raise OracleMismatchError(
             f"grid oracle {oracle} exceeds threshold sweep {sweep}")
-    if isinstance(pm, CustomContinuous) and sweep.is_finite and oracle.is_finite:
+    if not pm.exact and sweep.is_finite and oracle.is_finite:
         gap = float(sweep) - float(oracle)
         if gap > rel_tol * max(1.0, float(sweep)):
             raise OracleMismatchError(

@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import SizeCapError
 from .extreal import ONE, ZERO, ExtNonneg, as_extnn, ext_max
 from .pseudomul import PseudoMul
-from .spaces import ENUM_CAP, Space, SubsetB, _same_space, submasks
+from .spaces import ENUM_CAP, MAXITIVE_ORACLE_CAP, SEMI_FINITE_ORACLE_CAP
+from .spaces import Space, SubsetB, _same_space, submasks
 
 __all__ = [
     "MaxMeasure",
@@ -71,6 +72,15 @@ class _AtomMap:
     def as_dict(self) -> dict:
         return dict(zip(self.space.atoms, self._values))
 
+    @classmethod
+    def constant(cls, space: Space, value):
+        v = as_extnn(value)
+        return cls(space, [v] * space.n)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{a}: {v}" for a, v in zip(self.space.atoms, self._values))
+        return f"{type(self).__name__}({{{inner}}})"
+
 
 class MaxMeasure(_AtomMap):
     """A σ-maxitive measure on a finite powerset, stored as atom masses."""
@@ -85,11 +95,6 @@ class MaxMeasure(_AtomMap):
     def __call__(self, B: SubsetB) -> ExtNonneg:
         return measure_eval(self, B)
 
-    @classmethod
-    def constant(cls, space: Space, value) -> "MaxMeasure":
-        v = as_extnn(value)
-        return cls(space, [v] * space.n)
-
     @property
     def total(self) -> ExtNonneg:
         return ext_max(self._values)
@@ -102,10 +107,6 @@ class MaxMeasure(_AtomMap):
             if not v.is_zero:
                 mask |= 1 << i
         return SubsetB(self.space, mask)
-
-    @property
-    def null_atoms(self) -> SubsetB:
-        return ~self.support
 
     def table(self, limit: int | None = None) -> "SetFunctionTable":
         """The full induced set function (2^n entries, one byte each).
@@ -124,10 +125,6 @@ class MaxMeasure(_AtomMap):
         atoms = self.space.atoms
         return MaxMeasure(Space([atoms[i] for i in order]), [self._values[i] for i in order])
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{a}: {v}" for a, v in zip(self.space.atoms, self._values))
-        return f"MaxMeasure({{{inner}}})"
-
 
 class MeasurableFn(_AtomMap):
     """A map from atoms to [0, ∞]; integrands and densities.
@@ -144,11 +141,6 @@ class MeasurableFn(_AtomMap):
     @property
     def values(self) -> tuple:
         return self._values
-
-    @classmethod
-    def constant(cls, space: Space, value) -> "MeasurableFn":
-        v = as_extnn(value)
-        return cls(space, [v] * space.n)
 
     @classmethod
     def indicator(cls, B: SubsetB, height=ONE) -> "MeasurableFn":
@@ -234,10 +226,6 @@ class MeasurableFn(_AtomMap):
         vals = list(self._values)
         vals[self.space.index(label)] = as_extnn(value)
         return MeasurableFn(self.space, vals)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{a}: {v}" for a, v in zip(self.space.atoms, self._values))
-        return f"MeasurableFn({{{inner}}})"
 
 
 class SigmaIdeal:
@@ -430,26 +418,18 @@ def is_semi_odot_finite(pm: PseudoMul, mu: MaxMeasure, limit: int | None = None)
     return mu.table(limit) == finite_part.table(limit)
 
 
-def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure, limit: int = 12) -> bool:
+def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure,
+                                limit: int = SEMI_FINITE_ORACLE_CAP) -> bool:
     """Literal sub-enumeration form of semi-⊙-finiteness (test oracle).
 
     Enumerates, for every B, all A ⊆ B, keeping those with μ(A)
     ⊙-finite.  Exponentially slower than is_semi_odot_finite; they must
     agree.
     """
-    mu.space.check_enum_cap(limit)
-    table = mu.table(limit).values
+    table = mu.table(limit).values  # refuses past the cap
     finite = [pm.is_odot_finite(v) for v in table]
     for bmask in range(1 << mu.space.n):
-        sup = ZERO
-        amask = bmask
-        while True:
-            if finite[amask] and table[amask] > sup:
-                sup = table[amask]
-            if amask == 0:
-                break
-            amask = (amask - 1) & bmask
-        if table[bmask] != sup:
+        if table[bmask] != ext_max(table[a] for a in submasks(bmask) if finite[a]):
             return False
     return True
 
@@ -503,7 +483,8 @@ def check_maxitive(table: SetFunctionTable, limit: int | None = None) -> bool:
     return MaxMeasure(table.space, singletons).table(limit) == table
 
 
-def check_maxitive_bruteforce(table: SetFunctionTable, limit: int = 10) -> bool:
+def check_maxitive_bruteforce(table: SetFunctionTable,
+                              limit: int = MAXITIVE_ORACLE_CAP) -> bool:
     """Literal all-pairs form of check_maxitive (test oracle).
 
     Scans every pair (B, B') for table(B ∪ B') = table(B) ⊕ table(B');

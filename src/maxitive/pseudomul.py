@@ -40,6 +40,7 @@ from .errors import CarrierDomainError, UnresolvedInfimumError
 from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_min
 
 __all__ = [
+    "AchievableSet",
     "FrontierShape",
     "FinitenessProfile",
     "PseudoMul",
@@ -47,6 +48,7 @@ __all__ = [
     "Minimum",
     "DiscreteChain",
     "CustomContinuous",
+    "NAMED_OPERATIONS",
     "SampleBudget",
     "AxiomCheck",
     "AxiomReport",
@@ -79,12 +81,53 @@ class FinitenessProfile:
     notes: tuple = ()
 
 
+@dataclass(frozen=True)
+class AchievableSet:
+    """The image { c ⊙ t : c ∈ [0, ∞] } for a fixed t.
+
+    For a continuous ⊙ this is {0} ∪ [O(t), ∞ ⊙ t]; whether the lower
+    end is attained is known exactly only for the built-ins
+    (``lower_attained`` is None when undetermined).  For a discrete
+    chain the set is finite and listed explicitly.
+    """
+
+    lower: ExtNonneg
+    upper: ExtNonneg
+    lower_attained: Optional[bool]
+    explicit_values: Optional[frozenset] = None
+
+    def contains(self, v: ExtNonneg) -> Optional[bool]:
+        """Membership; None when it hinges on unknown lower-end attainment."""
+        if self.explicit_values is not None:
+            return v in self.explicit_values
+        if v.is_zero:
+            return True
+        if v < self.lower or v > self.upper:
+            return False
+        if v == self.lower:
+            return self.lower_attained
+        return True
+
+    def __str__(self):
+        if self.explicit_values is not None:
+            return "{" + ", ".join(str(v) for v in sorted(self.explicit_values)) + "}"
+        if self.lower == self.upper:
+            if self.lower.is_zero:
+                return "{0}"
+            return "{0, " + str(self.lower) + "}"
+        left = "[" if self.lower_attained else "("
+        zero = "{0} ∪ " if not self.lower.is_zero else ""
+        return f"{zero}{left}{self.lower}, {self.upper}]"
+
+
 class PseudoMul(abc.ABC):
     """Base class for pseudo-multiplications.
 
     Instances are immutable; every method is a pure function of the
     arguments, so unrestricted concurrent use is safe.  The finiteness
     profile is computed lazily and cached (idempotent, hence benign).
+    The methods after ``describe`` are the operation's closed forms: the
+    base class answers for any ⊙, a subclass overrides what it knows exactly.
     """
 
     kind: str = "abstract"
@@ -106,12 +149,9 @@ class PseudoMul(abc.ABC):
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         """Return O(t) = inf_{s > 0} s ⊙ t."""
 
-    @abc.abstractmethod
     def is_odot_finite(self, t: ExtNonneg) -> bool:
-        """Whether t is ⊙-finite."""
-
-    def is_odot_infinite(self, t: ExtNonneg) -> bool:
-        return not self.is_odot_finite(t)
+        """Whether t is ⊙-finite, that is O(t) = 0."""
+        return self.zero_map(t).is_zero
 
     @abc.abstractmethod
     def _compute_profile(self) -> FinitenessProfile:
@@ -153,6 +193,104 @@ class PseudoMul(abc.ABC):
     def describe(self) -> str:
         return self.kind
 
+    def achievable_set(self, t: ExtNonneg) -> AchievableSet:
+        """{ c ⊙ t : c ∈ [0, ∞] } as {0} ∪ [O(t), ∞ ⊙ t].  ∞ ⊙ t is attained
+        (at c = ∞), so O(t) is known attained if 0 or, when exact, ∞ ⊙ t."""
+        lower = self.zero_map(t)
+        upper = self(INF, t)
+        attained = True if lower.is_zero or (self.exact and lower == upper) else None
+        return AchievableSet(lower, upper, attained)
+
+    def reaches(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Callable[[float], bool]:
+        """The test c ↦ c ⊙ tau_x ≥ nu_x on floats c that least_solution bisects."""
+        return lambda c: self(ExtNonneg(c), tau_x) >= nu_x
+
+    def least_solution(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Optional[ExtNonneg]:
+        """The least c with c ⊙ tau_x = nu_x > 0, or None when none exists.
+
+        c ↦ c ⊙ t is monotone, so bisect on floats for the least c with
+        c ⊙ t ≥ ν_x and accept it only if equality holds within tolerance
+        (a gap means the target sits below O(t) or in a jump); an exact ⊙
+        that no float solves leaves it unresolved (UnresolvedInfimumError).
+        """
+        lower = self.zero_map(tau_x)
+        if nu_x < lower and not self.values_equal(nu_x, lower):
+            return None
+        if self.values_equal(nu_x, lower):
+            # the target is the infimum of the positive branch; a least
+            # solution need not exist, and the identity is the canonical
+            # representative when it solves
+            if self.values_equal(self(self.identity, tau_x), nu_x):
+                return self.identity
+        reaches = self.reaches(nu_x, tau_x)
+        hi = None
+        for k in range(0, 101, 4):
+            if reaches(2.0 ** k):
+                hi = 2.0 ** k
+                break
+        if hi is None:
+            if self.values_equal(self(INF, tau_x), nu_x):
+                return INF
+            return None
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # float saturation, finer than any tolerance
+                break
+            if reaches(mid):
+                hi = mid
+            else:
+                lo = mid
+        else:
+            raise UnresolvedInfimumError(
+                f"bisection for c ⊙ {tau_x} = {nu_x} did not converge",
+                bracket=(ExtNonneg(Fraction(lo)), ExtNonneg(Fraction(hi))))
+        c = ExtNonneg(Fraction(hi))
+        if self.values_equal(self(c, tau_x), nu_x):
+            return c
+        if self.exact:
+            raise UnresolvedInfimumError(
+                f"bisection for c ⊙ {tau_x} = {nu_x} found no float solving it exactly",
+                bracket=(ExtNonneg(Fraction(lo)), c))
+        return None
+
+    def threshold_grid(self, f, B=None) -> list:
+        """The integral oracle's thresholds for f on B; see canonical_grid."""
+        depth = 20 if self.exact else 40
+        values = f.finite_positive_values(B)
+        grid = {ZERO}
+        for v in values:
+            grid.add(v)
+            q = v.as_fraction()
+            for k in range(1, depth + 1):  # q·(1 − 2^-k), as one Fraction
+                grid.add(ExtNonneg(Fraction(q.numerator * ((1 << k) - 1), q.denominator << k)))
+        for a, b in zip(values, values[1:]):
+            grid.add(ExtNonneg((a.as_fraction() + b.as_fraction()) / 2))
+        if f.attains_inf(B):
+            grid.add(ExtNonneg(1 << 40))
+        return sorted(grid)
+
+    def axiom_samples(self, budget: "SampleBudget") -> tuple:
+        """``(samples, exhaustive)``: the ascending, distinct values the
+        validator checks the axioms on, and whether they are the whole
+        carrier (it then scans every tuple instead of drawing some)."""
+        rng = random.Random(budget.seed)
+        values = {ExtNonneg(f) for f in _SPECIAL_SAMPLES}
+        values.add(INF)
+        values.add(self.identity)
+        while len(values) < len(_SPECIAL_SAMPLES) + 2 + budget.values:
+            values.add(ExtNonneg(Fraction(rng.randint(0, 64), rng.randint(1, 16))))
+        return sorted(values), False
+
+    def extra_axiom_checks(self) -> tuple:
+        """Checks of this operation beyond the ones on sample tables."""
+        return ()
+
+    def spec_form(self):
+        """The ``pseudo_mul`` value of a spec document; None for a library-only ⊙."""
+        names = (name for name, cls in NAMED_OPERATIONS.items() if isinstance(self, cls))
+        return next(names, None)
+
 
 class StandardProduct(PseudoMul):
     """The usual product on [0, ∞] with 0 · ∞ = 0; identity 1.
@@ -172,11 +310,15 @@ class StandardProduct(PseudoMul):
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         return INF if t.is_inf else ZERO
 
-    def is_odot_finite(self, t: ExtNonneg) -> bool:
-        return t.is_finite
-
     def _compute_profile(self) -> FinitenessProfile:
         return FinitenessProfile(FrontierShape.HALF_OPEN, INF, degenerate=False)
+
+    def least_solution(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Optional[ExtNonneg]:
+        if tau_x.is_zero:
+            return None
+        if tau_x.is_inf:
+            return ONE if nu_x.is_inf else None
+        return nu_x / tau_x
 
 
 class Minimum(PseudoMul):
@@ -197,11 +339,15 @@ class Minimum(PseudoMul):
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         return ZERO
 
-    def is_odot_finite(self, t: ExtNonneg) -> bool:
-        return True
-
     def _compute_profile(self) -> FinitenessProfile:
         return FinitenessProfile(FrontierShape.WHOLE_INTERVAL, INF, degenerate=False)
+
+    def least_solution(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Optional[ExtNonneg]:
+        return nu_x if nu_x <= tau_x else None
+
+
+# The operations a spec document or the CLI's --op names by their kind.
+NAMED_OPERATIONS = {cls.kind: cls for cls in (StandardProduct, Minimum)}
 
 
 class DiscreteChain(PseudoMul):
@@ -334,6 +480,31 @@ class DiscreteChain(PseudoMul):
     def describe(self) -> str:
         return "chain{" + ", ".join(str(c) for c in self.carrier) + "}"
 
+    def achievable_set(self, t: ExtNonneg) -> AchievableSet:
+        values = frozenset(self(c, t) for c in self.carrier)
+        nonzero = [v for v in values if not v.is_zero]
+        lower = min(nonzero) if nonzero else ZERO
+        return AchievableSet(lower, max(values), True, explicit_values=values)
+
+    def least_solution(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Optional[ExtNonneg]:
+        for c in self.carrier:  # ascending, so the first hit is the least
+            if self(c, tau_x) == nu_x:
+                return c
+        return None
+
+    def threshold_grid(self, f, B=None) -> list:
+        return [c for c in self.carrier if c.is_finite]
+
+    def axiom_samples(self, budget: "SampleBudget") -> tuple:
+        return list(self.carrier), True
+
+    def spec_form(self):
+        return {"chain": {
+            "carrier": [str(c) for c in self.carrier],
+            "table": [[str(self._table[(a, b)]) for b in self.carrier] for a in self.carrier],
+            "identity": str(self.identity),
+        }}
+
 
 class CustomContinuous(PseudoMul):
     """A user-supplied operation on floats, checked numerically.
@@ -391,9 +562,6 @@ class CustomContinuous(PseudoMul):
             bracket=(ZERO, ExtNonneg(Fraction(last))),
         )
 
-    def is_odot_finite(self, t: ExtNonneg) -> bool:
-        return self.zero_map(t).is_zero
-
     def _compute_profile(self) -> FinitenessProfile:
         degenerate = not self.is_odot_finite(self.identity)
         if self.is_odot_finite(INF):
@@ -429,6 +597,35 @@ class CustomContinuous(PseudoMul):
 
     def describe(self) -> str:
         return f"custom({self.name})"
+
+    def reaches(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Callable[[float], bool]:
+        tf, target = float(tau_x), float(nu_x)  # compared as the map computes, in floats
+        return lambda c: self.fn(c, tf) >= target
+
+    def extra_axiom_checks(self) -> tuple:
+        # Heuristic grid check: perturbations of shrinking size must produce
+        # shrinking output changes at interior sample points.
+        worst = None
+        for s in self.sample_domain:
+            if s <= 0 or math.isinf(s):
+                continue
+            for t in self.sample_domain:
+                if math.isinf(t):
+                    continue
+                base = self.fn(s, t)
+                if math.isinf(base):
+                    continue
+                deltas = []
+                for d in (1e-3, 1e-6, 1e-9):
+                    hs = min(d * max(1.0, s), s / 2)
+                    ht = d * max(1.0, t)
+                    jump = max(abs(self.fn(s + hs, t + ht) - base),
+                               abs(self.fn(s - hs, max(t - ht, 0.0)) - base))
+                    deltas.append(jump)
+                if not (deltas[2] <= deltas[0] + 1e-9 * max(1.0, abs(base))):
+                    worst = (ExtNonneg(Fraction(s)), ExtNonneg(Fraction(t)))
+        return (AxiomCheck("continuity (sampled)", worst is None, worst,
+                           detail="ε-δ grid on the sample domain"),)
 
 
 # ---------------------------------------------------------------------------
@@ -487,43 +684,6 @@ _SPECIAL_SAMPLES = (
 )
 
 
-def _sample_values(pm: PseudoMul, budget: SampleBudget) -> list:
-    if isinstance(pm, DiscreteChain):
-        return list(pm.carrier)
-    rng = random.Random(budget.seed)
-    values = {ExtNonneg(f) for f in _SPECIAL_SAMPLES}
-    values.add(INF)
-    values.add(pm.identity)
-    while len(values) < len(_SPECIAL_SAMPLES) + 2 + budget.values:
-        values.add(ExtNonneg(Fraction(rng.randint(0, 64), rng.randint(1, 16))))
-    return sorted(values)
-
-
-def _check_continuity(pm: CustomContinuous) -> AxiomCheck:
-    # Heuristic grid check: perturbations of shrinking size must produce
-    # shrinking output changes at interior sample points.
-    worst = None
-    for s in pm.sample_domain:
-        if s <= 0 or math.isinf(s):
-            continue
-        for t in pm.sample_domain:
-            if math.isinf(t):
-                continue
-            base = pm.fn(s, t)
-            if math.isinf(base):
-                continue
-            deltas = []
-            for d in (1e-3, 1e-6, 1e-9):
-                hs = min(d * max(1.0, s), s / 2)
-                ht = d * max(1.0, t)
-                jump = max(abs(pm.fn(s + hs, t + ht) - base), abs(pm.fn(s - hs, max(t - ht, 0.0)) - base))
-                deltas.append(jump)
-            if not (deltas[2] <= deltas[0] + 1e-9 * max(1.0, abs(base))):
-                worst = (ExtNonneg(Fraction(s)), ExtNonneg(Fraction(t)))
-    return AxiomCheck("continuity (sampled)", worst is None, worst,
-                      detail="ε-δ grid on the sample domain")
-
-
 def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) -> AxiomReport:
     """Check the pseudo-multiplication axioms and structural consequences.
 
@@ -540,11 +700,10 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
     again.
     """
     rng = random.Random(budget.seed + 1)
-    samples = _sample_values(pm, budget)
+    samples, exhaustive = pm.axiom_samples(budget)
     # Samples ascend without repeats, so indices compare as their values.
     idx = range(len(samples))
     positives = [i for i in idx if not samples[i].is_zero]
-    exhaustive = isinstance(pm, DiscreteChain)
     checks = []
 
     # Totality gate: a custom map may blow up (nan, negatives) on some
@@ -564,18 +723,6 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
     def values(*indices):
         return tuple(samples[i] for i in indices)
 
-    # Drawing from idx consumes the random stream as drawing from samples would.
-    def pick_pairs(count):
-        if exhaustive:
-            return list(itertools.product(idx, idx))
-        return [(rng.choice(idx), rng.choice(idx)) for _ in range(count)]
-
-    def pick_triples(count):
-        if exhaustive:
-            return list(itertools.product(idx, idx, idx))
-        return [(rng.choice(idx), rng.choice(idx), rng.choice(idx))
-                for _ in range(count)]
-
     # Left identity, annihilator, zero divisors: over all samples.
     one, zero = samples.index(pm.identity), samples.index(ZERO)
     witness = next((t for t in idx if not pm.values_equal(op[one][t], samples[t])), None)
@@ -591,13 +738,14 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
                     if op[s][t].is_zero), None)
     checks.append(AxiomCheck("no zero divisors", witness is None, witness))
 
-    # Monotonicity in both arguments.
+    # Monotonicity in both arguments.  Drawing from idx consumes the
+    # random stream as drawing from samples would.
     mono_witness = None
     if exhaustive:
         mono_candidates = itertools.product(idx, idx, idx)
     else:
-        mono_candidates = ((a, b, rng.choice(idx))
-                           for a, b in pick_pairs(budget.pairs // 4))
+        pairs = [(rng.choice(idx), rng.choice(idx)) for _ in range(budget.pairs // 4)]
+        mono_candidates = ((a, b, rng.choice(idx)) for a, b in pairs)
     for a, b, t in mono_candidates:
         lo, hi = (a, b) if a <= b else (b, a)
         if op[lo][t] > op[hi][t] or op[t][lo] > op[t][hi]:
@@ -605,14 +753,18 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
             break
     checks.append(AxiomCheck("monotonicity", mono_witness is None, mono_witness))
 
+    if exhaustive:
+        triples = itertools.product(idx, idx, idx)
+    else:
+        triples = [(rng.choice(idx), rng.choice(idx), rng.choice(idx))
+                   for _ in range(budget.triples)]
     assoc_witness = next(
-        (values(s, t, u) for (s, t, u) in pick_triples(budget.triples)
+        (values(s, t, u) for (s, t, u) in triples
          if not pm.values_equal(pm(op[s][t], samples[u]), pm(samples[s], op[t][u]))),
         None)
     checks.append(AxiomCheck("associativity", assoc_witness is None, assoc_witness))
 
-    if isinstance(pm, CustomContinuous):
-        checks.append(_check_continuity(pm))
+    checks.extend(pm.extra_axiom_checks())
 
     try:
         profile = pm.finiteness_profile()

@@ -22,7 +22,8 @@ from typing import Iterator, List, Optional
 from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, max_rank_table, measure_eval
-from .spaces import ENUM_CAP, Space, SubsetB, _same_space, submasks
+from .spaces import ENUM_CAP, NGUYEN_VALIDATE_N, PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
+from .spaces import Space, SubsetB, _same_space, submasks
 
 __all__ = [
     "QuotientClass",
@@ -99,9 +100,6 @@ class QuotientLattice:
     def contains(self, cls: QuotientClass) -> bool:
         return (cls.measure == self.tau
                 and cls.representative.issubset(self.non_null_atoms))
-
-    def class_of(self, B: SubsetB) -> QuotientClass:
-        return canonical_rep(self.tau, B)
 
     def classes(self, limit: int | None = None) -> Iterator[QuotientClass]:
         k = self.k
@@ -198,7 +196,7 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
     result = MaxMeasure(tau.space,
                         [ZERO if (top >> i & 1) else v for i, v in enumerate(tau.masses)])
     if validate is None:
-        validate = tau.space.n <= 8
+        validate = tau.space.n <= NGUYEN_VALIDATE_N
     if validate:
         tau_table = tau.table(limit)
         ranks = tau_table.ranks
@@ -311,7 +309,8 @@ def set_partitions(items: List) -> Iterator[List[List]]:
         yield [[first]] + part
 
 
-def disjoint_variation_bruteforce(tau: MaxMeasure, B: SubsetB, limit: int = 6) -> ExtNonneg:
+def disjoint_variation_bruteforce(tau: MaxMeasure, B: SubsetB,
+                                  limit: int = PARTITION_ORACLE_CAP) -> ExtNonneg:
     """Literal sup over all finite partitions of Σ_{B'∈π} τ(B ∩ B')."""
     _same_space(tau.space, B.space)
     if tau.space.n > limit:
@@ -406,7 +405,8 @@ def check_ccc(tau: MaxMeasure, witness: Optional[CCCWitness] = None) -> CCCVerdi
     return CCCVerdict(True, cert, conditions)
 
 
-def enumerate_quotient_sigma_ideals(lattice: QuotientLattice, cap: int = 5) -> list:
+def enumerate_quotient_sigma_ideals(lattice: QuotientLattice,
+                                    cap: int = SIGMA_IDEAL_ENUM_CAP) -> list:
     """All σ-ideals of the quotient lattice, as frozensets of class masks.
 
     Enumerates every downward closed family (their number grows as the

@@ -8,10 +8,9 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .density import AchievableSet
 from .extreal import ExtNonneg
 from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, SigmaIdeal
-from .pseudomul import PseudoMul
+from .pseudomul import AchievableSet, PseudoMul
 from .quotient import AdditiveMeasure, QuotientClass, QuotientLattice
 from .spaces import Space, SubsetB
 

@@ -20,6 +20,18 @@ ENUM_CAP = 20
 # check already gives; it is a test aid, so it refuses large spaces
 # rather than scan 2^20 subsets by accident.
 CROSS_CHECK_CAP = 12
+# The CLI's default --max-n: 2^12 subsets keep each check well under a second.
+DEFAULT_MAX_N = 12
+# nguyen_measure's default validation: 2^(n−t)·3^t ≤ 3^8 = 6 561 table reads.
+NGUYEN_VALIDATE_N = 8
+# Quotient σ-ideals are found among all down-sets: 7 581 of 2^5 classes, 7.8e6 of 2^6.
+SIGMA_IDEAL_ENUM_CAP = 5
+# The brute-force oracles' default limits: semi_odot_finite_bruteforce visits
+# 3^n pairs A ⊆ B, check_maxitive_bruteforce 4^n pairs, and
+# disjoint_variation_bruteforce Bell(n) partitions (203 at n = 6).
+SEMI_FINITE_ORACLE_CAP = 12
+MAXITIVE_ORACLE_CAP = 10
+PARTITION_ORACLE_CAP = 6
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -63,9 +75,6 @@ class Space:
         for label in labels:
             mask |= 1 << self.index(label)
         return SubsetB(self, mask)
-
-    def singleton(self, label: str) -> "SubsetB":
-        return SubsetB(self, 1 << self.index(label))
 
     @property
     def empty(self) -> "SubsetB":

@@ -31,7 +31,7 @@ from typing import Optional
 from .errors import SpecIssue, SpecValidationError
 from .extreal import ExtNonneg
 from .measure import MaxMeasure, MeasurableFn, SigmaIdeal
-from .pseudomul import DiscreteChain, Minimum, PseudoMul, StandardProduct
+from .pseudomul import NAMED_OPERATIONS, DiscreteChain, PseudoMul
 from .spaces import Space
 
 __all__ = ["SpecDoc", "parse_spec", "render_spec", "load_spec"]
@@ -76,27 +76,14 @@ class SpecDoc:
 def _pm_equal(a: Optional[PseudoMul], b: Optional[PseudoMul]) -> bool:
     if a is None or b is None:
         return a is b
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, DiscreteChain):
-        return (a.carrier == b.carrier and a._table == b._table
-                and a.identity == b.identity)
-    return True
+    return type(a) is type(b) and a.spec_form() == b.spec_form()
 
 
 def _render_pm(pm: PseudoMul):
-    if isinstance(pm, StandardProduct):
-        return "times"
-    if isinstance(pm, Minimum):
-        return "min"
-    if isinstance(pm, DiscreteChain):
-        carrier = list(pm.carrier)
-        return {"chain": {
-            "carrier": [str(c) for c in carrier],
-            "table": [[str(pm._table[(a, b)]) for b in carrier] for a in carrier],
-            "identity": str(pm.identity),
-        }}
-    raise ValueError(f"{pm.describe()} has no file representation (library-only)")
+    form = pm.spec_form()
+    if form is None:
+        raise ValueError(f"{pm.describe()} has no file representation (library-only)")
+    return form
 
 
 def _parse_mass(raw, path: str, issues: list) -> Optional[ExtNonneg]:
@@ -161,7 +148,6 @@ def _parse_chain(raw, path: str, issues: list) -> Optional[DiscreteChain]:
         return None
     order = sorted(carrier)
     # table rows follow the carrier as written; remap onto the sorted order
-    pos = {c: i for i, c in enumerate(carrier)}
     table = {}
     for i, row in enumerate(table_raw):
         if not isinstance(row, list) or len(row) != len(carrier):
@@ -172,7 +158,7 @@ def _parse_chain(raw, path: str, issues: list) -> Optional[DiscreteChain]:
             v = _parse_mass(cell, f"{path}.table[{i}][{j}]", issues)
             if v is None:
                 return None
-            if v not in pos:
+            if v not in carrier:
                 issues.append(SpecIssue(f"{path}.table[{i}][{j}]",
                                         f"value {v} is not a carrier element"))
                 return None
@@ -203,17 +189,16 @@ def _parse_chain(raw, path: str, issues: list) -> Optional[DiscreteChain]:
 
 
 def _parse_pseudo_mul(raw, path: str, issues: list) -> Optional[PseudoMul]:
+    names = ", ".join(f'"{name}"' for name in NAMED_OPERATIONS)
     if isinstance(raw, str):
-        if raw == "times":
-            return StandardProduct()
-        if raw == "min":
-            return Minimum()
+        if raw in NAMED_OPERATIONS:
+            return NAMED_OPERATIONS[raw]()
         issues.append(SpecIssue(path, f"unknown pseudo-multiplication {raw!r} "
-                                      f"(expected \"times\", \"min\", or a chain object)"))
+                                      f"(expected {names}, or a chain object)"))
         return None
     if isinstance(raw, dict) and set(raw) == {"chain"}:
         return _parse_chain(raw["chain"], f"{path}.chain", issues)
-    issues.append(SpecIssue(path, "expected \"times\", \"min\", or {\"chain\": {...}}"))
+    issues.append(SpecIssue(path, f"expected {names}, or {{\"chain\": {{...}}}}"))
     return None
 
 
@@ -238,25 +223,30 @@ def _read_file(path) -> str:
     raise SpecValidationError([SpecIssue(os.fspath(path), f"cannot read the file: {cause}")])
 
 
+def _decode(text) -> dict:
+    """The JSON object in ``text``; anything else is a located issue."""
+    try:
+        data = json.loads(text, object_pairs_hook=_reject_duplicates)
+    except (ValueError, TypeError) as exc:
+        raise SpecValidationError([SpecIssue("$", f"not valid JSON: {exc}")])
+    if not isinstance(data, dict):
+        raise SpecValidationError([SpecIssue("$", "document must be a JSON object")])
+    return data
+
+
 def parse_spec(source) -> SpecDoc:
     """Parse a spec document from a dict, JSON text, or file path.
 
-    Returns a fully validated SpecDoc or raises SpecValidationError
-    carrying every located issue.
+    A str whose first non-blank character is "{" or "[" is JSON text;
+    any other str, and any os.PathLike, names a file to read.  Returns a
+    fully validated SpecDoc or raises SpecValidationError carrying every
+    located issue.
     """
     issues: list = []
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = source
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
-            text = _read_file(source)
-        try:
-            data = json.loads(text, object_pairs_hook=_reject_duplicates)
-        except (ValueError, TypeError) as exc:
-            raise SpecValidationError([SpecIssue("$", f"not valid JSON: {exc}")])
-    if not isinstance(data, dict):
-        raise SpecValidationError([SpecIssue("$", "document must be a JSON object")])
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and not source.lstrip().startswith(("{", "["))):
+        source = _read_file(source)
+    data = source if isinstance(source, dict) else _decode(source)
 
     unknown = set(data) - {"space", "pseudo_mul", "measures", "functions", "ideals"}
     for key in sorted(unknown):
@@ -323,4 +313,4 @@ def render_spec(doc: SpecDoc) -> str:
 
 def load_spec(path) -> SpecDoc:
     """Parse the spec document in the file at ``path``, which must exist."""
-    return parse_spec(_read_file(path))
+    return parse_spec(_decode(_read_file(path)))

@@ -1,0 +1,339 @@
+"""Each pseudo-multiplication's closed forms, held to oracles.
+
+The operation-specific answers (achievable set, least solution, grid,
+axiom samples, spec form) are methods of PseudoMul and its subclasses.
+These tests hold them to independent forms: the literal times and min
+achievable sets, the chain's image {c ⊙ t : c ∈ carrier}, and the float
+bisection written against the custom map itself.  A product written out
+with only the abstract methods gets its answers from the base class.
+"""
+
+import ast
+import math
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from maxitive import (
+    INF,
+    ONE,
+    ZERO,
+    AchievableSet,
+    CustomContinuous,
+    DiscreteChain,
+    ExtNonneg,
+    FailureReason,
+    FinitenessProfile,
+    FrontierShape,
+    MaxMeasure,
+    Minimum,
+    PseudoMul,
+    SampleBudget,
+    Space,
+    StandardProduct,
+    UnresolvedInfimumError,
+    achievable_set,
+    canonical_grid,
+    solve_atom_density,
+    solve_density,
+    validate_pseudo_mul,
+)
+
+from conftest import float_times, rand_fn
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
+
+
+class WrittenProduct(PseudoMul):
+    """The product on [0, ∞], written out with only the abstract methods."""
+
+    kind = "written-product"
+
+    def __init__(self):
+        super().__init__(ONE)
+
+    def omul(self, s, t):
+        if s.is_zero or t.is_zero:
+            return ZERO
+        if s.is_inf or t.is_inf:
+            return INF
+        return ExtNonneg(s.as_fraction() * t.as_fraction())
+
+    def zero_map(self, t):
+        return INF if t.is_inf else ZERO
+
+    def is_odot_finite(self, t):
+        return t.is_finite
+
+    def _compute_profile(self):
+        return FinitenessProfile(FrontierShape.HALF_OPEN, INF, degenerate=False)
+
+
+# -- a bare subclass gets answers ----------------------------------------------
+
+def test_bare_subclass_solves_exact_targets():
+    pm = WrittenProduct()
+    assert solve_atom_density(pm, ONE, ExtNonneg(2)) == ExtNonneg("1/2")
+    assert solve_atom_density(pm, ExtNonneg(3), ExtNonneg("3/4")) == ExtNonneg(4)
+    assert solve_atom_density(pm, ZERO, ExtNonneg(3)) == ZERO
+    assert solve_atom_density(pm, ONE, ZERO) is None
+    assert solve_atom_density(pm, INF, ExtNonneg(2)) == INF
+
+
+def test_bare_subclass_reports_an_unhit_target_as_unresolved():
+    # 1/3 is no float, so the bisection cannot land on c ⊙ 3 = 1 exactly
+    pm = WrittenProduct()
+    sp = Space(["a", "b"])
+    res = solve_density(pm, MaxMeasure(sp, {"a": 1, "b": 1}),
+                        MaxMeasure(sp, {"a": 2, "b": 3}))
+    assert not res.ok
+    (failure,) = res.failures
+    assert failure.atom == "b"
+    assert failure.reason is FailureReason.UNRESOLVED_NUMERIC
+    lo, hi = failure.bracket
+    assert lo < ExtNonneg("1/3") < hi
+    assert float(hi) == math.nextafter(float(lo), math.inf)  # adjacent floats
+    with pytest.raises(UnresolvedInfimumError):
+        solve_atom_density(pm, ONE, ExtNonneg(3))
+
+
+def test_bare_subclass_validates_and_grids_like_times():
+    pm, times = WrittenProduct(), StandardProduct()
+    assert validate_pseudo_mul(pm).passed
+    rng = random.Random(4)
+    for _ in range(20):
+        f = rand_fn(rng, Space(list("abcd")), allow_inf=True)
+        assert canonical_grid(pm, f) == canonical_grid(times, f)
+    for t in ("0", "1/3", "5", "inf"):
+        assert achievable_set(pm, t) == achievable_set(times, t)
+
+
+# -- the float bisection, unchanged for custom maps ------------------------------
+
+def bisection_oracle(pm, nu_x, tau_x, max_iter=200):
+    """The solve for a custom ⊙ as written against its float map."""
+    lower = pm.zero_map(tau_x)
+    if nu_x < lower and not pm.values_equal(nu_x, lower):
+        return None
+    if pm.values_equal(nu_x, lower):
+        if pm.values_equal(pm(pm.identity, tau_x), nu_x):
+            return pm.identity
+    target = float(nu_x)
+    tf = float(tau_x)
+    g = pm.fn
+    hi = None
+    for k in range(0, 101, 4):
+        if g(2.0 ** k, tf) >= target:
+            hi = 2.0 ** k
+            break
+    if hi is None:
+        if pm.values_equal(pm(INF, tau_x), nu_x):
+            return INF
+        return None
+    lo = 0.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if g(mid, tf) >= target:
+            hi = mid
+        else:
+            lo = mid
+    else:
+        raise UnresolvedInfimumError(
+            f"bisection for c ⊙ {tau_x} = {nu_x} did not converge",
+            bracket=(ExtNonneg(Fraction(lo)), ExtNonneg(Fraction(hi))))
+    c = ExtNonneg(Fraction(hi))
+    if pm.values_equal(pm(c, tau_x), nu_x):
+        return c
+    return None
+
+
+def outcome(solve, *args):
+    try:
+        return ("value", solve(*args))
+    except Exception as exc:  # the exception itself is the outcome compared
+        return ("raises", type(exc), str(exc), getattr(exc, "bracket", None))
+
+
+def doubled(s, t):
+    return 0.0 if s == 0.0 or t == 0.0 else 2.0 * s * t
+
+
+def nan_for_large_c(s, t):
+    return math.nan if s > 64.0 else float_times(s, t)
+
+
+def nan_for_large_t(s, t):
+    return math.nan if t > 100.0 else float_times(s, t)
+
+
+def raising(s, t):
+    if s > 1000.0:
+        raise ValueError("map undefined above 1000")
+    return float_times(s, t)
+
+
+def zero_division(s, t):
+    return float_times(s, t) / (0.0 if s > 512.0 else 1.0)
+
+
+def jump(s, t):
+    return float_times(s, t) * (1.0 if s < 1.0 else 3.0)
+
+
+def bump(s, t):
+    return float_times(s, t) * (2.0 if 0.3 < s < 0.6 else 1.0)
+
+
+def negative(s, t):
+    return -1.0 if s > 8.0 else float_times(s, t)
+
+
+def saturating(s, t):
+    return min(float_times(s, t), 5.0)
+
+
+def tiny(s, t):
+    return float_times(s, t) * 1e-300
+
+
+CUSTOM_MAPS = [(float_times, 1), (doubled, "1/2"), (nan_for_large_c, 1),
+               (nan_for_large_t, 1), (raising, 1), (zero_division, 1), (jump, 1), (bump, 1),
+               (negative, 1), (saturating, 1), (tiny, 1)]
+TARGETS = ["1/1024", "1/3", "1/2", "1", "2", "3", "7/2", "5", "1024", "2^80", "inf"]
+
+
+@pytest.mark.parametrize("fn, identity", CUSTOM_MAPS, ids=[f.__name__ for f, _ in CUSTOM_MAPS])
+def test_custom_least_solution_equals_the_float_bisection(fn, identity):
+    pm = CustomContinuous(fn, identity=identity, name=fn.__name__)
+    values = [INF if v == "inf" else ExtNonneg(Fraction(2) ** 80 if v == "2^80" else v)
+              for v in TARGETS]
+    seen = set()
+    for nu_x in values:
+        for tau_x in [ZERO] + values:
+            got = outcome(pm.least_solution, nu_x, tau_x)
+            assert got == outcome(bisection_oracle, pm, nu_x, tau_x), (nu_x, tau_x)
+            seen.add(got[0] if got[0] == "raises" else got[1] is None)
+    assert len(seen) >= 2  # each map both solves and refuses something
+
+
+def test_custom_maps_reach_every_outcome():
+    kinds = set()
+    for fn, identity in CUSTOM_MAPS:
+        pm = CustomContinuous(fn, identity=identity)
+        for nu_x, tau_x in [("1", "2"), ("1", "inf"), ("1", "1/3"), ("5", "1"), ("1", "1e-300")]:
+            got = outcome(pm.least_solution, ExtNonneg(nu_x), ExtNonneg(tau_x))
+            kinds.add(got[1].__name__ if got[0] == "raises" else got[1] is None)
+    assert {True, False, "ValueError", "ZeroDivisionError"} <= kinds
+
+
+# -- the achievable set: base method against the literal forms -----------------
+
+def literal_achievable(pm, t):
+    """The closed forms times and min had before the base method covered them."""
+    if isinstance(pm, StandardProduct):
+        if t.is_zero:
+            return AchievableSet(ZERO, ZERO, True)
+        if t.is_inf:
+            return AchievableSet(INF, INF, True)
+        return AchievableSet(ZERO, INF, True)
+    return AchievableSet(ZERO, t, True)
+
+
+@pytest.mark.parametrize("pm", [StandardProduct(), Minimum()], ids=["times", "min"])
+def test_base_achievable_set_equals_the_literal_forms(pm):
+    for seed in range(4):
+        samples, _ = pm.axiom_samples(SampleBudget(seed=seed))
+        for t in samples + [ZERO, INF]:
+            got, want = achievable_set(pm, t), literal_achievable(pm, t)
+            assert got == want and str(got) == str(want), t
+
+
+def random_chain(rng):
+    """A clamped product over {0, 1, ...} or an idempotent uninorm (min up
+    to the identity e, max above it) on a random carrier."""
+    vals = {Fraction(rng.randint(2, 16), rng.randint(1, 2)) for _ in range(rng.randint(1, 4))}
+    carrier = [ZERO, ONE] + [ExtNonneg(v) for v in sorted(vals)]
+    if rng.random() < 0.5:
+        carrier.append(INF)
+    if rng.random() < 0.5:
+        return DiscreteChain.clamped_product(carrier)
+    e = rng.choice(carrier[1:])
+
+    def uninorm(a, b):
+        if a.is_zero or b.is_zero:
+            return ZERO
+        return max(a, b) if a >= e and b >= e else min(a, b)
+
+    return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
+
+
+def test_chain_achievable_set_is_its_image():
+    rng = random.Random(11)
+    valid = 0
+    for _ in range(120):
+        pm = random_chain(rng)
+        if not validate_pseudo_mul(pm).passed:
+            continue
+        valid += 1
+        for t in pm.carrier:
+            image = frozenset(pm(c, t) for c in pm.carrier)
+            got = achievable_set(pm, t)
+            positive = [v for v in image if not v.is_zero]
+            assert got.explicit_values == image
+            assert got.upper == max(image)
+            assert got.lower == (min(positive) if positive else ZERO)
+            assert got.lower_attained is True
+            assert all(got.contains(v) == (v in image) for v in pm.carrier)
+    assert valid >= 60
+
+
+# -- no module outside pseudomul.py dispatches on the operation's class --------
+
+OPERATION_CLASSES = {"StandardProduct", "Minimum", "DiscreteChain", "CustomContinuous"}
+
+
+def _named_classes(node) -> set:
+    nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def operation_dispatches(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and _named_classes(node.args[1]) & OPERATION_CLASSES]
+
+
+def test_no_isinstance_dispatch_on_operations():
+    assert sorted(SRC.glob("*.py"))
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in operation_dispatches(path)]
+    assert found == []
+
+
+def test_dispatch_guard_sees_a_dispatch(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("def f(pm):\n"
+                    "    if isinstance(pm, (int, maxitive.DiscreteChain)):\n"
+                    "        return isinstance(pm, Minimum)\n"
+                    "    return isinstance(pm, PseudoMul)\n", encoding="utf-8")
+    assert operation_dispatches(path) == ["probe.py:2", "probe.py:3"]
+
+
+class SubclassedProduct(StandardProduct):
+    pass
+
+
+def test_spec_forms():
+    chain = DiscreteChain.clamped_product(["0", "1", "2", "inf"])
+    assert StandardProduct().spec_form() == "times"
+    assert SubclassedProduct().spec_form() == "times"  # rendered as its named base
+    assert Minimum().spec_form() == "min"
+    assert chain.spec_form()["chain"]["identity"] == "1"
+    assert CustomContinuous(float_times, identity=1).spec_form() is None
+    assert WrittenProduct().spec_form() is None

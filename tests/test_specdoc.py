@@ -154,3 +154,21 @@ def test_path_loading(tmp_path):
     doc = parse_spec(path)
     assert isinstance(doc, SpecDoc)
     assert doc.pseudo_mul is None
+
+
+def test_missing_path_is_a_located_read_error(tmp_path, monkeypatch):
+    missing = tmp_path / "doc.json"
+    for source in (str(missing), missing):
+        issues, _ = _issues(source)
+        assert issues == {(str(missing), "cannot read the file: No such file or directory")}
+    monkeypatch.chdir(tmp_path)
+    issues, _ = _issues("doc.json")
+    assert issues == {("doc.json", "cannot read the file: No such file or directory")}
+
+
+def test_json_text_is_told_by_its_first_character():
+    assert parse_spec('\n  {"space": {"atoms": ["a"]}}').space.atoms == ("a",)
+    issues, _ = _issues("  [1, 2]")
+    assert issues == {("$", "document must be a JSON object")}
+    issues, _ = _issues('{"space": ')
+    assert {path for path, _ in issues} == {"$"}

@@ -26,13 +26,7 @@ from maxitive import (
     validate_pseudo_mul,
 )
 from maxitive.errors import UnresolvedInfimumError
-from maxitive.pseudomul import (
-    AxiomCheck,
-    AxiomReport,
-    FrontierShape,
-    _check_continuity,
-    _sample_values,
-)
+from maxitive.pseudomul import AxiomCheck, AxiomReport, FrontierShape
 
 from conftest import float_times
 
@@ -40,7 +34,7 @@ from conftest import float_times
 def validate_literal(pm, budget=SampleBudget()):
     """The per-call oracle: every check calls ⊙ on its own arguments."""
     rng = random.Random(budget.seed + 1)
-    samples = _sample_values(pm, budget)
+    samples, _ = pm.axiom_samples(budget)
     positives = [v for v in samples if not v.is_zero]
     exhaustive = isinstance(pm, DiscreteChain)
     checks = []
@@ -100,7 +94,7 @@ def validate_literal(pm, budget=SampleBudget()):
     checks.append(AxiomCheck("associativity", assoc_witness is None, assoc_witness))
 
     if isinstance(pm, CustomContinuous):
-        checks.append(_check_continuity(pm))
+        checks.extend(pm.extra_axiom_checks())
 
     try:
         profile = pm.finiteness_profile()
@@ -270,7 +264,7 @@ def test_custom_failures_reach_every_sampled_check():
 
 def test_validator_calls_odot_once_per_sample_pair():
     budget = SampleBudget()
-    samples = _sample_values(StandardProduct(), budget)
+    samples, _ = StandardProduct().axiom_samples(budget)
     bound = len(samples) ** 2 + 2 * budget.triples + 1_000
     table = counting(StandardProduct())
     assert validate_pseudo_mul(table, budget).passed
