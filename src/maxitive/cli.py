@@ -42,7 +42,7 @@ from .quotient import (
     nguyen_measure,
 )
 from .report import Report, jsonable
-from .spaces import DEFAULT_MAX_N, SubsetB
+from .spaces import DEFAULT_MAX_N, ENUM_CAP, SubsetB
 from .specdoc import SpecDoc, load_spec
 
 __all__ = ["main", "run_command"]
@@ -371,7 +371,13 @@ def main(argv=None) -> int:
             print(f"  {issue}", file=sys.stderr)
         return EXIT_INVALID
     except SizeCapError as exc:
-        print(f"size cap exceeded: {exc}", file=sys.stderr)
+        if exc.needed is None:
+            hint = "this cap is fixed; no flag raises it"
+        elif exc.needed <= ENUM_CAP:
+            hint = f"rerun with --max-n {exc.needed} (at most {ENUM_CAP})"
+        else:
+            hint = f"--max-n raises it to {ENUM_CAP} at most"
+        print(f"size cap exceeded: {exc}; {hint}", file=sys.stderr)
         return EXIT_SIZE_CAP
     except (CarrierDomainError, DegenerateOperationError, SpaceMismatchError,
             ValueError) as exc:

@@ -168,24 +168,33 @@ def solve_density(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> DensityResu
     values = []
     failures = []
     for atom, nv, tv in zip(nu.space.atoms, nu.masses, tau.masses):
-        if tv.is_zero and not nv.is_zero:
-            failures.append(AtomFailure(atom, nv, tv, FailureReason.NULL_TAU_POSITIVE_NU,
-                                        achievable_set(pm, tv)))
-            continue
         try:
-            c = solve_atom_density(pm, nv, tv)
-        except UnresolvedInfimumError as exc:
-            failures.append(AtomFailure(atom, nv, tv, FailureReason.UNRESOLVED_NUMERIC,
-                                        bracket=exc.bracket))
-            continue
-        if c is None:
-            failures.append(AtomFailure(atom, nv, tv, FailureReason.TARGET_OUTSIDE_ACHIEVABLE,
-                                        achievable_set(pm, tv)))
+            c = _solve_or_fail(pm, atom, nv, tv)
+        except ValueError as exc:  # ⊙ refused a value: name the atom it was solving
+            raise ValueError(
+                f"solve_density: atom {atom} (ν = {nv}, τ = {tv}): {exc}") from exc
+        if isinstance(c, AtomFailure):
+            failures.append(c)
         else:
             values.append(c)
     if failures:
         return DensityResult(None, tuple(failures))
     return DensityResult(MeasurableFn(nu.space, values))
+
+
+def _solve_or_fail(pm: PseudoMul, atom: str, nv: ExtNonneg, tv: ExtNonneg):
+    """The least c with c ⊙ tv = nv, or the AtomFailure saying why there is none."""
+    if tv.is_zero and not nv.is_zero:
+        return AtomFailure(atom, nv, tv, FailureReason.NULL_TAU_POSITIVE_NU,
+                           achievable_set(pm, tv))
+    try:
+        c = solve_atom_density(pm, nv, tv)
+    except UnresolvedInfimumError as exc:
+        return AtomFailure(atom, nv, tv, FailureReason.UNRESOLVED_NUMERIC, bracket=exc.bracket)
+    if c is None:
+        return AtomFailure(atom, nv, tv, FailureReason.TARGET_OUTSIDE_ACHIEVABLE,
+                           achievable_set(pm, tv))
+    return c
 
 
 def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasure,

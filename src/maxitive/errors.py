@@ -14,8 +14,14 @@ class SpaceMismatchError(MaxitiveError):
 class SizeCapError(MaxitiveError):
     """An exhaustive enumeration would exceed the requested size cap.
 
-    Operations refuse rather than silently sample.
+    Operations refuse rather than silently sample.  ``needed`` is the
+    least ``limit`` argument that would lift the refusal, which helps
+    only when it is at most ENUM_CAP; None for a cap no argument moves.
     """
+
+    def __init__(self, message: str, needed: int | None = None):
+        super().__init__(message)
+        self.needed = needed
 
 
 class CarrierDomainError(MaxitiveError):

@@ -12,9 +12,11 @@ Three independent evaluation routes are provided:
   ⊕_{x ∈ B} f(x) ⊙ ν({x}); it must agree with the threshold sweep
   exactly in exact mode.
 * ``integrate_oracle`` evaluates the defining supremum on an explicit
-  grid of thresholds; it is a lower bound of the integral, converging
-  as the grid refines around the values of f (except on discrete
-  chains, where no refinement is possible and it stays a bound).
+  grid of thresholds, calling ⊙ at every grid point; ν(B ∩ {f > t})
+  is read once per level of f, since it changes only where t crosses a
+  value of f.  It is a lower bound of the integral, converging as the
+  grid refines around the values of f (except on discrete chains,
+  where no refinement is possible and it stays a bound).
 
 Whole-powerset work (``pushforward`` and ``verify_density``) runs the
 threshold sweep for all 2^n subsets at once through ``threshold_sweep``,
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from operator import lt
 from typing import Iterator, Optional, Sequence
 
 from .errors import OracleMismatchError
@@ -88,17 +91,36 @@ def integrate_oracle(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: SubsetB,
     """max over grid thresholds t of t ⊙ ν(B ∩ {f > t}).
 
     Every term is one term of the defining supremum, so the result never
-    exceeds the integral.
+    exceeds the integral.  ν(B ∩ {f > t}) changes only where t crosses a
+    value of f, so it is read once per level of f's level table, as a
+    running max from the top level down; the ascending grid is then
+    walked against f's ascending values, one ⊙ call per grid point.
     """
     _check_spaces(f, nu, B)
-    grid = [as_extnn(t) for t in grid]
+    grid = list(map(as_extnn, grid))
     if not grid:
         raise ValueError("oracle grid must be nonempty")
-    if any(b < a for a, b in zip(grid, grid[1:])):
+    if any(map(lt, grid[1:], grid)):
         raise ValueError("oracle grid must be sorted ascending")
+    values, masks = f.level_table
+    masses = nu.masses
+    above = [ZERO] * (len(values) + 1)  # above[j] = ν(B ∩ {f ≥ values[j]})
+    best = ZERO
+    for j in range(len(values) - 1, -1, -1):
+        level = (masks[j] ^ masks[j + 1]) & B.mask
+        while level:
+            low = level & -level
+            v = masses[low.bit_length() - 1]
+            if best < v:
+                best = v
+            level ^= low
+        above[j] = best
     total = ZERO
+    j, top = 0, len(values)
     for t in grid:
-        term = pm(t, measure_eval(nu, B & f.strictly_above(t)))
+        while j < top and values[j] <= t:  # then {f > t} = {f ≥ values[j]}
+            j += 1
+        term = pm(t, above[j])
         if total < term:
             total = term
     return total

@@ -13,11 +13,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import SizeCapError
 from .extreal import ONE, ZERO, ExtNonneg, as_extnn, ext_max
 from .pseudomul import PseudoMul
-from .spaces import ENUM_CAP, MAXITIVE_ORACLE_CAP, SEMI_FINITE_ORACLE_CAP
-from .spaces import Space, SubsetB, _same_space, submasks
+from .spaces import MAXITIVE_ORACLE_CAP, SEMI_FINITE_ORACLE_CAP
+from .spaces import Space, SubsetB, _same_space, check_cap, submasks
 
 __all__ = [
     "MaxMeasure",
@@ -172,6 +171,13 @@ class MeasurableFn(_AtomMap):
         return self._levels
 
     @property
+    def level_table(self) -> tuple:
+        """``(values, masks)``: the distinct values of f ascending, and
+        masks[j] the atoms where f ≥ values[j], with a last entry 0."""
+        values, masks, _ = self._level_sets()
+        return values, masks
+
+    @property
     def descending_order(self) -> tuple:
         """The atom indices by descending value, ties by index: every
         level set {f ≥ v} is a prefix."""
@@ -267,9 +273,7 @@ class SigmaIdeal:
     def members(self, limit: int | None = None):
         """All member sets (the powerset of the top set)."""
         k = len(self.top)
-        cap = ENUM_CAP if limit is None else min(limit, ENUM_CAP)
-        if k > cap:
-            raise SizeCapError(f"ideal has 2^{k} members, beyond the cap of {cap}")
+        check_cap(k, limit, f"member enumeration over an ideal of {k} atoms")
         for mask in submasks(self.top.mask):
             yield SubsetB(self.space, mask)
 

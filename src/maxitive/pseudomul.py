@@ -257,18 +257,18 @@ class PseudoMul(abc.ABC):
     def threshold_grid(self, f, B=None) -> list:
         """The integral oracle's thresholds for f on B; see canonical_grid."""
         depth = 20 if self.exact else 40
-        values = f.finite_positive_values(B)
-        grid = {ZERO}
-        for v in values:
-            grid.add(v)
-            q = v.as_fraction()
-            for k in range(1, depth + 1):  # q·(1 − 2^-k), as one Fraction
-                grid.add(ExtNonneg(Fraction(q.numerator * ((1 << k) - 1), q.denominator << k)))
-        for a, b in zip(values, values[1:]):
-            grid.add(ExtNonneg((a.as_fraction() + b.as_fraction()) / 2))
+        values = [v.as_fraction() for v in f.finite_positive_values(B)]
+        # Every point times ``scale`` is an integer, so the points are
+        # collected, deduplicated and sorted as ints and built once each.
+        scale = math.lcm(*(q.denominator for q in values)) << depth
+        units = [q.numerator * (scale // q.denominator) for q in values]
+        keys = {0, *units}
+        for unit in units:  # v·(1 − 2^-k); unit is a multiple of 2^depth
+            keys.update(unit - (unit >> k) for k in range(1, depth + 1))
+        keys.update((a + b) >> 1 for a, b in zip(units, units[1:]))
         if f.attains_inf(B):
-            grid.add(ExtNonneg(1 << 40))
-        return sorted(grid)
+            keys.add(scale << 40)
+        return [ExtNonneg(Fraction(key, scale)) for key in sorted(keys)]
 
     def axiom_samples(self, budget: "SampleBudget") -> tuple:
         """``(samples, exhaustive)``: the ascending, distinct values the
@@ -527,12 +527,17 @@ class CustomContinuous(PseudoMul):
         self.sample_domain = tuple(sample_domain)
         super().__init__(identity)
 
-    def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
-        r = self.fn(float(s), float(t))
+    def _checked(self, s: float, t: float) -> float:
+        """fn(s, t), refused unless it is a number in [0, ∞]."""
+        r = self.fn(s, t)
         if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise TypeError(f"custom operation returned {r!r}")
         if math.isnan(r) or r < 0:
             raise ValueError(f"custom operation returned {r!r} outside [0, inf]")
+        return r
+
+    def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
+        r = self._checked(float(s), float(t))
         return INF if math.isinf(r) else ExtNonneg(Fraction(r))
 
     def _descent(self, t: ExtNonneg, kmax: int = 60) -> list:
@@ -600,7 +605,7 @@ class CustomContinuous(PseudoMul):
 
     def reaches(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Callable[[float], bool]:
         tf, target = float(tau_x), float(nu_x)  # compared as the map computes, in floats
-        return lambda c: self.fn(c, tf) >= target
+        return lambda c: self._checked(c, tf) >= target
 
     def extra_axiom_checks(self) -> tuple:
         # Heuristic grid check: perturbations of shrinking size must produce

@@ -23,7 +23,7 @@ from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, max_rank_table, measure_eval
 from .spaces import ENUM_CAP, NGUYEN_VALIDATE_N, PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
-from .spaces import Space, SubsetB, _same_space, submasks
+from .spaces import Space, SubsetB, _same_space, check_cap, submasks
 
 __all__ = [
     "QuotientClass",
@@ -102,10 +102,7 @@ class QuotientLattice:
                 and cls.representative.issubset(self.non_null_atoms))
 
     def classes(self, limit: int | None = None) -> Iterator[QuotientClass]:
-        k = self.k
-        cap = ENUM_CAP if limit is None else limit
-        if k > cap:
-            raise SizeCapError(f"quotient has 2^{k} classes, beyond the cap of {cap}")
+        check_cap(self.k, limit, f"class enumeration over {self.k} non-null atoms")
         for mask in submasks(self.non_null_atoms.mask):
             yield QuotientClass(self.tau, SubsetB(self.tau.space, mask))
 

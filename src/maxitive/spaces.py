@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, SpaceMismatchError
 
-__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "submasks"]
+__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "check_cap", "submasks"]
 
 # Hard ceiling for exhaustive powerset enumeration; operations refuse
 # beyond it rather than sample.
@@ -32,6 +32,14 @@ SIGMA_IDEAL_ENUM_CAP = 5
 SEMI_FINITE_ORACLE_CAP = 12
 MAXITIVE_ORACLE_CAP = 10
 PARTITION_ORACLE_CAP = 6
+
+
+def check_cap(size: int, limit: int | None, what: str) -> None:
+    """Refuse ``what``, an enumeration over ``size`` atoms, past the cap:
+    ``limit`` (a caller's cap, the CLI's --max-n) taken at most ENUM_CAP."""
+    cap = ENUM_CAP if limit is None else min(limit, ENUM_CAP)
+    if size > cap:
+        raise SizeCapError(f"{what} exceeds the cap of {cap}", needed=size)
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -85,10 +93,7 @@ class Space:
         return SubsetB(self, (1 << self.n) - 1)
 
     def check_enum_cap(self, limit: int | None = None) -> None:
-        cap = ENUM_CAP if limit is None else min(limit, ENUM_CAP)
-        if self.n > cap:
-            raise SizeCapError(
-                f"powerset enumeration over {self.n} atoms exceeds the cap of {cap}")
+        check_cap(self.n, limit, f"powerset enumeration over {self.n} atoms")
 
     def subsets(self, limit: int | None = None) -> Iterator["SubsetB"]:
         """All 2^n subsets, refusing beyond the enumeration cap."""

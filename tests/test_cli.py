@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from maxitive import MaxMeasure, Space, build_quotient, cli, enumerate_quotient_sigma_ideals
 from maxitive.cli import main, run_command
 from maxitive.specdoc import parse_spec
 
@@ -122,7 +123,7 @@ def test_ambiguous_measure_needs_explicit_name(doc_path, capsys):
     assert "--measure is required" in capsys.readouterr().err
 
 
-def test_size_cap_exit_3(tmp_path, capsys):
+def test_size_cap_exit_3(tmp_path, capsys, monkeypatch):
     atoms = [f"x{i}" for i in range(21)]
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
@@ -131,6 +132,25 @@ def test_size_cap_exit_3(tmp_path, capsys):
     }))
     rc = main(["diagnose", "--space-file", str(path), "--tau", "tau"])
     assert rc == 3
+    assert "--max-n raises it to 20 at most" in capsys.readouterr().err
+    del atoms[16:]
+    path.write_text(json.dumps({
+        "space": {"atoms": atoms},
+        "measures": {"tau": {a: "1" for a in atoms}},
+    }))
+    rc = main(["diagnose", "--space-file", str(path), "--tau", "tau"])
+    assert rc == 3
+    assert "rerun with --max-n 16 (at most 20)" in capsys.readouterr().err
+    assert main(["diagnose", "--space-file", str(path), "--tau", "tau", "--max-n", "16"]) == 0
+    capsys.readouterr()
+
+    def sigma_ideals(args):  # a cap no flag moves
+        tau = MaxMeasure.constant(Space(atoms[:6]), 1)
+        enumerate_quotient_sigma_ideals(build_quotient(tau))
+    monkeypatch.setitem(cli._HANDLERS, "quotient", sigma_ideals)
+    rc = main(["quotient", "--space-file", str(path), "--tau", "tau"])
+    assert rc == 3
+    assert "this cap is fixed; no flag raises it" in capsys.readouterr().err
 
 
 def test_unknown_gallery_scenario_exit_2(capsys):

@@ -1,5 +1,6 @@
 """Absolute continuity, the density solver, finitization, and the diagnosis."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -146,6 +147,21 @@ def test_atom_solver_custom_bisection():
     assert c is not None and pm.values_equal(pm(c, ExtNonneg(2)), ONE)
     assert solve_atom_density(pm, ONE, INF) is None
     assert solve_atom_density(pm, INF, ExtNonneg(2)) == INF
+
+
+def test_custom_map_refused_in_the_bisection_names_the_atom():
+    # the probe checks the map's value as ⊙ does: nan past s = 64 is refused,
+    # not taken for "below the target"
+    pm = CustomContinuous(lambda s, t: math.nan if s > 64 else s * t, identity=1,
+                          name="nan-above-64")
+    with pytest.raises(ValueError, match="nan"):
+        pm.reaches(ExtNonneg(1024), ONE)(128.0)
+    negative = CustomContinuous(lambda s, t: -1.0 if s > 64 else s * t, identity=1)
+    with pytest.raises(ValueError, match="outside"):
+        negative.reaches(ExtNonneg(1024), ONE)(128.0)
+    sp = Space(["a", "b"])
+    with pytest.raises(ValueError, match=r"atom b \(ν = 1024, τ = 1\): custom operation"):
+        solve_density(pm, MaxMeasure(sp, {"a": 2, "b": 1024}), MaxMeasure(sp, {"a": 1, "b": 1}))
 
 
 def test_atom_solver_minimality():

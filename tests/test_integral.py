@@ -261,3 +261,98 @@ def test_dense_grid_oracle_confirms_threshold_sweep():
         assert dense <= sweep
         if sweep.is_finite and not sweep.is_zero:
             assert dense.as_fraction() >= sweep.as_fraction() * Fraction(397, 400)
+
+
+# -- the grid oracle against its literal definition ---------------------------
+
+def _literal_oracle(pm, f, nu, B, grid):
+    """max_t t ⊙ ν(B ∩ {f > t}), one level set and one ν per grid point."""
+    return max(pm(t, measure_eval(nu, B & f.strictly_above(t))) for t in grid)
+
+
+def _set_grid(pm, f, B):
+    """canonical_grid's points collected in a set and sorted."""
+    depth = 20 if pm.exact else 40
+    values = f.finite_positive_values(B)
+    grid = {ZERO, *values}
+    for v in values:
+        q = v.as_fraction()
+        grid.update(ExtNonneg(q * (1 - Fraction(1, 2 ** k))) for k in range(1, depth + 1))
+    grid.update(ExtNonneg((a.as_fraction() + b.as_fraction()) / 2)
+                for a, b in zip(values, values[1:]))
+    if f.attains_inf(B):
+        grid.add(ExtNonneg(1 << 40))
+    return sorted(grid)
+
+
+class _CountingTimes(StandardProduct):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def omul(self, s, t):
+        self.calls += 1
+        return super().omul(s, t)
+
+
+def _hand_grids(rng, f, carrier=None):
+    """Sorted grids with 0, ties at f's own values, points above max f and ∞."""
+    values = list(f.values)
+    if carrier is not None:
+        pool = list(carrier)
+    else:
+        finite = [v for v in values if v.is_finite]
+        top = max(finite, default=ONE).as_fraction()
+        pool = finite + [ExtNonneg(top + 1), ExtNonneg(top * 3 + Fraction(1, 7)), INF,
+                         ExtNonneg(Fraction(rng.randint(0, 24), rng.randint(1, 5)))]
+    for _ in range(3):
+        yield sorted([ZERO] + [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+                     + [v for v in values if rng.random() < 0.5 and v in pool])
+
+
+def test_oracle_equals_the_literal_loop(chain):
+    rng = random.Random(9)
+    ops = (TIMES, MIN, CustomContinuous(float_times, 1, name="float-times"), chain)
+    for trial in range(240):
+        pm = ops[trial % len(ops)]
+        sp = rand_space(rng)
+        if pm is chain:
+            carrier = chain.carrier
+            f = MeasurableFn(sp, [rng.choice(carrier) for _ in sp.atoms])
+            nu = MaxMeasure(sp, [rng.choice(carrier) for _ in sp.atoms])
+        else:
+            carrier = None
+            f = rand_fn(rng, sp, allow_inf=True)
+            nu = rand_measure(rng, sp, allow_inf=True)
+        B = rng.choice(list(sp.subsets()))
+        grid = canonical_grid(pm, f, B)
+        if pm is not chain:
+            assert grid == _set_grid(pm, f, B)
+        for g in (grid, *_hand_grids(rng, f, carrier)):
+            assert integrate_oracle(pm, f, nu, B, g) == _literal_oracle(pm, f, nu, B, g)
+
+
+def test_oracle_makes_one_odot_call_and_few_comparisons_a_grid_point(monkeypatch):
+    rng = random.Random(10)
+    counted = []
+    for name in ("__lt__", "__le__"):
+        original = getattr(ExtNonneg, name)
+
+        def compare(a, b, _original=original):
+            counted.append(1)
+            return _original(a, b)
+        monkeypatch.setattr(ExtNonneg, name, compare)
+    for _ in range(40):
+        sp = rand_space(rng, lo=4, hi=10)
+        f = rand_fn(rng, sp, allow_inf=True)
+        nu = rand_measure(rng, sp, allow_inf=True)
+        B = rng.choice(list(sp.subsets()))
+        pm = _CountingTimes()
+        for grid in (canonical_grid(pm, f, B), *_hand_grids(rng, f)):
+            pm.calls = 0
+            f.level_table  # built once per f, outside the count
+            counted.clear()
+            integrate_oracle(pm, f, nu, B, grid)
+            assert pm.calls == len(grid)
+            # sortedness, the walk and the max: about three a point; ν: one an atom
+            assert len(counted) <= 3 * len(grid) + 2 * sp.n
