@@ -32,7 +32,6 @@ from .pseudomul import (
     FrontierShape,
     Minimum,
     PseudoMul,
-    SampleBudget,
     StandardProduct,
     validate_pseudo_mul,
 )

@@ -33,7 +33,7 @@ from .errors import (
 from .gallery import GALLERY, run_gallery
 from .integral import canonical_grid, integrate_atomwise, integrate_oracle, integrate_threshold
 from .measure import SigmaIdeal, check_maxitive
-from .pseudomul import NAMED_OPERATIONS, PseudoMul, SampleBudget, validate_pseudo_mul
+from .pseudomul import NAMED_OPERATIONS, PseudoMul, validate_pseudo_mul
 from .quotient import (
     build_quotient,
     ideal_restriction_measure,
@@ -42,7 +42,7 @@ from .quotient import (
     nguyen_measure,
 )
 from .report import Report, jsonable
-from .spaces import DEFAULT_MAX_N, ENUM_CAP, SubsetB
+from .spaces import DEFAULT_MAX_N, ENUM_CAP, SubsetB, within_cap
 from .specdoc import SpecDoc, load_spec
 
 __all__ = ["main", "run_command"]
@@ -122,7 +122,7 @@ def _resolve_ideal(doc: SpecDoc, text: str) -> SigmaIdeal:
 def _cmd_validate_op(args) -> Report:
     doc = _maybe_doc(args)
     pm = _resolve_pm(args, doc)
-    report = validate_pseudo_mul(pm, SampleBudget(seed=args.seed))
+    report = validate_pseudo_mul(pm, args.seed)
     profile = pm.finiteness_profile()
     body = {
         "operation": pm.describe(),
@@ -167,7 +167,7 @@ def _cmd_density(args) -> Report:
     negative = not result.ok
     if result.ok:
         body["density"] = jsonable(result.density)
-        if doc.space.n <= args.max_n:
+        if within_cap(doc.space.n, args.max_n):
             body["verified_on_all_subsets"] = verify_density(
                 pm, result.density, nu, tau, args.max_n)
         if args.finitize:
@@ -214,8 +214,8 @@ def _cmd_ideal_measures(args) -> Report:
     tau = _named("measure", doc.measures, args.tau)
     ideal = _resolve_ideal(doc, args.ideal)
     restricted = ideal_restriction_measure(tau, ideal)
-    threshold = nguyen_measure(tau, ideal, validate=doc.space.n <= args.max_n,
-                               limit=args.max_n)
+    exhaustive = within_cap(doc.space.n, args.max_n)
+    threshold = nguyen_measure(tau, ideal, validate=exhaustive, limit=args.max_n)
     body = {
         "tau": jsonable(tau),
         "ideal_top": jsonable(ideal.top),
@@ -223,7 +223,7 @@ def _cmd_ideal_measures(args) -> Report:
         "nguyen_threshold": jsonable(threshold),
         "localization": jsonable(localize(tau, ideal, args.max_n)),
     }
-    if doc.space.n <= args.max_n:
+    if exhaustive:
         body["restricted_maxitive"] = check_maxitive(restricted.table(args.max_n))
         body["nguyen_maxitive"] = check_maxitive(threshold.table(args.max_n))
         body["nguyen_below_tau"] = all(
@@ -236,7 +236,7 @@ def _cmd_variation(args) -> Report:
     tau = _named("measure", doc.measures, args.tau)
     m = disjoint_variation(tau)
     same_nulls = None
-    if doc.space.n <= args.max_n:
+    if within_cap(doc.space.n, args.max_n):
         # τ's rank 0 is the value 0, so both tables are 0 exactly on the null sets
         tau_nulls = bytes(map(bool, tau.table(args.max_n).ranks))
         same_nulls = m.null_table(args.max_n) == tau_nulls

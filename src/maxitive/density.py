@@ -32,7 +32,7 @@ from .measure import (
     is_semi_odot_finite,
     is_sigma_odot_finite,
 )
-from .pseudomul import AchievableSet, FrontierShape, PseudoMul
+from .pseudomul import OPERATION_FAULTS, AchievableSet, FrontierShape, PseudoMul
 from .spaces import CROSS_CHECK_CAP, _same_space
 
 __all__ = [
@@ -170,7 +170,7 @@ def solve_density(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> DensityResu
     for atom, nv, tv in zip(nu.space.atoms, nu.masses, tau.masses):
         try:
             c = _solve_or_fail(pm, atom, nv, tv)
-        except ValueError as exc:  # ⊙ refused a value: name the atom it was solving
+        except OPERATION_FAULTS as exc:  # ⊙ failed: name the atom it was solving
             raise ValueError(
                 f"solve_density: atom {atom} (ν = {nv}, τ = {tv}): {exc}") from exc
         if isinstance(c, AtomFailure):

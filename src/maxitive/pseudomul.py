@@ -49,7 +49,7 @@ __all__ = [
     "DiscreteChain",
     "CustomContinuous",
     "NAMED_OPERATIONS",
-    "SampleBudget",
+    "OPERATION_FAULTS",
     "AxiomCheck",
     "AxiomReport",
     "validate_pseudo_mul",
@@ -270,15 +270,16 @@ class PseudoMul(abc.ABC):
             keys.add(scale << 40)
         return [ExtNonneg(Fraction(key, scale)) for key in sorted(keys)]
 
-    def axiom_samples(self, budget: "SampleBudget") -> tuple:
+    def axiom_samples(self, seed: int) -> tuple:
         """``(samples, exhaustive)``: the ascending, distinct values the
         validator checks the axioms on, and whether they are the whole
-        carrier (it then scans every tuple instead of drawing some)."""
-        rng = random.Random(budget.seed)
+        carrier (associativity then scans every triple instead of
+        drawing some)."""
+        rng = random.Random(seed)
         values = {ExtNonneg(f) for f in _SPECIAL_SAMPLES}
         values.add(INF)
         values.add(self.identity)
-        while len(values) < len(_SPECIAL_SAMPLES) + 2 + budget.values:
+        while len(values) < len(_SPECIAL_SAMPLES) + 2 + RANDOM_SAMPLES:
             values.add(ExtNonneg(Fraction(rng.randint(0, 64), rng.randint(1, 16))))
         return sorted(values), False
 
@@ -495,7 +496,7 @@ class DiscreteChain(PseudoMul):
     def threshold_grid(self, f, B=None) -> list:
         return [c for c in self.carrier if c.is_finite]
 
-    def axiom_samples(self, budget: "SampleBudget") -> tuple:
+    def axiom_samples(self, seed: int) -> tuple:
         return list(self.carrier), True
 
     def spec_form(self):
@@ -637,14 +638,9 @@ class CustomContinuous(PseudoMul):
 # Axiom validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleBudget:
-    """Sampling effort for axiom validation of non-discrete operations."""
-
-    seed: int = 0
-    values: int = 24
-    pairs: int = 10_000
-    triples: int = 2_000
+# What a custom map may raise on some pair: the validator reports it as
+# an axiom failure, solve_density as a fault located at an atom.
+OPERATION_FAULTS = (ValueError, TypeError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -687,25 +683,27 @@ _SPECIAL_SAMPLES = (
     Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4), Fraction(16),
     Fraction(256), Fraction(2 ** 12), Fraction(2 ** 20),
 )
+# Random values added to the special samples of a ⊙ without a finite
+# carrier, and the triples drawn from them for associativity: all k³
+# triples of k = 39 samples would cost 30 times the ⊙ calls.
+RANDOM_SAMPLES = 24
+ASSOCIATIVITY_TRIPLES = 2_000
 
 
-def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) -> AxiomReport:
+def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     """Check the pseudo-multiplication axioms and structural consequences.
 
-    Exhaustive over the carrier for chains, sampled otherwise.  Failures
-    are report entries carrying a witness tuple, never exceptions.  For a
-    non-degenerate operation the report additionally covers commutativity
-    below the identity, the frontier identities at φ (idempotency and
-    absorption), the no-crossing property at φ, and the agreement of the
-    left and right invertibility criteria for ⊙-finiteness.
-
-    ⊙ is computed once on every pair of sample values, and the checks
-    over sample values read that table; only the outer products of
-    associativity, the checks at φ and the finiteness probes call ⊙
-    again.
+    ⊙ is computed once on every pair of sample values (the whole carrier
+    for chains, special and seeded random values otherwise).  Monotonicity
+    and the no-crossing property at φ scan that table completely;
+    associativity scans every triple of a chain and otherwise draws
+    ``ASSOCIATIVITY_TRIPLES`` seeded triples.  Failures are report entries
+    carrying a witness tuple, never exceptions.  A non-degenerate ⊙ is
+    also checked for commutativity below the identity, the frontier
+    identities at φ and the agreement of the left and right
+    invertibility criteria for ⊙-finiteness.
     """
-    rng = random.Random(budget.seed + 1)
-    samples, exhaustive = pm.axiom_samples(budget)
+    samples, exhaustive = pm.axiom_samples(seed)
     # Samples ascend without repeats, so indices compare as their values.
     idx = range(len(samples))
     positives = [i for i in idx if not samples[i].is_zero]
@@ -720,7 +718,7 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
         for t in samples:
             try:
                 row.append(pm(s, t))
-            except (ValueError, TypeError, ArithmeticError) as exc:
+            except OPERATION_FAULTS as exc:
                 gate = AxiomCheck("defined on all sampled pairs", False, (s, t), str(exc))
                 return AxiomReport(pm.describe(), False, (gate,))
         op.append(row)
@@ -743,26 +741,18 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
                     if op[s][t].is_zero), None)
     checks.append(AxiomCheck("no zero divisors", witness is None, witness))
 
-    # Monotonicity in both arguments.  Drawing from idx consumes the
-    # random stream as drawing from samples would.
-    mono_witness = None
-    if exhaustive:
-        mono_candidates = itertools.product(idx, idx, idx)
-    else:
-        pairs = [(rng.choice(idx), rng.choice(idx)) for _ in range(budget.pairs // 4)]
-        mono_candidates = ((a, b, rng.choice(idx)) for a, b in pairs)
-    for a, b, t in mono_candidates:
-        lo, hi = (a, b) if a <= b else (b, a)
-        if op[lo][t] > op[hi][t] or op[t][lo] > op[t][hi]:
-            mono_witness = values(lo, hi, t)
-            break
+    # Monotonicity in both arguments: by transitivity, every row and
+    # every column of the table is non-decreasing between adjacent samples.
+    mono_witness = next((values(i, i + 1, t) for i in idx[:-1] for t in idx
+                         if op[i + 1][t] < op[i][t] or op[t][i + 1] < op[t][i]), None)
     checks.append(AxiomCheck("monotonicity", mono_witness is None, mono_witness))
 
     if exhaustive:
         triples = itertools.product(idx, idx, idx)
     else:
+        rng = random.Random(seed + 1)
         triples = [(rng.choice(idx), rng.choice(idx), rng.choice(idx))
-                   for _ in range(budget.triples)]
+                   for _ in range(ASSOCIATIVITY_TRIPLES)]
     assoc_witness = next(
         (values(s, t, u) for (s, t, u) in triples
          if not pm.values_equal(pm(op[s][t], samples[u]), pm(samples[s], op[t][u]))),
@@ -796,16 +786,10 @@ def validate_pseudo_mul(pm: PseudoMul, budget: SampleBudget = SampleBudget()) ->
                 None)
             checks.append(AxiomCheck("φ absorbing on (0, φ]", absorb_witness is None, absorb_witness))
 
-            cross_witness = None
             lows = [i for i in idx if samples[i] < phi]
             highs = [i for i in idx if samples[i] > phi]
-            cross_pairs = (itertools.product(lows, highs) if exhaustive else
-                           ((rng.choice(lows), rng.choice(highs))
-                            for _ in range(budget.pairs)) if lows and highs else ())
-            for (t, u) in cross_pairs:
-                if pm.values_equal(op[t][u], phi):
-                    cross_witness = values(t, u)
-                    break
+            cross_witness = next((values(t, u) for t in lows for u in highs
+                                  if pm.values_equal(op[t][u], phi)), None)
             checks.append(AxiomCheck("no crossing at φ", cross_witness is None, cross_witness,
                                      detail="no t < φ, t' > φ with t ⊙ t' = φ"))
 

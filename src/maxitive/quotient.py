@@ -22,8 +22,8 @@ from typing import Iterator, List, Optional
 from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, max_rank_table, measure_eval
-from .spaces import ENUM_CAP, NGUYEN_VALIDATE_N, PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
-from .spaces import Space, SubsetB, _same_space, check_cap, submasks
+from .spaces import NGUYEN_VALIDATE_N, PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
+from .spaces import Space, SubsetB, _same_space, check_cap, submasks, within_cap
 
 __all__ = [
     "QuotientClass",
@@ -123,7 +123,7 @@ def build_quotient(tau: MaxMeasure, limit: int | None = None) -> QuotientLattice
     ``verified_complete`` stays None.
     """
     lattice = QuotientLattice(tau)
-    if tau.space.n <= (ENUM_CAP if limit is None else min(limit, ENUM_CAP)):
+    if within_cap(tau.space.n, limit):
         lattice.verified_complete = verify_lattice_complete(lattice, limit)
     return lattice
 
@@ -157,7 +157,7 @@ def localize(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> Su
     L = ideal.top & tau.support
     if not measure_eval(tau, ideal.top - L).is_zero:
         raise AssertionError("localization failed: some member leaves L non-negligibly")
-    if tau.space.n <= (ENUM_CAP if limit is None else min(limit, ENUM_CAP)):
+    if within_cap(tau.space.n, limit):
         ranks = tau.table(limit).ranks  # rank 0 is the value 0
         top, local = ideal.top.mask, L.mask
         for b in range(len(ranks)):

@@ -11,7 +11,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, SpaceMismatchError
 
-__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "check_cap", "submasks"]
+__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "check_cap", "within_cap",
+           "submasks"]
 
 # Hard ceiling for exhaustive powerset enumeration; operations refuse
 # beyond it rather than sample.
@@ -34,12 +35,20 @@ MAXITIVE_ORACLE_CAP = 10
 PARTITION_ORACLE_CAP = 6
 
 
+def _cap(limit: int | None) -> int:
+    return ENUM_CAP if limit is None else min(limit, ENUM_CAP)
+
+
+def within_cap(size: int, limit: int | None) -> bool:
+    """Whether an enumeration over ``size`` atoms is allowed: ``limit`` (a
+    caller's cap, the CLI's --max-n) is taken at most ENUM_CAP."""
+    return size <= _cap(limit)
+
+
 def check_cap(size: int, limit: int | None, what: str) -> None:
-    """Refuse ``what``, an enumeration over ``size`` atoms, past the cap:
-    ``limit`` (a caller's cap, the CLI's --max-n) taken at most ENUM_CAP."""
-    cap = ENUM_CAP if limit is None else min(limit, ENUM_CAP)
-    if size > cap:
-        raise SizeCapError(f"{what} exceeds the cap of {cap}", needed=size)
+    """Refuse ``what``, an enumeration over ``size`` atoms, past the cap."""
+    if not within_cap(size, limit):
+        raise SizeCapError(f"{what} exceeds the cap of {_cap(limit)}", needed=size)
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -1,0 +1,73 @@
+"""One place for size caps.
+
+within_cap decides whether an enumeration over n atoms is allowed: a
+caller's limit (the CLI's --max-n) taken at most ENUM_CAP.  check_cap
+refuses by the same decision.  The static guard keeps the decision in
+spaces.py: elsewhere in the package ENUM_CAP is read only by the CLI's
+hint for a SizeCapError.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from maxitive.errors import SizeCapError
+from maxitive.spaces import ENUM_CAP, check_cap, within_cap
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
+
+
+def test_within_cap_takes_the_limit_at_most_the_ceiling():
+    assert within_cap(ENUM_CAP, None) and not within_cap(ENUM_CAP + 1, None)
+    assert within_cap(12, 12) and not within_cap(13, 12)
+    assert within_cap(ENUM_CAP, ENUM_CAP + 5) and not within_cap(ENUM_CAP + 1, ENUM_CAP + 5)
+
+
+def test_check_cap_refuses_exactly_outside_the_cap():
+    for size in range(ENUM_CAP + 3):
+        for limit in (None, 0, 5, ENUM_CAP, ENUM_CAP + 5):
+            if within_cap(size, limit):
+                check_cap(size, limit, "probe")
+                continue
+            cap = ENUM_CAP if limit is None else min(limit, ENUM_CAP)
+            with pytest.raises(SizeCapError, match=f"probe exceeds the cap of {cap}$") as err:
+                check_cap(size, limit, "probe")
+            assert err.value.needed == size
+
+
+def _names(node) -> set:
+    nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def enum_cap_reads(path: Path) -> list:
+    """``(line, in_hint)`` for each read of ENUM_CAP in ``path``; ``in_hint``
+    when the read sits in an ``except SizeCapError`` handler."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_handler = {id(inner) for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and node.type is not None
+                  and "SizeCapError" in _names(node.type)
+                  for inner in ast.walk(node)}
+    return sorted((node.lineno, id(node) in in_handler) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and isinstance(node.ctx, ast.Load) and "ENUM_CAP" in _names(node))
+
+
+def test_enum_cap_is_read_only_by_the_cap_policy_and_the_cli_hint():
+    reads = {path.name: enum_cap_reads(path) for path in sorted(SRC.glob("*.py"))
+             if path.name != "spaces.py"}
+    cli = reads.pop("cli.py")
+    assert cli and all(in_hint for _, in_hint in cli)
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_cap_guard_sees_a_read(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("def f(n, limit):\n"
+                    "    try:\n"
+                    "        return n <= min(limit, spaces.ENUM_CAP)\n"
+                    "    except (ValueError, SizeCapError):\n"
+                    "        return ENUM_CAP\n", encoding="utf-8")
+    assert enum_cap_reads(path) == [(3, False), (5, True)]

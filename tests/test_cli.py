@@ -369,6 +369,35 @@ def test_quotient_verdict_follows_max_n(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["body"]["complete_lattice_verified"] is None
 
 
+def test_max_n_past_the_ceiling_omits_what_it_cannot_enumerate(tmp_path, capsys):
+    # 21 atoms lie past the enumeration ceiling of 20: a --max-n above it
+    # reports as the ceiling does, omitting the exhaustive checks
+    atoms = [f"x{i}" for i in range(21)]
+    path = tmp_path / "twenty-one.json"
+    path.write_text(json.dumps({
+        "space": {"atoms": atoms},
+        "measures": {"nu": {a: str(i % 3) for i, a in enumerate(atoms)},
+                     "tau": {a: str(1 + i % 4) for i, a in enumerate(atoms)}},
+        "ideals": {"I": [["x1"], ["x2"]]},
+    }))
+    commands = {"density": ["--nu", "nu", "--tau", "tau"], "variation": ["--tau", "tau"],
+                "ideal-measures": ["--tau", "tau", "--ideal", "I"], "quotient": ["--tau", "tau"]}
+    reports = {}
+    for command, extra in commands.items():
+        bodies = []
+        for max_n in ("12", "20", "25"):
+            assert main([command, "--space-file", str(path), *extra, "--max-n", max_n,
+                         "--json-out", "-"]) == 0, (command, max_n)
+            bodies.append(json.loads(capsys.readouterr().out)["body"])
+        assert bodies[0] == bodies[1] == bodies[2], command
+        reports[command] = bodies[2]
+    density, variation, ideal, quotient = reports.values()
+    assert density["found"] and "verified_on_all_subsets" not in density
+    assert variation["same_null_sets"] is None
+    assert "restricted_maxitive" not in ideal
+    assert quotient["complete_lattice_verified"] is None
+
+
 @pytest.mark.parametrize("kind", ["directory", "missing", "not-utf8"])
 def test_unreadable_space_file_is_a_located_issue(tmp_path, capsys, kind):
     if kind == "directory":

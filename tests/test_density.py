@@ -164,6 +164,19 @@ def test_custom_map_refused_in_the_bisection_names_the_atom():
         solve_density(pm, MaxMeasure(sp, {"a": 2, "b": 1024}), MaxMeasure(sp, {"a": 1, "b": 1}))
 
 
+@pytest.mark.parametrize("fn, cause", [
+    (lambda s, t: None if s > 64 else s * t, "custom operation returned None"),
+    (lambda s, t: s * t / (0.0 if s > 64 else 1.0), "division by zero"),
+], ids=["returns-none", "divides-by-zero"])
+def test_custom_map_faults_are_located_at_their_atom(fn, cause):
+    # a map that returns a non-number or raises fails inside the solve of
+    # atom b, and the error says so rather than escaping bare
+    pm = CustomContinuous(fn, identity=1)
+    sp = Space(["a", "b"])
+    with pytest.raises(ValueError, match=rf"atom b \(ν = 1024, τ = 1\): .*{cause}"):
+        solve_density(pm, MaxMeasure(sp, {"a": 2, "b": 1024}), MaxMeasure(sp, {"a": 1, "b": 1}))
+
+
 def test_atom_solver_minimality():
     rng = random.Random(2)
     for pm in (TIMES, MIN):

@@ -1,12 +1,17 @@
-"""Metamorphic laws of the integral routes.
+"""Metamorphic laws of the integral routes, the densities and the diagnosis.
 
 The integral is defined by atom masses and level sets, so it cannot see
 atom labels or their order, and an atom of ν-mass 0 contributes nothing
-whatever f does there.  Each law is checked on random inputs under the
-product, the minimum and the {0, 1, 2, ∞} chain.
+whatever f does there.  A density is solved atom by atom and the
+diagnosis reads atom masses, so relabelling or permuting the atoms
+permutes the density and moves the diagnosis's sets along, and an atom
+null for both ν and τ gets density 0 and changes no verdict.  Each law
+is checked on random inputs under the product, the minimum and the
+{0, 1, 2, ∞} chain.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,11 +23,16 @@ from maxitive import (
     Minimum,
     Space,
     StandardProduct,
+    SpotReport,
     SubsetB,
     canonical_grid,
+    diagnose_rn,
     integrate_atomwise,
     integrate_oracle,
     integrate_threshold,
+    pushforward_measure,
+    solve_density,
+    verify_density,
 )
 
 from conftest import rand_fn, rand_mass, rand_measure, rand_space
@@ -82,3 +92,85 @@ def test_a_null_atom_changes_no_integral(pm, chain):
         for with_z in (False, True):
             B2 = SubsetB(sp2, B.mask | with_z << sp.n)
             assert _integrals(pm, f2, nu2, B2, grid) == expected
+
+
+def _density_case(rng, pm, chain):
+    """ν, τ and a candidate density c; half the time ν is c's pushforward."""
+    sp = rand_space(rng)
+    if pm is chain:
+        tau, nu = (MaxMeasure(sp, [rng.choice(chain.carrier) for _ in sp.atoms])
+                   for _ in range(2))
+        c = MeasurableFn(sp, [rng.choice(chain.carrier) for _ in sp.atoms])
+    else:
+        tau, nu = (rand_measure(rng, sp, allow_inf=True) for _ in range(2))
+        c = rand_fn(rng, sp, allow_inf=True)
+    if rng.random() < 0.5:
+        nu = pushforward_measure(pm, c, tau)
+    return sp, nu, tau, c
+
+
+def _verdicts(pm, nu, tau, c):
+    """solve_density's result, verify_density on c, and the diagnosis of τ."""
+    return solve_density(pm, nu, tau), verify_density(pm, c, nu, tau), diagnose_rn(pm, tau)
+
+
+def _moved(diagnosis, space, move_mask):
+    """The diagnosis with its ⊙-spot carried to ``space`` by ``move_mask``."""
+    spot = diagnosis.spots.maximal_spot
+    if spot is None:
+        return diagnosis
+    moved = SubsetB(space, move_mask(spot.mask))
+    return replace(diagnosis, spots=SpotReport(moved, moved.labels),
+                   failed_conditions=tuple(c.replace(repr(spot), repr(moved))
+                                           for c in diagnosis.failed_conditions))
+
+
+def test_relabelling_and_permuting_atoms_permutes_the_density(pm, chain):
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(150):
+        sp, nu, tau, c = _density_case(rng, pm, chain)
+        perm = list(range(sp.n))
+        rng.shuffle(perm)  # new atom i is old atom perm[i], under a new label
+        sp2 = Space([f"y{rng.randrange(10 ** 6)}-{i}" for i in range(sp.n)])
+        label = {sp.atoms[p]: sp2.atoms[i] for i, p in enumerate(perm)}
+
+        def move(mask):
+            return sum(1 << i for i, p in enumerate(perm) if mask >> p & 1)
+        nu2, tau2 = (MaxMeasure(sp2, [m.masses[p] for p in perm]) for m in (nu, tau))
+        c2 = MeasurableFn(sp2, [c.values[p] for p in perm])
+        result, verified, diagnosis = _verdicts(pm, nu, tau, c)
+        result2, verified2, diagnosis2 = _verdicts(pm, nu2, tau2, c2)
+        assert result2.ok == result.ok
+        if result.ok:
+            assert result2.density.values == tuple(result.density.values[p] for p in perm)
+        failures = sorted((replace(f, atom=label[f.atom]) for f in result.failures),
+                          key=lambda f: sp2.index(f.atom))
+        assert list(result2.failures) == failures
+        assert verified2 == verified
+        assert diagnosis2 == _moved(diagnosis, sp2, move)
+        outcomes.add((result.ok, verified, diagnosis.rn_property))
+    assert {ok for ok, _, _ in outcomes} == {True, False}
+    assert {v for _, v, _ in outcomes} == {True, False}
+
+
+def test_a_null_atom_adds_a_zero_to_the_density(pm, chain):
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(150):
+        sp, nu, tau, c = _density_case(rng, pm, chain)
+        cz = rng.choice(chain.carrier) if pm is chain else rng.choice([ZERO, INF, rand_mass(rng)])
+        sp2 = Space([*sp.atoms, "z"])
+        nu2, tau2 = (MaxMeasure(sp2, [*m.masses, ZERO]) for m in (nu, tau))
+        c2 = MeasurableFn(sp2, [*c.values, cz])
+        result, verified, diagnosis = _verdicts(pm, nu, tau, c)
+        result2, verified2, diagnosis2 = _verdicts(pm, nu2, tau2, c2)
+        assert result2.ok == result.ok
+        if result.ok:
+            assert result2.density.values == (*result.density.values, ZERO)
+        assert result2.failures == result.failures
+        assert verified2 == verified
+        assert diagnosis2 == _moved(diagnosis, sp2, lambda mask: mask)
+        outcomes.add((result.ok, verified))
+    assert {ok for ok, _ in outcomes} == {True, False}
+    assert {v for _, v in outcomes} == {True, False}

@@ -17,7 +17,6 @@ from maxitive import (
     ExtNonneg,
     FrontierShape,
     Minimum,
-    SampleBudget,
     StandardProduct,
     UnresolvedInfimumError,
     validate_pseudo_mul,
@@ -217,7 +216,7 @@ def test_no_crossing_sampled_continuous(times, minimum):
 
 def test_validate_builtins_pass(times, minimum, chain):
     for pm in (times, minimum, chain):
-        report = validate_pseudo_mul(pm, SampleBudget(seed=3))
+        report = validate_pseudo_mul(pm, seed=3)
         assert report.passed, str(report)
         assert not report.degenerate
 
@@ -280,7 +279,7 @@ def test_validate_random_nonassociative_tables_caught():
 
 def test_validate_custom_continuous_passes():
     pm = CustomContinuous(float_times, identity=1, name="float-times")
-    report = validate_pseudo_mul(pm, SampleBudget(seed=1, pairs=2000, triples=500))
+    report = validate_pseudo_mul(pm, seed=1)
     assert report.passed, str(report)
 
 
@@ -324,7 +323,7 @@ def test_conjugated_product_with_nonunit_identity():
         return 2.0 * s * t
 
     pm = CustomContinuous(scaled, identity="1/2", name="doubled-product")
-    report = validate_pseudo_mul(pm, SampleBudget(seed=2, pairs=2000, triples=500))
+    report = validate_pseudo_mul(pm, seed=2)
     assert report.passed, str(report)
     assert not pm.degenerate
     assert pm.is_odot_finite(ExtNonneg(100))

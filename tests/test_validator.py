@@ -1,10 +1,14 @@
 """The sample-table validator against the literal per-call validator.
 
 validate_pseudo_mul computes ⊙ once on every pair of sample values and
-reads that table in the checks over samples.  validate_literal below is
-the validator as written before the table: it calls ⊙ afresh in every
-check.  Both draw the same random stream, so their reports, witnesses
-included, must be equal.
+reads that table in the checks over samples.  validate_literal below
+states the same rules per call, calling ⊙ afresh in every check:
+monotonicity between adjacent samples in each argument, no crossing on
+every pair below and above φ, and associativity on triples drawn from
+the same seeded stream.  Their reports, witnesses included, must be
+equal.  Against the definitions themselves, the monotonicity verdict
+must equal a scan of every triple, and every witness must break its
+axiom when recomputed.
 """
 
 import itertools
@@ -21,20 +25,24 @@ from maxitive import (
     DiscreteChain,
     ExtNonneg,
     Minimum,
-    SampleBudget,
     StandardProduct,
     validate_pseudo_mul,
 )
 from maxitive.errors import UnresolvedInfimumError
-from maxitive.pseudomul import AxiomCheck, AxiomReport, FrontierShape
+from maxitive.pseudomul import (
+    ASSOCIATIVITY_TRIPLES,
+    OPERATION_FAULTS,
+    AxiomCheck,
+    AxiomReport,
+    FrontierShape,
+)
 
 from conftest import float_times
 
 
-def validate_literal(pm, budget=SampleBudget()):
+def validate_literal(pm, seed=0):
     """The per-call oracle: every check calls ⊙ on its own arguments."""
-    rng = random.Random(budget.seed + 1)
-    samples, _ = pm.axiom_samples(budget)
+    samples, _ = pm.axiom_samples(seed)
     positives = [v for v in samples if not v.is_zero]
     exhaustive = isinstance(pm, DiscreteChain)
     checks = []
@@ -44,20 +52,9 @@ def validate_literal(pm, budget=SampleBudget()):
     for s, t in itertools.product(samples, samples):
         try:
             pm(s, t)
-        except (ValueError, TypeError, ArithmeticError) as exc:
+        except OPERATION_FAULTS as exc:
             gate = AxiomCheck("defined on all sampled pairs", False, (s, t), str(exc))
             return AxiomReport(pm.describe(), False, (gate,))
-
-    def pick_pairs(count):
-        if exhaustive:
-            return list(itertools.product(samples, samples))
-        return [(rng.choice(samples), rng.choice(samples)) for _ in range(count)]
-
-    def pick_triples(count):
-        if exhaustive:
-            return list(itertools.product(samples, samples, samples))
-        return [(rng.choice(samples), rng.choice(samples), rng.choice(samples))
-                for _ in range(count)]
 
     # Left identity, annihilator, zero divisors: over all samples.
     witness = next((t for t in samples if not pm.values_equal(pm(pm.identity, t), t)), None)
@@ -73,22 +70,19 @@ def validate_literal(pm, budget=SampleBudget()):
                     if pm(s, t).is_zero), None)
     checks.append(AxiomCheck("no zero divisors", witness is None, witness))
 
-    # Monotonicity in both arguments.
-    mono_witness = None
-    if exhaustive:
-        mono_candidates = itertools.product(samples, samples, samples)
-    else:
-        mono_candidates = ((a, b, rng.choice(samples))
-                           for a, b in pick_pairs(budget.pairs // 4))
-    for a, b, t in mono_candidates:
-        lo, hi = (a, b) if a <= b else (b, a)
-        if pm(lo, t) > pm(hi, t) or pm(t, lo) > pm(t, hi):
-            mono_witness = (lo, hi, t)
-            break
+    # Monotonicity in both arguments, between adjacent samples.
+    mono_witness = next(((lo, hi, t) for lo, hi in zip(samples, samples[1:]) for t in samples
+                         if pm(lo, t) > pm(hi, t) or pm(t, lo) > pm(t, hi)), None)
     checks.append(AxiomCheck("monotonicity", mono_witness is None, mono_witness))
 
+    if exhaustive:
+        triples = list(itertools.product(samples, samples, samples))
+    else:
+        rng = random.Random(seed + 1)
+        triples = [(rng.choice(samples), rng.choice(samples), rng.choice(samples))
+                   for _ in range(ASSOCIATIVITY_TRIPLES)]
     assoc_witness = next(
-        ((s, t, u) for (s, t, u) in pick_triples(budget.triples)
+        ((s, t, u) for (s, t, u) in triples
          if not pm.values_equal(pm(pm(s, t), u), pm(s, pm(t, u)))),
         None)
     checks.append(AxiomCheck("associativity", assoc_witness is None, assoc_witness))
@@ -121,16 +115,9 @@ def validate_literal(pm, budget=SampleBudget()):
                 None)
             checks.append(AxiomCheck("φ absorbing on (0, φ]", absorb_witness is None, absorb_witness))
 
-            cross_witness = None
-            lows = [t for t in samples if t < phi]
-            highs = [t for t in samples if t > phi]
-            cross_pairs = (itertools.product(lows, highs) if exhaustive else
-                           ((rng.choice(lows), rng.choice(highs))
-                            for _ in range(budget.pairs)) if lows and highs else ())
-            for (t, u) in cross_pairs:
-                if pm.values_equal(pm(t, u), phi):
-                    cross_witness = (t, u)
-                    break
+            cross_witness = next(((t, u) for t in samples if t < phi
+                                  for u in samples if u > phi
+                                  if pm.values_equal(pm(t, u), phi)), None)
             checks.append(AxiomCheck("no crossing at φ", cross_witness is None, cross_witness,
                                      detail="no t < φ, t' > φ with t ⊙ t' = φ"))
 
@@ -152,20 +139,79 @@ def validate_literal(pm, budget=SampleBudget()):
     return AxiomReport(pm.describe(), profile.degenerate, tuple(checks))
 
 
-def outcome(validate, pm, budget):
+def outcome(validate, pm, seed):
     """The report, or the type and text of what the validator raised."""
     try:
-        return validate(pm, budget)
+        return validate(pm, seed)
     except Exception as exc:  # a raise must be the same raise in both
         return type(exc), str(exc)
 
 
-def assert_same_report(pm, budget=SampleBudget()):
-    expected = outcome(validate_literal, pm, budget)
-    got = outcome(validate_pseudo_mul, pm, budget)
+def assert_same_report(pm, seed=0):
+    expected = outcome(validate_literal, pm, seed)
+    got = outcome(validate_pseudo_mul, pm, seed)
     assert got == expected
     assert str(got) == str(expected)
     return got
+
+
+def monotone_on(pm, samples):
+    """Monotonicity by its definition: ⊙ on every a < b and t of the samples."""
+    return not any(pm(a, t) > pm(b, t) or pm(t, a) > pm(t, b)
+                   for a, b in itertools.combinations(samples, 2) for t in samples)
+
+
+def breaks_its_axiom(pm, check):
+    """Whether the failed ``check``'s witness, recomputed, breaks the axiom."""
+    eq = pm.values_equal
+    match check.name, check.witness:
+        case "defined on all sampled pairs", (s, t):
+            try:
+                pm(s, t)
+            except OPERATION_FAULTS:
+                return True
+            return False
+        case "left identity", (e, t):
+            return e == pm.identity and not eq(pm(e, t), t)
+        case "annihilator", (z, t):
+            return z.is_zero and not (pm(z, t).is_zero and pm(t, z).is_zero)
+        case "no zero divisors", (s, t):
+            return not s.is_zero and not t.is_zero and pm(s, t).is_zero
+        case "monotonicity", (lo, hi, t):
+            return lo < hi and (pm(lo, t) > pm(hi, t) or pm(t, lo) > pm(t, hi))
+        case "associativity", (s, t, u):
+            return not eq(pm(pm(s, t), u), pm(s, pm(t, u)))
+        case "commutative on [0, 1_⊙]", (a, b):
+            return max(a, b) <= pm.identity and not eq(pm(a, b), pm(b, a))
+        case "φ exceeds the identity", (e, phi):
+            return not e < phi
+        case "φ ⊙ φ = φ", (phi, _):
+            return not eq(pm(phi, phi), phi)
+        case "φ absorbing on (0, φ]", (t, phi):
+            return (ZERO < t <= phi
+                    and not (eq(pm(t, phi), phi) and eq(pm(phi, t), phi)))
+        case "no crossing at φ", (t, u):
+            phi = pm.finiteness_profile().phi
+            return t < phi < u and eq(pm(t, u), phi)
+    raise AssertionError(f"no recomputation for {check}")
+
+
+# checks whose witness is no tuple of values to recompute ⊙ on, or whose
+# recomputation would repeat the validator's own code
+UNRECOMPUTED = {"continuity (sampled)", "finiteness criteria agree",
+                "finiteness profile resolves"}
+
+
+def assert_against_the_definitions(pm, report, seed=0):
+    """Every witness breaks its axiom, and monotonicity is decided as
+    the all-triples scan decides it."""
+    for check in report.failed():
+        if check.name not in UNRECOMPUTED:
+            assert breaks_its_axiom(pm, check), check
+    mono = [c for c in report.checks if c.name == "monotonicity"]
+    if mono:
+        samples, _ = pm.axiom_samples(seed)
+        assert mono[0].passed == monotone_on(pm, samples)
 
 
 def counting(pm):
@@ -183,7 +229,7 @@ def counting(pm):
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_builtin_reports_equal_the_literal_validator(seed, chain):
     for pm in (StandardProduct(), Minimum(), chain):
-        report = assert_same_report(pm, SampleBudget(seed=seed))
+        report = assert_same_report(pm, seed)
         assert report.passed
 
 
@@ -204,9 +250,10 @@ def test_random_chain_reports_equal_the_literal_validator():
                     table[(a, b)] = rng.choice(carrier[1:] if rng.random() < 0.9 else carrier)
             pm = DiscreteChain(carrier, table, identity=1)
             report = assert_same_report(pm)
+            assert_against_the_definitions(pm, report)
             failed.update(c.name for c in report.failed())
     assert {"left identity", "annihilator", "no zero divisors", "monotonicity",
-            "associativity", "commutative on [0, 1_⊙]"} <= failed
+            "associativity", "commutative on [0, 1_⊙]", "no crossing at φ"} <= failed
 
 
 def nan_above_100(s, t):
@@ -249,26 +296,48 @@ CUSTOM_MAPS = (float_times, nan_above_100, raises_at_two, drops_at_four, skewed_
 def test_custom_reports_equal_the_literal_validator(fn):
     for seed in (0, 1, 5):
         pm = CustomContinuous(fn, identity=1, name=fn.__name__)
-        assert_same_report(pm, SampleBudget(seed=seed, pairs=2000, triples=500))
+        report = assert_same_report(pm, seed)
+        if seed == 0:
+            assert_against_the_definitions(pm, report)
 
 
 def test_custom_failures_reach_every_sampled_check():
     failed = set()
     for fn in CUSTOM_MAPS:
-        report = validate_pseudo_mul(CustomContinuous(fn, identity=1),
-                                     SampleBudget(pairs=2000, triples=500))
+        report = validate_pseudo_mul(CustomContinuous(fn, identity=1))
         failed.update(c.name for c in report.failed())
     assert {"defined on all sampled pairs", "monotonicity", "associativity",
             "commutative on [0, 1_⊙]"} <= failed
 
 
+def test_a_dip_between_two_adjacent_samples_fails_monotonicity():
+    # The product, lowered at (4, 3) to the midpoint of 7/2 · 3 and
+    # 19/5 · 3: only 19/5 < 4 in the first argument sees the dip, which
+    # one draw in tens of thousands would hit.
+    samples, _ = CustomContinuous(float_times, identity=1).axiom_samples(0)
+    lo, hi, t = (ExtNonneg(v) for v in ("19/5", "4", "3"))
+    below = samples[samples.index(lo) - 1]
+    assert samples[samples.index(lo) + 1] == hi and t in samples
+    dip = (float(below) + float(lo)) / 2 * float(t)
+
+    def dips_at_four_three(s, u):
+        return dip if (s, u) == (float(hi), float(t)) else float_times(s, u)
+
+    pm = CustomContinuous(dips_at_four_three, identity=1, name="dip")
+    broken = [(a, b, u) for a, b in itertools.combinations(samples, 2) for u in samples
+              if pm(a, u) > pm(b, u) or pm(u, a) > pm(u, b)]
+    assert broken == [(lo, hi, t)]
+    report = assert_same_report(pm, 0)
+    check = {c.name: c for c in report.checks}["monotonicity"]
+    assert not check.passed and check.witness == (lo, hi, t)
+
+
 def test_validator_calls_odot_once_per_sample_pair():
-    budget = SampleBudget()
-    samples, _ = StandardProduct().axiom_samples(budget)
-    bound = len(samples) ** 2 + 2 * budget.triples + 1_000
+    samples, _ = StandardProduct().axiom_samples(0)
+    bound = len(samples) ** 2 + 2 * ASSOCIATIVITY_TRIPLES + 1_000
     table = counting(StandardProduct())
-    assert validate_pseudo_mul(table, budget).passed
+    assert validate_pseudo_mul(table).passed
     assert table.calls <= bound
     literal = counting(StandardProduct())
-    validate_literal(literal, budget)
+    validate_literal(literal)
     assert literal.calls > bound  # the guard tells the two apart
