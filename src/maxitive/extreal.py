@@ -1,131 +1,116 @@
 """Exact values on the extended nonnegative half-line [0, ∞].
 
-A value is either a nonnegative rational (exact, via fractions.Fraction)
-or the distinguished infinity.  The total order makes max well defined
-and idempotent; max is the pseudo-addition ⊕ used by every measure in
-this library, with 0 the least element and ∞ the greatest.
+A value is a nonnegative rational or infinity.  The total order makes
+max, the pseudo-addition ⊕ of every measure here, well defined and
+idempotent, with 0 least and ∞ greatest.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, inf
 from typing import Iterable, Union
 
-__all__ = ["ExtNonneg", "ZERO", "ONE", "INF", "as_extnn", "ext_max", "ext_min"]
+from .spaces import NUMBER_DIGITS_CAP
+
+__all__ = ["ExtNonneg", "ZERO", "ONE", "INF", "as_extnn", "ext_max", "ext_min", "ext_ratio"]
 
 Coercible = Union["ExtNonneg", Fraction, int, float, str]
 
 _INF_STRINGS = {"inf", "infinity", "oo", "∞"}
+_new = object.__new__
 
 
 class ExtNonneg:
-    """An exact point of [0, ∞]: a nonnegative Fraction or infinity.
+    """An exact point of [0, ∞]: a nonnegative rational or infinity.
 
-    Immutable, hashable, totally ordered.  Arithmetic follows the
-    measure-theoretic conventions ∞ + x = ∞ and 0 · ∞ = 0 (the latter
-    matching the annihilator axiom of pseudo-multiplications).
+    Immutable, hashable, totally ordered; ∞ + x = ∞ and 0 · ∞ = 0 (as
+    ⊙'s annihilator axiom).  Stored as integers ``_n / _d`` in lowest
+    terms with ∞ = 1/0: cross-multiplying orders every pair, ∞
+    included, and equal values have equal pairs.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, value: Coercible):
         if isinstance(value, ExtNonneg):
-            v = value._v
-        elif isinstance(value, Fraction):
-            v = value
+            n, d = value._n, value._d
         elif isinstance(value, bool):
             raise TypeError("bool is not a valid extended nonnegative value")
         elif isinstance(value, int):
-            v = Fraction(value)
-        elif isinstance(value, float):
-            if math.isnan(value):
-                raise ValueError("nan is not a point of [0, inf]")
-            if value < 0:  # before Fraction(value), which overflows at -inf
-                raise ValueError(f"negative value {value!r} is outside [0, inf]")
-            v = None if math.isinf(value) else Fraction(value)
+            n, d = value, 1
+        elif isinstance(value, (Fraction, float)):
+            if value != value or value < 0:  # nan, or -inf: as_integer_ratio overflows
+                raise ValueError(f"{value!r} is not a point of [0, inf]")
+            n, d = (1, 0) if value == inf else value.as_integer_ratio()
         elif isinstance(value, str):
             s = value.strip().lower()
-            if s in _INF_STRINGS:
-                v = None
-            else:
-                try:
-                    v = Fraction(s)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ValueError(f"cannot parse {value!r} as a nonnegative rational") from exc
+            # Fraction would build 10**e for a huge exponent e
+            e = s.partition("e")[2].lstrip("+-").replace("_", "") if "e" in s else ""
+            if len(s) > NUMBER_DIGITS_CAP or e.isdecimal() and int(e) > NUMBER_DIGITS_CAP:
+                raise ValueError(f"number {s[:24]!r} exceeds {NUMBER_DIGITS_CAP} characters "
+                                 f"or an exponent of {NUMBER_DIGITS_CAP}")
+            try:
+                n, d = ((1, 0) if s in _INF_STRINGS else (int(s), 1) if s.isdecimal()
+                        else Fraction(s).as_integer_ratio())
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"cannot parse {value!r} as a nonnegative rational") from exc
         else:
             raise TypeError(f"cannot build ExtNonneg from {type(value).__name__}")
-        if v is not None and v._numerator < 0:
+        if n < 0:
             raise ValueError(f"negative value {value!r} is outside [0, inf]")
-        self._v = v
+        self._n = n
+        self._d = d
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_inf(self) -> bool:
-        return self._v is None
+        return not self._d
 
     @property
     def is_finite(self) -> bool:
         """Finite as a real number (not the ⊙-finiteness of any ⊙)."""
-        return self._v is not None
+        return self._d != 0
 
     @property
     def is_zero(self) -> bool:
-        return self._v == 0
+        return not self._n
 
     def as_fraction(self) -> Fraction:
-        if self._v is None:
+        if not self._d:
             raise ValueError("infinity has no Fraction representation")
-        return self._v
+        return Fraction(self._n, self._d)
 
     # -- order ---------------------------------------------------------
-    #
-    # A Fraction is stored normalized (lowest terms, positive
-    # denominator) in its _numerator and _denominator slots.  Comparing
-    # the integers there is exact and skips the numbers.Rational test
-    # that Fraction's own comparisons make on every call.
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        a, b = self._v, other._v
-        if a is None or b is None:
-            return a is b
-        return a._numerator == b._numerator and a._denominator == b._denominator
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(self._v)
+        return hash((self._n, self._d))
 
     def __lt__(self, other: "ExtNonneg") -> bool:
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        a, b = self._v, other._v
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a._numerator * b._denominator < b._numerator * a._denominator
+        return self._n * other._d < other._n * self._d
 
     def __le__(self, other: "ExtNonneg") -> bool:
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        a, b = self._v, other._v
-        if b is None:
-            return True
-        if a is None:
-            return False
-        return a._numerator * b._denominator <= b._numerator * a._denominator
+        return self._n * other._d <= other._n * self._d
 
     def __gt__(self, other: "ExtNonneg") -> bool:
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        return other.__lt__(self)
+        return self._n * other._d > other._n * self._d
 
     def __ge__(self, other: "ExtNonneg") -> bool:
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        return other.__le__(self)
+        return self._n * other._d >= other._n * self._d
 
     # -- arithmetic ----------------------------------------------------
 
@@ -133,43 +118,50 @@ class ExtNonneg:
         """Ordinary sum with ∞ absorbing (used by additive measures)."""
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        if self._v is None or other._v is None:
+        a, b, c, d = self._n, self._d, other._n, other._d
+        if not b or not d:
             return INF
-        return ExtNonneg(self._v + other._v)
+        return ext_ratio(a * d + c * b, b * d)
 
     def __mul__(self, other: "ExtNonneg") -> "ExtNonneg":
         """Product with the convention 0 · ∞ = ∞ · 0 = 0."""
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        if self._v == 0 or other._v == 0:
-            return ZERO
-        if self._v is None or other._v is None:
-            return INF
-        return ExtNonneg(self._v * other._v)
+        a, b, c, d = self._n, self._d, other._n, other._d
+        return ext_ratio(a * c, b * d) if a and c else ZERO  # ∞ = 1/0 needs no branch
 
     def __truediv__(self, other: "ExtNonneg") -> "ExtNonneg":
         """Division by a finite positive value; ∞ / q = ∞."""
         if not isinstance(other, ExtNonneg):
             return NotImplemented
-        if other._v is None or other._v == 0:
+        a, b, c, d = self._n, self._d, other._n, other._d
+        if not c or not d:
             raise ZeroDivisionError("division only by finite positive values")
-        if self._v is None:
-            return INF
-        return ExtNonneg(self._v / other._v)
+        return ext_ratio(a * d, b * c)
 
     # -- conversion and display -----------------------------------------
 
     def __float__(self) -> float:
-        return math.inf if self._v is None else float(self._v)
+        return self._n / self._d if self._d else inf
 
     def __str__(self) -> str:
-        return "inf" if self._v is None else str(self._v)
+        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}" if self._d else "inf"
 
     def __repr__(self) -> str:
         return f"ExtNonneg({str(self)!r})"
 
     def __bool__(self) -> bool:
-        return self._v != 0
+        return self._n != 0
+
+
+def ext_ratio(n: int, d: int) -> ExtNonneg:
+    """n/d in lowest terms for ints n, d ≥ 0 not both 0 (d = 0 is ∞), built
+    with no Fraction and no __init__."""
+    g = gcd(n, d)
+    x = _new(ExtNonneg)
+    x._n = n // g
+    x._d = d // g
+    return x
 
 
 ZERO = ExtNonneg(0)

@@ -8,7 +8,6 @@ report always comes back and the caller decides how hard to fail.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Optional
 
 from .density import (
@@ -20,7 +19,7 @@ from .density import (
     solve_density,
     verify_density,
 )
-from .extreal import INF, ONE, ZERO, ExtNonneg
+from .extreal import INF, ONE, ZERO, ExtNonneg, ext_ratio
 from .integral import pushforward_measure
 from .measure import (
     MaxMeasure,
@@ -73,7 +72,7 @@ def _rand_mass(rng: random.Random, allow_inf=False, allow_zero=True) -> ExtNonne
     if allow_inf and rng.random() < 0.15:
         return INF
     lo = 0 if allow_zero else 1
-    return ExtNonneg(Fraction(rng.randint(lo, 12), rng.randint(1, 6)))
+    return ext_ratio(rng.randint(lo, 12), rng.randint(1, 6))
 
 
 def _rand_space(rng: random.Random, max_n=6) -> Space:
@@ -166,8 +165,7 @@ def _below(rng: random.Random, bound: ExtNonneg) -> ExtNonneg:
     """A random value ≤ bound."""
     if bound.is_inf:
         return _rand_mass(rng, allow_inf=True)
-    q = bound.as_fraction()
-    return ExtNonneg(q * Fraction(rng.randint(0, 8), 8))
+    return bound * ext_ratio(rng.randint(0, 8), 8)
 
 
 def delta_sharp_uncountable(seed: int = 0, trials: Optional[int] = None) -> Report:

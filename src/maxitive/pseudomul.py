@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import CarrierDomainError, UnresolvedInfimumError
-from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_min
+from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_min, ext_ratio
 
 __all__ = [
     "AchievableSet",
@@ -184,7 +184,7 @@ class PseudoMul(abc.ABC):
     # (Lemma-style criteria): a dyadic descent, adapted to t when the
     # arithmetic is exact so that large finite t still finds s ~ 1/t.
     def finiteness_probes(self, t: ExtNonneg) -> list:
-        probes = [ExtNonneg(Fraction(1, 2 ** k)) for k in range(0, 61, 6)]
+        probes = [ext_ratio(1, 2 ** k) for k in range(0, 61, 6)]
         probes.append(self.identity)
         if self.exact and t.is_finite and not t.is_zero:
             probes.append(self.identity / (ExtNonneg(2) * t))
@@ -244,14 +244,14 @@ class PseudoMul(abc.ABC):
         else:
             raise UnresolvedInfimumError(
                 f"bisection for c ⊙ {tau_x} = {nu_x} did not converge",
-                bracket=(ExtNonneg(Fraction(lo)), ExtNonneg(Fraction(hi))))
-        c = ExtNonneg(Fraction(hi))
+                bracket=(ExtNonneg(lo), ExtNonneg(hi)))
+        c = ExtNonneg(hi)
         if self.values_equal(self(c, tau_x), nu_x):
             return c
         if self.exact:
             raise UnresolvedInfimumError(
                 f"bisection for c ⊙ {tau_x} = {nu_x} found no float solving it exactly",
-                bracket=(ExtNonneg(Fraction(lo)), c))
+                bracket=(ExtNonneg(lo), c))
         return None
 
     def threshold_grid(self, f, B=None) -> list:
@@ -268,7 +268,7 @@ class PseudoMul(abc.ABC):
         keys.update((a + b) >> 1 for a, b in zip(units, units[1:]))
         if f.attains_inf(B):
             keys.add(scale << 40)
-        return [ExtNonneg(Fraction(key, scale)) for key in sorted(keys)]
+        return [ext_ratio(key, scale) for key in sorted(keys)]
 
     def axiom_samples(self, seed: int) -> tuple:
         """``(samples, exhaustive)``: the ascending, distinct values the
@@ -280,7 +280,7 @@ class PseudoMul(abc.ABC):
         values.add(INF)
         values.add(self.identity)
         while len(values) < len(_SPECIAL_SAMPLES) + 2 + RANDOM_SAMPLES:
-            values.add(ExtNonneg(Fraction(rng.randint(0, 64), rng.randint(1, 16))))
+            values.add(ext_ratio(rng.randint(0, 64), rng.randint(1, 16)))
         return sorted(values), False
 
     def extra_axiom_checks(self) -> tuple:
@@ -538,8 +538,7 @@ class CustomContinuous(PseudoMul):
         return r
 
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
-        r = self._checked(float(s), float(t))
-        return INF if math.isinf(r) else ExtNonneg(Fraction(r))
+        return ExtNonneg(self._checked(float(s), float(t)))
 
     def _descent(self, t: ExtNonneg, kmax: int = 60) -> list:
         tf = float(t)
@@ -562,10 +561,10 @@ class CustomContinuous(PseudoMul):
             return ZERO
         prev = values[-6]
         if math.isfinite(prev) and abs(prev - last) <= 1e-9 * max(1.0, last):
-            return ExtNonneg(Fraction(last))
+            return ExtNonneg(last)
         raise UnresolvedInfimumError(
             f"zero-map descent for t = {t} still moving at k = 60",
-            bracket=(ZERO, ExtNonneg(Fraction(last))),
+            bracket=(ZERO, ExtNonneg(last)),
         )
 
     def _compute_profile(self) -> FinitenessProfile:
@@ -576,7 +575,7 @@ class CustomContinuous(PseudoMul):
         # ∞ is not ⊙-finite; locate the frontier among finite values.
         probes = [float(self.identity) if self.identity.is_finite else 1.0,
                   1.0, 2.0, 2.0 ** 10, 2.0 ** 20, 2.0 ** 40]
-        finite_probes = [p for p in probes if self.is_odot_finite(ExtNonneg(Fraction(p)))]
+        finite_probes = [p for p in probes if self.is_odot_finite(ExtNonneg(p))]
         infinite_probes = [p for p in probes if p not in finite_probes]
         if not infinite_probes:
             return FinitenessProfile(
@@ -590,16 +589,16 @@ class CustomContinuous(PseudoMul):
             mid = 0.5 * (lo + hi)
             if hi - lo <= 1e-12 * max(1.0, hi):
                 break
-            if self.is_odot_finite(ExtNonneg(Fraction(mid))):
+            if self.is_odot_finite(ExtNonneg(mid)):
                 lo = mid
             else:
                 hi = mid
         return FinitenessProfile(
-            FrontierShape.HALF_OPEN, ExtNonneg(Fraction(hi)), degenerate=degenerate,
+            FrontierShape.HALF_OPEN, ExtNonneg(hi), degenerate=degenerate,
             approximate=True, notes=("frontier located by bisection",))
 
     def finiteness_probes(self, t: ExtNonneg) -> list:
-        return [ExtNonneg(Fraction(2.0 ** -k)) for k in range(0, 61, 4)]
+        return [ExtNonneg(2.0 ** -k) for k in range(0, 61, 4)]
 
     def describe(self) -> str:
         return f"custom({self.name})"
@@ -629,7 +628,7 @@ class CustomContinuous(PseudoMul):
                                abs(self.fn(s - hs, max(t - ht, 0.0)) - base))
                     deltas.append(jump)
                 if not (deltas[2] <= deltas[0] + 1e-9 * max(1.0, abs(base))):
-                    worst = (ExtNonneg(Fraction(s)), ExtNonneg(Fraction(t)))
+                    worst = (ExtNonneg(s), ExtNonneg(t))
         return (AxiomCheck("continuity (sampled)", worst is None, worst,
                            detail="ε-δ grid on the sample domain"),)
 

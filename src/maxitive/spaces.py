@@ -33,6 +33,10 @@ SIGMA_IDEAL_ENUM_CAP = 5
 SEMI_FINITE_ORACLE_CAP = 12
 MAXITIVE_ORACLE_CAP = 10
 PARTITION_ORACLE_CAP = 6
+# A number string may have at most this many characters and a decimal
+# exponent at most this large: Fraction would build 10**exponent first,
+# and Python prints no integer past 4 300 digits.
+NUMBER_DIGITS_CAP = 1000
 
 
 def _cap(limit: int | None) -> int:

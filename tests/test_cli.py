@@ -7,6 +7,7 @@ import pytest
 
 from maxitive import MaxMeasure, Space, build_quotient, cli, enumerate_quotient_sigma_ideals
 from maxitive.cli import main, run_command
+from maxitive.spaces import NUMBER_DIGITS_CAP
 from maxitive.specdoc import parse_spec
 
 
@@ -104,6 +105,26 @@ def test_invalid_spec_exit_2(tmp_path, capsys):
     rc = main(["diagnose", "--space-file", str(path), "--tau", "m"])
     assert rc == 2
     assert "measures.m.a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass", ["1e5000", "1e100000000"])
+def test_number_past_the_bound_is_a_located_exit_2(tmp_path, capsys, mass):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"space": {"atoms": ["a", "b"]}, "pseudo_mul": "times",
+                                "measures": {"tau": {"a": mass, "b": "1"}}}))
+    rc = main(["diagnose", "--space-file", str(path), "--tau", "tau"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"measures.tau.a: number '{mass}' exceeds" in err
+
+
+def test_number_at_the_bound_is_accepted(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"space": {"atoms": ["a", "b"]}, "pseudo_mul": "times",
+                                "measures": {"tau": {"a": f"1e{NUMBER_DIGITS_CAP}", "b": "1"}}}))
+    rc = main(["diagnose", "--space-file", str(path), "--tau", "tau"])
+    assert rc == 0
+    assert "a: 1" + "0" * NUMBER_DIGITS_CAP + "\n" in capsys.readouterr().out
 
 
 def test_unknown_name_exit_2(doc_path, capsys):

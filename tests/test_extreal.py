@@ -1,15 +1,26 @@
 """Order and arithmetic of the extended nonnegative half-line."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import maxitive.extreal as extreal
 from maxitive import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_max, ext_min
+from maxitive.extreal import ext_ratio
+from maxitive.spaces import NUMBER_DIGITS_CAP
 
 from conftest import extnn, fraction_key
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_construction_and_parsing():
@@ -83,7 +94,7 @@ def test_max_idempotent(a):
     assert max(a, INF) == INF
 
 
-@given(a=extnn, b=extnn)
+@given(a=wide_extnn, b=wide_extnn)
 def test_sum_absorbs_infinity(a, b):
     s = a + b
     if a.is_inf or b.is_inf:
@@ -103,10 +114,11 @@ def test_product_annihilator_convention(a):
 def test_division_conventions():
     assert ExtNonneg(3) / ExtNonneg(2) == ExtNonneg("3/2")
     assert (INF / ExtNonneg(5)).is_inf
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
-    with pytest.raises(ZeroDivisionError):
-        ONE / INF
+    assert ZERO / ExtNonneg(7) == ZERO
+    for a in (ZERO, ONE, INF):
+        for bad in (ZERO, INF):
+            with pytest.raises(ZeroDivisionError):
+                a / bad
 
 
 def test_display_roundtrip():
@@ -123,3 +135,145 @@ def test_float_conversion():
 def test_hashable_and_usable_in_sets():
     values = {ZERO, ONE, INF, ExtNonneg("1/2"), ExtNonneg(Fraction(1, 2))}
     assert len(values) == 4
+
+
+# -- the integer pair against plain Fraction arithmetic -----------------------
+
+def product_oracle(a: ExtNonneg, b: ExtNonneg):
+    """a · b by Fraction arithmetic, None for ∞, with 0 · ∞ = 0."""
+    if a.is_zero or b.is_zero:
+        return Fraction(0)
+    if a.is_inf or b.is_inf:
+        return None
+    return a.as_fraction() * b.as_fraction()
+
+
+def as_oracle(x: ExtNonneg):
+    return None if x.is_inf else x.as_fraction()
+
+
+@given(a=wide_extnn, b=wide_extnn)
+def test_product_and_quotient_agree_with_fraction_arithmetic(a, b):
+    assert as_oracle(a * b) == product_oracle(a, b)
+    assert as_oracle(b * a) == product_oracle(a, b)
+    if b.is_zero or b.is_inf:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    elif a.is_inf:
+        assert (a / b).is_inf
+    else:
+        assert (a / b).as_fraction() == a.as_fraction() / b.as_fraction()
+
+
+@given(a=wide_extnn)
+def test_display_and_conversion_agree_with_fraction(a):
+    if a.is_inf:
+        assert (str(a), float(a)) == ("inf", math.inf)
+        with pytest.raises(ValueError):
+            a.as_fraction()
+        return
+    q = a.as_fraction()
+    assert type(q) is Fraction
+    assert str(a) == str(q)
+    assert float(a) == float(q)
+    assert ExtNonneg(str(a)) == a and ExtNonneg(q) == a
+
+
+@given(a=wide_extnn, k=st.integers(1, 1 << 64))
+def test_equal_values_built_differently_are_equal_and_hash_equal(a, k):
+    if a.is_inf:
+        built = [ext_ratio(k, 0), a * ExtNonneg(k), a / ExtNonneg(k), a + ONE, ExtNonneg("inf")]
+    else:
+        q = a.as_fraction()
+        built = [ext_ratio(q.numerator * k, q.denominator * k), ExtNonneg(q), ExtNonneg(str(q)),
+                 a * ONE, a / ONE, a + ZERO, (a * ExtNonneg(k)) / ExtNonneg(k)]
+    for b in built:
+        assert b == a and hash(b) == hash(a)
+
+
+# -- a hash that is the same in every process ---------------------------------
+
+HASH_PROBE = (
+    "from maxitive import INF, ZERO, ExtNonneg\n"
+    "print(hash(INF), hash(ExtNonneg('22/7')), hash(ZERO))\n"
+    "print([str(x) for x in {ExtNonneg('1/3'), INF, ZERO, ExtNonneg(5), ExtNonneg('7/2')}])\n"
+)
+
+
+def test_hash_and_set_order_do_not_depend_on_the_process():
+    outputs = set()
+    for seed in ("0", "1", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", HASH_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+# -- the mechanism: no Fraction on the hot path ----------------------------------
+
+def private_fraction_reads(path: Path) -> list:
+    """Line numbers where ``path`` reads Fraction's private slots."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and node.attr in ("_numerator", "_denominator"))
+
+
+def test_no_module_reads_fractions_private_slots():
+    reads = {path.name: private_fraction_reads(path)
+             for path in sorted((SRC / "maxitive").glob("*.py"))}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_private_slot_guard_sees_a_read(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("def f(q):\n    return q._numerator * 2\n\n\nq._denominator\n",
+                    encoding="utf-8")
+    assert private_fraction_reads(path) == [2, 5]
+
+
+def test_hot_operations_construct_no_fraction(monkeypatch):
+    values = [ExtNonneg(Fraction(p, q)) for p in range(0, 7) for q in (1, 2, 3, 1 << 70)]
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(extreal, "Fraction", CountingFraction)
+    for a in values:
+        hash(a)
+        for b in values:
+            a * b, a < b, a <= b, a == b, a > b, a >= b, a + b
+            if not b.is_zero:
+                a / b
+        str(a), float(a)
+    assert made == []
+    values[5].as_fraction()  # the boundary does build one, so the patch is seen
+    assert len(made) == 1
+
+
+# -- bounded number strings -----------------------------------------------------
+
+def test_number_strings_at_the_bound_are_accepted():
+    assert ExtNonneg(f"1e{NUMBER_DIGITS_CAP}") == ExtNonneg(10 ** NUMBER_DIGITS_CAP)
+    assert ExtNonneg(f"1e-{NUMBER_DIGITS_CAP}") == ext_ratio(1, 10 ** NUMBER_DIGITS_CAP)
+    assert ExtNonneg("7" * NUMBER_DIGITS_CAP) == ExtNonneg(int("7" * NUMBER_DIGITS_CAP))
+    assert len(str(ExtNonneg(f"1e{NUMBER_DIGITS_CAP}"))) == NUMBER_DIGITS_CAP + 1
+
+
+@pytest.mark.parametrize("text", [
+    f"1e{NUMBER_DIGITS_CAP + 1}", f"1E-{NUMBER_DIGITS_CAP + 1}", "1e5000", "2.5e+1_001",
+    "7" * (NUMBER_DIGITS_CAP + 1), "1/" + "3" * NUMBER_DIGITS_CAP])
+def test_number_strings_past_the_bound_are_refused(text):
+    with pytest.raises(ValueError, match="exceeds"):
+        ExtNonneg(text)
+
+
+def test_a_huge_exponent_is_refused_before_any_power_is_built():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        ExtNonneg("1e100000000")
+    assert time.perf_counter() - start < 1.0
