@@ -50,9 +50,18 @@ class ExtNonneg:
             if len(s) > NUMBER_DIGITS_CAP or e.isdecimal() and int(e) > NUMBER_DIGITS_CAP:
                 raise ValueError(f"number {s[:24]!r} exceeds {NUMBER_DIGITS_CAP} characters "
                                  f"or an exponent of {NUMBER_DIGITS_CAP}")
+            p, _, q = s.partition("/")
             try:
-                n, d = ((1, 0) if s in _INF_STRINGS else (int(s), 1) if s.isdecimal()
-                        else Fraction(s).as_integer_ratio())
+                if s in _INF_STRINGS:
+                    n, d = 1, 0
+                elif s.isdecimal():
+                    n, d = int(s), 1
+                elif p.isdecimal() and q.isdecimal() and int(q):  # "p/q", q > 0: reduce it
+                    n, d = int(p), int(q)
+                    g = gcd(n, d)
+                    n, d = n // g, d // g
+                else:
+                    n, d = Fraction(s).as_integer_ratio()
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse {value!r} as a nonnegative rational") from exc
         else:

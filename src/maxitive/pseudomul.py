@@ -610,27 +610,29 @@ class CustomContinuous(PseudoMul):
     def extra_axiom_checks(self) -> tuple:
         # Heuristic grid check: perturbations of shrinking size must produce
         # shrinking output changes at interior sample points.
-        worst = None
-        for s in self.sample_domain:
-            if s <= 0 or math.isinf(s):
-                continue
-            for t in self.sample_domain:
-                if math.isinf(t):
+        worst, detail = None, "ε-δ grid on the sample domain"
+        try:
+            for s in self.sample_domain:
+                if s <= 0 or math.isinf(s):
                     continue
-                base = self.fn(s, t)
-                if math.isinf(base):
-                    continue
-                deltas = []
-                for d in (1e-3, 1e-6, 1e-9):
-                    hs = min(d * max(1.0, s), s / 2)
-                    ht = d * max(1.0, t)
-                    jump = max(abs(self.fn(s + hs, t + ht) - base),
-                               abs(self.fn(s - hs, max(t - ht, 0.0)) - base))
-                    deltas.append(jump)
-                if not (deltas[2] <= deltas[0] + 1e-9 * max(1.0, abs(base))):
-                    worst = (ExtNonneg(s), ExtNonneg(t))
-        return (AxiomCheck("continuity (sampled)", worst is None, worst,
-                           detail="ε-δ grid on the sample domain"),)
+                for t in self.sample_domain:
+                    if math.isinf(t):
+                        continue
+                    base = self.fn(s, t)
+                    if math.isinf(base):
+                        continue
+                    deltas = []
+                    for d in (1e-3, 1e-6, 1e-9):
+                        hs = min(d * max(1.0, s), s / 2)
+                        ht = d * max(1.0, t)
+                        jump = max(abs(self.fn(s + hs, t + ht) - base),
+                                   abs(self.fn(s - hs, max(t - ht, 0.0)) - base))
+                        deltas.append(jump)
+                    if not (deltas[2] <= deltas[0] + 1e-9 * max(1.0, abs(base))):
+                        worst = (ExtNonneg(s), ExtNonneg(t))
+        except OPERATION_FAULTS as exc:  # the map raised at or near (s, t)
+            worst, detail = (ExtNonneg(s), ExtNonneg(t)), str(exc)
+        return (AxiomCheck("continuity (sampled)", worst is None, worst, detail),)
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +691,28 @@ RANDOM_SAMPLES = 24
 ASSOCIATIVITY_TRIPLES = 2_000
 
 
+def seeded_picks(rng: random.Random, k: int, count: int) -> list:
+    """``count`` indices below k: the very ones that ``count`` calls of
+    ``rng.choice(range(k))`` pick, drawn in one batch.  choice keeps the
+    first ``rng.getrandbits(k.bit_length())`` below k, and so does this."""
+    draws = map(rng.getrandbits, itertools.repeat(k.bit_length()))
+    return list(itertools.islice((r for r in draws if r < k), count))
+
+
+def _first_break(name: str, cases, broken, detail: str = "") -> AxiomCheck:
+    """The check ``name``: its witness is the first case that ``broken``
+    holds on, or on which ⊙ or its zero map faults (whose message is
+    then the detail)."""
+    case = None
+    try:
+        for case in cases:
+            if broken(*case):
+                return AxiomCheck(name, False, case, detail)
+    except (UnresolvedInfimumError, *OPERATION_FAULTS) as exc:
+        return AxiomCheck(name, False, case, str(exc))
+    return AxiomCheck(name, True, None, detail)
+
+
 def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     """Check the pseudo-multiplication axioms and structural consequences.
 
@@ -697,14 +721,17 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     and the no-crossing property at φ scan that table completely;
     associativity scans every triple of a chain and otherwise draws
     ``ASSOCIATIVITY_TRIPLES`` seeded triples.  Failures are report entries
-    carrying a witness tuple, never exceptions.  A non-degenerate ⊙ is
+    carrying a witness tuple, never exceptions: a ⊙ that raises past the
+    sample table fails the check it raised in.  A non-degenerate ⊙ is
     also checked for commutativity below the identity, the frontier
     identities at φ and the agreement of the left and right
     invertibility criteria for ⊙-finiteness.
     """
     samples, exhaustive = pm.axiom_samples(seed)
+    mul, eq = pm.omul, pm.values_equal
     # Samples ascend without repeats, so indices compare as their values.
-    idx = range(len(samples))
+    k = len(samples)
+    idx = range(k)
     positives = [i for i in idx if not samples[i].is_zero]
     checks = []
 
@@ -712,22 +739,22 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     # pair; that is itself an axiom failure and must not crash the rest.
     # Its results are the sample table: op[i][j] = samples[i] ⊙ samples[j].
     op = []
-    for s in samples:
-        row = []
-        for t in samples:
-            try:
-                row.append(pm(s, t))
-            except OPERATION_FAULTS as exc:
-                gate = AxiomCheck("defined on all sampled pairs", False, (s, t), str(exc))
-                return AxiomReport(pm.describe(), False, (gate,))
-        op.append(row)
+    try:
+        for s in samples:
+            row = []
+            for t in samples:
+                row.append(mul(s, t))
+            op.append(row)
+    except OPERATION_FAULTS as exc:
+        gate = AxiomCheck("defined on all sampled pairs", False, (s, t), str(exc))
+        return AxiomReport(pm.describe(), False, (gate,))
 
     def values(*indices):
         return tuple(samples[i] for i in indices)
 
     # Left identity, annihilator, zero divisors: over all samples.
     one, zero = samples.index(pm.identity), samples.index(ZERO)
-    witness = next((t for t in idx if not pm.values_equal(op[one][t], samples[t])), None)
+    witness = next((t for t in idx if not eq(op[one][t], samples[t])), None)
     checks.append(AxiomCheck("left identity", witness is None,
                              None if witness is None else (pm.identity, samples[witness])))
 
@@ -749,26 +776,29 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     if exhaustive:
         triples = itertools.product(idx, idx, idx)
     else:
-        rng = random.Random(seed + 1)
-        triples = [(rng.choice(idx), rng.choice(idx), rng.choice(idx))
-                   for _ in range(ASSOCIATIVITY_TRIPLES)]
-    assoc_witness = next(
-        (values(s, t, u) for (s, t, u) in triples
-         if not pm.values_equal(pm(op[s][t], samples[u]), pm(samples[s], op[t][u]))),
-        None)
-    checks.append(AxiomCheck("associativity", assoc_witness is None, assoc_witness))
+        picks = seeded_picks(random.Random(seed + 1), k, 3 * ASSOCIATIVITY_TRIPLES)
+        triples = zip(picks[0::3], picks[1::3], picks[2::3])
+    assoc = AxiomCheck("associativity", True)
+    try:
+        for s, t, u in triples:
+            if not eq(mul(op[s][t], samples[u]), mul(samples[s], op[t][u])):
+                assoc = AxiomCheck("associativity", False, values(s, t, u))
+                break
+    except OPERATION_FAULTS as exc:  # an outer product left the sampled pairs
+        assoc = AxiomCheck("associativity", False, values(s, t, u), str(exc))
+    checks.append(assoc)
 
     checks.extend(pm.extra_axiom_checks())
 
     try:
         profile = pm.finiteness_profile()
-    except UnresolvedInfimumError as exc:
+    except (UnresolvedInfimumError, *OPERATION_FAULTS) as exc:
         checks.append(AxiomCheck("finiteness profile resolves", False, None, str(exc)))
         return AxiomReport(pm.describe(), False, tuple(checks))
     if not profile.degenerate:
         below = [i for i in idx if samples[i] <= pm.identity]
         comm_witness = next((values(a, b) for a in below for b in below
-                             if not pm.values_equal(op[a][b], op[b][a])), None)
+                             if not eq(op[a][b], op[b][a])), None)
         checks.append(AxiomCheck("commutative on [0, 1_⊙]", comm_witness is None, comm_witness))
 
         if profile.shape is FrontierShape.HALF_OPEN and pm.representable(profile.phi):
@@ -776,35 +806,29 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
             checks.append(AxiomCheck("φ exceeds the identity", pm.identity < phi,
                                      None if pm.identity < phi else (pm.identity, phi),
                                      detail="a non-degenerate frontier lies in (1_⊙, ∞]"))
-            ok = pm.values_equal(pm(phi, phi), phi)
-            checks.append(AxiomCheck("φ ⊙ φ = φ", ok, None if ok else (phi, phi)))
-            absorb_witness = next(
-                ((t, phi) for t in samples
-                 if not t.is_zero and t <= phi
-                 and not (pm.values_equal(pm(t, phi), phi) and pm.values_equal(pm(phi, t), phi))),
-                None)
-            checks.append(AxiomCheck("φ absorbing on (0, φ]", absorb_witness is None, absorb_witness))
+            checks.append(_first_break("φ ⊙ φ = φ", [(phi, phi)],
+                                       lambda a, b: not eq(mul(a, b), phi)))
+            checks.append(_first_break(
+                "φ absorbing on (0, φ]",
+                ((t, phi) for t in samples if not t.is_zero and t <= phi),
+                lambda t, p: not (eq(mul(t, p), p) and eq(mul(p, t), p))))
 
             lows = [i for i in idx if samples[i] < phi]
             highs = [i for i in idx if samples[i] > phi]
             cross_witness = next((values(t, u) for t in lows for u in highs
-                                  if pm.values_equal(op[t][u], phi)), None)
+                                  if eq(op[t][u], phi)), None)
             checks.append(AxiomCheck("no crossing at φ", cross_witness is None, cross_witness,
                                      detail="no t < φ, t' > φ with t ⊙ t' = φ"))
 
-        lemma_witness = None
-        for t in samples:
+        def criteria_disagree(t):
             probes = pm.finiteness_probes(t)
-            left = any(pm(s, t) <= pm.identity for s in probes)
-            right = any(pm(t, s) <= pm.identity for s in probes)
+            left = any(mul(s, t) <= pm.identity for s in probes)
+            right = any(mul(t, s) <= pm.identity for s in probes)
             fin = pm.is_odot_finite(t)
-            if t.is_zero:
-                continue
-            if not (left == right == fin):
-                lemma_witness = (t,)
-                break
-        checks.append(AxiomCheck("finiteness criteria agree", lemma_witness is None,
-                                 lemma_witness,
-                                 detail="O(t)=0 ⇔ ∃s: s⊙t ≤ 1_⊙ ⇔ ∃s': t⊙s' ≤ 1_⊙"))
+            return not t.is_zero and not (left == right == fin)
+
+        checks.append(_first_break("finiteness criteria agree", ((t,) for t in samples),
+                                   criteria_disagree,
+                                   detail="O(t)=0 ⇔ ∃s: s⊙t ≤ 1_⊙ ⇔ ∃s': t⊙s' ≤ 1_⊙"))
 
     return AxiomReport(pm.describe(), profile.degenerate, tuple(checks))

@@ -32,7 +32,7 @@ from .errors import SpecIssue, SpecValidationError
 from .extreal import ExtNonneg
 from .measure import MaxMeasure, MeasurableFn, SigmaIdeal
 from .pseudomul import NAMED_OPERATIONS, DiscreteChain, PseudoMul
-from .spaces import Space
+from .spaces import NUMBER_DIGITS_CAP, Space
 
 __all__ = ["SpecDoc", "parse_spec", "render_spec", "load_spec"]
 
@@ -86,6 +86,10 @@ def _render_pm(pm: PseudoMul):
     return form
 
 
+# The least integer of more than NUMBER_DIGITS_CAP digits.
+_LEAST_LONG_INT = 10 ** NUMBER_DIGITS_CAP
+
+
 def _parse_mass(raw, path: str, issues: list) -> Optional[ExtNonneg]:
     if isinstance(raw, float):
         issues.append(SpecIssue(path, f"float {raw!r} not allowed; use a string like \"1/3\""))
@@ -94,6 +98,8 @@ def _parse_mass(raw, path: str, issues: list) -> Optional[ExtNonneg]:
         issues.append(SpecIssue(path, f"expected a rational string or \"inf\", got {raw!r}"))
         return None
     try:
+        if isinstance(raw, int) and abs(raw) >= _LEAST_LONG_INT:
+            raw = str(raw)  # refused by the string branch's length bound, with its message
         return ExtNonneg(raw)
     except (ValueError, TypeError) as exc:
         issues.append(SpecIssue(path, str(exc)))

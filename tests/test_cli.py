@@ -127,6 +127,24 @@ def test_number_at_the_bound_is_accepted(tmp_path, capsys):
     assert "a: 1" + "0" * NUMBER_DIGITS_CAP + "\n" in capsys.readouterr().out
 
 
+def density_with_integer_nu(tmp_path, digits):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"space": {"atoms": ["a", "b"]}, "pseudo_mul": "times",
+                                "measures": {"nu": {"a": int("7" * digits), "b": "1"},
+                                             "tau": {"a": "1/" + "3" * 900, "b": "1"}}}))
+    return main(["density", "--space-file", str(path), "--nu", "nu", "--tau", "tau"])
+
+
+def test_json_integer_past_the_bound_is_a_located_exit_2(tmp_path, capsys):
+    assert density_with_integer_nu(tmp_path, 3_500) == 2
+    assert "measures.nu.a: number '777" in capsys.readouterr().err
+
+
+def test_json_integer_at_the_bound_is_accepted(tmp_path, capsys):
+    assert density_with_integer_nu(tmp_path, NUMBER_DIGITS_CAP) == 0
+    assert "7" * NUMBER_DIGITS_CAP in capsys.readouterr().out
+
+
 def test_unknown_name_exit_2(doc_path, capsys):
     rc = main(["diagnose", "--space-file", doc_path, "--tau", "nope"])
     assert rc == 2

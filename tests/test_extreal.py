@@ -3,6 +3,7 @@
 import ast
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -253,6 +254,39 @@ def test_hot_operations_construct_no_fraction(monkeypatch):
     assert made == []
     values[5].as_fraction()  # the boundary does build one, so the patch is seen
     assert len(made) == 1
+
+
+# -- "p/q" strings ---------------------------------------------------------------
+
+def parsed_or_refused(build, text):
+    try:
+        return build(text)
+    except (ValueError, ZeroDivisionError):
+        return "refused"
+
+
+def assert_parsed_as_fraction_parses(text):
+    expected = parsed_or_refused(lambda x: ExtNonneg(Fraction(x)), text)
+    assert parsed_or_refused(ExtNonneg, text) == expected
+    if expected == "refused":
+        with pytest.raises(ValueError, match="cannot parse .* as a nonnegative rational"):
+            ExtNonneg(text)
+
+
+@pytest.mark.parametrize("text", [
+    "0/7", "3/0", "0/0", " 7/3 ", "1_0/3", "+1/2", "1/-2", "1.5/2", "6/4", "007/010",
+    "1/2/3", "/3", "3/", "7 / 3", "\u0661/\u0662", "\u0663\u0660/\u0666", "\u00b2/3"])
+def test_ratio_strings_parse_as_fraction_parses(text):
+    assert_parsed_as_fraction_parses(text)
+
+
+def test_random_ratio_strings_parse_as_fraction_parses():
+    rng = random.Random(5)
+    for _ in range(2_000):
+        p, q = (rng.randrange(0, 2 ** rng.randrange(1, 200)) for _ in range(2))
+        zeros = "0" * rng.randrange(3)
+        assert_parsed_as_fraction_parses(f"{zeros}{p}/{q}")
+        assert_parsed_as_fraction_parses(f"{p}/{zeros}{q}")
 
 
 # -- bounded number strings -----------------------------------------------------

@@ -11,6 +11,7 @@ from maxitive import (
     StandardProduct,
     parse_spec,
 )
+from maxitive.spaces import NUMBER_DIGITS_CAP
 from maxitive.specdoc import SpecDoc
 
 
@@ -97,6 +98,17 @@ def test_chain_wrong_arity_located():
 def test_unknown_pseudo_mul_located():
     issues, _ = _issues({**MINIMAL, "pseudo_mul": "plus"})
     assert any(path == "pseudo_mul" for path, _ in issues)
+
+
+def test_integer_masses_are_bounded_as_number_strings_are():
+    least_long = 10 ** NUMBER_DIGITS_CAP  # NUMBER_DIGITS_CAP + 1 digits
+    doc = parse_spec({**MINIMAL, "measures": {"mu": {"a": least_long - 1}}})
+    assert doc.measures["mu"].mass("a") == ExtNonneg(least_long - 1)
+    for mass in (least_long, -least_long):
+        issues, _ = _issues({**MINIMAL, "measures": {"mu": {"a": mass}}})
+        with pytest.raises(ValueError) as as_string:
+            ExtNonneg(str(mass))
+        assert issues == {("measures.mu.a", str(as_string.value))}
 
 
 def test_duplicate_keys_detected():

@@ -35,6 +35,7 @@ from maxitive.pseudomul import (
     AxiomCheck,
     AxiomReport,
     FrontierShape,
+    seeded_picks,
 )
 
 from conftest import float_times
@@ -341,3 +342,103 @@ def test_validator_calls_odot_once_per_sample_pair():
     literal = counting(StandardProduct())
     validate_literal(literal)
     assert literal.calls > bound  # the guard tells the two apart
+
+
+@pytest.mark.parametrize("k", [2, 3, 39, 64, 65, 1000])
+def test_the_batched_draw_picks_what_choice_picks(k):
+    for seed in range(51):
+        one_by_one, batched = random.Random(seed), random.Random(seed)
+        expected = [one_by_one.choice(range(k)) for _ in range(ASSOCIATIVITY_TRIPLES)]
+        assert seeded_picks(batched, k, ASSOCIATIVITY_TRIPLES) == expected
+        assert batched.random() == one_by_one.random()  # and leaves the same state
+
+
+def big_arguments_raise(s, t):
+    """The product, with no value at a finite argument of 2^21 or more:
+    defined on every sampled pair, not on every outer product."""
+    if s == 0.0 or t == 0.0:
+        return 0.0
+    if 2.0 ** 21 <= s < math.inf or 2.0 ** 21 <= t < math.inf:
+        raise ValueError(f"no value at ({s}, {t})")
+    return s * t
+
+
+def small_arguments_raise(s, t):
+    """The product, with no value at 0 < s < 2^-30: defined on every
+    sampled pair and triple, not along the zero map's dyadic descent."""
+    if 0.0 < s < 2.0 ** -30:
+        raise ValueError(f"no value at s = {s}")
+    return float_times(s, t)
+
+
+def eight_nudged_raises(s, t):
+    """The product, with no value where the continuity grid nudges s = 8."""
+    if s == 8.0 + 8e-3:
+        raise ArithmeticError(f"no value at s = {s}")
+    return float_times(s, t)
+
+
+def checks_of(report):
+    return {c.name: c for c in report.checks}
+
+
+def test_a_map_raising_on_an_outer_product_fails_associativity():
+    pm = CustomContinuous(big_arguments_raise, identity=1)
+    for seed in (0, 1, 5):
+        samples, _ = pm.axiom_samples(seed)
+        rng = random.Random(seed + 1)
+        triples = ((rng.choice(samples), rng.choice(samples), rng.choice(samples))
+                   for _ in range(ASSOCIATIVITY_TRIPLES))
+
+        def breaks(s, t, u):
+            try:
+                return not pm.values_equal(pm(pm(s, t), u), pm(s, pm(t, u)))
+            except ValueError:
+                return True
+        first = next(triple for triple in triples if breaks(*triple))
+        with pytest.raises(ValueError) as raised:
+            pm(pm(first[0], first[1]), first[2]), pm(first[0], pm(first[1], first[2]))
+
+        report = validate_pseudo_mul(pm, seed)
+        assoc = checks_of(report)["associativity"]
+        assert (assoc.passed, assoc.witness, assoc.detail) == (False, first, str(raised.value))
+        sampled = report.checks[:report.checks.index(assoc)]
+        assert [c.name for c in sampled] == ["left identity", "annihilator", "no zero divisors",
+                                             "monotonicity"]
+        assert all(c.passed for c in sampled)
+
+
+def test_a_map_raising_in_the_zero_map_fails_the_profile():
+    pm = CustomContinuous(small_arguments_raise, identity=1)
+    report = validate_pseudo_mul(pm)
+    *passed, profile = report.checks
+    assert all(c.passed for c in passed) and "associativity" in checks_of(report)
+    assert (profile.name, profile.passed, profile.witness) == (
+        "finiteness profile resolves", False, None)
+    assert profile.detail == f"no value at s = {2.0 ** -31}"
+    assert not report.degenerate
+
+
+def test_a_map_raising_on_the_continuity_grid_fails_continuity():
+    pm = CustomContinuous(eight_nudged_raises, identity=1)
+    continuity = checks_of(validate_pseudo_mul(pm))["continuity (sampled)"]
+    assert (continuity.passed, continuity.witness) == (False, (ExtNonneg(8), ZERO))
+    assert continuity.detail == f"no value at s = {8.0 + 8e-3}"
+
+
+def tiny_right_raises(s, t):
+    """The product, with no value at 0 < t < 2^-56: only the finiteness
+    criteria's right probes t ⊙ 2^-60 reach it, and only at t = ∞."""
+    if 0.0 < t < 2.0 ** -56:
+        raise ValueError(f"no value at t = {t}")
+    return float_times(s, t)
+
+
+def test_a_map_raising_on_a_finiteness_probe_fails_the_criteria():
+    report = validate_pseudo_mul(CustomContinuous(tiny_right_raises, identity=1))
+    *passed, criteria = report.checks
+    product = validate_pseudo_mul(CustomContinuous(float_times, identity=1))
+    assert passed == list(product.checks[:-1])
+    assert (criteria.name, criteria.passed, criteria.witness) == (
+        "finiteness criteria agree", False, (INF,))
+    assert criteria.detail == f"no value at t = {2.0 ** -60}"
