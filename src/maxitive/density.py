@@ -31,6 +31,7 @@ from .measure import (
     find_odot_spots,
     is_semi_odot_finite,
     is_sigma_odot_finite,
+    max_rank_table,
 )
 from .pseudomul import OPERATION_FAULTS, AchievableSet, FrontierShape, PseudoMul
 from .spaces import CROSS_CHECK_CAP, _same_space
@@ -202,19 +203,19 @@ def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasu
     """Exhaustively check ν(B) = ∫_B c ⊙ dτ over every subset.
 
     The integrals come from the whole-powerset threshold sweep
-    (threshold_sweep), ν from its table re-ranked into the sweep's
-    universe and atom order; they are compared block by block up to the
-    first mismatch.  Equal ranks are equal values; unequal ones still
-    pass under an inexact ⊙ when values_equal holds.
+    (threshold_sweep), whose universe holds ν's masses too; ν's table is
+    built from the list of its atoms' ranks in that universe, taken in
+    the sweep's atom order (max_rank_table).  The two are compared block
+    by block up to the first mismatch.  Equal ranks are equal values;
+    unequal ones still pass under an inexact ⊙ when values_equal holds.
+    Refuses past the enumeration cap before any ⊙ call.
     """
     _require_non_degenerate(pm, "verify_density")
     _same_space(c.space, nu.space)
     _same_space(c.space, tau.space)
     universe, order, blocks = threshold_sweep(pm, c, tau, limit, extra=nu.masses)
     index = {v: r for r, v in enumerate(universe)}
-    nu_table = nu.in_order(order).table(limit)
-    expected = nu_table.ranks.translate(
-        bytes(index[v] for v in nu_table.universe).ljust(256, b"\0"))
+    expected = max_rank_table([index[nu.masses[i]] for i in order])
     for lo, ranks in blocks:
         want = expected[lo:lo + len(ranks)]
         if ranks != want and not all(pm.values_equal(universe[a], universe[b])

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import OracleMismatchError
 from .extreal import INF, ZERO, ExtNonneg, as_extnn
-from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, measure_eval
+from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, max_rank_table, measure_eval
 from .pseudomul import PseudoMul
 from .spaces import SubsetB, _same_space
 
@@ -155,7 +155,9 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     lies in level v, then B ⊆ L_v and the levels above v meet B only in
     B_h = B ∖ {f ≤ v}, hence ∫_B = max(∫_{B_h}, v ⊙ ν(B)): one lookup
     in ν's table and one in the integral's per subset, and every result
-    equals integrate_threshold's for any ⊙.
+    equals integrate_threshold's for any ⊙.  ν's table is built in that
+    order straight from the list of its atoms' ranks among 0 and its
+    masses (max_rank_table); no re-ordered measure is made.
 
     Returns ``(universe, order, blocks)``.  ``universe`` is the ascending
     tuple of 0, the term values and ``extra``; at most
@@ -167,18 +169,21 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     after any block.  Refuses past the enumeration cap before any ⊙ call.
     """
     _same_space(f.space, nu.space)
+    nu.space.check_enum_cap(limit)
     n = f.space.n
     order = f.descending_order
-    nu_table = nu.in_order(order).table(limit)
-    masses, nu_ranks = nu_table.universe, nu_table.ranks
+    masses = tuple(sorted({ZERO, *nu.masses}))
+    rank = {v: r for r, v in enumerate(masses)}
+    atom_ranks = [rank[nu.masses[i]] for i in order]  # atom_ranks[p]: ν at the sweep's atom p
+    nu_ranks = max_rank_table(atom_ranks)
     levels = []  # (start, stop, terms): f = v on the atoms start..stop-1
     support = 0  # f > 0 on the atoms before it
     for v, group in itertools.groupby(f.values[i] for i in order):
         if v.is_zero:
             break
         start, stop = support, support + len(list(group))
-        lowest = min(nu_ranks[1 << p] for p in range(start, stop))
-        reached = {r for p in range(stop) if (r := nu_ranks[1 << p]) >= lowest}
+        lowest = min(atom_ranks[start:stop])
+        reached = {r for r in atom_ranks[:stop] if r >= lowest}
         levels.append((start, stop, {r: pm(v, masses[r]) for r in reached}))
         support = stop
     universe = tuple(sorted({ZERO, *extra}.union(*(t.values() for _, _, t in levels))))

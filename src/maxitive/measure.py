@@ -119,11 +119,6 @@ class MaxMeasure(_AtomMap):
         return SetFunctionTable.from_ranks(
             self.space, universe, max_rank_table([index[v] for v in self._values]))
 
-    def in_order(self, order: Sequence[int]) -> "MaxMeasure":
-        """The same masses on the atoms listed in ``order`` (a permutation)."""
-        atoms = self.space.atoms
-        return MaxMeasure(Space([atoms[i] for i in order]), [self._values[i] for i in order])
-
 
 class MeasurableFn(_AtomMap):
     """A map from atoms to [0, ∞]; integrands and densities.
@@ -356,17 +351,22 @@ class SetFunctionTable:
         return f"SetFunctionTable(n={self.space.n})"
 
 
+_IDENTITY = bytes(range(256))
+
+
 def max_rank_table(ranks: Sequence[int]) -> bytes:
     """table[mask] = the max of ranks[i] over the atoms i in mask; 0 at ∅.
 
-    One byte per subset (every rank below 256).  The table doubles once
-    per atom: the masks whose highest atom is i take the entry of the
-    rest of the mask clamped from below at rank i, by one translate.
+    ``ranks`` lists one rank per atom, in the order that gives the atoms
+    their mask bits, so a caller that wants the atoms in another order
+    passes the ranks in that order.  One byte per subset (every rank
+    below 256).  The table doubles once per atom: the masks whose highest
+    atom is i take the entry of the rest of the mask clamped from below
+    at ranks[i], by one translate through a slice of one identity table.
     """
     table = b"\0"
     for r in ranks:
-        clamp = bytes([r]) * r + bytes(range(r, 256))  # x ↦ max(x, r)
-        table += table.translate(clamp)
+        table += table.translate(bytes((r,)) * r + _IDENTITY[r:])  # x ↦ max(x, r)
     return table
 
 

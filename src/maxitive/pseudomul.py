@@ -507,6 +507,10 @@ class DiscreteChain(PseudoMul):
         }}
 
 
+# The zero map's dyadic descent s = 2^-k, k = 0..60.
+_DESCENT = tuple(2.0 ** -k for k in range(61))
+
+
 class CustomContinuous(PseudoMul):
     """A user-supplied operation on floats, checked numerically.
 
@@ -528,21 +532,36 @@ class CustomContinuous(PseudoMul):
         self.sample_domain = tuple(sample_domain)
         super().__init__(identity)
 
-    def _checked(self, s: float, t: float) -> float:
-        """fn(s, t), refused unless it is a number in [0, ∞]."""
-        r = self.fn(s, t)
+    @staticmethod
+    def _value(r) -> float:
+        """r, a value of fn, refused unless it is a number in [0, ∞]."""
         if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise TypeError(f"custom operation returned {r!r}")
         if math.isnan(r) or r < 0:
             raise ValueError(f"custom operation returned {r!r} outside [0, inf]")
         return r
 
+    def _checked(self, s: float, t: float) -> float:
+        """fn(s, t), refused unless it is a number in [0, ∞]."""
+        return self._value(self.fn(s, t))
+
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return ExtNonneg(self._checked(float(s), float(t)))
 
-    def _descent(self, t: ExtNonneg, kmax: int = 60) -> list:
+    def _descent(self, t: ExtNonneg) -> list:
+        """fn(2^-k, t) for k = 0..60, refused unless each is a number in [0, ∞].
+
+        The list is checked in one pass that accepts only floats ≥ 0 (nan
+        fails it); only if that pass fails is _value applied term by term,
+        to accept an int or refuse the first bad term with its message.
+        """
         tf = float(t)
-        return [self.fn(2.0 ** -k, tf) for k in range(kmax + 1)]
+        fn = self.fn
+        values = [fn(s, tf) for s in _DESCENT]
+        if not all(type(r) is float and r >= 0.0 for r in values):
+            for r in values:
+                self._value(r)
+        return values
 
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         """Estimate inf_{s>0} s ⊙ t along s = 2^-k, k = 0..60.
@@ -618,15 +637,15 @@ class CustomContinuous(PseudoMul):
                 for t in self.sample_domain:
                     if math.isinf(t):
                         continue
-                    base = self.fn(s, t)
+                    base = self._checked(s, t)
                     if math.isinf(base):
                         continue
                     deltas = []
                     for d in (1e-3, 1e-6, 1e-9):
                         hs = min(d * max(1.0, s), s / 2)
                         ht = d * max(1.0, t)
-                        jump = max(abs(self.fn(s + hs, t + ht) - base),
-                                   abs(self.fn(s - hs, max(t - ht, 0.0)) - base))
+                        jump = max(abs(self._checked(s + hs, t + ht) - base),
+                                   abs(self._checked(s - hs, max(t - ht, 0.0)) - base))
                         deltas.append(jump)
                     if not (deltas[2] <= deltas[0] + 1e-9 * max(1.0, abs(base))):
                         worst = (ExtNonneg(s), ExtNonneg(t))

@@ -30,6 +30,18 @@ def float_times(s: float, t: float) -> float:
     return 0.0 if s == 0.0 or t == 0.0 else s * t
 
 
+class CountingTimes(StandardProduct):
+    """The standard product, counting its ⊙ calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def omul(self, s, t):
+        self.calls += 1
+        return super().omul(s, t)
+
+
 @pytest.fixture
 def times():
     return StandardProduct()

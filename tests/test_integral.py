@@ -28,7 +28,7 @@ from maxitive import (
     pushforward_measure,
 )
 
-from conftest import float_times, rand_fn, rand_measure, rand_space
+from conftest import CountingTimes, float_times, rand_fn, rand_measure, rand_space
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -285,16 +285,6 @@ def _set_grid(pm, f, B):
     return sorted(grid)
 
 
-class _CountingTimes(StandardProduct):
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
-
-    def omul(self, s, t):
-        self.calls += 1
-        return super().omul(s, t)
-
-
 def _hand_grids(rng, f, carrier=None):
     """Sorted grids with 0, ties at f's own values, points above max f and ∞."""
     values = list(f.values)
@@ -347,7 +337,7 @@ def test_oracle_makes_one_odot_call_and_few_comparisons_a_grid_point(monkeypatch
         f = rand_fn(rng, sp, allow_inf=True)
         nu = rand_measure(rng, sp, allow_inf=True)
         B = rng.choice(list(sp.subsets()))
-        pm = _CountingTimes()
+        pm = CountingTimes()
         for grid in (canonical_grid(pm, f, B), *_hand_grids(rng, f)):
             pm.calls = 0
             f.level_table  # built once per f, outside the count

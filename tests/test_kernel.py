@@ -5,13 +5,16 @@ every subset (``threshold_sweep``); these tests hold them to the
 per-subset ``integrate_threshold`` route, exactly for the exact
 operations and through ``values_equal`` for ``CustomContinuous``.  The
 byte tables of ``MaxMeasure.table`` are held to the ExtNonneg low-bit
-DP they replace.
+DP they replace, and ``max_rank_table`` to a literal max per mask.  The
+sweeps refuse past the cap before any ⊙ call, and ``verify_density``
+builds its rank tables from rank lists, making no re-ordered ``Space``.
 """
 
 import random
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,11 +35,13 @@ from maxitive import (
     measure_eval,
     pushforward,
     pushforward_measure,
+    threshold_sweep,
     verify_density,
 )
+from maxitive.errors import SizeCapError
 from maxitive.measure import max_rank_table
 
-from conftest import float_times
+from conftest import CountingTimes, float_times
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -242,6 +247,57 @@ def test_max_rank_table_small_cases():
     assert max_rank_table([]) == b"\0"
     assert max_rank_table([2, 1]) == bytes([0, 2, 1, 2])
     assert max_rank_table([0, 3, 1]) == bytes([0, 0, 3, 3, 1, 1, 3, 3])
+
+
+def test_max_rank_table_equals_the_literal_max_per_mask():
+    rng = random.Random(15)
+    for trial in range(300):
+        n = trial % 13
+        # 0, 255 and repeats on every list long enough to hold them
+        ranks = [rng.randrange(256) for _ in range(n)]
+        for i, r in zip(rng.sample(range(n), min(n, 4)), (0, 255, 255, 0)):
+            ranks[i] = r
+        if n > 4 and trial % 3 == 0:
+            ranks = [rng.choice(ranks[:2]) for _ in range(n)]  # heavy repeats
+        literal = bytes(max((ranks[i] for i in range(n) if mask >> i & 1), default=0)
+                        for mask in range(1 << n))
+        assert max_rank_table(ranks) == literal, ranks
+
+
+def test_sweeps_refuse_past_the_cap_before_any_odot_call():
+    space = Space([f"x{i}" for i in range(13)])
+    c = MeasurableFn(space, [ExtNonneg(i % 4) for i in range(13)])
+    tau = MaxMeasure(space, [ExtNonneg(i + 1) for i in range(13)])
+    nu = MaxMeasure(space, [ExtNonneg(2 * i) for i in range(13)])
+    pm = CountingTimes()
+    calls = (lambda: threshold_sweep(pm, c, tau, limit=12),
+             lambda: verify_density(pm, c, nu, tau, limit=12),
+             lambda: pushforward(pm, c, tau, limit=12))
+    for call in calls:
+        with pytest.raises(SizeCapError) as err:
+            call()
+        assert err.value.needed == 13
+    assert pm.calls == 0
+
+
+def test_verify_density_builds_no_space(monkeypatch):
+    rng = random.Random(16)
+    space = Space([f"x{i}" for i in range(10)])
+    built = []
+    init = Space.__init__
+
+    def counted(self, atoms):
+        built.append(atoms)
+        init(self, atoms)
+
+    monkeypatch.setattr(Space, "__init__", counted)
+    for kind, pm in OPS.items():
+        c = MeasurableFn(space, [rng.choice(POOLS[kind]) for _ in range(10)])
+        tau = MaxMeasure(space, [rng.choice(POOLS[kind]) for _ in range(10)])
+        nu = pushforward_measure(pm, c, tau)
+        built.clear()
+        assert verify_density(pm, c, nu, tau)
+        assert built == [], kind
 
 
 def test_semi_odot_finite_peak_memory_at_the_cap():

@@ -419,6 +419,78 @@ def test_a_map_raising_in_the_zero_map_fails_the_profile():
     assert not report.degenerate
 
 
+def negative_below_2_30(s, t):
+    """The product, with −1 at 0 < s < 2^-30: only the zero map's descent
+    reaches it."""
+    return -1.0 if 0.0 < s < 2.0 ** -30 and t != 0.0 else float_times(s, t)
+
+
+def nan_below_2_30(s, t):
+    """The product, with nan at 0 < s < 2^-30."""
+    return math.nan if 0.0 < s < 2.0 ** -30 and t != 0.0 else float_times(s, t)
+
+
+def true_below_2_30(s, t):
+    """The product, with the bool True at 0 < s < 2^-30."""
+    return True if 0.0 < s < 2.0 ** -30 and t != 0.0 else float_times(s, t)
+
+
+@pytest.mark.parametrize("fn, error, message", [
+    (negative_below_2_30, ValueError, "custom operation returned -1.0 outside [0, inf]"),
+    (nan_below_2_30, ValueError, "custom operation returned nan outside [0, inf]"),
+    (true_below_2_30, TypeError, "custom operation returned True"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_a_value_outside_the_range_in_the_descent_is_refused(fn, error, message):
+    pm = CustomContinuous(fn, identity=1)
+    for t in (ONE, ExtNonneg(8), INF):
+        with pytest.raises(error) as err:
+            pm.zero_map(t)
+        assert str(err.value) == message
+    report = validate_pseudo_mul(pm)
+    *passed, profile = report.checks
+    assert all(c.passed for c in passed) and "associativity" in checks_of(report)
+    assert (profile.name, profile.passed, profile.witness, profile.detail) == (
+        "finiteness profile resolves", False, None, message)
+
+
+def test_an_int_or_a_float_subclass_in_the_descent_is_a_value():
+    class Real(float):
+        pass
+
+    def int_zero(s, t):
+        return 0 if s == 0.0 or t == 0.0 else s * t
+
+    def subclassed(s, t):
+        return Real(float_times(s, t))
+
+    for fn in (int_zero, subclassed):
+        pm = CustomContinuous(fn, identity=1)
+        assert pm.zero_map(ExtNonneg(3)) == ZERO and pm.zero_map(INF) == INF
+        assert pm.zero_map(ZERO) == ZERO
+
+
+def negative_past_eight(s, t):
+    """The product, with −1 where the continuity grid nudges s = 8."""
+    return -1.0 if s == 8.0 + 8e-3 else float_times(s, t)
+
+
+def negative_at_two(s, t):
+    """The product, with −1 at the grid's own point (2, 2); the validator
+    stops at its sample table first, so the grid is called directly."""
+    return -1.0 if s == t == 2.0 else float_times(s, t)
+
+
+def test_a_value_outside_the_range_on_the_continuity_grid_fails_continuity():
+    message = "custom operation returned -1.0 outside [0, inf]"
+    continuity = checks_of(validate_pseudo_mul(
+        CustomContinuous(negative_past_eight, identity=1)))["continuity (sampled)"]
+    assert (continuity.passed, continuity.witness, continuity.detail) == (
+        False, (ExtNonneg(8), ZERO), message)
+    (continuity,) = CustomContinuous(negative_at_two, identity=1).extra_axiom_checks()
+    assert (continuity.passed, continuity.witness, continuity.detail) == (
+        False, (ExtNonneg(2), ExtNonneg(2)), message)
+
+
 def test_a_map_raising_on_the_continuity_grid_fails_continuity():
     pm = CustomContinuous(eight_nudged_raises, identity=1)
     continuity = checks_of(validate_pseudo_mul(pm))["continuity (sampled)"]
