@@ -172,7 +172,7 @@ def _cmd_density(args) -> Report:
                 pm, result.density, nu, tau, args.max_n)
         if args.finitize:
             try:
-                c1 = finitize_density(pm, result.density, nu, tau, args.max_n)
+                c1 = finitize_density(pm, result.density, nu, tau)
             except PreconditionError as exc:
                 # a hypothesis of the finitization fails: a verdict, not a fault
                 body["finitized_density"] = None
@@ -190,7 +190,7 @@ def _cmd_diagnose(args) -> Report:
     doc = _load_doc(args)
     pm = _resolve_pm(args, doc)
     tau = _named("measure", doc.measures, args.tau)
-    diag = diagnose_rn(pm, tau, args.max_n)
+    diag = diagnose_rn(pm, tau)
     body = {"operation": pm.describe(), "tau": jsonable(tau),
             "diagnosis": jsonable(diag), "text": str(diag).splitlines()}
     return Report("diagnose", body, negative_verdict=not diag.rn_property)
@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the machine-readable report ('-' for stdout)")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                       help=f"cap for exhaustive subset enumeration (default {DEFAULT_MAX_N})")
+                       help=f"largest n for the exhaustive cross-checks (default {DEFAULT_MAX_N})")
         p.add_argument("--fatal-verdicts", action="store_true",
                        help="exit 4 when the mathematical verdict is negative")
 
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
         elif exc.needed <= ENUM_CAP:
             hint = f"rerun with --max-n {exc.needed} (at most {ENUM_CAP})"
         else:
-            hint = f"--max-n raises it to {ENUM_CAP} at most"
+            hint = f"{exc.needed} atoms lie past the hard cap of {ENUM_CAP}; no flag raises it"
         print(f"size cap exceeded: {exc}; {hint}", file=sys.stderr)
         return EXIT_SIZE_CAP
     except (CarrierDomainError, DegenerateOperationError, SpaceMismatchError,

@@ -23,14 +23,13 @@ from typing import Optional
 
 from .errors import DegenerateOperationError, PreconditionError, UnresolvedInfimumError
 from .extreal import ZERO, ExtNonneg, as_extnn
-from .integral import threshold_sweep
+from .integral import pushforward_measure, threshold_sweep
 from .measure import (
     MaxMeasure,
     MeasurableFn,
     SpotReport,
     find_odot_spots,
     is_semi_odot_finite,
-    is_sigma_odot_finite,
     max_rank_table,
 )
 from .pseudomul import OPERATION_FAULTS, AchievableSet, FrontierShape, PseudoMul
@@ -224,21 +223,26 @@ def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasu
     return True
 
 
-def finitize_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasure,
-                     limit: int | None = None) -> MeasurableFn:
-    """Replace a verified density by the ⊙-finite-valued one c ⊙ 1_F.
+def finitize_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure,
+                     tau: MaxMeasure) -> MeasurableFn:
+    """Replace a density by the ⊙-finite-valued one c ⊙ 1_F.
 
-    F is the set where c is ⊙-finite.  Requires c to verify and ν to be
-    semi-⊙-finite; under those hypotheses the truncation is again a
-    density (asserted before returning).
+    F is the set where c is ⊙-finite.  Requires c to be a density and ν
+    to be semi-⊙-finite; under those hypotheses the truncation is again a
+    density (asserted before returning).  c ⊙ τ = ν is checked atom by
+    atom, which on a powerset is verify_density's check on all subsets:
+    singletons are subsets, and a monotone ⊙ commutes with a finite max.
     """
     _require_non_degenerate(pm, "finitize_density")
-    if not verify_density(pm, c, nu, tau, limit):
+    _same_space(c.space, nu.space)
+    def is_density(d: MeasurableFn) -> bool:
+        return all(map(pm.values_equal, pushforward_measure(pm, d, tau).masses, nu.masses))
+    if not is_density(c):
         raise PreconditionError("finitize_density: c is not a density of ν w.r.t. τ")
-    if not is_semi_odot_finite(pm, nu, limit):
+    if not is_semi_odot_finite(pm, nu):
         raise PreconditionError("finitize_density: ν is not semi-⊙-finite")
     c1 = MeasurableFn(c.space, [v if pm.is_odot_finite(v) else ZERO for v in c.values])
-    if not verify_density(pm, c1, nu, tau, limit):
+    if not is_density(c1):
         raise AssertionError("finitized density failed to verify; this cannot happen "
                              "for a semi-⊙-finite ν")
     return c1
@@ -291,18 +295,19 @@ class RNDiagnosis:
         return "\n".join(lines)
 
 
-def diagnose_rn(pm: PseudoMul, tau: MaxMeasure, limit: int | None = None) -> RNDiagnosis:
+def diagnose_rn(pm: PseudoMul, tau: MaxMeasure) -> RNDiagnosis:
     """Assemble the Radon-Nikodym-property verdict for τ.
 
     On a finite space σ-principality is automatic, so the verdict is
     σ-⊙-finiteness; the report also carries each necessary condition
     (no ⊙-spots, semi-⊙-finiteness, τ(E) ≤ φ) so that a failing τ names
-    what breaks.
+    what breaks.  σ-⊙-finiteness, the absence of ⊙-spots and
+    semi-⊙-finiteness each say that every atom mass is ⊙-finite, so one
+    scan of τ's atoms (find_odot_spots) decides all three.
     """
     _require_non_degenerate(pm, "diagnose_rn")
-    sigma = is_sigma_odot_finite(pm, tau)
     spots = find_odot_spots(pm, tau)
-    semi = is_semi_odot_finite(pm, tau, limit)
+    finite = not spots.has_spots
     profile = pm.finiteness_profile()
     total = tau.total
     satisfied = profile.shape is FrontierShape.WHOLE_INTERVAL or total <= profile.phi
@@ -310,21 +315,19 @@ def diagnose_rn(pm: PseudoMul, tau: MaxMeasure, limit: int | None = None) -> RND
                     pm.is_odot_finite(total) if pm.representable(total) else False,
                     at_boundary=(total == profile.phi))
     failed = []
-    if spots.has_spots:
+    if not finite:
         failed.append(f"has a ⊙-spot ({spots.maximal_spot!r})")
     if not satisfied:
         failed.append("total mass exceeds the frontier φ")
-    if not semi:
-        failed.append("not semi-⊙-finite")
-    if not sigma:
-        failed.append("not σ-⊙-finite")
+    if not finite:
+        failed += ["not semi-⊙-finite", "not σ-⊙-finite"]
     return RNDiagnosis(
-        sigma_odot_finite=sigma,
+        sigma_odot_finite=finite,
         sigma_principal=True,
         spots=spots,
-        semi_finite=semi,
+        semi_finite=finite,
         total_vs_phi=tv,
-        rn_property=sigma,
+        rn_property=finite,
         failed_conditions=tuple(failed),
         note="every σ-ideal of a finite powerset is principal",
     )

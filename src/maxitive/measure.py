@@ -402,24 +402,23 @@ def is_negligible(mu: MaxMeasure, N: SubsetB) -> bool:
 def is_sigma_odot_finite(pm: PseudoMul, mu: MaxMeasure) -> bool:
     """Whether a countable cover by sets of ⊙-finite measure exists.
 
-    On a finite space this holds exactly when every atom mass is
-    ⊙-finite, which (F_⊙ being downward closed) is the same as μ(E)
-    being ⊙-finite.
+    On a finite space: exactly when every atom mass is ⊙-finite, that is
+    when μ has no ⊙-spot, or μ(E) is ⊙-finite.  The singletons then
+    cover, and F_⊙ being downward closed, a set holding an atom of
+    ⊙-infinite mass has ⊙-infinite measure.
     """
-    return all(pm.is_odot_finite(v) for v in mu.masses)
+    return not find_odot_spots(pm, mu).has_spots
 
 
-def is_semi_odot_finite(pm: PseudoMul, mu: MaxMeasure, limit: int | None = None) -> bool:
+def is_semi_odot_finite(pm: PseudoMul, mu: MaxMeasure) -> bool:
     """Whether μ(B) = ⊕ {μ(A) : A ⊆ B, μ(A) ⊙-finite} for every B.
 
     μ(A) is ⊙-finite exactly when every atom of A has ⊙-finite mass, so
-    the supremum equals μ(B ∩ Fin) with Fin the ⊙-finite-mass atoms; the
-    identity is checked for every subset (refusing past the cap) by
-    comparing μ's table with that of μ with the ⊙-infinite masses zeroed.
+    the supremum is μ(B ∩ Fin), Fin the atoms of ⊙-finite mass: μ(B) for
+    every B exactly when μ has no ⊙-spot, every atom mass ⊙-finite (an
+    atom x of ⊙-infinite, so positive, mass fails at B = {x}).
     """
-    finite_part = MaxMeasure(mu.space, [v if pm.is_odot_finite(v) else ZERO
-                                        for v in mu.masses])
-    return mu.table(limit) == finite_part.table(limit)
+    return not find_odot_spots(pm, mu).has_spots
 
 
 def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure,
@@ -461,17 +460,14 @@ def find_odot_spots(pm: PseudoMul, mu: MaxMeasure) -> SpotReport:
 
     Any subset of the ⊙-infinite-mass atoms has measure 0 (empty) or
     ⊙-infinite (the max of ⊙-infinite masses stays outside the downward
-    closed finite set), so that atom set is a spot whenever nonempty.
+    closed finite set), so that atom set is a spot whenever nonempty; a
+    set with an atom of ⊙-finite positive mass is none.
     """
-    mask = 0
-    atoms = []
-    for i, v in enumerate(mu.masses):
-        if not pm.is_odot_finite(v):
-            mask |= 1 << i
-            atoms.append(mu.space.atoms[i])
+    mask = sum(1 << i for i, v in enumerate(mu.masses) if not pm.is_odot_finite(v))
     if mask == 0:
         return SpotReport(None, ())
-    return SpotReport(SubsetB(mu.space, mask), tuple(atoms))
+    spot = SubsetB(mu.space, mask)
+    return SpotReport(spot, spot.labels)
 
 
 def check_maxitive(table: SetFunctionTable, limit: int | None = None) -> bool:

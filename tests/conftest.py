@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from maxitive import (
     INF,
+    ONE,
+    ZERO,
     DiscreteChain,
     ExtNonneg,
     MaxMeasure,
@@ -83,6 +85,25 @@ def rand_measure(rng: random.Random, space: Space, **kw) -> MaxMeasure:
 
 def rand_fn(rng: random.Random, space: Space, **kw) -> MeasurableFn:
     return MeasurableFn(space, [rand_mass(rng, **kw) for _ in space.atoms])
+
+
+def random_chain(rng):
+    """A clamped product over {0, 1, ...} or an idempotent uninorm (min up
+    to the identity e, max above it) on a random carrier."""
+    vals = {Fraction(rng.randint(2, 16), rng.randint(1, 2)) for _ in range(rng.randint(1, 4))}
+    carrier = [ZERO, ONE] + [ExtNonneg(v) for v in sorted(vals)]
+    if rng.random() < 0.5:
+        carrier.append(INF)
+    if rng.random() < 0.5:
+        return DiscreteChain.clamped_product(carrier)
+    e = rng.choice(carrier[1:])
+
+    def uninorm(a, b):
+        if a.is_zero or b.is_zero:
+            return ZERO
+        return max(a, b) if a >= e and b >= e else min(a, b)
+
+    return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
 
 
 def fraction_key(x: ExtNonneg) -> tuple:

@@ -2,11 +2,13 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from maxitive import MaxMeasure, Space, build_quotient, cli, enumerate_quotient_sigma_ideals
 from maxitive.cli import main, run_command
+from maxitive.report import Report
 from maxitive.spaces import NUMBER_DIGITS_CAP
 from maxitive.specdoc import parse_spec
 
@@ -163,30 +165,38 @@ def test_ambiguous_measure_needs_explicit_name(doc_path, capsys):
 
 
 def test_size_cap_exit_3(tmp_path, capsys, monkeypatch):
-    atoms = [f"x{i}" for i in range(21)]
+    # every data command answers at any n, so the three hints are driven
+    # through handlers that run a capped enumeration themselves
+    def table_of_the_document(args):  # --max-n moves this cap up to 20
+        doc = cli._load_doc(args)
+        MaxMeasure.constant(doc.space, 1).table(args.max_n)
+        return Report("diagnose", {})
+
+    def sigma_ideals(args):  # a cap no flag moves
+        tau = MaxMeasure.constant(Space([f"x{i}" for i in range(6)]), 1)
+        enumerate_quotient_sigma_ideals(build_quotient(tau))
+    monkeypatch.setitem(cli._HANDLERS, "diagnose", table_of_the_document)
+    monkeypatch.setitem(cli._HANDLERS, "quotient", sigma_ideals)
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({
-        "space": {"atoms": atoms},
-        "measures": {"tau": {a: "1" for a in atoms}},
-    }))
-    rc = main(["diagnose", "--space-file", str(path), "--tau", "tau"])
-    assert rc == 3
-    assert "--max-n raises it to 20 at most" in capsys.readouterr().err
-    del atoms[16:]
-    path.write_text(json.dumps({
-        "space": {"atoms": atoms},
-        "measures": {"tau": {a: "1" for a in atoms}},
-    }))
+
+    def write(n):
+        atoms = [f"x{i}" for i in range(n)]
+        path.write_text(json.dumps({
+            "space": {"atoms": atoms},
+            "measures": {"tau": {a: "1" for a in atoms}},
+        }))
+
+    write(21)
+    for max_n in ([], ["--max-n", "25"]):
+        rc = main(["diagnose", "--space-file", str(path), "--tau", "tau", *max_n])
+        assert rc == 3
+        assert "21 atoms lie past the hard cap of 20; no flag raises it" in capsys.readouterr().err
+    write(16)
     rc = main(["diagnose", "--space-file", str(path), "--tau", "tau"])
     assert rc == 3
     assert "rerun with --max-n 16 (at most 20)" in capsys.readouterr().err
     assert main(["diagnose", "--space-file", str(path), "--tau", "tau", "--max-n", "16"]) == 0
     capsys.readouterr()
-
-    def sigma_ideals(args):  # a cap no flag moves
-        tau = MaxMeasure.constant(Space(atoms[:6]), 1)
-        enumerate_quotient_sigma_ideals(build_quotient(tau))
-    monkeypatch.setitem(cli._HANDLERS, "quotient", sigma_ideals)
     rc = main(["quotient", "--space-file", str(path), "--tau", "tau"])
     assert rc == 3
     assert "this cap is fixed; no flag raises it" in capsys.readouterr().err
@@ -409,32 +419,54 @@ def test_quotient_verdict_follows_max_n(tmp_path, capsys):
 
 
 def test_max_n_past_the_ceiling_omits_what_it_cannot_enumerate(tmp_path, capsys):
-    # 21 atoms lie past the enumeration ceiling of 20: a --max-n above it
-    # reports as the ceiling does, omitting the exhaustive checks
-    atoms = [f"x{i}" for i in range(21)]
-    path = tmp_path / "twenty-one.json"
-    path.write_text(json.dumps({
-        "space": {"atoms": atoms},
-        "measures": {"nu": {a: str(i % 3) for i, a in enumerate(atoms)},
-                     "tau": {a: str(1 + i % 4) for i, a in enumerate(atoms)}},
-        "ideals": {"I": [["x1"], ["x2"]]},
-    }))
-    commands = {"density": ["--nu", "nu", "--tau", "tau"], "variation": ["--tau", "tau"],
+    # Every command answers at any n.  The exhaustive checks run exactly
+    # when n ≤ --max-n, taken at most the enumeration ceiling of 20, so a
+    # --max-n above it reports as the ceiling does; elsewhere they are
+    # omitted or null, and nothing else in a report moves.
+    commands = {"density": ["--nu", "nu", "--tau", "tau", "--finitize"],
+                "diagnose": ["--tau", "spot"], "variation": ["--tau", "tau"],
                 "ideal-measures": ["--tau", "tau", "--ideal", "I"], "quotient": ["--tau", "tau"]}
-    reports = {}
-    for command, extra in commands.items():
-        bodies = []
-        for max_n in ("12", "20", "25"):
-            assert main([command, "--space-file", str(path), *extra, "--max-n", max_n,
-                         "--json-out", "-"]) == 0, (command, max_n)
-            bodies.append(json.loads(capsys.readouterr().out)["body"])
-        assert bodies[0] == bodies[1] == bodies[2], command
-        reports[command] = bodies[2]
-    density, variation, ideal, quotient = reports.values()
-    assert density["found"] and "verified_on_all_subsets" not in density
-    assert variation["same_null_sets"] is None
-    assert "restricted_maxitive" not in ideal
-    assert quotient["complete_lattice_verified"] is None
+    exhaustive_fields = {"density": {"verified_on_all_subsets"},
+                         "variation": {"same_null_sets"},
+                         "ideal-measures": {"restricted_maxitive", "nguyen_maxitive",
+                                            "nguyen_below_tau"},
+                         "quotient": {"complete_lattice_verified"}, "diagnose": set()}
+    for n in (13, 21, 24):
+        atoms = [f"x{i}" for i in range(n)]
+        path = tmp_path / f"atoms-{n}.json"
+        path.write_text(json.dumps({
+            "space": {"atoms": atoms},
+            "measures": {"nu": {a: str(i % 3) for i, a in enumerate(atoms)},
+                         "tau": {a: str(1 + i % 4) for i, a in enumerate(atoms)},
+                         "spot": {a: "inf" if i == 5 else "1" for i, a in enumerate(atoms)}},
+            "ideals": {"I": [["x1"], ["x2"]]},
+        }))
+        for command, extra in commands.items():
+            answers = []
+            for max_n in (None, 12, 20, 25):
+                argv = [command, "--space-file", str(path), *extra, "--json-out", "-"]
+                argv += [] if max_n is None else ["--max-n", str(max_n)]
+                assert main(argv) == 0, (n, command, max_n)
+                body = json.loads(capsys.readouterr().out)["body"]
+                checks = {k: body.pop(k) for k in exhaustive_fields[command] if k in body}
+                if n <= min(max_n or 12, 20):
+                    assert checks == dict.fromkeys(exhaustive_fields[command], True)
+                else:
+                    assert set(checks) <= {"same_null_sets", "complete_lattice_verified"}
+                    assert all(v is None for v in checks.values()), (n, command, max_n)
+                answers.append(body)
+            assert all(body == answers[0] for body in answers), (n, command)
+            body = answers[0]
+            if command == "density":
+                assert body["found"] is True
+                assert body["density"] == {a: str(Fraction(i % 3, 1 + i % 4))
+                                           for i, a in enumerate(atoms)}
+                assert body["finitized_density"] == body["density"]  # c ⊙ 1_F, c finite
+            if command == "diagnose":
+                diagnosis = body["diagnosis"]
+                assert diagnosis["rn_property"] is diagnosis["semi_finite"] is False
+                assert diagnosis["sigma_odot_finite"] is False
+                assert diagnosis["spots"]["atom_spots"] == ["x5"]
 
 
 @pytest.mark.parametrize("kind", ["directory", "missing", "not-utf8"])

@@ -23,17 +23,26 @@ from maxitive import (
     achievable_set,
     delta_sharp,
     diagnose_rn,
+    find_odot_spots,
     finitize_density,
     is_abs_continuous,
+    is_semi_odot_finite,
     is_sigma_odot_finite,
     pushforward_measure,
     rn_failure_witness,
+    semi_odot_finite_bruteforce,
     solve_atom_density,
     solve_density,
+    validate_pseudo_mul,
     verify_density,
 )
+from maxitive import density as density_module
+from maxitive import integral as integral_module
+from maxitive import measure as measure_module
+from maxitive import quotient as quotient_module
+from maxitive.spaces import submasks
 
-from conftest import float_times, rand_fn, rand_measure, rand_space
+from conftest import float_times, rand_fn, rand_mass, rand_measure, rand_space, random_chain
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -372,6 +381,129 @@ def test_finitize_preconditions_reported():
     c = MeasurableFn(sp, {"a": INF})
     with pytest.raises(PreconditionError):
         finitize_density(TIMES, c, nu_inf, tau_inf)
+
+
+def test_finitize_asserts_its_postcondition():
+    # an operation that calls 2 ⊙-infinite, though the product keeps it
+    # finite: ν passes the semi-⊙-finiteness test, and truncating c at the
+    # value 2 breaks c ⊙ τ = ν, which finitize_density must refuse
+    class TwoIsInfinite(StandardProduct):
+        def is_odot_finite(self, t):
+            return t != ExtNonneg(2) and super().is_odot_finite(t)
+
+    pm = TwoIsInfinite()
+    sp = Space(["a", "b"])
+    tau = MaxMeasure(sp, {"a": "3/2", "b": 1})
+    c = MeasurableFn(sp, {"a": 2, "b": 1})
+    nu = pushforward_measure(pm, c, tau)
+    with pytest.raises(AssertionError, match="finitized density failed to verify"):
+        finitize_density(pm, c, nu, tau)
+
+
+# -- the finiteness conditions from one scan of the atoms --------------------------
+
+def _operations(rng):
+    """times, min and six random chains that pass the validator."""
+    ops = [TIMES, MIN]
+    while len(ops) < 8:
+        pm = random_chain(rng)
+        if validate_pseudo_mul(pm).passed and not pm.degenerate:
+            ops.append(pm)
+    return ops
+
+
+def _draw(rng, pm, n):
+    if pm is TIMES or pm is MIN:
+        return [rand_mass(rng, allow_inf=True) for _ in range(n)]
+    return [rng.choice(pm.carrier) for _ in range(n)]
+
+
+def _maximal_spot_bruteforce(pm, mu):
+    """The union of the ⊙-spots from the definition (the sets of ⊙-infinite
+    measure whose subsets all have measure 0 or ⊙-infinite), modulo the
+    null atoms, which a spot may take in or leave out."""
+    values = mu.table().values
+    infinite = [not pm.is_odot_finite(v) for v in values]
+    union = 0
+    for s in range(len(values)):
+        if infinite[s] and all(infinite[a] or values[a].is_zero for a in submasks(s)):
+            union |= s
+    return union & mu.support.mask
+
+
+def test_finiteness_conditions_agree_with_the_oracles():
+    rng = random.Random(31)
+    verdicts = set()
+    for pm in _operations(rng):
+        for _ in range(40):
+            sp = rand_space(rng, hi=8)
+            mu = MaxMeasure(sp, _draw(rng, pm, sp.n))
+            semi = is_semi_odot_finite(pm, mu)
+            spots = find_odot_spots(pm, mu)
+            diag = diagnose_rn(pm, mu)
+            assert semi == semi_odot_finite_bruteforce(pm, mu), (pm, mu)
+            assert semi == (not spots.has_spots) == is_sigma_odot_finite(pm, mu)
+            assert semi == diag.semi_finite == diag.sigma_odot_finite == diag.rn_property
+            assert diag.spots == spots
+            mask = spots.maximal_spot.mask if spots.has_spots else 0
+            assert mask == _maximal_spot_bruteforce(pm, mu), (pm, mu)
+            verdicts.add(semi)
+    assert verdicts == {True, False}
+
+
+def test_finitize_density_check_agrees_with_verify_density():
+    rng = random.Random(32)
+    outcomes = set()
+    for pm in _operations(rng):
+        for _ in range(40):
+            sp = rand_space(rng, hi=10)
+            tau = MaxMeasure(sp, _draw(rng, pm, sp.n))
+            c = MeasurableFn(sp, _draw(rng, pm, sp.n))
+            nu = pushforward_measure(pm, c, tau)
+            if rng.random() < 0.5:  # perturb one atom of ν or of c
+                i = rng.randrange(sp.n)
+                if rng.random() < 0.5:
+                    nu = MaxMeasure(sp, [*nu.masses[:i], *_draw(rng, pm, 1), *nu.masses[i + 1:]])
+                else:
+                    c = c.with_value(sp.atoms[i], _draw(rng, pm, 1)[0])
+            verified = verify_density(pm, c, nu, tau)
+            try:
+                finitize_density(pm, c, nu, tau)
+                accepted = True
+            except PreconditionError as exc:  # the semi-⊙-finiteness test comes second
+                accepted = "not semi-⊙-finite" in str(exc)
+            assert accepted == verified, (pm, c, nu, tau)
+            outcomes.add(verified)
+    assert outcomes == {True, False}
+
+
+def test_diagnosis_and_finitization_build_no_table(monkeypatch, chain):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (density_module, integral_module, measure_module, quotient_module):
+        monkeypatch.setattr(module, "max_rank_table", counted(module.max_rank_table))
+    monkeypatch.setattr(MaxMeasure, "table", counted(MaxMeasure.table))
+    rng = random.Random(33)
+    sp = Space([f"x{i}" for i in range(20)])
+    for pm in (TIMES, MIN, chain):
+        # c is ∞ on the τ-null atoms and 0 on the ⊙-infinite ones, so ν = c ⊙ τ
+        # is semi-⊙-finite and τ is not
+        tau = MaxMeasure(sp, [rng.choice([ZERO, ONE, INF]) for _ in range(20)])
+        c = MeasurableFn(sp, [{ZERO: INF, ONE: ONE, INF: ZERO}[t] for t in tau.masses])
+        nu = pushforward_measure(pm, c, tau)
+        assert diagnose_rn(pm, tau).semi_finite is (pm is MIN)
+        truncated = c if pm is MIN else MeasurableFn(sp, [ZERO if v.is_inf else v
+                                                          for v in c.values])
+        assert finitize_density(pm, c, nu, tau) == truncated
+        assert calls == []
+    verify_density(TIMES, c, nu, tau)  # the exhaustive route is seen
+    assert "max_rank_table" in calls
 
 
 # -- diagnosis -------------------------------------------------------------------

@@ -103,12 +103,12 @@ def test_semi_finiteness_agrees_with_bruteforce():
         sp = rand_space(rng, hi=5)
         mu = rand_measure(rng, sp, allow_inf=True)
         for pm in (TIMES, MIN):
-            exhaustive = is_semi_odot_finite(pm, mu)
-            assert exhaustive == semi_odot_finite_bruteforce(pm, mu)
-            # atom-wise shortcut: fails exactly when some atom mass is ⊙-infinite
-            assert exhaustive == all(pm.is_odot_finite(v) for v in mu.masses)
+            semi = is_semi_odot_finite(pm, mu)
+            assert semi == semi_odot_finite_bruteforce(pm, mu)
+            # fails exactly when some atom mass is ⊙-infinite
+            assert semi == all(pm.is_odot_finite(v) for v in mu.masses)
             # which on a finite atomic space coincides with σ-⊙-finiteness
-            assert exhaustive == is_sigma_odot_finite(pm, mu)
+            assert semi == is_sigma_odot_finite(pm, mu)
 
 
 def test_spots_examples(chain):

@@ -7,7 +7,10 @@ diagnosis reads atom masses, so relabelling or permuting the atoms
 permutes the density and moves the diagnosis's sets along, and an atom
 null for both ν and τ gets density 0 and changes no verdict.  Each law
 is checked on random inputs under the product, the minimum and the
-{0, 1, 2, ∞} chain.
+{0, 1, 2, ∞} chain.  The quotient modulo τ-null sets, the localization
+of an ideal, the two measures attached to it and the disjoint variation
+read τ's atom masses and the ideal's top alone, so they move with the
+atoms and do not see a null atom.
 """
 
 import random
@@ -21,15 +24,21 @@ from maxitive import (
     MaxMeasure,
     MeasurableFn,
     Minimum,
+    SigmaIdeal,
     Space,
     StandardProduct,
     SpotReport,
     SubsetB,
+    build_quotient,
     canonical_grid,
     diagnose_rn,
+    disjoint_variation,
+    ideal_restriction_measure,
     integrate_atomwise,
     integrate_oracle,
     integrate_threshold,
+    localize,
+    nguyen_measure,
     pushforward_measure,
     solve_density,
     verify_density,
@@ -174,3 +183,53 @@ def test_a_null_atom_adds_a_zero_to_the_density(pm, chain):
         outcomes.add((result.ok, verified))
     assert {ok for ok, _ in outcomes} == {True, False}
     assert {v for _, v in outcomes} == {True, False}
+
+
+def _quotient_case(rng):
+    sp = rand_space(rng)
+    tau = rand_measure(rng, sp, allow_inf=True)
+    return sp, tau, SigmaIdeal(sp, SubsetB(sp, rng.randrange(1 << sp.n)))
+
+
+def _quotient_verdicts(tau, ideal):
+    """The class count, complete_lattice_verified, the localizing set's mask,
+    the masses of both measures attached to the ideal (validated against
+    𝒥_t) and of the disjoint variation."""
+    lattice = build_quotient(tau)
+    return (lattice.count, lattice.verified_complete, localize(tau, ideal).mask,
+            ideal_restriction_measure(tau, ideal).masses,
+            nguyen_measure(tau, ideal, validate=True).masses, disjoint_variation(tau).masses)
+
+
+def test_relabelling_and_permuting_atoms_moves_the_quotient_verdicts():
+    rng = random.Random(25)
+    counts = set()
+    for _ in range(150):
+        sp, tau, ideal = _quotient_case(rng)
+        perm = list(range(sp.n))
+        rng.shuffle(perm)  # new atom i is old atom perm[i], under a new label
+        sp2 = Space([f"y{rng.randrange(10 ** 6)}-{i}" for i in range(sp.n)])
+
+        def move(mask):
+            return sum(1 << i for i, p in enumerate(perm) if mask >> p & 1)
+        tau2 = MaxMeasure(sp2, [tau.masses[p] for p in perm])
+        ideal2 = SigmaIdeal(sp2, SubsetB(sp2, move(ideal.top.mask)))
+        count, verified, local, *masses = _quotient_verdicts(tau, ideal)
+        assert _quotient_verdicts(tau2, ideal2) == (
+            count, verified, move(local), *(tuple(m[p] for p in perm) for m in masses))
+        assert verified is True
+        counts.add(count)
+    assert len(counts) > 3
+
+
+def test_a_null_atom_changes_no_quotient_verdict():
+    rng = random.Random(26)
+    for _ in range(150):
+        sp, tau, ideal = _quotient_case(rng)
+        sp2 = Space([*sp.atoms, "z"])
+        tau2 = MaxMeasure(sp2, [*tau.masses, ZERO])
+        count, verified, local, *masses = _quotient_verdicts(tau, ideal)
+        for with_z in (False, True):  # the null atom inside or outside the ideal
+            ideal2 = SigmaIdeal(sp2, SubsetB(sp2, ideal.top.mask | with_z << sp.n))
+            assert _quotient_verdicts(tau2, ideal2) == (
+                count, verified, local, *((*m, ZERO) for m in masses))

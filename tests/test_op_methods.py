@@ -40,7 +40,7 @@ from maxitive import (
     validate_pseudo_mul,
 )
 
-from conftest import float_times, rand_fn
+from conftest import float_times, rand_fn, random_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
 
@@ -249,25 +249,6 @@ def test_base_achievable_set_equals_the_literal_forms(pm):
         for t in samples + [ZERO, INF]:
             got, want = achievable_set(pm, t), literal_achievable(pm, t)
             assert got == want and str(got) == str(want), t
-
-
-def random_chain(rng):
-    """A clamped product over {0, 1, ...} or an idempotent uninorm (min up
-    to the identity e, max above it) on a random carrier."""
-    vals = {Fraction(rng.randint(2, 16), rng.randint(1, 2)) for _ in range(rng.randint(1, 4))}
-    carrier = [ZERO, ONE] + [ExtNonneg(v) for v in sorted(vals)]
-    if rng.random() < 0.5:
-        carrier.append(INF)
-    if rng.random() < 0.5:
-        return DiscreteChain.clamped_product(carrier)
-    e = rng.choice(carrier[1:])
-
-    def uninorm(a, b):
-        if a.is_zero or b.is_zero:
-            return ZERO
-        return max(a, b) if a >= e and b >= e else min(a, b)
-
-    return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
 
 
 def test_chain_achievable_set_is_its_image():
