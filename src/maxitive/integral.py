@@ -18,6 +18,12 @@ Three independent evaluation routes are provided:
   grid refines around the values of f (except on discrete chains,
   where no refinement is possible and it stays a bound).
 
+Each route lists its pairs (s_i, t_i) and takes ⊕_i s_i ⊙ t_i in one
+call, ``pm.sup_products``, which makes one call of the operation's own
+primitive per pair: ⊙ for the exact operations, the float map for a
+``CustomContinuous``.  So the oracle still evaluates ⊙ at every grid
+point and stays independent of the sweep.
+
 Whole-powerset work (``pushforward`` and ``verify_density``) runs the
 threshold sweep for all 2^n subsets at once through ``threshold_sweep``,
 over byte rank tables; the per-subset routes above stay independent and
@@ -56,34 +62,21 @@ def _check_spaces(f: MeasurableFn, nu: MaxMeasure, B: SubsetB) -> None:
 def integrate_threshold(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: SubsetB) -> ExtNonneg:
     """∫_B f ⊙ dν via the finite threshold sweep."""
     _check_spaces(f, nu, B)
-    total = ZERO
-    for v in f.finite_positive_values(B):
-        term = pm(v, measure_eval(nu, B & f.at_least(v)))
-        if total < term:
-            total = term
+    levels = f.finite_positive_values(B)
+    masses = [measure_eval(nu, B & f.at_least(v)) for v in levels]
     inf_level = B & f.level(INF)
     if not inf_level.is_empty:
-        term = pm(INF, measure_eval(nu, inf_level))
-        if total < term:
-            total = term
-    return total
+        levels.append(INF)
+        masses.append(measure_eval(nu, inf_level))
+    return pm.sup_products(levels, masses)
 
 
 def integrate_atomwise(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: SubsetB) -> ExtNonneg:
     """∫_B f ⊙ dν via ⊕_{x ∈ B} f(x) ⊙ ν({x})."""
     _check_spaces(f, nu, B)
-    total = ZERO
-    mask = B.mask
-    fv = f.values
-    mv = nu.masses
-    while mask:
-        low = mask & -mask
-        i = low.bit_length() - 1
-        term = pm(fv[i], mv[i])
-        if total < term:
-            total = term
-        mask ^= low
-    return total
+    inside = [B.mask >> i & 1 for i in range(f.space.n)]
+    return pm.sup_products(itertools.compress(f.values, inside),
+                           itertools.compress(nu.masses, inside))
 
 
 def integrate_oracle(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: SubsetB,
@@ -115,15 +108,13 @@ def integrate_oracle(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: SubsetB,
                 best = v
             level ^= low
         above[j] = best
-    total = ZERO
+    beyond = []  # beyond[i] = ν(B ∩ {f > grid[i]})
     j, top = 0, len(values)
     for t in grid:
         while j < top and values[j] <= t:  # then {f > t} = {f ≥ values[j]}
             j += 1
-        term = pm(t, above[j])
-        if total < term:
-            total = term
-    return total
+        beyond.append(above[j])
+    return pm.sup_products(grid, beyond)
 
 
 def canonical_grid(pm: PseudoMul, f: MeasurableFn, B: Optional[SubsetB] = None) -> list:

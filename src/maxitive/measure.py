@@ -440,7 +440,13 @@ def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure,
 @dataclass(frozen=True)
 class SpotReport:
     """⊙-spots of a measure: sets of ⊙-infinite measure whose subsets all
-    have measure zero or ⊙-infinite."""
+    have measure zero or ⊙-infinite.
+
+    ``maximal_spot`` is the set of atoms of ⊙-infinite mass: the largest
+    spot modulo null atoms.  Adding atoms of mass 0 to a spot leaves a
+    spot, so the largest spot in the literal sense is this set together
+    with every null atom; ``atom_spots`` are the labels of ``maximal_spot``.
+    """
 
     maximal_spot: Optional[SubsetB]
     atom_spots: tuple
@@ -456,12 +462,15 @@ class SpotReport:
 
 
 def find_odot_spots(pm: PseudoMul, mu: MaxMeasure) -> SpotReport:
-    """The maximal ⊙-spot (atoms of ⊙-infinite mass) and atom-level spots.
+    """The maximal ⊙-spot modulo null atoms, and the atom-level spots.
 
     Any subset of the ⊙-infinite-mass atoms has measure 0 (empty) or
     ⊙-infinite (the max of ⊙-infinite masses stays outside the downward
     closed finite set), so that atom set is a spot whenever nonempty; a
-    set with an atom of ⊙-finite positive mass is none.
+    set with an atom of ⊙-finite positive mass is none.  A spot may also
+    hold atoms of mass 0, which change no measure: under the product,
+    μ = {a: ∞, b: 5/4, c: 0, d: 4} has the spots {a} and {a, c}, and the
+    reported maximal spot is {a}, the largest spot with no null atom.
     """
     mask = sum(1 << i for i, v in enumerate(mu.masses) if not pm.is_odot_finite(v))
     if mask == 0:

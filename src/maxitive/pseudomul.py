@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CarrierDomainError, UnresolvedInfimumError
 from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_min, ext_ratio
@@ -192,6 +192,19 @@ class PseudoMul(abc.ABC):
 
     def describe(self) -> str:
         return self.kind
+
+    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
+        """⊕_i lefts[i] ⊙ rights[i], and 0 for no pairs: one ``omul`` call
+        per pair, in order.  An override calls the operation's own primitive
+        once per pair, in the same order, so a fault is raised at the same
+        pair, and returns the same value."""
+        total = ZERO
+        mul = self.omul
+        for s, t in zip(lefts, rights, strict=True):
+            term = mul(s, t)
+            if total < term:
+                total = term
+        return total
 
     def achievable_set(self, t: ExtNonneg) -> AchievableSet:
         """{ c ⊙ t : c ∈ [0, ∞] } as {0} ∪ [O(t), ∞ ⊙ t].  ∞ ⊙ t is attained
@@ -542,11 +555,28 @@ class CustomContinuous(PseudoMul):
         return r
 
     def _checked(self, s: float, t: float) -> float:
-        """fn(s, t), refused unless it is a number in [0, ∞]."""
-        return self._value(self.fn(s, t))
+        """fn(s, t), refused unless it is a number in [0, ∞]: a float ≥ 0
+        passes at once (nan fails it), anything else goes through _value."""
+        r = self.fn(s, t)
+        return r if type(r) is float and r >= 0.0 else self._value(r)
 
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return ExtNonneg(self._checked(float(s), float(t)))
+
+    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
+        """The base loop's max, taken over the map's own values: fn is
+        called once per pair, each value checked as _checked does, and one
+        ExtNonneg is built from the largest.  ExtNonneg of a float or an
+        int is exact and order-preserving, so the result is the base loop's."""
+        fn = self.fn
+        best = 0.0
+        for s, t in zip(lefts, rights, strict=True):
+            r = fn(float(s), float(t))
+            if not (type(r) is float and r >= 0.0):
+                r = self._value(r)
+            if best < r:
+                best = r
+        return ExtNonneg(best)
 
     def _descent(self, t: ExtNonneg) -> list:
         """fn(2^-k, t) for k = 0..60, refused unless each is a number in [0, ∞].

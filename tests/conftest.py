@@ -32,6 +32,32 @@ def float_times(s: float, t: float) -> float:
     return 0.0 if s == 0.0 or t == 0.0 else s * t
 
 
+class FaultyMap:
+    """``fn`` with its k-th call (counting from 0) replaced by ``fault``:
+    a value returned in place of fn's, or, for an exception, a fresh one
+    of its type and arguments raised.  ``calls`` counts the calls made."""
+
+    def __init__(self, k, fault, fn=float_times):
+        self.k, self.fault, self.fn = k, fault, fn
+        self.calls = 0
+
+    def __call__(self, s, t):
+        self.calls += 1
+        if self.calls - 1 != self.k:
+            return self.fn(s, t)
+        if isinstance(self.fault, BaseException):
+            raise type(self.fault)(*self.fault.args)
+        return self.fault
+
+
+def outcome(call, *args):
+    """("value", call(*args)), or what it raised: its type, message and bracket."""
+    try:
+        return ("value", call(*args))
+    except Exception as exc:  # the exception itself is the outcome compared
+        return ("raises", type(exc), str(exc), getattr(exc, "bracket", None))
+
+
 class CountingTimes(StandardProduct):
     """The standard product, counting its ⊙ calls."""
 

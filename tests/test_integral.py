@@ -1,9 +1,12 @@
 """The ⊙-integral: evaluation routes, oracle bounds, and the integral laws."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxitive import (
     INF,
@@ -14,8 +17,10 @@ from maxitive import (
     MaxMeasure,
     MeasurableFn,
     Minimum,
+    PseudoMul,
     Space,
     StandardProduct,
+    SubsetB,
     assert_oracle_consistent,
     canonical_grid,
     check_maxitive,
@@ -28,7 +33,10 @@ from maxitive import (
     pushforward_measure,
 )
 
-from conftest import CountingTimes, float_times, rand_fn, rand_measure, rand_space
+from maxitive.pseudomul import OPERATION_FAULTS
+
+from conftest import (CountingTimes, FaultyMap, float_times, outcome, rand_fn, rand_measure,
+                      rand_space)
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -346,3 +354,76 @@ def test_oracle_makes_one_odot_call_and_few_comparisons_a_grid_point(monkeypatch
             assert pm.calls == len(grid)
             # sortedness, the walk and the max: about three a point; ν: one an atom
             assert len(counted) <= 3 * len(grid) + 2 * sp.n
+
+
+# -- the max through sup_products: one map call a pair, one ExtNonneg ----------
+
+def test_oracle_calls_a_custom_map_once_a_grid_point_and_builds_one_value(monkeypatch):
+    built = []
+    init = ExtNonneg.__init__
+
+    def counted_init(self, value):
+        built.append(value)
+        init(self, value)
+
+    rng = random.Random(11)
+    calls = []
+
+    def counting_times(s, t):
+        calls.append((s, t))
+        return float_times(s, t)
+
+    pm = CustomContinuous(counting_times, identity=1, name="counting")
+    lengths = set()
+    for _ in range(30):
+        sp = rand_space(rng, lo=2, hi=8)
+        f = rand_fn(rng, sp, allow_inf=True, den_max=4)
+        nu = rand_measure(rng, sp, allow_inf=True, den_max=4)
+        B = rng.choice(list(sp.subsets()))
+        f.level_table  # built once per f, outside the count
+        for grid in (canonical_grid(pm, f, B), *_hand_grids(rng, f)):
+            calls.clear()
+            monkeypatch.setattr(ExtNonneg, "__init__", counted_init)
+            built.clear()
+            value = integrate_oracle(pm, f, nu, B, grid)
+            monkeypatch.setattr(ExtNonneg, "__init__", init)
+            assert len(calls) == len(grid)
+            assert len(built) <= 1
+            assert value == _literal_oracle(pm, f, nu, B, grid)
+            lengths.add(len(grid))
+    assert max(lengths) > 100
+
+
+class PerCallLoop(CustomContinuous):
+    """A custom operation that takes its max by the base class's loop over omul."""
+
+    sup_products = PseudoMul.sup_products
+
+
+HOSTILE = st.one_of(
+    st.sampled_from([math.nan, -1.0, -math.inf, True, False, None, "1"]),
+    st.sampled_from([ValueError("map undefined here"), ZeroDivisionError("division by zero"),
+                     OverflowError("math range error")]),
+    st.floats(min_value=0.0, max_value=1e6),  # a value that breaks monotonicity
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+DYADIC = st.one_of(st.just(INF), st.integers(0, 64).map(lambda p: ExtNonneg(Fraction(p, 8))))
+
+
+@settings(max_examples=120, deadline=1000)
+@given(st.data(), st.integers(1, 6), HOSTILE, st.one_of(st.integers(0, 6), st.integers(0, 300)))
+def test_hostile_maps_through_every_route_act_as_the_per_call_loop(data, n, fault, k):
+    sp = Space(list("abcdef"[:n]))
+    f = MeasurableFn(sp, data.draw(st.lists(DYADIC, min_size=n, max_size=n)))
+    nu = MaxMeasure(sp, data.draw(st.lists(DYADIC, min_size=n, max_size=n)))
+    B = SubsetB(sp, data.draw(st.integers(0, (1 << n) - 1)))
+    grid = canonical_grid(CustomContinuous(float_times, 1), f, B)
+    routes = ((integrate_threshold, ()), (integrate_atomwise, ()), (integrate_oracle, (grid,)))
+    for route, extra in routes:
+        got = outcome(route, CustomContinuous(FaultyMap(k, fault), 1), f, nu, B, *extra)
+        want = outcome(route, PerCallLoop(FaultyMap(k, fault), 1), f, nu, B, *extra)
+        assert got == want, route.__name__
+        if got[0] == "value":
+            assert isinstance(got[1], ExtNonneg)
+        else:
+            assert issubclass(got[1], OPERATION_FAULTS), got

@@ -166,7 +166,17 @@ def test_verify_density_at_the_cap_of_twenty_atoms():
     tau = MaxMeasure(space, [rng.choice(RATIONALS[6:]) for _ in range(20)])
     c = MeasurableFn(space, [rng.choice(RATIONALS) for _ in range(20)])
     nu = pushforward_measure(TIMES, c, tau)
-    assert verify_density(TIMES, c, nu, tau)
+    tracemalloc.start()
+    try:
+        verdict = verify_density(TIMES, c, nu, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict is True
+    # the check builds 2^20-byte rank tables; its traced peak, 9.2 MiB here,
+    # holds a few of them and the 2^19-entry list of the sweep's last
+    # block, and no per-subset list of values
+    assert 2 * 2 ** 20 < peak < 10 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
     assert not verify_density(TIMES, c.with_value("x0", INF), nu, tau)
 
 

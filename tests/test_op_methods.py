@@ -1,21 +1,26 @@
 """Each pseudo-multiplication's closed forms, held to oracles.
 
 The operation-specific answers (achievable set, least solution, grid,
-axiom samples, spec form) are methods of PseudoMul and its subclasses.
-These tests hold them to independent forms: the literal times and min
-achievable sets, the chain's image {c ⊙ t : c ∈ carrier}, and the float
-bisection written against the custom map itself.  A product written out
+axiom samples, spec form, the max of products) are methods of PseudoMul
+and its subclasses.  These tests hold them to independent forms: the
+literal times and min achievable sets, the chain's image
+{c ⊙ t : c ∈ carrier}, the float bisection written against the custom
+map itself, and the base class's loop over ``omul`` for every override
+of ``sup_products``.  A product written out
 with only the abstract methods gets its answers from the base class.
 """
 
 import ast
+import importlib
 import math
+import pkgutil
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import maxitive
 from maxitive import (
     INF,
     ONE,
@@ -40,7 +45,7 @@ from maxitive import (
     validate_pseudo_mul,
 )
 
-from conftest import float_times, rand_fn, random_chain
+from conftest import FaultyMap, float_times, outcome, rand_fn, random_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
 
@@ -148,13 +153,6 @@ def bisection_oracle(pm, nu_x, tau_x, max_iter=200):
     if pm.values_equal(pm(c, tau_x), nu_x):
         return c
     return None
-
-
-def outcome(solve, *args):
-    try:
-        return ("value", solve(*args))
-    except Exception as exc:  # the exception itself is the outcome compared
-        return ("raises", type(exc), str(exc), getattr(exc, "bracket", None))
 
 
 def doubled(s, t):
@@ -317,3 +315,97 @@ def test_spec_forms():
     assert chain.spec_form()["chain"]["identity"] == "1"
     assert CustomContinuous(float_times, identity=1).spec_form() is None
     assert WrittenProduct().spec_form() is None
+
+
+# -- sup_products: every override against the base loop ------------------------
+
+SUP_POOL = [ZERO, INF] + [ExtNonneg(Fraction(p, 1 << q)) for p in range(1, 17) for q in range(4)]
+
+
+def int_floor(s, t):
+    """The floor of a finite product as an int, and inf for an infinite one."""
+    p = float_times(s, t)
+    return math.floor(p) if math.isfinite(p) else p
+
+
+def inf_above_four(s, t):
+    p = float_times(s, t)
+    return math.inf if p > 4.0 else p
+
+
+def custom_cases():
+    for fn in (float_times, int_floor, inf_above_four, doubled, saturating, tiny):
+        yield CustomContinuous(fn, identity=1, name=fn.__name__)
+
+
+# Every class of the package that overrides sup_products, with the
+# instances on which its override is held to the base loop.
+SUP_OVERRIDES = {CustomContinuous: custom_cases}
+
+
+def random_pairs(rng, size):
+    return [rng.choice(SUP_POOL) for _ in range(size)], [rng.choice(SUP_POOL) for _ in range(size)]
+
+
+@pytest.mark.parametrize("cls", list(SUP_OVERRIDES), ids=lambda cls: cls.__name__)
+def test_sup_products_override_equals_the_base_loop(cls):
+    assert "sup_products" in cls.__dict__
+    rng = random.Random(15)
+    seen = set()
+    for pm in SUP_OVERRIDES[cls]():
+        assert pm.sup_products([], []) == PseudoMul.sup_products(pm, [], []) == ZERO
+        for _ in range(150):
+            lefts, rights = random_pairs(rng, rng.randint(1, 10))
+            got = pm.sup_products(iter(lefts), iter(rights))
+            assert got == PseudoMul.sup_products(pm, lefts, rights), (pm.name, lefts, rights)
+            seen.add(got)
+    assert {ZERO, INF} < seen and any(not float(v).is_integer() for v in seen)
+
+
+FAULTS = [math.nan, -1.0, -math.inf, True, None, "2",
+          ValueError("map undefined here"), ZeroDivisionError("float division by zero"),
+          OverflowError("math range error")]
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=repr)
+def test_sup_products_refuses_a_bad_value_at_the_same_pair(fault):
+    rng = random.Random(16)
+    for k in range(8):
+        lefts, rights = random_pairs(rng, 8)
+        ours, base = FaultyMap(k, fault), FaultyMap(k, fault)
+        got = outcome(CustomContinuous(ours, 1).sup_products, lefts, rights)
+        want = outcome(PseudoMul.sup_products, CustomContinuous(base, 1), lefts, rights)
+        assert got == want and got[0] == "raises", (k, got, want)
+        assert ours.calls == base.calls == k + 1
+
+
+def sup_products_overrides(root: type, module: str) -> set:
+    """The subclasses of ``root`` defined in ``module`` or its submodules
+    that define sup_products themselves."""
+    found, pending = set(), [root]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if (cls is not root and "sup_products" in cls.__dict__
+                and (cls.__module__ == module or cls.__module__.startswith(module + "."))):
+            found.add(cls)
+    return found
+
+
+def test_every_sup_products_override_is_held_to_the_base_loop():
+    for info in pkgutil.iter_modules(maxitive.__path__):
+        importlib.import_module(f"maxitive.{info.name}")
+    overrides = sup_products_overrides(PseudoMul, "maxitive")
+    assert CustomContinuous in overrides
+    assert overrides <= set(SUP_OVERRIDES), "add each new override to SUP_OVERRIDES"
+
+
+def test_override_guard_sees_an_override():
+    class Probe(StandardProduct):
+        def sup_products(self, lefts, rights):
+            return INF
+
+    class Heir(Probe):
+        pass
+
+    assert sup_products_overrides(PseudoMul, __name__) == {Probe}
