@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from operator import gt
 from typing import Optional
 
+from .bytetable import max_rank_table
 from .errors import DegenerateOperationError, PreconditionError, UnresolvedInfimumError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .integral import pushforward_measure, threshold_sweep
@@ -30,7 +31,6 @@ from .measure import (
     SpotReport,
     find_odot_spots,
     is_semi_odot_finite,
-    max_rank_table,
 )
 from .pseudomul import OPERATION_FAULTS, AchievableSet, FrontierShape, PseudoMul
 from .spaces import CROSS_CHECK_CAP, _same_space

@@ -26,8 +26,10 @@ point and stays independent of the sweep.
 
 Whole-powerset work (``pushforward`` and ``verify_density``) runs the
 threshold sweep for all 2^n subsets at once through ``threshold_sweep``,
-over byte rank tables; the per-subset routes above stay independent and
-serve as its cross-checks.
+over byte rank tables built and combined by the primitives of
+``bytetable``: a level's terms and the levels above it meet in one
+lane-wise max per block, with no per-subset Python loop.  The
+per-subset routes above stay independent and serve as its cross-checks.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from array import array
 from operator import lt
 from typing import Iterator, Optional, Sequence
 
+from .bytetable import lane_max, max_rank_table
 from .errors import OracleMismatchError
 from .extreal import INF, ZERO, ExtNonneg, as_extnn
-from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, max_rank_table, measure_eval
+from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, measure_eval
 from .pseudomul import PseudoMul
 from .spaces import SubsetB, _same_space
 
@@ -144,9 +147,10 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     The atoms are taken in ``order``: by descending f, the atoms where
     f = 0 last, so every L_v is a prefix.  If the last atom of a mask B
     lies in level v, then B ⊆ L_v and the levels above v meet B only in
-    B_h = B ∖ {f ≤ v}, hence ∫_B = max(∫_{B_h}, v ⊙ ν(B)): one lookup
-    in ν's table and one in the integral's per subset, and every result
-    equals integrate_threshold's for any ⊙.  ν's table is built in that
+    B_h = B ∖ {f ≤ v}, hence ∫_B = max(∫_{B_h}, v ⊙ ν(B)): a block of
+    masks is one slice of ν's table translated to term ranks and one
+    lane_max with the integral over the B_h, and every result equals
+    integrate_threshold's for any ⊙.  ν's table is built in that
     order straight from the list of its atoms' ranks among 0 and its
     masses (max_rank_table); no re-ordered measure is made.
 
@@ -191,7 +195,7 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
             for p in range(start, stop):
                 ys = nu_ranks[1 << p:2 << p].translate(row)
                 hs = higher * (1 << (p - start))  # hs[j] = ∫ over B_h
-                block = bytes([y if y > h else h for y, h in zip(ys, hs)]) if start else ys
+                block = lane_max(ys, hs) if start else ys
                 table += block
                 yield 1 << p, block
         for p in range(support, n):  # an atom where f = 0 adds no term

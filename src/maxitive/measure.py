@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .bytetable import max_rank_table
 from .extreal import ONE, ZERO, ExtNonneg, as_extnn, ext_max
 from .pseudomul import PseudoMul
 from .spaces import MAXITIVE_ORACLE_CAP, SEMI_FINITE_ORACLE_CAP
@@ -33,7 +34,6 @@ __all__ = [
     "find_odot_spots",
     "check_maxitive",
     "check_maxitive_bruteforce",
-    "max_rank_table",
 ]
 
 
@@ -349,25 +349,6 @@ class SetFunctionTable:
 
     def __repr__(self) -> str:
         return f"SetFunctionTable(n={self.space.n})"
-
-
-_IDENTITY = bytes(range(256))
-
-
-def max_rank_table(ranks: Sequence[int]) -> bytes:
-    """table[mask] = the max of ranks[i] over the atoms i in mask; 0 at ∅.
-
-    ``ranks`` lists one rank per atom, in the order that gives the atoms
-    their mask bits, so a caller that wants the atoms in another order
-    passes the ranks in that order.  One byte per subset (every rank
-    below 256).  The table doubles once per atom: the masks whose highest
-    atom is i take the entry of the rest of the mask clamped from below
-    at ranks[i], by one translate through a slice of one identity table.
-    """
-    table = b"\0"
-    for r in ranks:
-        table += table.translate(bytes((r,)) * r + _IDENTITY[r:])  # x ↦ max(x, r)
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ Also here: the disjoint variation (the least σ-additive measure
 dominating τ, realized by the atomic partition) and the two measure
 constructions attached to a σ-ideal, ν(B) = ⊕_{I∈𝕀} τ(B ∩ I) and the
 Nguyen threshold measure ν(B) = inf{t > 0 : B ∈ 𝒥_t}.
+
+The exhaustive checks read τ's byte rank table (``bytetable``), where
+rank 0 is the value 0: the 𝒥_t infimum for every subset at once is a
+subset-min transform over the ideal's top, the localization's
+minimality scan reads the subsets of the top, and the quotient and the
+null sets compare whole tables.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
+from .bytetable import max_rank_table, subset_min
 from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
-from .measure import MaxMeasure, SigmaIdeal, max_rank_table, measure_eval
+from .measure import MaxMeasure, SigmaIdeal, measure_eval
 from .spaces import NGUYEN_VALIDATE_N, PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
 from .spaces import Space, SubsetB, _same_space, check_cap, submasks, within_cap
 
@@ -149,9 +156,12 @@ def localize(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> Su
     Asserts both localization conditions.  Every member leaves L only by
     a negligible remainder: τ(top ∖ L) = 0.  L is minimal among sets
     absorbing the ideal modulo null sets: for every B, τ(top ∖ B) = 0
-    implies τ(L ∖ B) = 0, checked over τ's table for all 2^n subsets
-    when n ≤ ``limit`` (default and ceiling ENUM_CAP).  Past the cap only
-    the first condition is checked; minimality then follows from L ⊆ top.
+    implies τ(L ∖ B) = 0, checked on τ's table when n ≤ ``limit``
+    (default and ceiling ENUM_CAP).  L ⊆ top, so both sides depend on B
+    only through B ∩ top, and the scan runs over the 2^t subsets of the
+    top, ascending: the first B that fails among all 2^n is one of them.
+    Past the cap only the first condition is checked; minimality then
+    follows from L ⊆ top.
     """
     _same_space(tau.space, ideal.space)
     L = ideal.top & tau.support
@@ -160,8 +170,8 @@ def localize(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> Su
     if within_cap(tau.space.n, limit):
         ranks = tau.table(limit).ranks  # rank 0 is the value 0
         top, local = ideal.top.mask, L.mask
-        for b in range(len(ranks)):
-            if not ranks[top & ~b] and ranks[local & ~b]:
+        for b in submasks(top):
+            if not ranks[top ^ b] and ranks[local & ~b]:
                 raise AssertionError(
                     f"localization not minimal against {SubsetB(tau.space, b)!r}")
     return L
@@ -181,12 +191,13 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
 
     𝒥_t collects the unions I ∪ B' with I in the ideal and τ(B') ≤ t; on
     a finite powerset the infimum collapses to the closed form
-    ν(B) = τ(B ∖ top).  The closed form is validated against the literal
-    𝒥_t enumeration (by default for spaces of ≤ 8 atoms), over every
-    subset up to the enumeration cap ``limit``: each decomposition's
-    τ(B ∖ I) is read from τ's rank table, and the minima are compared
-    with the closed form's table.  nguyen_bruteforce is the per-subset
-    form.
+    ν(B) = τ(B ∖ top).  The closed form is validated against the
+    definition (by default for spaces of ≤ 8 atoms), over every subset
+    up to the enumeration cap ``limit``: the least τ(B ∖ I) over every
+    I ⊆ B ∩ top, for every B at once, is the subset-min transform of
+    τ's rank table over the top's bits (subset_min), and those minima
+    are compared with the closed form's table.  nguyen_bruteforce is the
+    per-subset form.
     """
     _same_space(tau.space, ideal.space)
     top = ideal.top.mask
@@ -196,24 +207,13 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
         validate = tau.space.n <= NGUYEN_VALIDATE_N
     if validate:
         tau_table = tau.table(limit)
-        ranks = tau_table.ranks
-        # The literal 𝒥_t minimum: τ(B ∖ I) over every I ⊆ B ∩ top, as ranks.
-        least = bytearray(len(ranks))
-        for b in range(len(ranks)):
-            inside = b & top
-            low = ranks[b]
-            i = inside
-            while i:
-                r = ranks[b ^ i]
-                if r < low:
-                    low = r
-                i = (i - 1) & inside
-            least[b] = low
         closed = result.table(limit)
         position = {v: r for r, v in enumerate(tau_table.universe)}
         # a value τ never takes is no 𝒥_t minimum: 255 is no rank of τ's
         into_tau = bytes(position.get(v, 255) for v in closed.universe).ljust(256, b"\0")
         got = closed.ranks.translate(into_tau)
+        del closed  # at most three 2^n-byte tables live: τ's, got and least
+        least = subset_min(tau_table.ranks, top)  # the 𝒥_t minimum, as ranks
         if got != least:
             b = next(b for b in range(len(got)) if got[b] != least[b])
             raise AssertionError("Nguyen closed form disagrees with 𝒥_t enumeration "

@@ -1,8 +1,11 @@
 """Exit-code contract, report rendering, and the JSON round trip."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,8 @@ from maxitive.cli import main, run_command
 from maxitive.report import Report
 from maxitive.spaces import NUMBER_DIGITS_CAP
 from maxitive.specdoc import parse_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -514,3 +519,22 @@ def test_one_parser_serves_every_call(doc_path, capsys):
         cli_module._build_parser.cache_clear()
         fresh.append(run(argv))
     assert shared == fresh
+
+
+def run_module(*argv):
+    """``python -m maxitive`` in a fresh process, bounded in time."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "maxitive", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = run_module("validate-op", "--op", "times")
+    assert proc.returncode == 0, proc.stderr
+    assert "passed: yes" in proc.stdout
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"space": {"atoms": ["a"]}, "measures": {"tau": {"a": "-1"}}}))
+    proc = run_module("diagnose", "--space-file", str(bad), "--tau", "tau")
+    assert proc.returncode == 2, proc.stderr
+    assert "invalid spec document" in proc.stderr

@@ -12,6 +12,7 @@ from maxitive import (
     ZERO,
     CustomContinuous,
     DegenerateOperationError,
+    DiscreteChain,
     ExtNonneg,
     FailureReason,
     MaxMeasure,
@@ -36,6 +37,7 @@ from maxitive import (
     validate_pseudo_mul,
     verify_density,
 )
+from maxitive import bytetable as bytetable_module
 from maxitive import density as density_module
 from maxitive import integral as integral_module
 from maxitive import measure as measure_module
@@ -486,7 +488,8 @@ def test_diagnosis_and_finitization_build_no_table(monkeypatch, chain):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (density_module, integral_module, measure_module, quotient_module):
+    for module in (bytetable_module, density_module, integral_module, measure_module,
+                   quotient_module):
         monkeypatch.setattr(module, "max_rank_table", counted(module.max_rank_table))
     monkeypatch.setattr(MaxMeasure, "table", counted(MaxMeasure.table))
     rng = random.Random(33)
@@ -507,6 +510,34 @@ def test_diagnosis_and_finitization_build_no_table(monkeypatch, chain):
 
 
 # -- diagnosis -------------------------------------------------------------------
+
+def uninorm_chain():
+    """The idempotent uninorm on {0, 1, 3, 7, ∞} with identity 7: 0
+    annihilates, the max where both arguments are ≥ 7, the min elsewhere."""
+    carrier = [ExtNonneg(v) for v in ("0", "1", "3", "7", "inf")]
+    e = ExtNonneg(7)
+
+    def uninorm(a, b):
+        if a.is_zero or b.is_zero:
+            return ZERO
+        return max(a, b) if a >= e and b >= e else min(a, b)
+
+    return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: rn_property is 'every atom mass "
+                                       "is ⊙-finite', which misses a value c ⊙ τ skips")
+def test_rn_property_is_not_claimed_where_a_dominated_measure_has_no_density():
+    pm = uninorm_chain()
+    assert validate_pseudo_mul(pm).passed
+    sp = Space(["x"])
+    tau = MaxMeasure(sp, {"x": "inf"})
+    nu = MaxMeasure(sp, {"x": "7"})
+    # ν ≪_⊙ τ, yet 7 is no c ⊙ ∞: the image of c ↦ c ⊙ ∞ is {0, 1, 3, ∞}
+    assert is_abs_continuous(pm, nu, tau)
+    assert not solve_density(pm, nu, tau).ok
+    assert diagnose_rn(pm, tau).rn_property is not True
+
 
 def test_diagnose_counterexample():
     sp = Space(["a", "b", "c"])

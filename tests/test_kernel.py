@@ -5,12 +5,17 @@ every subset (``threshold_sweep``); these tests hold them to the
 per-subset ``integrate_threshold`` route, exactly for the exact
 operations and through ``values_equal`` for ``CustomContinuous``.  The
 byte tables of ``MaxMeasure.table`` are held to the ExtNonneg low-bit
-DP they replace, and ``max_rank_table`` to a literal max per mask.  The
-sweeps refuse past the cap before any ⊙ call, and ``verify_density``
-builds its rank tables from rank lists, making no re-ordered ``Space``.
+DP they replace, ``max_rank_table`` to a literal max per mask, the
+lane-wise ``lane_max`` and ``lane_min`` to per-byte loops, and the
+subset-min transform to the literal 𝒥_t minimum.  At the cap of 20
+atoms the Nguyen validation and the localize scan keep a time and a
+memory bound and still refuse a wrong closed form.  The sweeps refuse
+past the cap before any ⊙ call, and ``verify_density`` builds its rank
+tables from rank lists, making no re-ordered ``Space``.
 """
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -28,18 +33,25 @@ from maxitive import (
     MeasurableFn,
     Minimum,
     SetFunctionTable,
+    SigmaIdeal,
     Space,
     StandardProduct,
+    SubsetB,
     integrate_threshold,
     is_semi_odot_finite,
+    localize,
     measure_eval,
+    nguyen_bruteforce,
+    nguyen_measure,
     pushforward,
     pushforward_measure,
     threshold_sweep,
     verify_density,
 )
+import maxitive.quotient as quotient_module
+from maxitive import bytetable
+from maxitive.bytetable import lane_max, lane_min, max_rank_table, subset_min
 from maxitive.errors import SizeCapError
-from maxitive.measure import max_rank_table
 
 from conftest import CountingTimes, float_times
 
@@ -173,10 +185,10 @@ def test_verify_density_at_the_cap_of_twenty_atoms():
     finally:
         tracemalloc.stop()
     assert verdict is True
-    # the check builds 2^20-byte rank tables; its traced peak, 9.2 MiB here,
-    # holds a few of them and the 2^19-entry list of the sweep's last
-    # block, and no per-subset list of values
-    assert 2 * 2 ** 20 < peak < 10 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+    # the check builds 2^20-byte rank tables; its traced peak, 5.8 MiB in
+    # repeated runs, holds a few of them and the sweep's last blocks of
+    # 2^19 bytes, each max taken a chunk at a time, and no per-subset list
+    assert 2 * 2 ** 20 < peak < 6.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
     assert not verify_density(TIMES, c.with_value("x0", INF), nu, tau)
 
 
@@ -272,6 +284,119 @@ def test_max_rank_table_equals_the_literal_max_per_mask():
         literal = bytes(max((ranks[i] for i in range(n) if mask >> i & 1), default=0)
                         for mask in range(1 << n))
         assert max_rank_table(ranks) == literal, ranks
+
+
+# -- the lane-wise kernels -------------------------------------------------------
+
+# 127 and 128 differ only in the high bit of a byte, so a lane compare
+# that drops it orders them wrongly; 0 and 255 are the ends of a lane
+EDGE_BYTES = (0, 127, 128, 255)
+
+
+def edge_bytes(rng, size):
+    return bytes(rng.choice(EDGE_BYTES) if rng.random() < 0.5 else rng.randrange(256)
+                 for _ in range(size))
+
+
+def test_lane_max_and_min_equal_the_per_byte_loops():
+    chunk = bytetable._CHUNK
+    rng = random.Random(17)
+    longest = 2 * chunk + 3
+    a, b = edge_bytes(rng, longest), edge_bytes(rng, longest)
+    higher = bytes(x if x > y else y for x, y in zip(a, b))
+    lower = bytes(x if x < y else y for x, y in zip(a, b))
+    # every length up to 300, and every length near a chunk boundary
+    sizes = sorted(set(range(301)).union(
+        *(range(edge - 40, min(edge + 41, longest + 1)) for edge in (chunk, 2 * chunk))))
+    for size in sizes:
+        assert lane_max(a[:size], b[:size]) == higher[:size], size
+        assert lane_min(a[:size], b[:size]) == lower[:size], size
+        assert lane_max(b[:size], a[:size]) == higher[:size], size
+    for x in EDGE_BYTES:
+        for y in EDGE_BYTES:
+            assert lane_max(bytes([x]) * 9, bytes([y]) * 9) == bytes([max(x, y)]) * 9
+            assert lane_min(bytes([x]) * 9, bytes([y]) * 9) == bytes([min(x, y)]) * 9
+    with pytest.raises(ValueError):
+        lane_max(b"\0", b"")
+
+
+def literal_subset_min(ranks, bits):
+    """The literal 𝒥_t minimum: ranks[B ∖ I] over every I ⊆ B ∩ bits."""
+    least = bytearray(len(ranks))
+    for b in range(len(ranks)):
+        inside = b & bits
+        low = ranks[b]
+        i = inside
+        while i:
+            r = ranks[b ^ i]
+            if r < low:
+                low = r
+            i = (i - 1) & inside
+        least[b] = low
+    return least
+
+
+def test_subset_min_equals_the_literal_minimum():
+    rng = random.Random(18)
+    for n in range(11):
+        full = (1 << n) - 1
+        for _ in range(6):
+            ranks = edge_bytes(rng, 1 << n)
+            for bits in (0, full, rng.randrange(full + 1)):
+                assert subset_min(ranks, bits) == literal_subset_min(ranks, bits), (n, bits)
+
+
+def test_subset_min_across_chunks():
+    # 2^15 bytes are four chunks: the high bits pair whole chunks, the
+    # low ones lanes inside a chunk
+    chunk_bit = bytetable._CHUNK.bit_length() - 1
+    rng = random.Random(19)
+    ranks = edge_bytes(rng, 1 << 15)
+    for bits in (1 << chunk_bit | 1 << 14 | 0b101, 1 << 14 | 1 << 3, 1 << chunk_bit - 1 | 1):
+        assert subset_min(ranks, bits) == literal_subset_min(ranks, bits), bin(bits)
+
+
+def test_ideal_measures_at_the_cap_of_twenty_atoms(monkeypatch):
+    space = Space([f"x{i}" for i in range(20)])
+    rng = random.Random(22)
+    tau = MaxMeasure(space, [rng.choice(["0", "1", "5/2", "3", "7", "inf"]) for _ in range(20)])
+    top = SubsetB(space, sum(1 << i for i in rng.sample(range(20), 10)))
+    ideal = SigmaIdeal(space, top)
+
+    def both():
+        return nguyen_measure(tau, ideal, validate=True, limit=20), localize(tau, ideal, 20)
+
+    start = time.perf_counter()
+    nu, L = both()
+    elapsed = time.perf_counter() - start
+    assert L == top & tau.support
+    assert nu.masses == tuple(ZERO if top.mask >> i & 1 else v
+                              for i, v in enumerate(tau.masses))
+    # the literal 𝒥_t loop took 5.6 to 8 s here; the transform takes about 0.05 s
+    assert elapsed < 2, f"{elapsed:.2f} s"
+    tracemalloc.start()
+    try:
+        both()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three 2^20-byte tables at most (τ's, the closed form's and the
+    # minima) and the kernel's chunk masks: 3.2 MiB in repeated runs,
+    # against 4.0 MiB for the literal loop's four tables
+    assert peak < 3.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+    # the closed form with the mass of the top's last positive atom kept:
+    # two maxitive measures first differ on a singleton, so the first
+    # wrong B in mask order is the first singleton the oracle refutes
+    atom = max(i for i in range(20) if top.mask >> i & 1 and not tau.masses[i].is_zero)
+    wrong = MaxMeasure(space, [tau.masses[i] if i == atom else v for i, v in enumerate(nu.masses)])
+    first = next(SubsetB(space, 1 << i) for i in range(20)
+                 if wrong(SubsetB(space, 1 << i))
+                 != nguyen_bruteforce(tau, ideal, SubsetB(space, 1 << i)))
+    assert first == SubsetB(space, 1 << atom)
+    monkeypatch.setattr(quotient_module, "MaxMeasure", lambda space, masses: wrong)
+    with pytest.raises(AssertionError) as err:
+        nguyen_measure(tau, ideal, validate=True, limit=20)
+    assert str(err.value).endswith(f"at {first!r}")
 
 
 def test_sweeps_refuse_past_the_cap_before_any_odot_call():
