@@ -19,9 +19,10 @@ Three independent evaluation routes are provided:
   where no refinement is possible and it stays a bound).
 
 Each route lists its pairs (s_i, t_i) and takes ⊕_i s_i ⊙ t_i in one
-call, ``pm.sup_products``, which makes one call of the operation's own
-primitive per pair: ⊙ for the exact operations, the float map for a
-``CustomContinuous``.  So the oracle still evaluates ⊙ at every grid
+call, ``pm.sup_products``: the closed form on the integer pairs for
+times and min (unless a subclass redefines ⊙), one call of the float
+map per pair for a ``CustomContinuous``, and one ⊙ call per pair for
+any other operation.  So the oracle still evaluates ⊙ at every grid
 point and stays independent of the sweep.
 
 Whole-powerset work (``pushforward`` and ``verify_density``) runs the
@@ -90,7 +91,7 @@ def integrate_oracle(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: SubsetB,
     exceeds the integral.  ν(B ∩ {f > t}) changes only where t crosses a
     value of f, so it is read once per level of f's level table, as a
     running max from the top level down; the ascending grid is then
-    walked against f's ascending values, one ⊙ call per grid point.
+    walked against f's ascending values, one ⊙ term per grid point.
     """
     _check_spaces(f, nu, B)
     grid = list(map(as_extnn, grid))

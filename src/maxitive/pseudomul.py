@@ -120,6 +120,10 @@ class AchievableSet:
         return f"{zero}{left}{self.lower}, {self.upper}]"
 
 
+# The base finiteness probes' dyadic descent 2^-k, k = 0, 6, .., 60.
+_DYADIC_PROBES = tuple(ext_ratio(1, 2 ** k) for k in range(0, 61, 6))
+
+
 class PseudoMul(abc.ABC):
     """Base class for pseudo-multiplications.
 
@@ -184,8 +188,7 @@ class PseudoMul(abc.ABC):
     # (Lemma-style criteria): a dyadic descent, adapted to t when the
     # arithmetic is exact so that large finite t still finds s ~ 1/t.
     def finiteness_probes(self, t: ExtNonneg) -> list:
-        probes = [ext_ratio(1, 2 ** k) for k in range(0, 61, 6)]
-        probes.append(self.identity)
+        probes = [*_DYADIC_PROBES, self.identity]
         if self.exact and t.is_finite and not t.is_zero:
             probes.append(self.identity / (ExtNonneg(2) * t))
         return [p for p in probes if not p.is_zero]
@@ -193,11 +196,27 @@ class PseudoMul(abc.ABC):
     def describe(self) -> str:
         return self.kind
 
+    def products(self, lefts: Iterable[ExtNonneg],
+                 rights: Iterable[ExtNonneg]) -> Iterable[ExtNonneg]:
+        """lefts[i] ⊙ rights[i] for each pair, in pair order: lazily, one
+        ``omul`` call per pair.  A consumer that collects them with
+        ``list.extend`` keeps the values before a fault, so the failing
+        pair's position is the number of values received.  An override
+        returns the same values; a closed form that cannot fault may
+        return a list."""
+        return itertools.starmap(self.omul, zip(lefts, rights, strict=True))
+
+    def _omul_is(self, cls: type) -> bool:
+        """Whether this ⊙ is ``cls.omul`` itself, read from the class (so a
+        traced run that wraps ``omul`` in place keeps the closed forms): a
+        subclass or an instance that redefines ``omul`` keeps the base loops."""
+        return type(self).omul is cls.omul and "omul" not in vars(self)
+
     def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
         """⊕_i lefts[i] ⊙ rights[i], and 0 for no pairs: one ``omul`` call
-        per pair, in order.  An override calls the operation's own primitive
-        once per pair, in the same order, so a fault is raised at the same
-        pair, and returns the same value."""
+        per pair, in order.  An override returns the same value; one that
+        can fault calls the operation's own primitive once per pair, in
+        the same order, so a fault is raised at the same pair."""
         total = ZERO
         mul = self.omul
         for s, t in zip(lefts, rights, strict=True):
@@ -289,9 +308,7 @@ class PseudoMul(abc.ABC):
         carrier (associativity then scans every triple instead of
         drawing some)."""
         rng = random.Random(seed)
-        values = {ExtNonneg(f) for f in _SPECIAL_SAMPLES}
-        values.add(INF)
-        values.add(self.identity)
+        values = {*_SPECIAL_SAMPLES, INF, self.identity}
         while len(values) < len(_SPECIAL_SAMPLES) + 2 + RANDOM_SAMPLES:
             values.add(ext_ratio(rng.randint(0, 64), rng.randint(1, 16)))
         return sorted(values), False
@@ -321,6 +338,30 @@ class StandardProduct(PseudoMul):
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return s * t
 
+    # The closed forms read each value as its integer pair n/d (∞ = 1/0):
+    # a product is n·n′ / d·d′, and 0 where either factor is 0 (0 · ∞ = 0).
+    def products(self, lefts: Iterable[ExtNonneg],
+                 rights: Iterable[ExtNonneg]) -> Iterable[ExtNonneg]:
+        """Each pair's product, reduced by one gcd."""
+        if not self._omul_is(StandardProduct):
+            return super().products(lefts, rights)
+        return [ext_ratio(s._n * t._n, s._d * t._d) if s._n and t._n else ZERO
+                for s, t in zip(lefts, rights, strict=True)]
+
+    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
+        """The largest product, found by cross-multiplying the unreduced
+        products; one value is built, from the largest."""
+        if not self._omul_is(StandardProduct):
+            return super().sup_products(lefts, rights)
+        bn, bd = 0, 1
+        for s, t in zip(lefts, rights, strict=True):
+            n = s._n * t._n
+            if n:
+                d = s._d * t._d
+                if bn * d < n * bd:
+                    bn, bd = n, d
+        return ext_ratio(bn, bd) if bn else ZERO
+
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         return INF if t.is_inf else ZERO
 
@@ -349,6 +390,29 @@ class Minimum(PseudoMul):
 
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return s if s < t else t
+
+    # The closed forms pick the lesser input by cross-multiplying the
+    # integer pairs n/d (∞ = 1/0) and build no value.
+    def products(self, lefts: Iterable[ExtNonneg],
+                 rights: Iterable[ExtNonneg]) -> Iterable[ExtNonneg]:
+        """Each pair's lesser value."""
+        if not self._omul_is(Minimum):
+            return super().products(lefts, rights)
+        return [s if s._n * t._d < t._n * s._d else t
+                for s, t in zip(lefts, rights, strict=True)]
+
+    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
+        """The largest of the pairs' lesser values."""
+        if not self._omul_is(Minimum):
+            return super().sup_products(lefts, rights)
+        best, bn, bd = ZERO, 0, 1
+        for s, t in zip(lefts, rights, strict=True):
+            n, d = s._n, s._d
+            if t._n * d < n * t._d:
+                s, n, d = t, t._n, t._d
+            if bn * d < n * bd:
+                best, bn, bd = s, n, d
+        return best
 
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         return ZERO
@@ -520,8 +584,10 @@ class DiscreteChain(PseudoMul):
         }}
 
 
-# The zero map's dyadic descent s = 2^-k, k = 0..60.
+# The zero map's dyadic descent s = 2^-k, k = 0..60, and the finiteness
+# probes 2^-k, k = 0, 4, .., 60, taken from it.
 _DESCENT = tuple(2.0 ** -k for k in range(61))
+_CUSTOM_PROBES = tuple(map(ExtNonneg, _DESCENT[::4]))
 
 
 class CustomContinuous(PseudoMul):
@@ -647,7 +713,7 @@ class CustomContinuous(PseudoMul):
             approximate=True, notes=("frontier located by bisection",))
 
     def finiteness_probes(self, t: ExtNonneg) -> list:
-        return [ExtNonneg(2.0 ** -k) for k in range(0, 61, 4)]
+        return list(_CUSTOM_PROBES)
 
     def describe(self) -> str:
         return f"custom({self.name})"
@@ -728,11 +794,11 @@ class AxiomReport:
         return "\n".join([head] + ["  " + str(c) for c in self.checks])
 
 
-_SPECIAL_SAMPLES = (
+_SPECIAL_SAMPLES = tuple(map(ExtNonneg, (
     Fraction(0), Fraction(1, 1024), Fraction(1, 16), Fraction(1, 4), Fraction(1, 2),
     Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4), Fraction(16),
     Fraction(256), Fraction(2 ** 12), Fraction(2 ** 20),
-)
+)))
 # Random values added to the special samples of a ⊙ without a finite
 # carrier, and the triples drawn from them for associativity: all k³
 # triples of k = 39 samples would cost 30 times the ⊙ calls.
@@ -742,10 +808,29 @@ ASSOCIATIVITY_TRIPLES = 2_000
 
 def seeded_picks(rng: random.Random, k: int, count: int) -> list:
     """``count`` indices below k: the very ones that ``count`` calls of
-    ``rng.choice(range(k))`` pick, drawn in one batch.  choice keeps the
-    first ``rng.getrandbits(k.bit_length())`` below k, and so does this."""
-    draws = map(rng.getrandbits, itertools.repeat(k.bit_length()))
-    return list(itertools.islice((r for r in draws if r < k), count))
+    ``rng.choice(range(k))`` pick, leaving ``rng`` in the same state.
+
+    choice keeps the first ``rng.getrandbits(b)`` below k, b = k.bit_length(),
+    and each such draw is the top b bits of one 32-bit word of the
+    generator.  For k < 256 a round reads as many words as picks are still
+    needed in one ``getrandbits(32·m)`` call, which puts word i at bits
+    32i to 32i + 31, and keeps the top b bits of each word's top byte
+    where they are below k.  Each pick takes at least one word, so no
+    round reads past the last pick.  For k ≥ 256 each draw is one call.
+    """
+    bits = k.bit_length()
+    if bits > 8:
+        draws = map(rng.getrandbits, itertools.repeat(bits))
+        return list(itertools.islice((r for r in draws if r < k), count))
+    shift = 8 - bits
+    top_bits = bytes(b >> shift for b in range(256))
+    too_large = bytes(range(k << shift, 256))
+    picks = []
+    while len(picks) < count:
+        m = count - len(picks)
+        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        picks += words[3::4].translate(top_bits, too_large)
+    return picks
 
 
 def _first_break(name: str, cases, broken, detail: str = "") -> AxiomCheck:
@@ -762,19 +847,61 @@ def _first_break(name: str, cases, broken, detail: str = "") -> AxiomCheck:
     return AxiomCheck(name, True, None, detail)
 
 
+def _collect(pm: PseudoMul, lefts: list, rights: list) -> tuple:
+    """``(values, fault)``: ``pm.products(lefts, rights)`` up to its first
+    fault, and that fault (None when there is none); the fault is at the
+    pair whose position is ``len(values)``."""
+    values = []
+    try:
+        values.extend(pm.products(lefts, rights))
+    except OPERATION_FAULTS as exc:
+        return values, exc
+    return values, None
+
+
+def _associativity(pm: PseudoMul, samples: list, op: list, blocks) -> AxiomCheck:
+    """Associativity on the index triples (s, t, u) of ``blocks``, in order,
+    with two ``products`` calls a block: (s ⊙ t) ⊙ u on every triple, then
+    s ⊙ (t ⊙ u) on the triples before the first fault.  The witness is the
+    first triple where they differ or where one of them faults, the left
+    one first, as a scan of the triples one by one would find."""
+    eq = pm.values_equal
+    for triples in blocks:
+        lefts, fault = _collect(pm, [op[s][t] for s, t, _ in triples],
+                                [samples[u] for _, _, u in triples])
+        head = triples[:len(lefts)]
+        rights, right_fault = _collect(pm, [samples[s] for s, _, _ in head],
+                                       [op[t][u] for _, t, u in head])
+        if right_fault is not None:
+            fault = right_fault
+        if lefts != rights:
+            broken = next((i for i, (a, b) in enumerate(zip(lefts, rights)) if not eq(a, b)),
+                          None)
+            if broken is not None:
+                return AxiomCheck("associativity", False,
+                                  tuple(samples[i] for i in triples[broken]))
+        if fault is not None:
+            return AxiomCheck("associativity", False,
+                              tuple(samples[i] for i in triples[len(rights)]), str(fault))
+    return AxiomCheck("associativity", True)
+
+
 def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     """Check the pseudo-multiplication axioms and structural consequences.
 
     ⊙ is computed once on every pair of sample values (the whole carrier
-    for chains, special and seeded random values otherwise).  Monotonicity
-    and the no-crossing property at φ scan that table completely;
-    associativity scans every triple of a chain and otherwise draws
-    ``ASSOCIATIVITY_TRIPLES`` seeded triples.  Failures are report entries
-    carrying a witness tuple, never exceptions: a ⊙ that raises past the
-    sample table fails the check it raised in.  A non-degenerate ⊙ is
-    also checked for commutativity below the identity, the frontier
-    identities at φ and the agreement of the left and right
-    invertibility criteria for ⊙-finiteness.
+    for chains, special and seeded random values otherwise), in one
+    ``pm.products`` call.  Monotonicity and the no-crossing property at φ
+    scan that table completely; associativity scans every triple of a
+    chain and otherwise draws ``ASSOCIATIVITY_TRIPLES`` seeded triples,
+    and takes both sides of each block of triples in one ``products``
+    call each.  Failures are report entries carrying a witness tuple,
+    never exceptions: a ⊙ that raises on a sampled pair fails the
+    totality check there, and one that raises past the sample table
+    fails the check it raised in.  A non-degenerate ⊙ is also checked
+    for commutativity below the identity, the frontier identities at φ
+    and the agreement of the left and right invertibility criteria for
+    ⊙-finiteness.
     """
     samples, exhaustive = pm.axiom_samples(seed)
     mul, eq = pm.omul, pm.values_equal
@@ -784,22 +911,19 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     positives = [i for i in idx if not samples[i].is_zero]
     checks = []
 
-    # Totality gate: a custom map may blow up (nan, negatives) on some
-    # pair; that is itself an axiom failure and must not crash the rest.
-    # Its results are the sample table: op[i][j] = samples[i] ⊙ samples[j].
-    op = []
-    try:
-        for s in samples:
-            row = []
-            for t in samples:
-                row.append(mul(s, t))
-            op.append(row)
-    except OPERATION_FAULTS as exc:
-        gate = AxiomCheck("defined on all sampled pairs", False, (s, t), str(exc))
-        return AxiomReport(pm.describe(), False, (gate,))
-
     def values(*indices):
         return tuple(samples[i] for i in indices)
+
+    # Totality gate: a custom map may blow up (nan, negatives) on some
+    # pair; that is itself an axiom failure and must not crash the rest.
+    # Its results are the sample table: op[i][j] = samples[i] ⊙ samples[j],
+    # computed row by row in one products call.
+    table, fault = _collect(pm, [s for s in samples for _ in idx], samples * k)
+    if fault is not None:
+        s, t = divmod(len(table), k)
+        gate = AxiomCheck("defined on all sampled pairs", False, values(s, t), str(fault))
+        return AxiomReport(pm.describe(), False, (gate,))
+    op = [table[i:i + k] for i in range(0, k * k, k)]
 
     # Left identity, annihilator, zero divisors: over all samples.
     one, zero = samples.index(pm.identity), samples.index(ZERO)
@@ -822,20 +946,12 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
                          if op[i + 1][t] < op[i][t] or op[t][i + 1] < op[t][i]), None)
     checks.append(AxiomCheck("monotonicity", mono_witness is None, mono_witness))
 
-    if exhaustive:
-        triples = itertools.product(idx, idx, idx)
+    if exhaustive:  # every triple, a block for each first index
+        blocks = ([(s, t, u) for t in idx for u in idx] for s in idx)
     else:
         picks = seeded_picks(random.Random(seed + 1), k, 3 * ASSOCIATIVITY_TRIPLES)
-        triples = zip(picks[0::3], picks[1::3], picks[2::3])
-    assoc = AxiomCheck("associativity", True)
-    try:
-        for s, t, u in triples:
-            if not eq(mul(op[s][t], samples[u]), mul(samples[s], op[t][u])):
-                assoc = AxiomCheck("associativity", False, values(s, t, u))
-                break
-    except OPERATION_FAULTS as exc:  # an outer product left the sampled pairs
-        assoc = AxiomCheck("associativity", False, values(s, t, u), str(exc))
-    checks.append(assoc)
+        blocks = [list(zip(picks[0::3], picks[1::3], picks[2::3]))]
+    checks.append(_associativity(pm, samples, op, blocks))
 
     checks.extend(pm.extra_axiom_checks())
 
@@ -846,7 +962,8 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
         return AxiomReport(pm.describe(), False, tuple(checks))
     if not profile.degenerate:
         below = [i for i in idx if samples[i] <= pm.identity]
-        comm_witness = next((values(a, b) for a in below for b in below
+        # eq is symmetric, so the first failing pair in row-major order has a < b
+        comm_witness = next((values(a, b) for i, a in enumerate(below) for b in below[i + 1:]
                              if not eq(op[a][b], op[b][a])), None)
         checks.append(AxiomCheck("commutative on [0, 1_⊙]", comm_witness is None, comm_witness))
 

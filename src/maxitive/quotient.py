@@ -29,7 +29,7 @@ from .bytetable import max_rank_table, subset_min
 from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, measure_eval
-from .spaces import NGUYEN_VALIDATE_N, PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
+from .spaces import PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
 from .spaces import Space, SubsetB, _same_space, check_cap, submasks, within_cap
 
 __all__ = [
@@ -192,8 +192,8 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
     𝒥_t collects the unions I ∪ B' with I in the ideal and τ(B') ≤ t; on
     a finite powerset the infimum collapses to the closed form
     ν(B) = τ(B ∖ top).  The closed form is validated against the
-    definition (by default for spaces of ≤ 8 atoms), over every subset
-    up to the enumeration cap ``limit``: the least τ(B ∖ I) over every
+    definition (by default whenever the space is within the enumeration
+    cap ``limit``), over every subset: the least τ(B ∖ I) over every
     I ⊆ B ∩ top, for every B at once, is the subset-min transform of
     τ's rank table over the top's bits (subset_min), and those minima
     are compared with the closed form's table.  nguyen_bruteforce is the
@@ -204,7 +204,7 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
     result = MaxMeasure(tau.space,
                         [ZERO if (top >> i & 1) else v for i, v in enumerate(tau.masses)])
     if validate is None:
-        validate = tau.space.n <= NGUYEN_VALIDATE_N
+        validate = within_cap(tau.space.n, limit)
     if validate:
         tau_table = tau.table(limit)
         closed = result.table(limit)

@@ -23,9 +23,6 @@ ENUM_CAP = 20
 CROSS_CHECK_CAP = 12
 # The CLI's default --max-n: 2^12 subsets keep each check well under a second.
 DEFAULT_MAX_N = 12
-# nguyen_measure's default validation: a subset-min transform of t ≤ 8 passes
-# over a table of 2^n ≤ 256 bytes.
-NGUYEN_VALIDATE_N = 8
 # Quotient σ-ideals are found among all down-sets: 7 581 of 2^5 classes, 7.8e6 of 2^6.
 SIGMA_IDEAL_ENUM_CAP = 5
 # The brute-force oracles' default limits: semi_odot_finite_bruteforce visits

@@ -1,12 +1,12 @@
 """Each pseudo-multiplication's closed forms, held to oracles.
 
 The operation-specific answers (achievable set, least solution, grid,
-axiom samples, spec form, the max of products) are methods of PseudoMul
-and its subclasses.  These tests hold them to independent forms: the
-literal times and min achievable sets, the chain's image
+axiom samples, spec form, the products and their max) are methods of
+PseudoMul and its subclasses.  These tests hold them to independent
+forms: the literal times and min achievable sets, the chain's image
 {c ⊙ t : c ∈ carrier}, the float bisection written against the custom
-map itself, and the base class's loop over ``omul`` for every override
-of ``sup_products``.  A product written out
+map itself, and the base class's loops over ``omul`` for every override
+of ``products`` and ``sup_products``.  A product written out
 with only the abstract methods gets its answers from the base class.
 """
 
@@ -45,7 +45,7 @@ from maxitive import (
     validate_pseudo_mul,
 )
 
-from conftest import FaultyMap, float_times, outcome, rand_fn, random_chain
+from conftest import CountingTimes, FaultyMap, float_times, outcome, rand_fn, random_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
 
@@ -317,7 +317,7 @@ def test_spec_forms():
     assert WrittenProduct().spec_form() is None
 
 
-# -- sup_products: every override against the base loop ------------------------
+# -- products and sup_products: every override against the base loops ----------
 
 SUP_POOL = [ZERO, INF] + [ExtNonneg(Fraction(p, 1 << q)) for p in range(1, 17) for q in range(4)]
 
@@ -338,13 +338,41 @@ def custom_cases():
         yield CustomContinuous(fn, identity=1, name=fn.__name__)
 
 
-# Every class of the package that overrides sup_products, with the
-# instances on which its override is held to the base loop.
-SUP_OVERRIDES = {CustomContinuous: custom_cases}
+class CountingMin(Minimum):
+    """The minimum, counting its ⊙ calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def omul(self, s, t):
+        self.calls += 1
+        return super().omul(s, t)
+
+
+def times_cases():
+    yield from (StandardProduct(), SubclassedProduct(), CountingTimes())
+
+
+def min_cases():
+    yield from (Minimum(), CountingMin())
+
+
+# Every class of the package that overrides products or sup_products,
+# with the instances on which its overrides are held to the base loops:
+# among them a subclass that redefines omul, which keeps those loops.
+SUP_OVERRIDES = {CustomContinuous: custom_cases, StandardProduct: times_cases,
+                 Minimum: min_cases}
+PRODUCTS_OVERRIDES = [StandardProduct, Minimum]
 
 
 def random_pairs(rng, size):
     return [rng.choice(SUP_POOL) for _ in range(size)], [rng.choice(SUP_POOL) for _ in range(size)]
+
+
+def all_pool_pairs():
+    """Every ordered pair of SUP_POOL, 0 and ∞ among them."""
+    return [a for a in SUP_POOL for _ in SUP_POOL], SUP_POOL * len(SUP_POOL)
 
 
 @pytest.mark.parametrize("cls", list(SUP_OVERRIDES), ids=lambda cls: cls.__name__)
@@ -357,9 +385,83 @@ def test_sup_products_override_equals_the_base_loop(cls):
         for _ in range(150):
             lefts, rights = random_pairs(rng, rng.randint(1, 10))
             got = pm.sup_products(iter(lefts), iter(rights))
-            assert got == PseudoMul.sup_products(pm, lefts, rights), (pm.name, lefts, rights)
+            assert got == PseudoMul.sup_products(pm, lefts, rights), (pm.describe(), lefts, rights)
+            seen.add(got)
+        for lefts, rights in [([ZERO, INF], [INF, ZERO]), ([INF], [INF]), all_pool_pairs()]:
+            got = pm.sup_products(lefts, rights)
+            assert got == PseudoMul.sup_products(pm, lefts, rights), (pm.describe(), lefts, rights)
             seen.add(got)
     assert {ZERO, INF} < seen and any(not float(v).is_integer() for v in seen)
+
+
+@pytest.mark.parametrize("cls", PRODUCTS_OVERRIDES, ids=lambda cls: cls.__name__)
+def test_products_override_equals_the_base_loop(cls):
+    assert "products" in cls.__dict__
+    rng = random.Random(17)
+    for pm in SUP_OVERRIDES[cls]():
+        assert list(pm.products([], [])) == []
+        for _ in range(150):
+            lefts, rights = random_pairs(rng, rng.randint(1, 10))
+            got = list(pm.products(iter(lefts), iter(rights)))
+            assert got == list(PseudoMul.products(pm, lefts, rights)), (lefts, rights)
+        lefts, rights = all_pool_pairs()
+        got = list(pm.products(lefts, rights))
+        assert got == list(PseudoMul.products(pm, lefts, rights))
+        assert {ZERO, INF} < set(got)
+        assert got[1] == got[len(SUP_POOL)] == ZERO  # 0 ⊙ ∞ and ∞ ⊙ 0
+
+
+@pytest.mark.parametrize("pm", [CountingTimes(), CountingMin()], ids=["times", "min"])
+def test_a_subclass_that_redefines_omul_keeps_the_per_pair_loop(pm):
+    lefts, rights = random_pairs(random.Random(18), 40)
+    base = type(pm).__mro__[1]()
+    pm.calls = 0
+    assert pm.sup_products(lefts, rights) == base.sup_products(lefts, rights)
+    assert pm.calls == 40
+    products = pm.products(lefts, rights)
+    assert pm.calls == 40  # lazy: nothing is called before it is read
+    assert list(products) == base.products(lefts, rights)
+    assert pm.calls == 80
+
+
+@pytest.mark.parametrize("cls", PRODUCTS_OVERRIDES, ids=lambda cls: cls.__name__)
+def test_closed_forms_follow_the_class_omul_not_a_wrapper_of_it(cls, monkeypatch):
+    lefts, rights = all_pool_pairs()
+    want = list(PseudoMul.products(cls(), lefts, rights))
+    calls = []
+    own = cls.omul
+
+    def wrapped(self, s, t):  # the class's own ⊙, wrapped in place as a tracer does
+        calls.append((s, t))
+        return own(self, s, t)
+    monkeypatch.setattr(cls, "omul", wrapped)
+    pm = cls()
+    assert pm.products(lefts, rights) == want
+    assert pm.sup_products(lefts, rights) == max(want)
+    assert calls == []
+
+    def counted(s, t):  # an instance whose omul is replaced keeps the loops
+        calls.append((s, t))
+        return own(pm, s, t)
+    pm.omul = counted
+    assert list(pm.products(lefts, rights)) == want
+    assert pm.sup_products(lefts, rights) == max(want)
+    assert len(calls) == 2 * len(want)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_the_lazy_base_stops_at_a_raising_pair(k):
+    lefts, rights = random_pairs(random.Random(19), 8)
+    fn = FaultyMap(k, ValueError("map undefined here"))
+    pm = CustomContinuous(fn, 1)
+    products = pm.products(lefts, rights)
+    assert fn.calls == 0
+    got = []
+    with pytest.raises(ValueError, match="map undefined here"):
+        got.extend(products)
+    assert fn.calls == k + 1
+    assert got == [CustomContinuous(float_times, 1).omul(s, t)
+                   for s, t in zip(lefts[:k], rights[:k])]
 
 
 FAULTS = [math.nan, -1.0, -math.inf, True, None, "2",
@@ -379,25 +481,35 @@ def test_sup_products_refuses_a_bad_value_at_the_same_pair(fault):
         assert ours.calls == base.calls == k + 1
 
 
-def sup_products_overrides(root: type, module: str) -> set:
+def method_overrides(root: type, module: str, method: str = "sup_products") -> set:
     """The subclasses of ``root`` defined in ``module`` or its submodules
-    that define sup_products themselves."""
+    that define ``method`` themselves."""
     found, pending = set(), [root]
     while pending:
         cls = pending.pop()
         pending.extend(cls.__subclasses__())
-        if (cls is not root and "sup_products" in cls.__dict__
+        if (cls is not root and method in cls.__dict__
                 and (cls.__module__ == module or cls.__module__.startswith(module + "."))):
             found.add(cls)
     return found
 
 
-def test_every_sup_products_override_is_held_to_the_base_loop():
+def package_overrides(method: str) -> set:
     for info in pkgutil.iter_modules(maxitive.__path__):
         importlib.import_module(f"maxitive.{info.name}")
-    overrides = sup_products_overrides(PseudoMul, "maxitive")
-    assert CustomContinuous in overrides
+    return method_overrides(PseudoMul, "maxitive", method)
+
+
+def test_every_sup_products_override_is_held_to_the_base_loop():
+    overrides = package_overrides("sup_products")
+    assert {CustomContinuous, StandardProduct, Minimum} <= overrides
     assert overrides <= set(SUP_OVERRIDES), "add each new override to SUP_OVERRIDES"
+
+
+def test_every_products_override_is_held_to_the_base_loop():
+    overrides = package_overrides("products")
+    assert {StandardProduct, Minimum} <= overrides
+    assert overrides <= set(PRODUCTS_OVERRIDES), "add each new override to PRODUCTS_OVERRIDES"
 
 
 def test_override_guard_sees_an_override():
@@ -408,4 +520,15 @@ def test_override_guard_sees_an_override():
     class Heir(Probe):
         pass
 
-    assert sup_products_overrides(PseudoMul, __name__) == {Probe}
+    assert method_overrides(PseudoMul, __name__) == {Probe}
+
+
+def test_products_override_guard_sees_an_override():
+    class ProductsProbe(Minimum):
+        def products(self, lefts, rights):
+            return []
+
+    class Heir(ProductsProbe):
+        pass
+
+    assert method_overrides(PseudoMul, __name__, "products") == {ProductsProbe}

@@ -97,6 +97,18 @@ def test_wrong_nguyen_closed_form_is_refused(monkeypatch):
         nguyen_measure(tau, ideal, validate=True)
 
 
+def test_nguyen_validates_by_default_within_the_cap(monkeypatch):
+    space = Space([f"x{i}" for i in range(10)])
+    tau = MaxMeasure(space, ["2", "0", "inf", "1", "3", "1/2", "0", "5", "2", "7"])
+    ideal = SigmaIdeal(space, space.subset(["x0", "x3"]))
+    assert nguyen_measure(tau, ideal).masses == nguyen_measure(tau, ideal, validate=False).masses
+    # τ itself, with the ideal's mass not removed
+    monkeypatch.setattr(quotient_module, "MaxMeasure", lambda space, masses: tau)
+    with pytest.raises(AssertionError, match=r"at \{x0\}"):
+        nguyen_measure(tau, ideal)
+    nguyen_measure(tau, ideal, limit=9)  # past the caller's cap it is not validated
+
+
 # -- localize --------------------------------------------------------------------
 
 def first_non_minimal(value, space, top, L):

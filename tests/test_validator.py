@@ -38,7 +38,7 @@ from maxitive.pseudomul import (
     seeded_picks,
 )
 
-from conftest import float_times
+from conftest import FaultyMap, float_times
 
 
 def validate_literal(pm, seed=0):
@@ -351,6 +351,41 @@ def test_the_batched_draw_picks_what_choice_picks(k):
         expected = [one_by_one.choice(range(k)) for _ in range(ASSOCIATIVITY_TRIPLES)]
         assert seeded_picks(batched, k, ASSOCIATIVITY_TRIPLES) == expected
         assert batched.random() == one_by_one.random()  # and leaves the same state
+
+
+def test_the_batched_draw_leaves_the_state_choice_leaves_for_every_k_to_300():
+    # k < 256 takes the batched words, k ≥ 256 one call a draw
+    for k in range(1, 301):
+        for seed in range(21):
+            one_by_one, batched = random.Random(seed), random.Random(seed)
+            expected = [one_by_one.choice(range(k)) for _ in range(150)]
+            assert seeded_picks(batched, k, 150) == expected, (k, seed)
+            assert batched.getstate() == one_by_one.getstate(), (k, seed)
+
+
+@pytest.mark.parametrize("k", [0, 1, 38, 39, 700, 1520])
+def test_a_fault_in_the_sample_table_is_located_and_not_replayed(k):
+    fn = FaultyMap(k, ValueError("no value here"))
+    samples, _ = CustomContinuous(fn, identity=1).axiom_samples(0)
+    assert len(samples) ** 2 > k
+    (gate,) = validate_pseudo_mul(CustomContinuous(fn, identity=1)).checks
+    assert gate.witness == (samples[k // len(samples)], samples[k % len(samples)])
+    assert (gate.name, gate.detail, fn.calls) == ("defined on all sampled pairs",
+                                                 "no value here", k + 1)
+
+
+@pytest.mark.parametrize("j", [0, 1, 999, 1999])
+def test_a_fault_on_an_outer_product_is_located_and_not_replayed(j):
+    # the j-th left outer product (s ⊙ t) ⊙ u faults; the right ones are
+    # then taken on the triples before it only
+    samples, _ = CustomContinuous(float_times, identity=1).axiom_samples(0)
+    k = len(samples)
+    picks = seeded_picks(random.Random(1), k, 3 * ASSOCIATIVITY_TRIPLES)
+    fn = FaultyMap(k * k + j, ZeroDivisionError("no value here"))
+    assoc = checks_of(validate_pseudo_mul(CustomContinuous(fn, identity=1)))["associativity"]
+    assert assoc.witness == tuple(samples[i] for i in picks[3 * j:3 * j + 3])
+    assert (assoc.passed, assoc.detail) == (False, "no value here")
+    assert fn.calls >= k * k + 2 * j + 1
 
 
 def big_arguments_raise(s, t):
