@@ -35,35 +35,28 @@ class ExtNonneg:
     def __init__(self, value: Coercible):
         if isinstance(value, ExtNonneg):
             n, d = value._n, value._d
-        elif isinstance(value, bool):
-            raise TypeError("bool is not a valid extended nonnegative value")
         elif isinstance(value, int):
+            if isinstance(value, bool):
+                raise TypeError("bool is not a valid extended nonnegative value")
             n, d = value, 1
-        elif isinstance(value, (Fraction, float)):
+        elif isinstance(value, str):
+            # "p" and "p/q" with q > 0, the forms spec documents are written
+            # in, take int() and one gcd; any other string takes _read_text.
+            p, slash, q = value.partition("/")
+            if len(value) > NUMBER_DIGITS_CAP or not p.isdecimal():
+                n, d = _read_text(value)
+            elif not slash:
+                n, d = int(p), 1
+            elif q.isdecimal() and int(q):
+                n, d = int(p), int(q)
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            else:
+                n, d = _read_text(value)
+        elif isinstance(value, (float, Fraction)):
             if value != value or value < 0:  # nan, or -inf: as_integer_ratio overflows
                 raise ValueError(f"{value!r} is not a point of [0, inf]")
             n, d = (1, 0) if value == inf else value.as_integer_ratio()
-        elif isinstance(value, str):
-            s = value.strip().lower()
-            # Fraction would build 10**e for a huge exponent e
-            e = s.partition("e")[2].lstrip("+-").replace("_", "") if "e" in s else ""
-            if len(s) > NUMBER_DIGITS_CAP or e.isdecimal() and int(e) > NUMBER_DIGITS_CAP:
-                raise ValueError(f"number {s[:24]!r} exceeds {NUMBER_DIGITS_CAP} characters "
-                                 f"or an exponent of {NUMBER_DIGITS_CAP}")
-            p, _, q = s.partition("/")
-            try:
-                if s in _INF_STRINGS:
-                    n, d = 1, 0
-                elif s.isdecimal():
-                    n, d = int(s), 1
-                elif p.isdecimal() and q.isdecimal() and int(q):  # "p/q", q > 0: reduce it
-                    n, d = int(p), int(q)
-                    g = gcd(n, d)
-                    n, d = n // g, d // g
-                else:
-                    n, d = Fraction(s).as_integer_ratio()
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"cannot parse {value!r} as a nonnegative rational") from exc
         else:
             raise TypeError(f"cannot build ExtNonneg from {type(value).__name__}")
         if n < 0:
@@ -161,6 +154,23 @@ class ExtNonneg:
 
     def __bool__(self) -> bool:
         return self._n != 0
+
+
+def _read_text(value: str) -> tuple:
+    """The pair (n, d) of a number string that is not a plain "p" or "p/q":
+    stripped and lowercased, a name of ∞ or what Fraction reads, within the caps."""
+    s = value.strip().lower()
+    # Fraction would build 10**e for a huge exponent e
+    e = s.partition("e")[2].lstrip("+-").replace("_", "") if "e" in s else ""
+    if len(s) > NUMBER_DIGITS_CAP or e.isdecimal() and int(e) > NUMBER_DIGITS_CAP:
+        raise ValueError(f"number {s[:24]!r} exceeds {NUMBER_DIGITS_CAP} characters "
+                         f"or an exponent of {NUMBER_DIGITS_CAP}")
+    if s in _INF_STRINGS:
+        return 1, 0
+    try:
+        return Fraction(s).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {value!r} as a nonnegative rational") from exc
 
 
 def ext_ratio(n: int, d: int) -> ExtNonneg:

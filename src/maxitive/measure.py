@@ -46,7 +46,7 @@ def _values_from(space: Space, values) -> tuple:
         if extra:
             raise ValueError(f"values given for unknown atoms {extra}")
         return tuple(as_extnn(values[a]) for a in space.atoms)
-    values = tuple(as_extnn(v) for v in values)
+    values = tuple(map(as_extnn, values))
     if len(values) != space.n:
         raise ValueError(f"expected {space.n} values, got {len(values)}")
     return values

@@ -467,26 +467,31 @@ class DiscreteChain(PseudoMul):
         cset = set(carrier)
         out = {}
         if isinstance(table, Mapping):
-            items = (((as_extnn(a), as_extnn(b)), as_extnn(v)) for (a, b), v in table.items())
-        else:
-            rows = list(table)
-            if len(rows) != len(carrier):
-                raise ValueError(f"table must have {len(carrier)} rows, got {len(rows)}")
-            items = []
-            for a, row in zip(carrier, rows):
-                row = list(row)
-                if len(row) != len(carrier):
-                    raise ValueError(f"table row for {a} must have {len(carrier)} entries")
-                for b, v in zip(carrier, row):
-                    items.append(((a, b), as_extnn(v)))
-        for (a, b), v in items:
-            if a not in cset or b not in cset or v not in cset:
-                raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
-            out[(a, b)] = v
-        for a in carrier:
-            for b in carrier:
-                if (a, b) not in out:
-                    raise ValueError(f"table is missing entry for ({a}, {b})")
+            for (a, b), v in table.items():
+                a, b, v = as_extnn(a), as_extnn(b), as_extnn(v)
+                if a not in cset or b not in cset or v not in cset:
+                    raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
+                out[(a, b)] = v
+            for a in carrier:
+                for b in carrier:
+                    if (a, b) not in out:
+                        raise ValueError(f"table is missing entry for ({a}, {b})")
+            return out
+        # rows in carrier order: every pair has its entry, and only v needs a check
+        rows = list(table)
+        if len(rows) != len(carrier):
+            raise ValueError(f"table must have {len(carrier)} rows, got {len(rows)}")
+        values = []
+        for a, row in zip(carrier, rows):
+            row = list(row)
+            if len(row) != len(carrier):
+                raise ValueError(f"table row for {a} must have {len(carrier)} entries")
+            values.append([as_extnn(v) for v in row])
+        for a, row in zip(carrier, values):
+            for b, v in zip(carrier, row):
+                if v not in cset:
+                    raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
+                out[(a, b)] = v
         return out
 
     @classmethod

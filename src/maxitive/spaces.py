@@ -66,7 +66,7 @@ def submasks(mask: int) -> Iterator[int]:
 class Space:
     """A finite set of named atoms carrying the full powerset σ-algebra."""
 
-    __slots__ = ("atoms", "_index")
+    __slots__ = ("atoms", "positions")
 
     def __init__(self, atoms: Sequence[str]):
         atoms = tuple(atoms)
@@ -77,7 +77,8 @@ class Space:
         if not all(isinstance(a, str) and a for a in atoms):
             raise ValueError("atom labels must be nonempty strings")
         self.atoms = atoms
-        self._index = {a: i for i, a in enumerate(atoms)}
+        # label -> its position in atoms; not to be mutated
+        self.positions = {a: i for i, a in enumerate(atoms)}
 
     @property
     def n(self) -> int:
@@ -85,7 +86,7 @@ class Space:
 
     def index(self, label: str) -> int:
         try:
-            return self._index[label]
+            return self.positions[label]
         except KeyError:
             raise ValueError(f"unknown atom {label!r}") from None
 

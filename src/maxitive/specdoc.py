@@ -19,6 +19,10 @@ determines it).  Custom continuous operations are library-only.
 Parsing collects every located problem and raises SpecValidationError
 with the full list; rendering is canonical, so parse ∘ render ∘ parse
 is the identity on valid documents.
+
+A document is read in one pass.  Each parse_spec call keeps a memo from
+number string to value, and only values enter it, so a bad string gets
+an issue at every place it stands; no cache outlives the call.
 """
 
 from __future__ import annotations
@@ -90,46 +94,62 @@ def _render_pm(pm: PseudoMul):
 _LEAST_LONG_INT = 10 ** NUMBER_DIGITS_CAP
 
 
-def _parse_mass(raw, path: str, issues: list) -> Optional[ExtNonneg]:
-    if isinstance(raw, float):
-        issues.append(SpecIssue(path, f"float {raw!r} not allowed; use a string like \"1/3\""))
-        return None
-    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-        issues.append(SpecIssue(path, f"expected a rational string or \"inf\", got {raw!r}"))
-        return None
-    try:
-        if isinstance(raw, int) and abs(raw) >= _LEAST_LONG_INT:
-            raw = str(raw)  # refused by the string branch's length bound, with its message
-        return ExtNonneg(raw)
-    except (ValueError, TypeError) as exc:
-        issues.append(SpecIssue(path, str(exc)))
-        return None
+def _parse_mass(raw, memo: dict, issues: list, path: str, key=None) -> Optional[ExtNonneg]:
+    """``raw`` as a value of [0, ∞], or None after a located issue at ``path``
+    (``path.key`` when a key is given).  ``memo`` maps the number strings
+    this document has read so far to their values; it keeps no failure, so
+    a bad string is reported at every place it stands."""
+    if type(raw) is str:
+        value = memo.get(raw)
+        if value is not None:
+            return value
+        try:
+            value = memo[raw] = ExtNonneg(raw)
+            return value
+        except ValueError as exc:
+            message = str(exc)
+    elif isinstance(raw, float):
+        message = f"float {raw!r} not allowed; use a string like \"1/3\""
+    elif isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        message = f"expected a rational string or \"inf\", got {raw!r}"
+    else:
+        try:
+            if isinstance(raw, int) and abs(raw) >= _LEAST_LONG_INT:
+                raw = str(raw)  # refused by the string branch's length bound, with its message
+            return ExtNonneg(raw)
+        except (ValueError, TypeError) as exc:
+            message = str(exc)
+    issues.append(SpecIssue(path if key is None else f"{path}.{key}", message))
+    return None
 
 
-def _parse_atom_map(raw, space: Space, path: str, issues: list) -> Optional[dict]:
+def _parse_atom_map(raw, space: Space, path: str, issues: list, memo: dict) -> Optional[tuple]:
+    """The values of ``raw``, an object keyed by atom, as a tuple in atom order."""
     if not isinstance(raw, dict):
         issues.append(SpecIssue(path, "expected an object mapping atoms to values"))
         return None
-    out = {}
     ok = True
     for atom in space.atoms:
         if atom not in raw:
             issues.append(SpecIssue(f"{path}.{atom}", "missing value for this atom"))
             ok = False
+    positions = space.positions
+    values = [None] * space.n
     for key, value in raw.items():
-        if key not in space.atoms:
+        i = positions.get(key)
+        if i is None:
             issues.append(SpecIssue(f"{path}.{key}", "unknown atom"))
             ok = False
             continue
-        v = _parse_mass(value, f"{path}.{key}", issues)
+        v = _parse_mass(value, memo, issues, path, key)
         if v is None:
             ok = False
         else:
-            out[key] = v
-    return out if ok else None
+            values[i] = v
+    return tuple(values) if ok else None
 
 
-def _parse_chain(raw, path: str, issues: list) -> Optional[DiscreteChain]:
+def _parse_chain(raw, path: str, issues: list, memo: dict) -> Optional[DiscreteChain]:
     if not isinstance(raw, dict):
         issues.append(SpecIssue(path, "chain spec must be an object"))
         return None
@@ -140,44 +160,54 @@ def _parse_chain(raw, path: str, issues: list) -> Optional[DiscreteChain]:
         return None
     carrier = []
     for i, c in enumerate(carrier_raw):
-        v = _parse_mass(c, f"{path}.carrier[{i}]", issues)
+        v = _parse_mass(c, memo, issues, f"{path}.carrier[{i}]")
         if v is None:
             return None
         carrier.append(v)
-    if len(set(carrier)) != len(carrier):
+    members = set(carrier)
+    if len(members) != len(carrier):
         issues.append(SpecIssue(f"{path}.carrier", "carrier elements must be distinct"))
         return None
-    if not isinstance(table_raw, list) or len(table_raw) != len(carrier):
+    k = len(carrier)
+    if not isinstance(table_raw, list) or len(table_raw) != k:
         issues.append(SpecIssue(
-            f"{path}.table", f"expected {len(carrier)} rows, got "
+            f"{path}.table", f"expected {k} rows, got "
             f"{len(table_raw) if isinstance(table_raw, list) else type(table_raw).__name__}"))
         return None
-    order = sorted(carrier)
-    # table rows follow the carrier as written; remap onto the sorted order
-    table = {}
+    # each distinct cell string is read and found in the carrier once
+    cells = {}
+    rows = []
     for i, row in enumerate(table_raw):
-        if not isinstance(row, list) or len(row) != len(carrier):
-            issues.append(SpecIssue(f"{path}.table[{i}]",
-                                    f"expected {len(carrier)} entries"))
+        if not isinstance(row, list) or len(row) != k:
+            issues.append(SpecIssue(f"{path}.table[{i}]", f"expected {k} entries"))
             return None
+        values = []
         for j, cell in enumerate(row):
-            v = _parse_mass(cell, f"{path}.table[{i}][{j}]", issues)
+            v = cells.get(cell) if type(cell) is str else None
             if v is None:
-                return None
-            if v not in carrier:
-                issues.append(SpecIssue(f"{path}.table[{i}][{j}]",
-                                        f"value {v} is not a carrier element"))
-                return None
-            table[(carrier[i], carrier[j])] = v
+                v = _parse_mass(cell, memo, issues, f"{path}.table[{i}][{j}]")
+                if v is None:
+                    return None
+                if v not in members:
+                    issues.append(SpecIssue(f"{path}.table[{i}][{j}]",
+                                            f"value {v} is not a carrier element"))
+                    return None
+                if type(cell) is str:
+                    cells[cell] = v
+            values.append(v)
+        rows.append(values)
+    # rows follow the carrier as written; reorder rows and columns ascending
+    rank = sorted(range(k), key=carrier.__getitem__)
+    order = [carrier[i] for i in rank]
+    table = [[rows[i][j] for j in rank] for i in rank]
     identity_raw = raw.get("identity")
     if identity_raw is not None:
-        identity = _parse_mass(identity_raw, f"{path}.identity", issues)
+        identity = _parse_mass(identity_raw, memo, issues, f"{path}.identity")
         if identity is None:
             return None
     else:
         # infer: the unique carrier element acting as a left identity
-        candidates = [e for e in order
-                      if all(table[(e, t)] == t for t in order)]
+        candidates = [e for e, row in zip(order, table) if row == order]
         if not candidates:
             issues.append(SpecIssue(path, "table has no left identity; give one explicitly"))
             return None
@@ -194,7 +224,7 @@ def _parse_chain(raw, path: str, issues: list) -> Optional[DiscreteChain]:
         return None
 
 
-def _parse_pseudo_mul(raw, path: str, issues: list) -> Optional[PseudoMul]:
+def _parse_pseudo_mul(raw, path: str, issues: list, memo: dict) -> Optional[PseudoMul]:
     names = ", ".join(f'"{name}"' for name in NAMED_OPERATIONS)
     if isinstance(raw, str):
         if raw in NAMED_OPERATIONS:
@@ -203,9 +233,19 @@ def _parse_pseudo_mul(raw, path: str, issues: list) -> Optional[PseudoMul]:
                                       f"(expected {names}, or a chain object)"))
         return None
     if isinstance(raw, dict) and set(raw) == {"chain"}:
-        return _parse_chain(raw["chain"], f"{path}.chain", issues)
+        return _parse_chain(raw["chain"], f"{path}.chain", issues, memo)
     issues.append(SpecIssue(path, f"expected {names}, or {{\"chain\": {{...}}}}"))
     return None
+
+
+def _section(data: dict, name: str, issues: list) -> dict:
+    """The object under ``name``, {} when the section is absent; a section
+    that is not an object is a located issue."""
+    raw = data.get(name, {})
+    if isinstance(raw, dict):
+        return raw
+    issues.append(SpecIssue(name, f"expected an object mapping names to {name}"))
+    return {}
 
 
 def _reject_duplicates(pairs):
@@ -274,22 +314,23 @@ def parse_spec(source) -> SpecDoc:
     if space is None:
         raise SpecValidationError(issues)
 
+    memo: dict = {}  # number string -> value, for this document only
     pm = None
     if "pseudo_mul" in data:
-        pm = _parse_pseudo_mul(data["pseudo_mul"], "pseudo_mul", issues)
+        pm = _parse_pseudo_mul(data["pseudo_mul"], "pseudo_mul", issues, memo)
 
     measures = {}
-    for name, raw in (data.get("measures") or {}).items():
-        masses = _parse_atom_map(raw, space, f"measures.{name}", issues)
+    for name, raw in _section(data, "measures", issues).items():
+        masses = _parse_atom_map(raw, space, f"measures.{name}", issues, memo)
         if masses is not None:
             measures[name] = MaxMeasure(space, masses)
     functions = {}
-    for name, raw in (data.get("functions") or {}).items():
-        values = _parse_atom_map(raw, space, f"functions.{name}", issues)
+    for name, raw in _section(data, "functions", issues).items():
+        values = _parse_atom_map(raw, space, f"functions.{name}", issues, memo)
         if values is not None:
             functions[name] = MeasurableFn(space, values)
     ideals = {}
-    for name, raw in (data.get("ideals") or {}).items():
+    for name, raw in _section(data, "ideals", issues).items():
         path = f"ideals.{name}"
         gens = None
         if isinstance(raw, list) and all(isinstance(g, str) for g in raw):

@@ -114,6 +114,16 @@ def test_invalid_spec_exit_2(tmp_path, capsys):
     assert "measures.m.a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, raw", [("measures", [1]), ("functions", "f"), ("ideals", 5)])
+def test_a_section_that_is_not_an_object_is_a_located_exit_2(tmp_path, capsys, section, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"space": {"atoms": ["a"]}, "measures": {"tau": {"a": "1"}},
+                                section: raw}))
+    assert main(["variation", "--tau", "tau", "--space-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"  {section}: expected an object mapping names to {section}\n" in err
+
+
 @pytest.mark.parametrize("mass", ["1e5000", "1e100000000"])
 def test_number_past_the_bound_is_a_located_exit_2(tmp_path, capsys, mass):
     path = tmp_path / "big.json"

@@ -61,6 +61,27 @@ def test_chain_clamped_product_table(chain):
     assert chain(ZERO, INF) == ZERO
 
 
+def test_chain_table_as_rows_or_mapping_is_the_same_chain_with_the_same_checks(chain):
+    carrier, one, two, three = chain.carrier, ONE, ExtNonneg(2), ExtNonneg(3)
+    rows = [[chain(a, b) for b in carrier] for a in carrier]
+    mapping = {(a, b): chain(a, b) for a in carrier for b in carrier}
+    assert DiscreteChain(carrier, rows, ONE)._table == DiscreteChain(carrier, mapping, ONE)._table
+    off_rows = [row[:] for row in rows]
+    off_rows[1][2] = three
+    for table in (off_rows, {**mapping, (one, two): three}):
+        with pytest.raises(ValueError, match="table entry 1 ⊙ 2 = 3 leaves the carrier"):
+            DiscreteChain(carrier, table, ONE)
+    with pytest.raises(ValueError, match="table entry 1 ⊙ 3 = 1 leaves the carrier"):
+        DiscreteChain(carrier, {**mapping, (one, three): one}, ONE)
+    del mapping[(one, two)]
+    with pytest.raises(ValueError, match=r"table is missing entry for \(1, 2\)"):
+        DiscreteChain(carrier, mapping, ONE)
+    with pytest.raises(ValueError, match="table row for 2 must have 4 entries"):
+        DiscreteChain(carrier, rows[:2] + [rows[2][:3]] + rows[3:], ONE)
+    with pytest.raises(ValueError, match="table must have 4 rows, got 3"):
+        DiscreteChain(carrier, rows[:3], ONE)
+
+
 # -- zero map ---------------------------------------------------------------
 
 def test_product_zero_map_closed_forms(times):

@@ -1,6 +1,13 @@
 """Spec document parsing, located errors, and the canonical roundtrip."""
 
+import json
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import maxitive.extreal as extreal
 
 from maxitive import (
     INF,
@@ -184,3 +191,143 @@ def test_json_text_is_told_by_its_first_character():
     assert issues == {("$", "document must be a JSON object")}
     issues, _ = _issues('{"space": ')
     assert {path for path, _ in issues} == {"$"}
+
+
+@pytest.mark.parametrize("section, raw", [
+    ("measures", [1]), ("functions", "f"), ("ideals", 5), ("measures", None), ("ideals", [])])
+def test_a_section_that_is_not_an_object_is_located(section, raw):
+    issues, _ = _issues({**MINIMAL, section: raw})
+    assert issues == {(section, f"expected an object mapping names to {section}")}
+
+
+def test_ideal_generators_of_any_json_are_located():
+    issues, _ = _issues({**MINIMAL, "ideals": {"I": [["a", [1], {"x": 2}, None, 5]]}})
+    assert issues == {("ideals.I[0]", "unknown atoms [[1], {'x': 2}, None, 5]")}
+
+
+# -- one read path for number strings ---------------------------------------------
+
+# Spellings a spec document may hold: plain and ratio strings, and every
+# other form the general route takes or refuses.
+NUMBER_CORPUS = [
+    "0", "7", "007", "10", "1/3", "6/4", "0/5", "01/02", "007/010", "1/1",
+    "1/0", "0/0", "1/2/3", "/3", "3/", "+1/2", "1/-2", "-1", "-0", "-1/2",
+    " 7", "7 ", "\t1/3\n", "1 / 3", "1_0", "1_0/3", "0.25", ".5", "5.", "1.5/2",
+    "1e3", "1E-3", "2.5e+1", "1e1000", "inf", "INF", " Infinity ", "oo", "∞", "-inf", "nan",
+    "\u0661/\u0662", "\u0663\u0660", "\u00b2", "\uff11", "", " ", "x", "1/x", "0x10",
+    "9" * NUMBER_DIGITS_CAP, "1/" + "7" * (NUMBER_DIGITS_CAP - 2), "9" * (NUMBER_DIGITS_CAP + 1),
+    "1/" + "3" * NUMBER_DIGITS_CAP, "1e5000", "1e-1001",
+]
+INF_NAMES = {"inf", "infinity", "oo", "∞"}
+
+
+def fraction_reading(text):
+    """ExtNonneg(Fraction(text)) for a text within the number caps, or None where
+    Fraction refuses it or reads a negative number; "inf" and its names are ∞."""
+    s = text.strip().lower()
+    if s in INF_NAMES:
+        return INF
+    try:
+        q = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return ExtNonneg(q) if q >= 0 else None
+
+
+def within_caps(text):
+    s = text.strip().lower()
+    exponent = s.partition("e")[2].lstrip("+-") if "e" in s else ""
+    return len(s) <= NUMBER_DIGITS_CAP and not (exponent.isdecimal()
+                                                 and int(exponent) > NUMBER_DIGITS_CAP)
+
+
+def assert_read_once_as_fraction_reads(text):
+    """The value ExtNonneg and the spec parser give ``text``, at two atoms of
+    one document, is Fraction's; a refusal is ExtNonneg's message at each atom."""
+    doc = {"space": {"atoms": ["a", "b"]}, "measures": {"m": {"a": text, "b": text}}}
+    expected = fraction_reading(text) if within_caps(text) else None
+    if expected is not None:
+        assert ExtNonneg(text) == expected
+        assert parse_spec(doc).measures["m"].masses == (expected, expected)
+        return
+    with pytest.raises(ValueError) as refused:
+        ExtNonneg(text)
+    _, issues = _issues(doc)
+    assert [(i.path, i.message) for i in issues] == [
+        ("measures.m.a", str(refused.value)), ("measures.m.b", str(refused.value))]
+
+
+@pytest.mark.parametrize("text", NUMBER_CORPUS)
+def test_number_strings_read_as_fraction_reads_them(text):
+    assert_read_once_as_fraction_reads(text)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.from_regex(r"\A[0-9]{1,30}(/[0-9]{1,30})?\Z"),
+    st.text(alphabet="0123456789/._+- \t\n\u0660\u0661\u0662\u00b2\uff11", max_size=10)))
+def test_drawn_number_strings_read_as_fraction_reads_them(text):
+    assert_read_once_as_fraction_reads(text)
+
+
+def test_a_bad_string_is_reported_at_every_place_it_stands():
+    bad = "1/0"
+    with pytest.raises(ValueError) as refused:
+        ExtNonneg(bad)
+    message = str(refused.value)
+    _, issues = _issues({
+        "space": {"atoms": ["a", "b"]},
+        "pseudo_mul": {"chain": {"carrier": ["0", "1", "2"],
+                                 "table": [["0", "0", "0"], ["0", "1", bad], ["0", bad, "2"]]}},
+        "measures": {"tau": {"a": bad, "b": bad}, "nu": {"a": "2", "b": bad}},
+    })
+    # the chain stops at its first bad cell; each atom is read on its own
+    assert [(i.path, i.message) for i in issues] == [
+        ("pseudo_mul.chain.table[1][2]", message), ("measures.tau.a", message),
+        ("measures.tau.b", message), ("measures.nu.b", message)]
+
+
+def test_a_repeated_cell_outside_the_carrier_is_refused():
+    _, issues = _issues({**MINIMAL, "pseudo_mul": {"chain": {
+        "carrier": ["0", "1"], "table": [["0", "0"], ["0", "2"]]}}})
+    assert [(i.path, i.message) for i in issues] == [
+        ("pseudo_mul.chain.table[1][1]", "value 2 is not a carrier element")]
+
+
+def test_chain_rows_are_read_in_the_carrier_order_as_written():
+    written = parse_spec({**MINIMAL, "pseudo_mul": {"chain": {
+        "carrier": ["inf", "1", "0", "2"],
+        "table": [["inf", "inf", "0", "inf"], ["inf", "1", "0", "2"],
+                  ["0", "0", "0", "0"], ["inf", "2", "0", "2"]]}}})
+    chain = parse_spec(MINIMAL | {"pseudo_mul": {"chain": {
+        "carrier": ["0", "1", "2", "inf"],
+        "table": [["0", "0", "0", "0"], ["0", "1", "2", "inf"],
+                  ["0", "2", "2", "inf"], ["0", "inf", "inf", "inf"]]}}}).pseudo_mul
+    assert written.pseudo_mul.spec_form() == chain.spec_form()
+    assert written.pseudo_mul.identity == ExtNonneg(1)
+
+
+def test_a_document_of_plain_and_ratio_strings_builds_no_fraction(monkeypatch):
+    atoms = [f"x{i}" for i in range(20)]
+
+    def masses(shift):
+        return {a: "inf" if i == shift else f"{i + shift}" if i % 2 else f"{i + shift}/{i % 7 + 2}"
+                for i, a in enumerate(atoms)}
+
+    text = json.dumps({"space": {"atoms": atoms}, "pseudo_mul": "times",
+                       "measures": {"tau": masses(0), "nu": masses(3)},
+                       "functions": {"f": masses(5)}, "ideals": {"I": [atoms[:4]]}})
+    seven_sixths = ExtNonneg(Fraction(7, 6))
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(extreal, "Fraction", CountingFraction)
+    doc = parse_spec(text)
+    assert made == []
+    assert doc.measures["nu"].mass("x4") == seven_sixths
+    ExtNonneg("0.5")  # the general route does build one, so the patch is seen
+    assert len(made) == 1
