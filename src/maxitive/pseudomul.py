@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CarrierDomainError, UnresolvedInfimumError
-from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_min, ext_ratio
+from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_ratio
 
 __all__ = [
     "AchievableSet",
@@ -436,6 +436,12 @@ class DiscreteChain(PseudoMul):
     vacuous, which is the point: chains can realize a finite frontier φ,
     which no shipped continuous operation does.
 
+    ``table`` is a mapping (a, b) ↦ a ⊙ b or rows that follow
+    ``carrier`` as written, row a's entries in the same order.  Either
+    is stored as carrier ranks: ``carrier`` ascending, and ``_rows[i][j]``
+    the rank of carrier[i] ⊙ carrier[j].  Rank order is value order, so
+    every scan below compares ints.
+
     O(t) is the exhaustive minimum of s ⊙ t over positive carrier
     elements.  Because a chain has a least positive element and no zero
     divisors, O(t) > 0 for every t > 0; ⊙-finiteness is therefore
@@ -447,7 +453,8 @@ class DiscreteChain(PseudoMul):
     kind = "chain"
 
     def __init__(self, carrier: Sequence, table, identity):
-        values = tuple(sorted({as_extnn(v) for v in carrier}))
+        written = [as_extnn(v) for v in carrier]
+        values = tuple(sorted(set(written)))
         if len(values) < 2:
             raise ValueError("chain carrier needs at least two elements")
         if values[0] != ZERO:
@@ -458,121 +465,122 @@ class DiscreteChain(PseudoMul):
         if ident.is_zero:
             raise ValueError("chain identity must be positive")
         self.carrier = values
-        self._carrier_set = frozenset(values)
-        self._table = self._normalize_table(values, table)
+        self._rank = {v: i for i, v in enumerate(values)}
+        self._rows = self._rank_rows(written, table)
         super().__init__(ident)
 
-    @staticmethod
-    def _normalize_table(carrier, table) -> dict:
-        cset = set(carrier)
-        out = {}
+    def _rank_rows(self, written: list, table) -> tuple:
+        """``table``, rows following ``written`` or a mapping, as rows of ranks."""
+        carrier, rank = self.carrier, self._rank
+        k = len(carrier)
         if isinstance(table, Mapping):
-            for (a, b), v in table.items():
-                a, b, v = as_extnn(a), as_extnn(b), as_extnn(v)
-                if a not in cset or b not in cset or v not in cset:
-                    raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
-                out[(a, b)] = v
-            for a in carrier:
-                for b in carrier:
-                    if (a, b) not in out:
-                        raise ValueError(f"table is missing entry for ({a}, {b})")
-            return out
-        # rows in carrier order: every pair has its entry, and only v needs a check
-        rows = list(table)
-        if len(rows) != len(carrier):
-            raise ValueError(f"table must have {len(carrier)} rows, got {len(rows)}")
-        values = []
-        for a, row in zip(carrier, rows):
-            row = list(row)
-            if len(row) != len(carrier):
-                raise ValueError(f"table row for {a} must have {len(carrier)} entries")
-            values.append([as_extnn(v) for v in row])
-        for a, row in zip(carrier, values):
-            for b, v in zip(carrier, row):
-                if v not in cset:
-                    raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
-                out[(a, b)] = v
-        return out
+            entries = ((as_extnn(a), as_extnn(b), as_extnn(v)) for (a, b), v in table.items())
+        else:
+            if len(written) != k:
+                raise ValueError("chain carrier elements must be distinct")
+            rows = list(table)
+            if len(rows) != k:
+                raise ValueError(f"table must have {k} rows, got {len(rows)}")
+            cells = []
+            for a, row in zip(written, rows):
+                row = list(row)
+                if len(row) != k:
+                    raise ValueError(f"table row for {a} must have {k} entries")
+                cells.append(list(map(as_extnn, row)))
+            entries = ((a, b, v) for a, row in zip(written, cells) for b, v in zip(written, row))
+        out = [[None] * k for _ in range(k)]
+        for a, b, v in entries:
+            i, j, r = rank.get(a), rank.get(b), rank.get(v)
+            if i is None or j is None or r is None:
+                raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
+            out[i][j] = r
+        for i, row in enumerate(out):
+            if None in row:
+                raise ValueError(f"table is missing entry for ({carrier[i]}, "
+                                 f"{carrier[row.index(None)]})")
+        return tuple(map(tuple, out))
 
     @classmethod
     def clamped_product(cls, carrier: Sequence, identity=ONE) -> "DiscreteChain":
         """Chain whose operation is the product rounded down into the carrier."""
         values = tuple(sorted({as_extnn(v) for v in carrier}))
-        table = {}
-        for a in values:
-            for b in values:
-                p = a * b
-                table[(a, b)] = max((v for v in values if v <= p), default=ZERO)
-        return cls(values, table, identity)
+        rows = [[max((v for v in values if v <= a * b), default=ZERO) for b in values]
+                for a in values]
+        return cls(values, rows, identity)
 
     def representable(self, t: ExtNonneg) -> bool:
-        return t in self._carrier_set
+        return t in self._rank
 
-    def _require(self, t: ExtNonneg) -> ExtNonneg:
-        t = as_extnn(t)
-        if t not in self._carrier_set:
+    def _index(self, t: ExtNonneg) -> int:
+        """The rank of t in the carrier; CarrierDomainError off it."""
+        i = self._rank.get(as_extnn(t))
+        if i is None:
             raise CarrierDomainError(
                 f"{t} is not in the chain carrier {[str(c) for c in self.carrier]}")
-        return t
+        return i
 
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
-        return self._table[(self._require(s), self._require(t))]
+        return self.carrier[self._rows[self._index(s)][self._index(t)]]
 
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
-        t = self._require(t)
-        return ext_min(self._table[(s, t)] for s in self.carrier if not s.is_zero)
+        j = self._index(t)
+        return self.carrier[min(row[j] for row in self._rows[1:])]
 
     def is_odot_finite(self, t: ExtNonneg) -> bool:
-        t = self._require(t)
-        if t.is_zero:
-            return True
-        positives = [s for s in self.carrier if not s.is_zero]
-        left = any(self._table[(s, t)] <= self.identity for s in positives)
-        right = any(self._table[(t, s)] <= self.identity for s in positives)
-        return left and right
+        j = self._index(t)
+        e = self._rank[self.identity]
+        rows = self._rows
+        return j == 0 or (any(row[j] <= e for row in rows[1:])
+                          and any(r <= e for r in rows[j][1:]))
 
     def finiteness_probes(self, t: ExtNonneg) -> list:
-        return [s for s in self.carrier if not s.is_zero]
+        return list(self.carrier[1:])
 
     def _compute_profile(self) -> FinitenessProfile:
-        finite = frozenset(t for t in self.carrier if self.is_odot_finite(t))
-        infinite = [t for t in self.carrier if t not in finite]
-        notes = []
-        if not infinite:
+        carrier, rows = self.carrier, self._rows
+        finite = [self.is_odot_finite(c) for c in carrier]
+        elements = frozenset(c for c, ok in zip(carrier, finite) if ok)
+        degenerate = elements == {ZERO}
+        if all(finite):
             return FinitenessProfile(
-                FrontierShape.WHOLE_INTERVAL, INF, degenerate=(finite == {ZERO}),
-                finite_elements=finite,
+                FrontierShape.WHOLE_INTERVAL, INF, degenerate=degenerate,
+                finite_elements=elements,
             )
-        phi = ext_min(infinite)
-        expected = frozenset(t for t in self.carrier if t < phi)
-        if finite != expected:
+        p = finite.index(False)  # φ's rank: every rank below it is finite
+        phi = carrier[p]
+        notes = []
+        if any(finite[p:]):
             notes.append("finite set is not downward closed below its frontier")
-        if self.zero_map(phi) != phi:
-            notes.append(f"O(φ) = {self.zero_map(phi)} differs from φ = {phi}")
-        if self._table[(phi, phi)] != phi:
+        o = min(row[p] for row in rows[1:])  # O(φ)'s rank
+        if o != p:
+            notes.append(f"O(φ) = {carrier[o]} differs from φ = {phi}")
+        if rows[p][p] != p:
             notes.append("φ is not idempotent")
-        for t in self.carrier:
-            if not t.is_zero and t <= phi:
-                if self._table[(t, phi)] != phi or self._table[(phi, t)] != phi:
-                    notes.append(f"φ is not absorbing at t = {t}")
+        for i in range(1, p + 1):
+            if rows[i][p] != p or rows[p][i] != p:
+                notes.append(f"φ is not absorbing at t = {carrier[i]}")
         return FinitenessProfile(
-            FrontierShape.HALF_OPEN, phi, degenerate=(finite == {ZERO}),
-            finite_elements=finite, notes=tuple(notes),
+            FrontierShape.HALF_OPEN, phi, degenerate=degenerate,
+            finite_elements=elements, notes=tuple(notes),
         )
 
     def describe(self) -> str:
         return "chain{" + ", ".join(str(c) for c in self.carrier) + "}"
 
     def achievable_set(self, t: ExtNonneg) -> AchievableSet:
-        values = frozenset(self(c, t) for c in self.carrier)
-        nonzero = [v for v in values if not v.is_zero]
-        lower = min(nonzero) if nonzero else ZERO
-        return AchievableSet(lower, max(values), True, explicit_values=values)
+        j = self._index(t)
+        image = {row[j] for row in self._rows}
+        carrier = self.carrier
+        lower = min(image - {0}, default=0)
+        return AchievableSet(carrier[lower], carrier[max(image)], True,
+                             explicit_values=frozenset(carrier[r] for r in image))
 
     def least_solution(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Optional[ExtNonneg]:
-        for c in self.carrier:  # ascending, so the first hit is the least
-            if self(c, tau_x) == nu_x:
-                return c
+        j = self._index(tau_x)
+        r = self._rank.get(nu_x)
+        for i, row in enumerate(self._rows):  # ascending, so the first hit is the least
+            if row[j] == r:
+                return self.carrier[i]
         return None
 
     def threshold_grid(self, f, B=None) -> list:
@@ -582,9 +590,10 @@ class DiscreteChain(PseudoMul):
         return list(self.carrier), True
 
     def spec_form(self):
+        names = [str(c) for c in self.carrier]
         return {"chain": {
-            "carrier": [str(c) for c in self.carrier],
-            "table": [[str(self._table[(a, b)]) for b in self.carrier] for a in self.carrier],
+            "carrier": names,
+            "table": [[names[r] for r in row] for row in self._rows],
             "identity": str(self.identity),
         }}
 

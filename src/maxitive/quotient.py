@@ -310,8 +310,7 @@ def disjoint_variation_bruteforce(tau: MaxMeasure, B: SubsetB,
                                   limit: int = PARTITION_ORACLE_CAP) -> ExtNonneg:
     """Literal sup over all finite partitions of Σ_{B'∈π} τ(B ∩ B')."""
     _same_space(tau.space, B.space)
-    if tau.space.n > limit:
-        raise SizeCapError(f"partition enumeration beyond {limit} atoms refused")
+    check_cap(tau.space.n, limit, "partition enumeration")
     best = ZERO
     for part in set_partitions(list(tau.space.atoms)):
         total = ZERO

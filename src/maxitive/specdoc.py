@@ -22,7 +22,9 @@ is the identity on valid documents.
 
 A document is read in one pass.  Each parse_spec call keeps a memo from
 number string to value, and only values enter it, so a bad string gets
-an issue at every place it stands; no cache outlives the call.
+an issue at every place it stands; no cache outlives the call.  A
+chain's rows follow its carrier as written: the parser locates each
+value and DiscreteChain, the one reader of the table, orders them.
 """
 
 from __future__ import annotations
@@ -150,6 +152,10 @@ def _parse_atom_map(raw, space: Space, path: str, issues: list, memo: dict) -> O
 
 
 def _parse_chain(raw, path: str, issues: list, memo: dict) -> Optional[DiscreteChain]:
+    """The chain ``raw`` describes, built from its values as written;
+    DiscreteChain orders them.  Every bad carrier entry, row, cell and
+    identity is reported; membership is checked once the whole carrier
+    has parsed."""
     if not isinstance(raw, dict):
         issues.append(SpecIssue(path, "chain spec must be an object"))
         return None
@@ -158,14 +164,11 @@ def _parse_chain(raw, path: str, issues: list, memo: dict) -> Optional[DiscreteC
     if not isinstance(carrier_raw, list) or not carrier_raw:
         issues.append(SpecIssue(f"{path}.carrier", "expected a nonempty list"))
         return None
-    carrier = []
-    for i, c in enumerate(carrier_raw):
-        v = _parse_mass(c, memo, issues, f"{path}.carrier[{i}]")
-        if v is None:
-            return None
-        carrier.append(v)
-    members = set(carrier)
-    if len(members) != len(carrier):
+    start = len(issues)
+    carrier = [_parse_mass(c, memo, issues, f"{path}.carrier[{i}]")
+               for i, c in enumerate(carrier_raw)]
+    parsed, members = len(issues) == start, set(carrier)
+    if parsed and len(members) != len(carrier):
         issues.append(SpecIssue(f"{path}.carrier", "carrier elements must be distinct"))
         return None
     k = len(carrier)
@@ -174,51 +177,38 @@ def _parse_chain(raw, path: str, issues: list, memo: dict) -> Optional[DiscreteC
             f"{path}.table", f"expected {k} rows, got "
             f"{len(table_raw) if isinstance(table_raw, list) else type(table_raw).__name__}"))
         return None
-    # each distinct cell string is read and found in the carrier once
-    cells = {}
     rows = []
     for i, row in enumerate(table_raw):
         if not isinstance(row, list) or len(row) != k:
             issues.append(SpecIssue(f"{path}.table[{i}]", f"expected {k} entries"))
-            return None
+            continue
         values = []
         for j, cell in enumerate(row):
-            v = cells.get(cell) if type(cell) is str else None
-            if v is None:
-                v = _parse_mass(cell, memo, issues, f"{path}.table[{i}][{j}]")
-                if v is None:
-                    return None
-                if v not in members:
-                    issues.append(SpecIssue(f"{path}.table[{i}][{j}]",
-                                            f"value {v} is not a carrier element"))
-                    return None
-                if type(cell) is str:
-                    cells[cell] = v
+            v = _parse_mass(cell, memo, issues, f"{path}.table[{i}][{j}]")
+            if v is not None and parsed and v not in members:
+                issues.append(SpecIssue(f"{path}.table[{i}][{j}]",
+                                        f"value {v} is not a carrier element"))
             values.append(v)
         rows.append(values)
-    # rows follow the carrier as written; reorder rows and columns ascending
-    rank = sorted(range(k), key=carrier.__getitem__)
-    order = [carrier[i] for i in rank]
-    table = [[rows[i][j] for j in rank] for i in rank]
     identity_raw = raw.get("identity")
-    if identity_raw is not None:
-        identity = _parse_mass(identity_raw, memo, issues, f"{path}.identity")
-        if identity is None:
-            return None
-    else:
+    identity = (None if identity_raw is None
+                else _parse_mass(identity_raw, memo, issues, f"{path}.identity"))
+    if len(issues) > start:
+        return None
+    if identity is None:
         # infer: the unique carrier element acting as a left identity
-        candidates = [e for e, row in zip(order, table) if row == order]
+        candidates = [e for e, row in zip(carrier, rows) if row == carrier]
         if not candidates:
             issues.append(SpecIssue(path, "table has no left identity; give one explicitly"))
             return None
         if len(candidates) > 1:
             issues.append(SpecIssue(
                 path, f"table has several left identities "
-                      f"({', '.join(str(c) for c in candidates)}); give one explicitly"))
+                      f"({', '.join(str(c) for c in sorted(candidates))}); give one explicitly"))
             return None
         identity = candidates[0]
     try:
-        return DiscreteChain(order, table, identity)
+        return DiscreteChain(carrier, rows, identity)
     except ValueError as exc:
         issues.append(SpecIssue(path, str(exc)))
         return None

@@ -12,8 +12,23 @@ from pathlib import Path
 
 import pytest
 
+from maxitive import (
+    ONE,
+    ExtNonneg,
+    MaxMeasure,
+    Space,
+    build_quotient,
+    disjoint_variation_bruteforce,
+    enumerate_quotient_sigma_ideals,
+)
 from maxitive.errors import SizeCapError
-from maxitive.spaces import ENUM_CAP, check_cap, within_cap
+from maxitive.spaces import (
+    ENUM_CAP,
+    PARTITION_ORACLE_CAP,
+    SIGMA_IDEAL_ENUM_CAP,
+    check_cap,
+    within_cap,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
 
@@ -34,6 +49,21 @@ def test_check_cap_refuses_exactly_outside_the_cap():
             with pytest.raises(SizeCapError, match=f"probe exceeds the cap of {cap}$") as err:
                 check_cap(size, limit, "probe")
             assert err.value.needed == size
+
+
+def test_the_partition_oracle_refuses_through_check_cap():
+    n = PARTITION_ORACLE_CAP + 1
+    tau = MaxMeasure.constant(Space([f"x{i}" for i in range(n)]), ONE)
+    with pytest.raises(SizeCapError, match=f"^partition enumeration exceeds the cap of "
+                                           f"{PARTITION_ORACLE_CAP}$") as err:
+        disjoint_variation_bruteforce(tau, tau.space.full)
+    assert err.value.needed == n
+    assert disjoint_variation_bruteforce(tau, tau.space.full, limit=n) == ExtNonneg(n)
+    # the σ-ideal enumeration's cap is fixed: needed None says no limit lifts it
+    assert build_quotient(tau).k > SIGMA_IDEAL_ENUM_CAP
+    with pytest.raises(SizeCapError) as err:
+        enumerate_quotient_sigma_ideals(build_quotient(tau))
+    assert err.value.needed is None
 
 
 def _names(node) -> set:

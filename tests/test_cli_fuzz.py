@@ -1,4 +1,5 @@
-"""Hostile spec documents through cli.main, in-process.
+"""Hostile spec documents through cli.main, in-process, and a few through
+``python -m maxitive`` with a timeout, which catches a hang.
 
 Every data command must end in a report or a located refusal (exit 0, 2,
 3 or 4), never in a traceback or an internal error (exit 1).
@@ -7,6 +8,10 @@ Every data command must end in a report or a located refusal (exit 0, 2,
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -95,3 +100,40 @@ def test_every_data_command_ends_in_a_report_or_a_located_refusal(doc_file, doc)
     for command in COMMANDS:
         argv = [command[0], "--space-file", str(doc_file), *command[1:], "--json-out", "-"]
         assert run(argv) in (0, 2, 3, 4), argv
+
+
+def hostile(**sections):
+    """A valid chain document on three atoms with ``sections`` replaced."""
+    masses = dict.fromkeys(ATOMS, "2")
+    return {"space": {"atoms": ATOMS},
+            "pseudo_mul": {"chain": {"carrier": CARRIER, "table": TABLE}},
+            "measures": {"tau": masses, "nu": masses}, "functions": {"f": masses},
+            "ideals": {"I": [["a"], ["b"]]}, **sections}
+
+
+LONG = "9" * (NUMBER_DIGITS_CAP + 1)
+# One document per kind of fault, each with a command that reads it.
+IN_A_SUBPROCESS = [
+    (COMMANDS[0], hostile(functions={"f": {"a": "1e100000000", "b": "1", "c": "2"}})),
+    (COMMANDS[1], hostile(measures={"tau": {"a": LONG, "b": LONG, "c": "1"},
+                                    "nu": {"a": "1", "b": "1", "c": "1"}})),
+    (COMMANDS[2], hostile(measures={"tau": {"a": "1", "b": "2", "z": "1"}})),
+    (COMMANDS[3], hostile(measures=["1e5000"])),
+    (COMMANDS[4], hostile(ideals={"I": [[["a"]], [{"b": 1}]]})),
+    (COMMANDS[6], hostile(pseudo_mul={"chain": {"carrier": CARRIER, "table": [
+        ["0", "0", "0", "0"], ["0", "1", "1e5000", "inf"], ["0", "0/0", "2", "inf"],
+        ["0", "inf", "inf", []]]}})),
+]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("command, doc", IN_A_SUBPROCESS, ids=[c[0] for c, _ in IN_A_SUBPROCESS])
+def test_a_hostile_document_ends_in_time_in_a_fresh_process(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "maxitive", command[0], "--space-file", str(path),
+                           *command[1:], "--json-out", "-"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr

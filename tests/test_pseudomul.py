@@ -22,7 +22,7 @@ from maxitive import (
     validate_pseudo_mul,
 )
 
-from conftest import extnn, float_times
+from conftest import extnn, float_times, random_chain
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -65,7 +65,11 @@ def test_chain_table_as_rows_or_mapping_is_the_same_chain_with_the_same_checks(c
     carrier, one, two, three = chain.carrier, ONE, ExtNonneg(2), ExtNonneg(3)
     rows = [[chain(a, b) for b in carrier] for a in carrier]
     mapping = {(a, b): chain(a, b) for a in carrier for b in carrier}
-    assert DiscreteChain(carrier, rows, ONE)._table == DiscreteChain(carrier, mapping, ONE)._table
+    from_rows = DiscreteChain(carrier, rows, ONE)
+    from_mapping = DiscreteChain(carrier, mapping, ONE)
+    assert from_rows.spec_form() == from_mapping.spec_form()
+    assert all(from_rows(a, b) == from_mapping(a, b) == chain(a, b)
+               for a in carrier for b in carrier)
     off_rows = [row[:] for row in rows]
     off_rows[1][2] = three
     for table in (off_rows, {**mapping, (one, two): three}):
@@ -80,6 +84,139 @@ def test_chain_table_as_rows_or_mapping_is_the_same_chain_with_the_same_checks(c
         DiscreteChain(carrier, rows[:2] + [rows[2][:3]] + rows[3:], ONE)
     with pytest.raises(ValueError, match="table must have 4 rows, got 3"):
         DiscreteChain(carrier, rows[:3], ONE)
+
+
+def test_rows_follow_the_carrier_as_written():
+    # min on {0, 1, 2} with identity 2, written for the carrier [0, 2, 1]
+    written, ascending = [0, 2, 1], [0, 1, 2]
+    chains = [DiscreteChain(written, [[min(a, b) for b in written] for a in written], 2),
+              DiscreteChain(written, {(a, b): min(a, b) for a in written for b in written}, 2),
+              DiscreteChain(ascending, [[min(a, b) for b in ascending] for a in ascending], 2)]
+    for pm in chains:
+        assert pm.spec_form() == chains[2].spec_form()
+        assert [pm(a, b) for a in ascending for b in ascending] == [
+            ExtNonneg(min(a, b)) for a in ascending for b in ascending]
+
+
+def test_a_repeated_carrier_element_in_rows_form_is_refused():
+    rows = [[0, 0, 0], [0, 1, 1], [0, 1, 1]]
+    for table in (rows, [row[:2] for row in rows[:2]]):
+        with pytest.raises(ValueError, match="^chain carrier elements must be distinct$"):
+            DiscreteChain([0, 1, 1], table, identity=1)
+    # the identity is checked before the table
+    with pytest.raises(ValueError, match="^chain identity must belong to the carrier$"):
+        DiscreteChain([0, 1, 1], rows, identity=2)
+
+
+# -- the rank table against literal value scans --------------------------------
+
+class ValueScans:
+    """A chain as a dict of value pairs, read by min and any over ExtNonneg:
+    the literal definitions that DiscreteChain's rank table must agree with."""
+
+    def __init__(self, carrier, table, identity):
+        self.carrier = sorted(set(map(ExtNonneg, carrier)))
+        self.table = {(ExtNonneg(a), ExtNonneg(b)): ExtNonneg(v) for (a, b), v in table.items()}
+        self.identity = ExtNonneg(identity)
+        self.positives = [s for s in self.carrier if not s.is_zero]
+
+    def zero_map(self, t):
+        return min(self.table[(s, t)] for s in self.positives)
+
+    def is_odot_finite(self, t):
+        e = self.identity
+        return t.is_zero or (any(self.table[(s, t)] <= e for s in self.positives)
+                             and any(self.table[(t, s)] <= e for s in self.positives))
+
+    def image(self, t):
+        values = frozenset(self.table[(c, t)] for c in self.carrier)
+        nonzero = [v for v in values if not v.is_zero]
+        return (min(nonzero) if nonzero else ZERO), max(values), values
+
+    def least_solution(self, nu, tau):
+        return next((c for c in self.carrier if self.table[(c, tau)] == nu), None)
+
+    def profile(self):
+        finite = frozenset(t for t in self.carrier if self.is_odot_finite(t))
+        infinite = [t for t in self.carrier if t not in finite]
+        if not infinite:
+            return FrontierShape.WHOLE_INTERVAL, INF, finite, ()
+        phi = min(infinite)
+        notes = []
+        if finite != frozenset(t for t in self.carrier if t < phi):
+            notes.append("finite set is not downward closed below its frontier")
+        if self.zero_map(phi) != phi:
+            notes.append(f"O(φ) = {self.zero_map(phi)} differs from φ = {phi}")
+        if self.table[(phi, phi)] != phi:
+            notes.append("φ is not idempotent")
+        for t in self.positives:
+            if t <= phi and (self.table[(t, phi)] != phi or self.table[(phi, t)] != phi):
+                notes.append(f"φ is not absorbing at t = {t}")
+        return FrontierShape.HALF_OPEN, phi, finite, tuple(notes)
+
+    def spec_form(self):
+        return {"chain": {
+            "carrier": [str(c) for c in self.carrier],
+            "table": [[str(self.table[(a, b)]) for b in self.carrier] for a in self.carrier],
+            "identity": str(self.identity)}}
+
+
+def chain_cases():
+    """(carrier, table as a dict of pairs, identity): random_chain draws, the
+    uninorm of ROADMAP item 3, the validator tests' failing tables, random
+    tables, and one where 0 does not annihilate."""
+    rng = random.Random(29)
+    for _ in range(60):
+        pm = random_chain(rng)
+        yield pm.carrier, {(a, b): pm(a, b) for a in pm.carrier for b in pm.carrier}, pm.identity
+    uninorm, e = [ExtNonneg(v) for v in ("0", "1", "3", "7", "inf")], ExtNonneg(7)
+    yield uninorm, {(a, b): ZERO if ZERO in (a, b) else max(a, b) if min(a, b) >= e else min(a, b)
+                    for a in uninorm for b in uninorm}, e
+    for carrier, rows, identity in (
+            ([0, 1, 2], [[0, 0, 0], [0, 1, 0], [0, 1, 2]], 2),  # a zero divisor
+            ([0, 1, 2, 3], [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 3], [0, 3, 2, 2]], 1),
+            ([0, 1, 2], [[0, 0, 1], [0, 1, 2], [1, 2, 2]], 1)):  # 0 ⊙ 2 = 1
+        pairs = {(a, b): v for a, row in zip(carrier, rows) for b, v in zip(carrier, row)}
+        yield carrier, pairs, identity
+    for carrier in ([0, 1, 2, 3], [0, 1, 2, INF]):
+        for _ in range(60):
+            yield carrier, {(a, b): rng.choice(carrier) for a in carrier for b in carrier}, 1
+
+
+# No chain_cases carrier holds these: random_chain draws from 1 to 16 in halves.
+OFF_CARRIER = [ExtNonneg(v) for v in ("1/2", "1/3", "17/3", "100")]
+
+
+def test_the_rank_table_answers_as_the_value_scans():
+    rng = random.Random(31)
+    seen_no_zero_image = False
+    for carrier, table, identity in chain_cases():
+        scans = ValueScans(carrier, table, identity)
+        written = rng.sample(scans.carrier, len(scans.carrier))
+        rows = [[scans.table[(a, b)] for b in written] for a in written]
+        for pm in (DiscreteChain(carrier, table, identity), DiscreteChain(written, rows, identity)):
+            assert pm.carrier == tuple(scans.carrier)
+            assert {(a, b): pm(a, b) for a in pm.carrier for b in pm.carrier} == scans.table
+            assert pm.spec_form() == scans.spec_form()
+            prof = pm.finiteness_profile()
+            assert (prof.shape, prof.phi, prof.finite_elements, prof.notes) == scans.profile()
+            assert prof.degenerate == (prof.finite_elements == {ZERO})
+            for t in scans.carrier:
+                assert pm.zero_map(t) == scans.zero_map(t)
+                assert pm.is_odot_finite(t) == scans.is_odot_finite(t)
+                image = pm.achievable_set(t)
+                assert (image.lower, image.upper, image.explicit_values) == scans.image(t)
+                assert image.lower_attained is True
+                seen_no_zero_image |= ZERO not in image.explicit_values
+                for nu in scans.carrier + OFF_CARRIER:
+                    assert pm.least_solution(nu, t) == scans.least_solution(nu, t)
+            for t in OFF_CARRIER:
+                assert not pm.representable(t)
+                for method in (pm.zero_map, pm.is_odot_finite, pm.achievable_set,
+                               lambda t: pm.least_solution(ONE, t)):
+                    with pytest.raises(CarrierDomainError):
+                        method(t)
+    assert seen_no_zero_image
 
 
 # -- zero map ---------------------------------------------------------------

@@ -281,10 +281,28 @@ def test_a_bad_string_is_reported_at_every_place_it_stands():
                                  "table": [["0", "0", "0"], ["0", "1", bad], ["0", bad, "2"]]}},
         "measures": {"tau": {"a": bad, "b": bad}, "nu": {"a": "2", "b": bad}},
     })
-    # the chain stops at its first bad cell; each atom is read on its own
+    # each cell and each atom is read on its own
     assert [(i.path, i.message) for i in issues] == [
-        ("pseudo_mul.chain.table[1][2]", message), ("measures.tau.a", message),
+        ("pseudo_mul.chain.table[1][2]", message), ("pseudo_mul.chain.table[2][1]", message),
+        ("measures.tau.a", message),
         ("measures.tau.b", message), ("measures.nu.b", message)]
+
+
+def test_a_chain_reports_every_bad_carrier_entry_row_and_cell():
+    _, issues = _issues({**MINIMAL, "pseudo_mul": {"chain": {
+        "carrier": ["0", "x", "2", "y"],
+        "table": [["0", "1", "0", "0"], ["0", "1", "2"], ["0", "2", "z", "2"], 5]}}})
+    # the carrier did not parse, so no cell is held to it: "1" is no issue
+    assert [i.path for i in issues] == [
+        "pseudo_mul.chain.carrier[1]", "pseudo_mul.chain.carrier[3]",
+        "pseudo_mul.chain.table[1]", "pseudo_mul.chain.table[2][2]", "pseudo_mul.chain.table[3]"]
+    assert issues[2].message == issues[4].message == "expected 4 entries"
+    _, issues = _issues({**MINIMAL, "pseudo_mul": {"chain": {
+        "carrier": ["0", "1"], "table": [["0", "3"], ["4", "1"]], "identity": "-1"}}})
+    assert [(i.path, i.message) for i in issues][:2] == [
+        ("pseudo_mul.chain.table[0][1]", "value 3 is not a carrier element"),
+        ("pseudo_mul.chain.table[1][0]", "value 4 is not a carrier element")]
+    assert [i.path for i in issues[2:]] == ["pseudo_mul.chain.identity"]
 
 
 def test_a_repeated_cell_outside_the_carrier_is_refused():
