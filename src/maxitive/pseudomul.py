@@ -28,6 +28,7 @@ Two deliberate extensions of the continuous theory live here:
 from __future__ import annotations
 
 import abc
+import bisect
 import enum
 import itertools
 import math
@@ -120,8 +121,8 @@ class AchievableSet:
         return f"{zero}{left}{self.lower}, {self.upper}]"
 
 
-# The base finiteness probes' dyadic descent 2^-k, k = 0, 6, .., 60.
-_DYADIC_PROBES = tuple(ext_ratio(1, 2 ** k) for k in range(0, 61, 6))
+# The base finiteness probes' dyadic descent 2^-k, k = 0, 6, .., 60, as pairs.
+_DYADIC_PROBES = tuple((1, 2 ** k) for k in range(0, 61, 6))
 
 
 class PseudoMul(abc.ABC):
@@ -176,35 +177,54 @@ class PseudoMul(abc.ABC):
         return True
 
     def values_equal(self, a: ExtNonneg, b: ExtNonneg) -> bool:
-        """Equality, exact or within the relative tolerance."""
-        if self.exact or a == b:
-            return a == b
-        if a.is_inf or b.is_inf:
+        """Equality, exact or within the relative tolerance: ``pairs_equal``
+        on the two values' pairs, after the common case of equal values."""
+        return a == b or self.pairs_equal((a._n, a._d), (b._n, b._d))
+
+    def pairs_equal(self, a: tuple, b: tuple) -> bool:
+        """``values_equal`` on integer pairs (n, d), ∞ = (1, 0), in lowest
+        terms or not: equal when n·d′ = n′·d, and for an inexact ⊙ also
+        when both are finite and their floats n/d are within the relative
+        tolerance."""
+        (n, d), (m, e) = a, b
+        if n * e == m * d:
+            return True
+        if self.exact or not d or not e:
             return False
-        fa, fb = float(a), float(b)
+        fa, fb = n / d, m / e
         return abs(fa - fb) <= self.tolerance * max(1.0, abs(fa), abs(fb))
 
-    # Positive probe values used for existential finiteness witnesses
-    # (Lemma-style criteria): a dyadic descent, adapted to t when the
-    # arithmetic is exact so that large finite t still finds s ~ 1/t.
     def finiteness_probes(self, t: ExtNonneg) -> list:
-        probes = [*_DYADIC_PROBES, self.identity]
-        if self.exact and t.is_finite and not t.is_zero:
-            probes.append(self.identity / (ExtNonneg(2) * t))
-        return [p for p in probes if not p.is_zero]
+        """The positive values s, as pairs (n, d), on which the validator
+        tries the criteria s ⊙ t ≤ 1_⊙ and t ⊙ s ≤ 1_⊙: the dyadic descent
+        and 1_⊙, and when the arithmetic is exact and t finite and
+        positive, 1_⊙ / 2t, so that a large t still finds s ~ 1/t."""
+        e = self.identity
+        if e.is_zero:
+            return list(_DYADIC_PROBES)
+        probes = [*_DYADIC_PROBES, (e._n, e._d)]
+        if self.exact and t._n and t._d:
+            probes.append((e._n * t._d, 2 * e._d * t._n))
+        return probes
 
     def describe(self) -> str:
         return self.kind
 
-    def products(self, lefts: Iterable[ExtNonneg],
-                 rights: Iterable[ExtNonneg]) -> Iterable[ExtNonneg]:
-        """lefts[i] ⊙ rights[i] for each pair, in pair order: lazily, one
-        ``omul`` call per pair.  A consumer that collects them with
-        ``list.extend`` keeps the values before a fault, so the failing
-        pair's position is the number of values received.  An override
-        returns the same values; a closed form that cannot fault may
-        return a list."""
-        return itertools.starmap(self.omul, zip(lefts, rights, strict=True))
+    def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
+        """lefts[i] ⊙ rights[i] for each i, in order, on integer pairs:
+        each value is a pair (n, d) for n/d, ∞ = (1, 0), in lowest terms
+        or not, and so is each product.  The base class builds each
+        argument, calls ``omul`` once per pair and reads the pair of its
+        value, lazily: a consumer that collects them with ``list.extend``
+        keeps the values before a fault, so the failing pair's position
+        is the number of values received.  An override returns pairs of
+        the same values; a closed form that cannot fault may return a
+        list.  The validator is the consumer: it compares the pairs by
+        cross-multiplying and builds no value for a product."""
+        mul = self.omul
+        for (n, d), (m, e) in zip(lefts, rights, strict=True):
+            v = mul(ext_ratio(n, d), ext_ratio(m, e))
+            yield v._n, v._d
 
     def _omul_is(self, cls: type) -> bool:
         """Whether this ⊙ is ``cls.omul`` itself, read from the class (so a
@@ -340,13 +360,13 @@ class StandardProduct(PseudoMul):
 
     # The closed forms read each value as its integer pair n/d (∞ = 1/0):
     # a product is n·n′ / d·d′, and 0 where either factor is 0 (0 · ∞ = 0).
-    def products(self, lefts: Iterable[ExtNonneg],
-                 rights: Iterable[ExtNonneg]) -> Iterable[ExtNonneg]:
-        """Each pair's product, reduced by one gcd."""
+    def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
+        """Each pair's product n·n′ / d·d′, unreduced, and (0, 1) where
+        either factor is 0."""
         if not self._omul_is(StandardProduct):
             return super().products(lefts, rights)
-        return [ext_ratio(s._n * t._n, s._d * t._d) if s._n and t._n else ZERO
-                for s, t in zip(lefts, rights, strict=True)]
+        return [(n * m, d * e) if n and m else (0, 1)
+                for (n, d), (m, e) in zip(lefts, rights, strict=True)]
 
     def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
         """The largest product, found by cross-multiplying the unreduced
@@ -393,12 +413,11 @@ class Minimum(PseudoMul):
 
     # The closed forms pick the lesser input by cross-multiplying the
     # integer pairs n/d (∞ = 1/0) and build no value.
-    def products(self, lefts: Iterable[ExtNonneg],
-                 rights: Iterable[ExtNonneg]) -> Iterable[ExtNonneg]:
-        """Each pair's lesser value."""
+    def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
+        """Each pair's lesser value, the very pair given."""
         if not self._omul_is(Minimum):
             return super().products(lefts, rights)
-        return [s if s._n * t._d < t._n * s._d else t
+        return [s if s[0] * t[1] < t[0] * s[1] else t
                 for s, t in zip(lefts, rights, strict=True)]
 
     def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
@@ -438,8 +457,9 @@ class DiscreteChain(PseudoMul):
 
     ``table`` is a mapping (a, b) ↦ a ⊙ b or rows that follow
     ``carrier`` as written, row a's entries in the same order.  Either
-    is stored as carrier ranks: ``carrier`` ascending, and ``_rows[i][j]``
-    the rank of carrier[i] ⊙ carrier[j].  Rank order is value order, so
+    is stored as carrier ranks: ``carrier`` ascending, ``_rank`` the
+    rank of each element's integer pair (n, d), and ``_rows[i][j]`` the
+    rank of carrier[i] ⊙ carrier[j].  Rank order is value order, so
     every scan below compares ints.
 
     O(t) is the exhaustive minimum of s ⊙ t over positive carrier
@@ -465,7 +485,8 @@ class DiscreteChain(PseudoMul):
         if ident.is_zero:
             raise ValueError("chain identity must be positive")
         self.carrier = values
-        self._rank = {v: i for i, v in enumerate(values)}
+        self._pairs = tuple((v._n, v._d) for v in values)
+        self._rank = {pair: i for i, pair in enumerate(self._pairs)}
         self._rows = self._rank_rows(written, table)
         super().__init__(ident)
 
@@ -473,11 +494,11 @@ class DiscreteChain(PseudoMul):
         """``table``, rows following ``written`` or a mapping, as rows of ranks."""
         carrier, rank = self.carrier, self._rank
         k = len(carrier)
+        if len(written) != k:
+            raise ValueError("chain carrier elements must be distinct")
         if isinstance(table, Mapping):
             entries = ((as_extnn(a), as_extnn(b), as_extnn(v)) for (a, b), v in table.items())
         else:
-            if len(written) != k:
-                raise ValueError("chain carrier elements must be distinct")
             rows = list(table)
             if len(rows) != k:
                 raise ValueError(f"table must have {k} rows, got {len(rows)}")
@@ -490,7 +511,7 @@ class DiscreteChain(PseudoMul):
             entries = ((a, b, v) for a, row in zip(written, cells) for b, v in zip(written, row))
         out = [[None] * k for _ in range(k)]
         for a, b, v in entries:
-            i, j, r = rank.get(a), rank.get(b), rank.get(v)
+            i, j, r = rank.get((a._n, a._d)), rank.get((b._n, b._d)), rank.get((v._n, v._d))
             if i is None or j is None or r is None:
                 raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
             out[i][j] = r
@@ -509,11 +530,12 @@ class DiscreteChain(PseudoMul):
         return cls(values, rows, identity)
 
     def representable(self, t: ExtNonneg) -> bool:
-        return t in self._rank
+        return (t._n, t._d) in self._rank
 
     def _index(self, t: ExtNonneg) -> int:
         """The rank of t in the carrier; CarrierDomainError off it."""
-        i = self._rank.get(as_extnn(t))
+        v = as_extnn(t)
+        i = self._rank.get((v._n, v._d))
         if i is None:
             raise CarrierDomainError(
                 f"{t} is not in the chain carrier {[str(c) for c in self.carrier]}")
@@ -522,19 +544,46 @@ class DiscreteChain(PseudoMul):
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return self.carrier[self._rows[self._index(s)][self._index(t)]]
 
+    # The closed forms read each argument's rank from ``_rank`` and the
+    # product's from ``_rows``.  An argument off the carrier (or a pair
+    # not in lowest terms) is no key; they then hand the pairs to the
+    # base loop, which calls omul and so faults at the same pair.
+    def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
+        """Each pair's product, read from the table as a carrier pair."""
+        if not self._omul_is(DiscreteChain):
+            return super().products(lefts, rights)
+        lefts, rights = list(lefts), list(rights)
+        pairs, rank, rows = self._pairs, self._rank, self._rows
+        try:
+            return [pairs[rows[rank[s]][rank[t]]] for s, t in zip(lefts, rights, strict=True)]
+        except KeyError:
+            return super().products(lefts, rights)
+
+    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
+        """The carrier element of the largest rank read from the table."""
+        if not self._omul_is(DiscreteChain):
+            return super().sup_products(lefts, rights)
+        lefts, rights = list(lefts), list(rights)
+        rank, rows = self._rank, self._rows
+        try:
+            return self.carrier[max((rows[rank[s._n, s._d]][rank[t._n, t._d]]
+                                     for s, t in zip(lefts, rights, strict=True)), default=0)]
+        except KeyError:
+            return super().sup_products(lefts, rights)
+
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         j = self._index(t)
         return self.carrier[min(row[j] for row in self._rows[1:])]
 
     def is_odot_finite(self, t: ExtNonneg) -> bool:
         j = self._index(t)
-        e = self._rank[self.identity]
+        e = self._rank[self.identity._n, self.identity._d]
         rows = self._rows
         return j == 0 or (any(row[j] <= e for row in rows[1:])
                           and any(r <= e for r in rows[j][1:]))
 
     def finiteness_probes(self, t: ExtNonneg) -> list:
-        return list(self.carrier[1:])
+        return list(self._pairs[1:])
 
     def _compute_profile(self) -> FinitenessProfile:
         carrier, rows = self.carrier, self._rows
@@ -577,7 +626,7 @@ class DiscreteChain(PseudoMul):
 
     def least_solution(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Optional[ExtNonneg]:
         j = self._index(tau_x)
-        r = self._rank.get(nu_x)
+        r = self._rank.get((nu_x._n, nu_x._d))
         for i, row in enumerate(self._rows):  # ascending, so the first hit is the least
             if row[j] == r:
                 return self.carrier[i]
@@ -599,9 +648,9 @@ class DiscreteChain(PseudoMul):
 
 
 # The zero map's dyadic descent s = 2^-k, k = 0..60, and the finiteness
-# probes 2^-k, k = 0, 4, .., 60, taken from it.
+# probes 2^-k, k = 0, 4, .., 60, taken from it as pairs.
 _DESCENT = tuple(2.0 ** -k for k in range(61))
-_CUSTOM_PROBES = tuple(map(ExtNonneg, _DESCENT[::4]))
+_CUSTOM_PROBES = tuple(s.as_integer_ratio() for s in _DESCENT[::4])
 
 
 class CustomContinuous(PseudoMul):
@@ -643,11 +692,26 @@ class CustomContinuous(PseudoMul):
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return ExtNonneg(self._checked(float(s), float(t)))
 
+    def _pair_product(self, a: tuple, b: tuple) -> tuple:
+        """omul on pairs: fn on the floats n/d, checked, as the pair of its value."""
+        r = self._checked(a[0] / a[1] if a[1] else math.inf, b[0] / b[1] if b[1] else math.inf)
+        return (1, 0) if r == math.inf else r.as_integer_ratio()
+
+    def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
+        """The base loop's values, lazily, with no ExtNonneg between: each
+        pair's float is n/d, as ``float`` of its value, and each value's
+        pair is read from the checked float or int, as ExtNonneg reads it."""
+        if not self._omul_is(CustomContinuous):
+            return super().products(lefts, rights)
+        return itertools.starmap(self._pair_product, zip(lefts, rights, strict=True))
+
     def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
         """The base loop's max, taken over the map's own values: fn is
         called once per pair, each value checked as _checked does, and one
         ExtNonneg is built from the largest.  ExtNonneg of a float or an
         int is exact and order-preserving, so the result is the base loop's."""
+        if not self._omul_is(CustomContinuous):
+            return super().sup_products(lefts, rights)
         fn = self.fn
         best = 0.0
         for s, t in zip(lefts, rights, strict=True):
@@ -873,30 +937,32 @@ def _collect(pm: PseudoMul, lefts: list, rights: list) -> tuple:
     return values, None
 
 
-def _associativity(pm: PseudoMul, samples: list, op: list, blocks) -> AxiomCheck:
-    """Associativity on the index triples (s, t, u) of ``blocks``, in order,
-    with two ``products`` calls a block: (s ⊙ t) ⊙ u on every triple, then
-    s ⊙ (t ⊙ u) on the triples before the first fault.  The witness is the
-    first triple where they differ or where one of them faults, the left
-    one first, as a scan of the triples one by one would find."""
-    eq = pm.values_equal
-    for triples in blocks:
-        lefts, fault = _collect(pm, [op[s][t] for s, t, _ in triples],
-                                [samples[u] for _, _, u in triples])
-        head = triples[:len(lefts)]
-        rights, right_fault = _collect(pm, [samples[s] for s, _, _ in head],
-                                       [op[t][u] for _, t, u in head])
+def _associativity(pm: PseudoMul, samples: list, pairs: list, op: list, blocks) -> AxiomCheck:
+    """Associativity on the index triples (S[i], T[i], U[i]) of each block
+    (S, T, U) of ``blocks``, in order, with two ``products`` calls a
+    block: (s ⊙ t) ⊙ u on every triple, then s ⊙ (t ⊙ u) on the triples
+    before the first fault.  The witness is the first triple where they
+    differ or where one of them faults, the left one first, as a scan of
+    the triples one by one would find."""
+    eq = pm.pairs_equal
+    pair = pairs.__getitem__
+    for S, T, U in blocks:
+        lefts, fault = _collect(pm, [op[s][t] for s, t in zip(S, T)], list(map(pair, U)))
+        m = len(lefts)
+        rights, right_fault = _collect(pm, list(map(pair, S[:m])),
+                                       [op[t][u] for t, u in zip(T[:m], U[:m])])
         if right_fault is not None:
             fault = right_fault
-        if lefts != rights:
+        if lefts != rights:  # equal pairs are equal values; unequal ones may be too
             broken = next((i for i, (a, b) in enumerate(zip(lefts, rights)) if not eq(a, b)),
                           None)
             if broken is not None:
                 return AxiomCheck("associativity", False,
-                                  tuple(samples[i] for i in triples[broken]))
+                                  (samples[S[broken]], samples[T[broken]], samples[U[broken]]))
         if fault is not None:
+            i = len(rights)
             return AxiomCheck("associativity", False,
-                              tuple(samples[i] for i in triples[len(rights)]), str(fault))
+                              (samples[S[i]], samples[T[i]], samples[U[i]]), str(fault))
     return AxiomCheck("associativity", True)
 
 
@@ -909,16 +975,21 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     scan that table completely; associativity scans every triple of a
     chain and otherwise draws ``ASSOCIATIVITY_TRIPLES`` seeded triples,
     and takes both sides of each block of triples in one ``products``
-    call each.  Failures are report entries carrying a witness tuple,
-    never exceptions: a ⊙ that raises on a sampled pair fails the
-    totality check there, and one that raises past the sample table
-    fails the check it raised in.  A non-degenerate ⊙ is also checked
-    for commutativity below the identity, the frontier identities at φ
-    and the agreement of the left and right invertibility criteria for
-    ⊙-finiteness.
+    call each.  Every check reads integer pairs (n, d): the samples',
+    the products' and the finiteness probes'.  Order is cross-multiplied;
+    so is equality, by ``pm.pairs_equal``, which also applies an inexact
+    ⊙'s tolerance.  No value is built for a product; a witness is a tuple
+    of samples (and of φ).  Failures are report entries carrying a
+    witness tuple, never exceptions: a ⊙ that raises on a sampled pair
+    fails the totality check there, and one that raises past the sample
+    table fails the check it raised in.  A non-degenerate ⊙ is also
+    checked for commutativity below the identity, the frontier
+    identities at φ and the agreement of the left and right
+    invertibility criteria for ⊙-finiteness.
     """
     samples, exhaustive = pm.axiom_samples(seed)
-    mul, eq = pm.omul, pm.values_equal
+    pairs = [(v._n, v._d) for v in samples]
+    eq = pm.pairs_equal
     # Samples ascend without repeats, so indices compare as their values.
     k = len(samples)
     idx = range(k)
@@ -932,7 +1003,7 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     # pair; that is itself an axiom failure and must not crash the rest.
     # Its results are the sample table: op[i][j] = samples[i] ⊙ samples[j],
     # computed row by row in one products call.
-    table, fault = _collect(pm, [s for s in samples for _ in idx], samples * k)
+    table, fault = _collect(pm, [s for s in pairs for _ in idx], pairs * k)
     if fault is not None:
         s, t = divmod(len(table), k)
         gate = AxiomCheck("defined on all sampled pairs", False, values(s, t), str(fault))
@@ -941,31 +1012,36 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
 
     # Left identity, annihilator, zero divisors: over all samples.
     one, zero = samples.index(pm.identity), samples.index(ZERO)
-    witness = next((t for t in idx if not eq(op[one][t], samples[t])), None)
+    witness = next((t for t in idx if not eq(op[one][t], pairs[t])), None)
     checks.append(AxiomCheck("left identity", witness is None,
                              None if witness is None else (pm.identity, samples[witness])))
 
-    witness = next((t for t in idx
-                    if not (op[zero][t].is_zero and op[t][zero].is_zero)), None)
+    witness = next((t for t in idx if op[zero][t][0] or op[t][zero][0]), None)
     checks.append(AxiomCheck("annihilator", witness is None,
                              None if witness is None else (ZERO, samples[witness])))
 
     witness = next((values(s, t) for s in positives for t in positives
-                    if op[s][t].is_zero), None)
+                    if not op[s][t][0]), None)
     checks.append(AxiomCheck("no zero divisors", witness is None, witness))
 
     # Monotonicity in both arguments: by transitivity, every row and
-    # every column of the table is non-decreasing between adjacent samples.
-    mono_witness = next((values(i, i + 1, t) for i in idx[:-1] for t in idx
-                         if op[i + 1][t] < op[i][t] or op[t][i + 1] < op[t][i]), None)
+    # every column of the table is non-decreasing between adjacent
+    # samples.  At (i, t) the row pair is op[i][t] = n/d, op[i+1][t] = m/e
+    # and the column pair op[t][i] = p/q, op[t][i+1] = r/w.
+    cols = list(zip(*op))
+    mono_witness = next((values(i, i + 1, t) for i in idx[:-1]
+                         for t, ((n, d), (m, e), (p, q), (r, w))
+                         in enumerate(zip(op[i], op[i + 1], cols[i], cols[i + 1]))
+                         if m * d < n * e or r * q < p * w), None)
     checks.append(AxiomCheck("monotonicity", mono_witness is None, mono_witness))
 
     if exhaustive:  # every triple, a block for each first index
-        blocks = ([(s, t, u) for t in idx for u in idx] for s in idx)
+        ts, us = [t for t in idx for _ in idx], [*idx] * k
+        blocks = (([s] * (k * k), ts, us) for s in idx)
     else:
         picks = seeded_picks(random.Random(seed + 1), k, 3 * ASSOCIATIVITY_TRIPLES)
-        blocks = [list(zip(picks[0::3], picks[1::3], picks[2::3]))]
-    checks.append(_associativity(pm, samples, op, blocks))
+        blocks = [(picks[0::3], picks[1::3], picks[2::3])]
+    checks.append(_associativity(pm, samples, pairs, op, blocks))
 
     checks.extend(pm.extra_axiom_checks())
 
@@ -975,35 +1051,44 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
         checks.append(AxiomCheck("finiteness profile resolves", False, None, str(exc)))
         return AxiomReport(pm.describe(), False, tuple(checks))
     if not profile.degenerate:
-        below = [i for i in idx if samples[i] <= pm.identity]
-        # eq is symmetric, so the first failing pair in row-major order has a < b
-        comm_witness = next((values(a, b) for i, a in enumerate(below) for b in below[i + 1:]
-                             if not eq(op[a][b], op[b][a])), None)
+        below = idx[:one + 1]  # the samples ≤ 1_⊙
+        # eq is symmetric, so the first failing pair in row-major order has
+        # a < b; equal pairs are equal values, and only unequal ones need eq
+        comm_witness = next((values(a, b) for a in below for b in below[a + 1:]
+                             if op[a][b] != op[b][a] and not eq(op[a][b], op[b][a])), None)
         checks.append(AxiomCheck("commutative on [0, 1_⊙]", comm_witness is None, comm_witness))
 
         if profile.shape is FrontierShape.HALF_OPEN and pm.representable(profile.phi):
             phi = profile.phi
+            at_phi = (phi._n, phi._d)
             checks.append(AxiomCheck("φ exceeds the identity", pm.identity < phi,
                                      None if pm.identity < phi else (pm.identity, phi),
                                      detail="a non-degenerate frontier lies in (1_⊙, ∞]"))
+            # Products read through an iterator, one a case: a lazy ⊙
+            # computes each only when its case is read, so a fault is met there.
+            square = iter(pm.products([at_phi], [at_phi]))
             checks.append(_first_break("φ ⊙ φ = φ", [(phi, phi)],
-                                       lambda a, b: not eq(mul(a, b), phi)))
+                                       lambda a, b: not eq(next(square), at_phi)))
+            lows, upto = bisect.bisect_left(samples, phi), bisect.bisect_right(samples, phi)
+            absorbed = [i for i in positives if i < upto]  # the samples in (0, φ]
+            ts, phis = [pairs[i] for i in absorbed], [at_phi] * len(absorbed)
+            left, right = iter(pm.products(ts, phis)), iter(pm.products(phis, ts))
             checks.append(_first_break(
-                "φ absorbing on (0, φ]",
-                ((t, phi) for t in samples if not t.is_zero and t <= phi),
-                lambda t, p: not (eq(mul(t, p), p) and eq(mul(p, t), p))))
+                "φ absorbing on (0, φ]", ((samples[i], phi) for i in absorbed),
+                lambda t, p: not (eq(next(left), at_phi) and eq(next(right), at_phi))))
 
-            lows = [i for i in idx if samples[i] < phi]
-            highs = [i for i in idx if samples[i] > phi]
-            cross_witness = next((values(t, u) for t in lows for u in highs
-                                  if eq(op[t][u], phi)), None)
+            cross_witness = next((values(t, u) for t in idx[:lows] for u in idx[upto:]
+                                  if eq(op[t][u], at_phi)), None)
             checks.append(AxiomCheck("no crossing at φ", cross_witness is None, cross_witness,
                                      detail="no t < φ, t' > φ with t ⊙ t' = φ"))
 
+        en, ed = pairs[one]
+
         def criteria_disagree(t):
             probes = pm.finiteness_probes(t)
-            left = any(mul(s, t) <= pm.identity for s in probes)
-            right = any(mul(t, s) <= pm.identity for s in probes)
+            at = [(t._n, t._d)] * len(probes)  # v = n/d ≤ 1_⊙ is n·ed ≤ en·d
+            left = any(n * ed <= en * d for n, d in pm.products(probes, at))
+            right = any(n * ed <= en * d for n, d in pm.products(at, probes))
             fin = pm.is_odot_finite(t)
             return not t.is_zero and not (left == right == fin)
 

@@ -20,6 +20,7 @@ from maxitive import (
     Space,
     StandardProduct,
 )
+from maxitive.extreal import ext_ratio
 
 LABELS = "abcdefghij"
 
@@ -123,6 +124,7 @@ def random_chain(rng):
     if rng.random() < 0.5:
         return DiscreteChain.clamped_product(carrier)
     e = rng.choice(carrier[1:])
+    carrier = list(dict.fromkeys(carrier))  # a drawn 2/2 is 1 again: each element once
 
     def uninorm(a, b):
         if a.is_zero or b.is_zero:
@@ -130,6 +132,11 @@ def random_chain(rng):
         return max(a, b) if a >= e and b >= e else min(a, b)
 
     return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
+
+
+def probe_values(pm, t: ExtNonneg) -> list:
+    """pm's finiteness probes for t, read from their pairs (n, d) as values."""
+    return [ext_ratio(n, d) for n, d in pm.finiteness_probes(t)]
 
 
 def fraction_key(x: ExtNonneg) -> tuple:

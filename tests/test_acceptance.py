@@ -57,7 +57,7 @@ from maxitive import (
     verify_density,
 )
 
-from conftest import LABELS, float_times
+from conftest import LABELS, float_times, probe_values
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -312,7 +312,7 @@ def test_criterion_10_axiom_and_structure_theory():
         for t in CHAIN.carrier:
             if t.is_zero:
                 continue
-            probes = CHAIN.finiteness_probes(t)
+            probes = probe_values(CHAIN, t)
             left = any(CHAIN(s, t) <= CHAIN.identity for s in probes)
             right = any(CHAIN(t, s) <= CHAIN.identity for s in probes)
             assert left == right == CHAIN.is_odot_finite(t)
@@ -332,7 +332,7 @@ def test_criterion_10_axiom_and_structure_theory():
                     Fraction(rng.randint(1, 1 << 20), rng.randint(1, 64)))
                 u = INF if rng.random() < 0.1 else ExtNonneg(
                     Fraction(rng.randint(1, 1 << 20), rng.randint(1, 64)))
-                probes = pm.finiteness_probes(t)
+                probes = probe_values(pm, t)
                 left = any(pm(s, t) <= pm.identity for s in probes)
                 right = any(pm(t, s) <= pm.identity for s in probes)
                 assert left == right == pm.is_odot_finite(t)

@@ -26,6 +26,7 @@ from maxitive import (
     ONE,
     ZERO,
     AchievableSet,
+    CarrierDomainError,
     CustomContinuous,
     DiscreteChain,
     ExtNonneg,
@@ -44,6 +45,8 @@ from maxitive import (
     solve_density,
     validate_pseudo_mul,
 )
+
+from maxitive.extreal import ext_ratio
 
 from conftest import CountingTimes, FaultyMap, float_times, outcome, rand_fn, random_chain
 
@@ -358,21 +361,72 @@ def min_cases():
     yield from (Minimum(), CountingMin())
 
 
+class CountingChain(DiscreteChain):
+    """A chain, counting its ⊙ calls."""
+
+    def __init__(self, carrier, table, identity):
+        super().__init__(carrier, table, identity)
+        self.calls = 0
+
+    def omul(self, s, t):
+        self.calls += 1
+        return super().omul(s, t)
+
+
+def shuffled_chain(pm, rng):
+    """pm again, built from rows that follow a shuffled carrier."""
+    order = list(pm.carrier)
+    rng.shuffle(order)
+    return DiscreteChain(order, [[pm(a, b) for b in order] for a in order], pm.identity)
+
+
+def chain_cases():
+    rng = random.Random(22)
+    clamped = DiscreteChain.clamped_product(["0", "1/2", "1", "2", "inf"])
+    yield clamped
+    yield shuffled_chain(clamped, rng)
+    left = DiscreteChain([0, 1, "3/2", 4], {(a, b): a if b else 0 for a in (0, 1, "3/2", 4)
+                                            for b in (0, 1, "3/2", 4)}, 1)
+    yield left  # a ⊙ b = a for b > 0: the order of the arguments shows
+    yield shuffled_chain(left, rng)
+    for _ in range(8):
+        pm = random_chain(rng)
+        yield pm
+        yield shuffled_chain(pm, rng)
+    yield CountingChain(clamped.carrier, {(a, b): clamped(a, b) for a in clamped.carrier
+                                          for b in clamped.carrier}, clamped.identity)
+
+
 # Every class of the package that overrides products or sup_products,
 # with the instances on which its overrides are held to the base loops:
 # among them a subclass that redefines omul, which keeps those loops.
 SUP_OVERRIDES = {CustomContinuous: custom_cases, StandardProduct: times_cases,
-                 Minimum: min_cases}
-PRODUCTS_OVERRIDES = [StandardProduct, Minimum]
+                 Minimum: min_cases, DiscreteChain: chain_cases}
+PRODUCTS_OVERRIDES = [StandardProduct, Minimum, CustomContinuous, DiscreteChain]
 
 
-def random_pairs(rng, size):
-    return [rng.choice(SUP_POOL) for _ in range(size)], [rng.choice(SUP_POOL) for _ in range(size)]
+def pool_of(pm):
+    """The values pm's products are drawn from: a chain's carrier, else SUP_POOL."""
+    return list(pm.carrier) if isinstance(pm, DiscreteChain) else SUP_POOL
 
 
-def all_pool_pairs():
-    """Every ordered pair of SUP_POOL, 0 and ∞ among them."""
-    return [a for a in SUP_POOL for _ in SUP_POOL], SUP_POOL * len(SUP_POOL)
+def random_pairs(rng, size, pool=SUP_POOL):
+    return [rng.choice(pool) for _ in range(size)], [rng.choice(pool) for _ in range(size)]
+
+
+def all_pool_pairs(pool=SUP_POOL):
+    """Every ordered pair of the pool (SUP_POOL: 0 and ∞ among them)."""
+    return [a for a in pool for _ in pool], pool * len(pool)
+
+
+def pairs_of(values):
+    """The integer pairs (n, d) that products reads and returns."""
+    return [(v._n, v._d) for v in values]
+
+
+def values_of(pairs):
+    """The values of integer pairs, in lowest terms or not."""
+    return [ext_ratio(n, d) for n, d in pairs]
 
 
 @pytest.mark.parametrize("cls", list(SUP_OVERRIDES), ids=lambda cls: cls.__name__)
@@ -381,13 +435,15 @@ def test_sup_products_override_equals_the_base_loop(cls):
     rng = random.Random(15)
     seen = set()
     for pm in SUP_OVERRIDES[cls]():
+        pool = pool_of(pm)
+        top = pool[-1] if pool is not SUP_POOL else INF
         assert pm.sup_products([], []) == PseudoMul.sup_products(pm, [], []) == ZERO
         for _ in range(150):
-            lefts, rights = random_pairs(rng, rng.randint(1, 10))
+            lefts, rights = random_pairs(rng, rng.randint(1, 10), pool)
             got = pm.sup_products(iter(lefts), iter(rights))
             assert got == PseudoMul.sup_products(pm, lefts, rights), (pm.describe(), lefts, rights)
             seen.add(got)
-        for lefts, rights in [([ZERO, INF], [INF, ZERO]), ([INF], [INF]), all_pool_pairs()]:
+        for lefts, rights in [([ZERO, top], [top, ZERO]), ([top], [top]), all_pool_pairs(pool)]:
             got = pm.sup_products(lefts, rights)
             assert got == PseudoMul.sup_products(pm, lefts, rights), (pm.describe(), lefts, rights)
             seen.add(got)
@@ -399,16 +455,25 @@ def test_products_override_equals_the_base_loop(cls):
     assert "products" in cls.__dict__
     rng = random.Random(17)
     for pm in SUP_OVERRIDES[cls]():
+        pool = pool_of(pm)
         assert list(pm.products([], [])) == []
         for _ in range(150):
-            lefts, rights = random_pairs(rng, rng.randint(1, 10))
-            got = list(pm.products(iter(lefts), iter(rights)))
-            assert got == list(PseudoMul.products(pm, lefts, rights)), (lefts, rights)
-        lefts, rights = all_pool_pairs()
-        got = list(pm.products(lefts, rights))
-        assert got == list(PseudoMul.products(pm, lefts, rights))
-        assert {ZERO, INF} < set(got)
-        assert got[1] == got[len(SUP_POOL)] == ZERO  # 0 ⊙ ∞ and ∞ ⊙ 0
+            lefts, rights = map(pairs_of, random_pairs(rng, rng.randint(1, 10), pool))
+            got = values_of(pm.products(iter(lefts), iter(rights)))
+            assert got == values_of(PseudoMul.products(pm, lefts, rights)), (lefts, rights)
+        lefts, rights = map(pairs_of, all_pool_pairs(pool))
+        got = values_of(pm.products(lefts, rights))
+        assert got == values_of(PseudoMul.products(pm, lefts, rights))
+        assert got[1] == got[len(pool)] == ZERO  # 0 ⊙ pool[1] and pool[1] ⊙ 0, ∞ in SUP_POOL
+        if pool is SUP_POOL and cls is not CustomContinuous:
+            assert INF in got
+
+
+def test_times_products_are_unreduced_pairs():
+    pm = StandardProduct()
+    lefts = [(2, 3), (0, 1), (1, 0), (1, 0), (4, 2)]
+    rights = [(3, 2), (1, 0), (0, 1), (1, 0), (3, 1)]
+    assert pm.products(lefts, rights) == [(6, 6), (0, 1), (0, 1), (1, 0), (12, 2)]
 
 
 @pytest.mark.parametrize("pm", [CountingTimes(), CountingMin()], ids=["times", "min"])
@@ -418,16 +483,68 @@ def test_a_subclass_that_redefines_omul_keeps_the_per_pair_loop(pm):
     pm.calls = 0
     assert pm.sup_products(lefts, rights) == base.sup_products(lefts, rights)
     assert pm.calls == 40
+    lefts, rights = pairs_of(lefts), pairs_of(rights)
     products = pm.products(lefts, rights)
     assert pm.calls == 40  # lazy: nothing is called before it is read
-    assert list(products) == base.products(lefts, rights)
+    assert values_of(products) == values_of(base.products(lefts, rights))
     assert pm.calls == 80
+
+
+def test_a_chain_subclass_that_redefines_omul_keeps_the_per_pair_loop():
+    pm = list(chain_cases())[-1]
+    assert type(pm) is CountingChain
+    lefts, rights = random_pairs(random.Random(23), 40, pool_of(pm))
+    plain = DiscreteChain(pm.carrier, [[pm(a, b) for b in pm.carrier] for a in pm.carrier],
+                          pm.identity)
+    pm.calls = 0
+    assert pm.sup_products(lefts, rights) == plain.sup_products(lefts, rights)
+    assert pm.calls == 40
+    lefts, rights = pairs_of(lefts), pairs_of(rights)
+    assert values_of(pm.products(lefts, rights)) == values_of(plain.products(lefts, rights))
+    assert pm.calls == 80
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_chain_closed_forms_fault_off_the_carrier_where_the_loop_does(k):
+    pm = DiscreteChain.clamped_product(["0", "1/2", "1", "2", "inf"])
+    lefts, rights = random_pairs(random.Random(24 + k), 6, pool_of(pm))
+    lefts[k] = ExtNonneg("3/7")
+    got = outcome(pm.sup_products, lefts, rights)
+    assert got == outcome(PseudoMul.sup_products, pm, lefts, rights)
+    assert got[:2] == ("raises", CarrierDomainError)
+    received = []
+    with pytest.raises(CarrierDomainError, match="^3/7 is not in the chain carrier"):
+        received.extend(pm.products(pairs_of(lefts), pairs_of(rights)))
+    assert values_of(received) == [pm(s, t) for s, t in zip(lefts[:k], rights[:k])]
+    # a pair not in lowest terms is no key, and is read as its value
+    assert values_of(pm.products([(2, 2), (4, 2), (6, 0)], [(4, 2), (0, 5), (1, 2)])) == [
+        ExtNonneg(2), ZERO, INF]
+
+
+def test_finiteness_probes_are_pairs_of_the_documented_values():
+    dyadic = [ExtNonneg(Fraction(1, 2 ** k)) for k in range(0, 61, 6)]
+    for pm in (StandardProduct(), Minimum(), WrittenProduct()):
+        for t in (ZERO, ExtNonneg("2/3"), ExtNonneg(5), INF):
+            adapted = [pm.identity / (ExtNonneg(2) * t)] if t.is_finite and not t.is_zero else []
+            assert values_of(pm.finiteness_probes(t)) == dyadic + [pm.identity] + adapted
+    chain = DiscreteChain.clamped_product(["0", "1/2", "1", "2", "inf"])
+    assert values_of(chain.finiteness_probes(ONE)) == list(chain.carrier[1:])
+    custom = CustomContinuous(float_times, identity=1)
+    assert values_of(custom.finiteness_probes(ONE)) == [ExtNonneg(2.0 ** -k)
+                                                        for k in range(0, 61, 4)]
+
+
+# How each class of PRODUCTS_OVERRIDES is built anew, once its omul is wrapped.
+MAKERS = {StandardProduct: StandardProduct, Minimum: Minimum,
+          CustomContinuous: lambda: CustomContinuous(float_times, 1),
+          DiscreteChain: lambda: DiscreteChain.clamped_product(["0", "1/2", "1", "2", "inf"])}
 
 
 @pytest.mark.parametrize("cls", PRODUCTS_OVERRIDES, ids=lambda cls: cls.__name__)
 def test_closed_forms_follow_the_class_omul_not_a_wrapper_of_it(cls, monkeypatch):
-    lefts, rights = all_pool_pairs()
-    want = list(PseudoMul.products(cls(), lefts, rights))
+    make = MAKERS[cls]
+    lefts, rights = all_pool_pairs(pool_of(make()))
+    want = values_of(PseudoMul.products(make(), pairs_of(lefts), pairs_of(rights)))
     calls = []
     own = cls.omul
 
@@ -435,8 +552,8 @@ def test_closed_forms_follow_the_class_omul_not_a_wrapper_of_it(cls, monkeypatch
         calls.append((s, t))
         return own(self, s, t)
     monkeypatch.setattr(cls, "omul", wrapped)
-    pm = cls()
-    assert pm.products(lefts, rights) == want
+    pm = make()
+    assert values_of(pm.products(pairs_of(lefts), pairs_of(rights))) == want
     assert pm.sup_products(lefts, rights) == max(want)
     assert calls == []
 
@@ -444,24 +561,26 @@ def test_closed_forms_follow_the_class_omul_not_a_wrapper_of_it(cls, monkeypatch
         calls.append((s, t))
         return own(pm, s, t)
     pm.omul = counted
-    assert list(pm.products(lefts, rights)) == want
+    assert values_of(pm.products(pairs_of(lefts), pairs_of(rights))) == want
     assert pm.sup_products(lefts, rights) == max(want)
     assert len(calls) == 2 * len(want)
 
 
 @pytest.mark.parametrize("k", range(8))
 def test_the_lazy_base_stops_at_a_raising_pair(k):
-    lefts, rights = random_pairs(random.Random(19), 8)
-    fn = FaultyMap(k, ValueError("map undefined here"))
-    pm = CustomContinuous(fn, 1)
-    products = pm.products(lefts, rights)
-    assert fn.calls == 0
-    got = []
-    with pytest.raises(ValueError, match="map undefined here"):
-        got.extend(products)
-    assert fn.calls == k + 1
-    assert got == [CustomContinuous(float_times, 1).omul(s, t)
-                   for s, t in zip(lefts[:k], rights[:k])]
+    # the custom closed form and the base loop alike
+    lefts, rights = map(pairs_of, random_pairs(random.Random(19), 8))
+    for products_of in (CustomContinuous.products, PseudoMul.products):
+        fn = FaultyMap(k, ValueError("map undefined here"))
+        products = products_of(CustomContinuous(fn, 1), lefts, rights)
+        assert fn.calls == 0
+        got = []
+        with pytest.raises(ValueError, match="map undefined here"):
+            got.extend(products)
+        assert fn.calls == k + 1
+        times = CustomContinuous(float_times, 1)
+        assert values_of(got) == [times.omul(ext_ratio(*s), ext_ratio(*t))
+                                  for s, t in zip(lefts[:k], rights[:k])]
 
 
 FAULTS = [math.nan, -1.0, -math.inf, True, None, "2",
@@ -502,13 +621,13 @@ def package_overrides(method: str) -> set:
 
 def test_every_sup_products_override_is_held_to_the_base_loop():
     overrides = package_overrides("sup_products")
-    assert {CustomContinuous, StandardProduct, Minimum} <= overrides
+    assert {CustomContinuous, StandardProduct, Minimum, DiscreteChain} <= overrides
     assert overrides <= set(SUP_OVERRIDES), "add each new override to SUP_OVERRIDES"
 
 
 def test_every_products_override_is_held_to_the_base_loop():
     overrides = package_overrides("products")
-    assert {StandardProduct, Minimum} <= overrides
+    assert {StandardProduct, Minimum, CustomContinuous, DiscreteChain} <= overrides
     assert overrides <= set(PRODUCTS_OVERRIDES), "add each new override to PRODUCTS_OVERRIDES"
 
 

@@ -22,7 +22,7 @@ from maxitive import (
     validate_pseudo_mul,
 )
 
-from conftest import extnn, float_times, random_chain
+from conftest import extnn, float_times, probe_values, random_chain
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -106,6 +106,16 @@ def test_a_repeated_carrier_element_in_rows_form_is_refused():
     # the identity is checked before the table
     with pytest.raises(ValueError, match="^chain identity must belong to the carrier$"):
         DiscreteChain([0, 1, 1], rows, identity=2)
+
+
+def test_a_repeated_carrier_element_in_mapping_form_is_refused():
+    pairs = {(a, b): min(a, b) for a in (0, 1) for b in (0, 1)}
+    for carrier in ([0, 1, 1], [0, 1, "2/2"], [0, "0/3", 1]):
+        with pytest.raises(ValueError, match="^chain carrier elements must be distinct$"):
+            DiscreteChain(carrier, pairs, identity=1)
+    with pytest.raises(ValueError, match="^chain identity must belong to the carrier$"):
+        DiscreteChain([0, 1, 1], pairs, identity=2)
+    assert DiscreteChain([0, 1], pairs, identity=1).carrier == (ZERO, ONE)
 
 
 # -- the rank table against literal value scans --------------------------------
@@ -319,7 +329,7 @@ def test_degenerate_custom_projection():
 # -- Lemma-style equivalences and the no-crossing property --------------------
 
 def _lemma_criteria(pm, t):
-    probes = pm.finiteness_probes(t)
+    probes = probe_values(pm, t)
     left = any(pm(s, t) <= pm.identity for s in probes)
     right = any(pm(t, s) <= pm.identity for s in probes)
     return left, right
@@ -343,7 +353,7 @@ def test_lemma_equivalences_sampled_continuous(times, minimum):
             t = INF if rng.random() < 0.1 else ExtNonneg(
                 Fraction(rng.randint(1, 1 << 20), rng.randint(1, 64)))
             left, right = _lemma_criteria(pm, t)
-            probes = pm.finiteness_probes(t)
+            probes = probe_values(pm, t)
             left_fin = any(pm.is_odot_finite(pm(s, t)) for s in probes)
             right_fin = any(pm.is_odot_finite(pm(t, s)) for s in probes)
             assert left == right == left_fin == right_fin == pm.is_odot_finite(t)

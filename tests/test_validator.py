@@ -26,6 +26,7 @@ from maxitive import (
     ExtNonneg,
     Minimum,
     StandardProduct,
+    extreal,
     validate_pseudo_mul,
 )
 from maxitive.errors import UnresolvedInfimumError
@@ -38,7 +39,7 @@ from maxitive.pseudomul import (
     seeded_picks,
 )
 
-from conftest import FaultyMap, float_times
+from conftest import FaultyMap, float_times, probe_values
 
 
 def validate_literal(pm, seed=0):
@@ -124,7 +125,7 @@ def validate_literal(pm, seed=0):
 
         lemma_witness = None
         for t in samples:
-            probes = pm.finiteness_probes(t)
+            probes = probe_values(pm, t)
             left = any(pm(s, t) <= pm.identity for s in probes)
             right = any(pm(t, s) <= pm.identity for s in probes)
             fin = pm.is_odot_finite(t)
@@ -227,7 +228,7 @@ def counting(pm):
     return pm
 
 
-@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("seed", range(20))
 def test_builtin_reports_equal_the_literal_validator(seed, chain):
     for pm in (StandardProduct(), Minimum(), chain):
         report = assert_same_report(pm, seed)
@@ -331,6 +332,88 @@ def test_a_dip_between_two_adjacent_samples_fails_monotonicity():
     report = assert_same_report(pm, 0)
     check = {c.name: c for c in report.checks}["monotonicity"]
     assert not check.passed and check.witness == (lo, hi, t)
+
+
+def skewed_at_two(factor):
+    """The product, times ``factor`` where the first argument is 2: the
+    sides of associativity differ by that relative amount on the triples
+    whose first or second factor is 2, and no other sampled check moves."""
+    def fn(s, t):
+        p = float_times(s, t)
+        return p * factor if s == 2.0 else p
+    return fn
+
+
+@pytest.mark.parametrize("exponent, passes", [(40, True), (20, False)])
+def test_associativity_under_tolerance_is_decided_as_values_equal_decides(exponent, passes):
+    # 2^-40 ≈ 9.1e-13 is inside the default relative tolerance 1e-12 and
+    # 2^-20 ≈ 9.5e-7 is outside it; both factors are exact floats
+    fn = skewed_at_two(1.0 + 2.0 ** -exponent)
+    pm = CustomContinuous(fn, identity=1, name=f"skew-2^-{exponent}")
+    for seed in (0, 1, 5):
+        report = assert_same_report(pm, seed)
+        assert report.passed is passes
+        assert [c.name for c in report.failed()] == ([] if passes else ["associativity"])
+    # on (2, 2, u) the sides are 4u·factor and 4u·factor²
+    samples, _ = pm.axiom_samples(0)
+    two = ExtNonneg(2)
+    sides = [(pm(pm(two, two), u), pm(two, pm(two, u))) for u in samples if u.is_finite]
+    unequal = [(a, b) for a, b in sides if a != b]
+    assert len(unequal) == len(sides) - 1  # all but u = 0
+    assert all(pm.values_equal(a, b) is passes for a, b in unequal)
+
+
+def stated_equal(pm, a, b):
+    """Equality as values_equal states it: equal values, or for an inexact
+    ⊙ two finite floats within the relative tolerance."""
+    if a == b:
+        return True
+    if pm.exact or a.is_inf or b.is_inf:
+        return False
+    fa, fb = float(a), float(b)
+    return abs(fa - fb) <= pm.tolerance * max(1.0, abs(fa), abs(fb))
+
+
+def test_pairs_equal_is_values_equal_on_any_pair_of_a_value():
+    rng = random.Random(31)
+    values = [ZERO, INF, ONE, ExtNonneg("1/3"), ExtNonneg(2 ** 40 + 1),
+              ExtNonneg("1/1099511627776")]
+    values += [ExtNonneg(f"{rng.randint(0, 999)}/{rng.randint(1, 999)}") for _ in range(40)]
+    near = [ExtNonneg(float(v) * (1 + 2.0 ** -e)) for v in values[2:] for e in (30, 41, 45)]
+    for pm in (StandardProduct(), CustomContinuous(float_times, identity=1)):
+        for a in values:
+            for b in values[:6] + near[:60] + [a]:
+                want = stated_equal(pm, a, b)
+                assert pm.values_equal(a, b) == want, (a, b)
+                for k, m in ((1, 1), (3, 7), (2 ** 70, 1)):  # the pairs in any terms
+                    pa, pb = (a._n * k, a._d * k), (b._n * m, b._d * m)
+                    assert pm.pairs_equal(pa, pb) == want, (a, b, k, m)
+        assert any(pm.values_equal(v, w) for v in values for w in near) is not pm.exact
+
+
+@pytest.mark.parametrize("pm", [StandardProduct(), Minimum()], ids=["times", "min"])
+def test_a_validation_builds_no_value_per_product(pm, monkeypatch):
+    """The values built in one validation are the seeded draws of the
+    samples (a repeat drawn again), none for a product or a probe."""
+    made = []
+    real_new, real_init = extreal._new, ExtNonneg.__init__
+
+    def counted_new(cls):
+        made.append(cls)
+        return real_new(cls)
+
+    def counted_init(self, value):
+        made.append(value)
+        real_init(self, value)
+    monkeypatch.setattr(extreal, "_new", counted_new)
+    monkeypatch.setattr(ExtNonneg, "__init__", counted_init)
+    samples, _ = pm.axiom_samples(0)
+    made.clear()
+    assert validate_pseudo_mul(pm).passed
+    assert len(made) <= len(samples) + 4
+    made.clear()
+    ExtNonneg(2) * ExtNonneg("1/3")  # both routes are seen
+    assert len(made) == 3
 
 
 def test_validator_calls_odot_once_per_sample_pair():
