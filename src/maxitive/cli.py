@@ -281,6 +281,17 @@ _HANDLERS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    """An argparse type: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 @functools.cache  # parsing neither changes the parser nor keeps state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -297,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json-out", metavar="PATH",
                        help="write the machine-readable report ('-' for stdout)")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+        p.add_argument("--max-n", type=_nonnegative_int, default=DEFAULT_MAX_N,
                        help=f"largest n for the exhaustive cross-checks (default {DEFAULT_MAX_N})")
         p.add_argument("--fatal-verdicts", action="store_true",
                        help="exit 4 when the mathematical verdict is negative")

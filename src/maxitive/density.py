@@ -5,9 +5,12 @@ every B.  On a finite powerset the identity reduces atom by atom to
 c(x) ⊙ τ({x}) = ν({x}), so the solver works pointwise, returning the
 minimal solution where one exists and a per-atom failure certificate
 otherwise.  The diagnosis assembles the finiteness conditions that
-characterize when every ⊙-dominated measure admits a density: on a
-finite space that happens exactly when τ is σ-⊙-finite (σ-principality
-being automatic).
+characterize when every ⊙-dominated measure admits a density: for a
+continuous ⊙ on a finite space that happens exactly when τ is
+σ-⊙-finite (σ-principality being automatic).  On some validated chains
+it does not: τ is σ-⊙-finite and a ⊙-dominated ν has no density, since
+the chain's image {c ⊙ τ({x})} can skip a dominated value (ROADMAP
+item 3).
 
 All operations here refuse degenerate ⊙ (only 0 is ⊙-finite), which the
 density theory excludes.

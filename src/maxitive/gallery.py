@@ -111,7 +111,7 @@ def sugeno_corollary(seed: int = 0, trials: Optional[int] = None) -> Report:
     """Under the minimum, ν ≤ τ setwise is exactly solvability."""
     mn = Minimum()
     rng = random.Random(seed)
-    trials = trials or 1000
+    trials = 1000 if trials is None else trials
     checks = _Checks()
     found, certified = 0, 0
     for trial in range(trials):
@@ -206,7 +206,7 @@ def delta_sharp_uncountable(seed: int = 0, trials: Optional[int] = None) -> Repo
 def prop33_finitize(seed: int = 0, trials: Optional[int] = None) -> Report:
     """Semi-⊙-finite measures admit ⊙-finite-valued densities."""
     times = StandardProduct()
-    trials = trials or 200
+    trials = 200 if trials is None else trials
     checks = _Checks()
     space = Space(["a", "b"])
     tau = MaxMeasure(space, {"a": 0, "b": 1})
@@ -340,4 +340,6 @@ def run_gallery(name: str, seed: int = 0, trials: Optional[int] = None) -> Repor
     if name not in GALLERY:
         raise KeyError(f"unknown gallery scenario {name!r}; "
                        f"known: {', '.join(sorted(GALLERY))}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return GALLERY[name](seed=seed, trials=trials)

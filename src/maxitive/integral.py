@@ -19,11 +19,12 @@ Three independent evaluation routes are provided:
   where no refinement is possible and it stays a bound).
 
 Each route lists its pairs (s_i, t_i) and takes ⊕_i s_i ⊙ t_i in one
-call, ``pm.sup_products``: the closed form on the integer pairs for
-times and min (unless a subclass redefines ⊙), one call of the float
-map per pair for a ``CustomContinuous``, and one ⊙ call per pair for
-any other operation.  So the oracle still evaluates ⊙ at every grid
-point and stays independent of the sweep.
+call, ``pm.sup_products``, the max of ``pm.products``.  ``products`` is
+each operation's one batch closed form: integer pairs for times, min
+and chains (unless a subclass redefines ⊙), one call of the float map
+per pair for a ``CustomContinuous``, and one ⊙ call per pair for any
+other operation.  So the oracle still evaluates ⊙ at every grid point
+and stays independent of the sweep.
 
 Whole-powerset work (``pushforward`` and ``verify_density``) runs the
 threshold sweep for all 2^n subsets at once through ``threshold_sweep``,

@@ -219,8 +219,8 @@ class PseudoMul(abc.ABC):
         keeps the values before a fault, so the failing pair's position
         is the number of values received.  An override returns pairs of
         the same values; a closed form that cannot fault may return a
-        list.  The validator is the consumer: it compares the pairs by
-        cross-multiplying and builds no value for a product."""
+        list.  The validator and ``sup_products`` consume it: they compare
+        the pairs by cross-multiplying and build no value for a product."""
         mul = self.omul
         for (n, d), (m, e) in zip(lefts, rights, strict=True):
             v = mul(ext_ratio(n, d), ext_ratio(m, e))
@@ -228,22 +228,21 @@ class PseudoMul(abc.ABC):
 
     def _omul_is(self, cls: type) -> bool:
         """Whether this ⊙ is ``cls.omul`` itself, read from the class (so a
-        traced run that wraps ``omul`` in place keeps the closed forms): a
-        subclass or an instance that redefines ``omul`` keeps the base loops."""
+        traced run that wraps ``omul`` in place keeps the closed form): a
+        subclass or an instance that redefines ``omul`` keeps the base loop."""
         return type(self).omul is cls.omul and "omul" not in vars(self)
 
     def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
-        """⊕_i lefts[i] ⊙ rights[i], and 0 for no pairs: one ``omul`` call
-        per pair, in order.  An override returns the same value; one that
-        can fault calls the operation's own primitive once per pair, in
-        the same order, so a fault is raised at the same pair."""
-        total = ZERO
-        mul = self.omul
-        for s, t in zip(lefts, rights, strict=True):
-            term = mul(s, t)
-            if total < term:
-                total = term
-        return total
+        """⊕_i lefts[i] ⊙ rights[i], and 0 for no pairs: the max of
+        ``products`` on the values' pairs, read in pair order and kept by
+        cross-multiplying (∞ = (1, 0) needs no case), with one value built
+        from it.  ``products`` is each operation's one closed form, so a
+        fault is raised at the same pair as there."""
+        bn, bd = 0, 1
+        for n, d in self.products([(s._n, s._d) for s in lefts], [(t._n, t._d) for t in rights]):
+            if bn * d < n * bd:
+                bn, bd = n, d
+        return ext_ratio(bn, bd) if bn else ZERO
 
     def achievable_set(self, t: ExtNonneg) -> AchievableSet:
         """{ c ⊙ t : c ∈ [0, ∞] } as {0} ∪ [O(t), ∞ ⊙ t].  ∞ ⊙ t is attained
@@ -358,7 +357,7 @@ class StandardProduct(PseudoMul):
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return s * t
 
-    # The closed forms read each value as its integer pair n/d (∞ = 1/0):
+    # The closed form reads each value as its integer pair n/d (∞ = 1/0):
     # a product is n·n′ / d·d′, and 0 where either factor is 0 (0 · ∞ = 0).
     def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
         """Each pair's product n·n′ / d·d′, unreduced, and (0, 1) where
@@ -367,20 +366,6 @@ class StandardProduct(PseudoMul):
             return super().products(lefts, rights)
         return [(n * m, d * e) if n and m else (0, 1)
                 for (n, d), (m, e) in zip(lefts, rights, strict=True)]
-
-    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
-        """The largest product, found by cross-multiplying the unreduced
-        products; one value is built, from the largest."""
-        if not self._omul_is(StandardProduct):
-            return super().sup_products(lefts, rights)
-        bn, bd = 0, 1
-        for s, t in zip(lefts, rights, strict=True):
-            n = s._n * t._n
-            if n:
-                d = s._d * t._d
-                if bn * d < n * bd:
-                    bn, bd = n, d
-        return ext_ratio(bn, bd) if bn else ZERO
 
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         return INF if t.is_inf else ZERO
@@ -411,27 +396,14 @@ class Minimum(PseudoMul):
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return s if s < t else t
 
-    # The closed forms pick the lesser input by cross-multiplying the
-    # integer pairs n/d (∞ = 1/0) and build no value.
+    # The closed form picks the lesser input by cross-multiplying the
+    # integer pairs n/d (∞ = 1/0) and builds no value.
     def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
         """Each pair's lesser value, the very pair given."""
         if not self._omul_is(Minimum):
             return super().products(lefts, rights)
         return [s if s[0] * t[1] < t[0] * s[1] else t
                 for s, t in zip(lefts, rights, strict=True)]
-
-    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
-        """The largest of the pairs' lesser values."""
-        if not self._omul_is(Minimum):
-            return super().sup_products(lefts, rights)
-        best, bn, bd = ZERO, 0, 1
-        for s, t in zip(lefts, rights, strict=True):
-            n, d = s._n, s._d
-            if t._n * d < n * t._d:
-                s, n, d = t, t._n, t._d
-            if bn * d < n * bd:
-                best, bn, bd = s, n, d
-        return best
 
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         return ZERO
@@ -544,9 +516,9 @@ class DiscreteChain(PseudoMul):
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return self.carrier[self._rows[self._index(s)][self._index(t)]]
 
-    # The closed forms read each argument's rank from ``_rank`` and the
+    # The closed form reads each argument's rank from ``_rank`` and the
     # product's from ``_rows``.  An argument off the carrier (or a pair
-    # not in lowest terms) is no key; they then hand the pairs to the
+    # not in lowest terms) is no key; it then hands the pairs to the
     # base loop, which calls omul and so faults at the same pair.
     def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
         """Each pair's product, read from the table as a carrier pair."""
@@ -558,18 +530,6 @@ class DiscreteChain(PseudoMul):
             return [pairs[rows[rank[s]][rank[t]]] for s, t in zip(lefts, rights, strict=True)]
         except KeyError:
             return super().products(lefts, rights)
-
-    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
-        """The carrier element of the largest rank read from the table."""
-        if not self._omul_is(DiscreteChain):
-            return super().sup_products(lefts, rights)
-        lefts, rights = list(lefts), list(rights)
-        rank, rows = self._rank, self._rows
-        try:
-            return self.carrier[max((rows[rank[s._n, s._d]][rank[t._n, t._d]]
-                                     for s, t in zip(lefts, rights, strict=True)), default=0)]
-        except KeyError:
-            return super().sup_products(lefts, rights)
 
     def zero_map(self, t: ExtNonneg) -> ExtNonneg:
         j = self._index(t)
@@ -692,35 +652,22 @@ class CustomContinuous(PseudoMul):
     def omul(self, s: ExtNonneg, t: ExtNonneg) -> ExtNonneg:
         return ExtNonneg(self._checked(float(s), float(t)))
 
-    def _pair_product(self, a: tuple, b: tuple) -> tuple:
-        """omul on pairs: fn on the floats n/d, checked, as the pair of its value."""
-        r = self._checked(a[0] / a[1] if a[1] else math.inf, b[0] / b[1] if b[1] else math.inf)
-        return (1, 0) if r == math.inf else r.as_integer_ratio()
-
     def products(self, lefts: Iterable[tuple], rights: Iterable[tuple]) -> Iterable[tuple]:
         """The base loop's values, lazily, with no ExtNonneg between: each
-        pair's float is n/d, as ``float`` of its value, and each value's
-        pair is read from the checked float or int, as ExtNonneg reads it."""
+        pair's float is n/d, as ``float`` of its value, each value is
+        checked as ``_checked`` does (written out, a call a product fewer),
+        and its pair is read from the float or int, as ExtNonneg reads it."""
         if not self._omul_is(CustomContinuous):
             return super().products(lefts, rights)
-        return itertools.starmap(self._pair_product, zip(lefts, rights, strict=True))
+        fn, value, inf = self.fn, self._value, math.inf
 
-    def sup_products(self, lefts: Iterable[ExtNonneg], rights: Iterable[ExtNonneg]) -> ExtNonneg:
-        """The base loop's max, taken over the map's own values: fn is
-        called once per pair, each value checked as _checked does, and one
-        ExtNonneg is built from the largest.  ExtNonneg of a float or an
-        int is exact and order-preserving, so the result is the base loop's."""
-        if not self._omul_is(CustomContinuous):
-            return super().sup_products(lefts, rights)
-        fn = self.fn
-        best = 0.0
-        for s, t in zip(lefts, rights, strict=True):
-            r = fn(float(s), float(t))
-            if not (type(r) is float and r >= 0.0):
-                r = self._value(r)
-            if best < r:
-                best = r
-        return ExtNonneg(best)
+        def checked_pairs():
+            for (n, d), (m, e) in zip(lefts, rights, strict=True):
+                r = fn(n / d if d else inf, m / e if e else inf)
+                if not (type(r) is float and r >= 0.0):
+                    r = value(r)
+                yield (1, 0) if r == inf else r.as_integer_ratio()
+        return checked_pairs()
 
     def _descent(self, t: ExtNonneg) -> list:
         """fn(2^-k, t) for k = 0..60, refused unless each is a number in [0, ∞].

@@ -59,6 +59,18 @@ def outcome(call, *args):
         return ("raises", type(exc), str(exc), getattr(exc, "bracket", None))
 
 
+def literal_sup(pm, lefts, rights):
+    """⊕_i lefts[i] ⊙ rights[i] written out, the oracle for ``sup_products``:
+    one ``pm.omul`` call a pair, in order, the max kept in the value order,
+    and 0 for no pairs; a fault raises at its pair."""
+    best = ZERO
+    for s, t in zip(lefts, rights, strict=True):
+        term = pm.omul(s, t)
+        if best < term:
+            best = term
+    return best
+
+
 class CountingTimes(StandardProduct):
     """The standard product, counting its ⊙ calls."""
 

@@ -230,6 +230,28 @@ def test_gallery_command(capsys):
     assert "passed: yes" in out
 
 
+@pytest.mark.parametrize("scenario", ["sugeno-corollary", "prop33-finitize"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_gallery_trials_below_one_exit_2(capsys, scenario, trials):
+    rc = main(["gallery", scenario, "--trials", trials])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert f"error: trials must be at least 1, got {trials}" in out.err
+
+
+def test_negative_max_n_is_refused_at_parsing(doc_path, capsys):
+    argv = ["quotient", "--space-file", doc_path, "--tau", "tau", "--max-n"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "argument --max-n: must be at least 0, got -1" in out.err
+    assert main([*argv, "0"]) == 0  # 0 runs no exhaustive check, and says so
+    assert "complete_lattice_verified: -" in capsys.readouterr().out
+
+
 def test_json_out_roundtrip(doc_path, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     rc = main(["density", "--space-file", doc_path, "--nu", "nu", "--tau", "tau",

@@ -17,7 +17,6 @@ from maxitive import (
     MaxMeasure,
     MeasurableFn,
     Minimum,
-    PseudoMul,
     Space,
     StandardProduct,
     SubsetB,
@@ -35,8 +34,8 @@ from maxitive import (
 
 from maxitive.pseudomul import OPERATION_FAULTS
 
-from conftest import (CountingTimes, FaultyMap, float_times, outcome, rand_fn, rand_measure,
-                      rand_space)
+from conftest import (CountingTimes, FaultyMap, float_times, literal_sup, outcome, rand_fn,
+                      rand_measure, rand_space)
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -395,9 +394,10 @@ def test_oracle_calls_a_custom_map_once_a_grid_point_and_builds_one_value(monkey
 
 
 class PerCallLoop(CustomContinuous):
-    """A custom operation that takes its max by the base class's loop over omul."""
+    """A custom operation that takes its max by the literal loop over omul."""
 
-    sup_products = PseudoMul.sup_products
+    def sup_products(self, lefts, rights):
+        return literal_sup(self, lefts, rights)
 
 
 HOSTILE = st.one_of(

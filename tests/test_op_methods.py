@@ -5,9 +5,10 @@ axiom samples, spec form, the products and their max) are methods of
 PseudoMul and its subclasses.  These tests hold them to independent
 forms: the literal times and min achievable sets, the chain's image
 {c ⊙ t : c ∈ carrier}, the float bisection written against the custom
-map itself, and the base class's loops over ``omul`` for every override
-of ``products`` and ``sup_products``.  A product written out
-with only the abstract methods gets its answers from the base class.
+map itself, the base class's loop over ``omul`` for every override of
+``products``, and a literal loop over ``omul`` for ``sup_products``,
+which only the base class defines.  A product written out with only
+the abstract methods gets its answers from the base class.
 """
 
 import ast
@@ -46,9 +47,11 @@ from maxitive import (
     validate_pseudo_mul,
 )
 
+from maxitive import extreal
 from maxitive.extreal import ext_ratio
 
-from conftest import CountingTimes, FaultyMap, float_times, outcome, rand_fn, random_chain
+from conftest import (CountingTimes, FaultyMap, float_times, literal_sup, outcome, rand_fn,
+                      random_chain)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
 
@@ -320,7 +323,7 @@ def test_spec_forms():
     assert WrittenProduct().spec_form() is None
 
 
-# -- products and sup_products: every override against the base loops ----------
+# -- products and sup_products: held to the base and the literal loops ---------
 
 SUP_POOL = [ZERO, INF] + [ExtNonneg(Fraction(p, 1 << q)) for p in range(1, 17) for q in range(4)]
 
@@ -397,12 +400,12 @@ def chain_cases():
                                           for b in clamped.carrier}, clamped.identity)
 
 
-# Every class of the package that overrides products or sup_products,
-# with the instances on which its overrides are held to the base loops:
-# among them a subclass that redefines omul, which keeps those loops.
-SUP_OVERRIDES = {CustomContinuous: custom_cases, StandardProduct: times_cases,
-                 Minimum: min_cases, DiscreteChain: chain_cases}
-PRODUCTS_OVERRIDES = [StandardProduct, Minimum, CustomContinuous, DiscreteChain]
+# Every class of the package that overrides products, with the instances
+# on which its override is held to the base loop and sup_products to the
+# literal one: among them a subclass that redefines omul, which keeps the
+# base loop.
+OVERRIDES = {CustomContinuous: custom_cases, StandardProduct: times_cases,
+             Minimum: min_cases, DiscreteChain: chain_cases}
 
 
 def pool_of(pm):
@@ -429,32 +432,64 @@ def values_of(pairs):
     return [ext_ratio(n, d) for n, d in pairs]
 
 
-@pytest.mark.parametrize("cls", list(SUP_OVERRIDES), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(OVERRIDES), ids=lambda cls: cls.__name__)
 def test_sup_products_override_equals_the_base_loop(cls):
-    assert "sup_products" in cls.__dict__
+    """sup_products, the base class's max over each override of products,
+    against the literal loop over omul."""
     rng = random.Random(15)
     seen = set()
-    for pm in SUP_OVERRIDES[cls]():
+    for pm in OVERRIDES[cls]():
         pool = pool_of(pm)
         top = pool[-1] if pool is not SUP_POOL else INF
-        assert pm.sup_products([], []) == PseudoMul.sup_products(pm, [], []) == ZERO
+        assert pm.sup_products([], []) == literal_sup(pm, [], []) == ZERO
         for _ in range(150):
             lefts, rights = random_pairs(rng, rng.randint(1, 10), pool)
             got = pm.sup_products(iter(lefts), iter(rights))
-            assert got == PseudoMul.sup_products(pm, lefts, rights), (pm.describe(), lefts, rights)
+            assert got == literal_sup(pm, lefts, rights), (pm.describe(), lefts, rights)
             seen.add(got)
         for lefts, rights in [([ZERO, top], [top, ZERO]), ([top], [top]), all_pool_pairs(pool)]:
             got = pm.sup_products(lefts, rights)
-            assert got == PseudoMul.sup_products(pm, lefts, rights), (pm.describe(), lefts, rights)
+            assert got == literal_sup(pm, lefts, rights), (pm.describe(), lefts, rights)
             seen.add(got)
     assert {ZERO, INF} < seen and any(not float(v).is_integer() for v in seen)
 
 
-@pytest.mark.parametrize("cls", PRODUCTS_OVERRIDES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(OVERRIDES), ids=lambda cls: cls.__name__)
+def test_sup_products_builds_one_value_and_none_for_zero(cls, monkeypatch):
+    """Over a closed form, the max is one value built from the largest
+    product's pair, or ZERO itself, none built, when no product is positive."""
+    made = []
+    real_new, real_init = extreal._new, ExtNonneg.__init__
+
+    def counted_new(kind):
+        made.append(kind)
+        return real_new(kind)
+
+    def counted_init(self, value):
+        made.append(value)
+        real_init(self, value)
+    monkeypatch.setattr(extreal, "_new", counted_new)
+    monkeypatch.setattr(ExtNonneg, "__init__", counted_init)
+    rng = random.Random(25)
+    for pm in OVERRIDES[cls]():
+        if not pm._omul_is(cls):
+            continue
+        pool = pool_of(pm)
+        cases = [random_pairs(rng, rng.randint(1, 10), pool) for _ in range(30)]
+        cases += [([], []), ([ZERO] * 3, pool[-3:]), (pool[-3:], [ZERO] * 3)]
+        for lefts, rights in cases:
+            made.clear()
+            got = pm.sup_products(lefts, rights)
+            built = len(made)
+            assert got == literal_sup(pm, lefts, rights)
+            assert (got is ZERO and built == 0) if got == ZERO else built == 1, pm.describe()
+
+
+@pytest.mark.parametrize("cls", list(OVERRIDES), ids=lambda cls: cls.__name__)
 def test_products_override_equals_the_base_loop(cls):
     assert "products" in cls.__dict__
     rng = random.Random(17)
-    for pm in SUP_OVERRIDES[cls]():
+    for pm in OVERRIDES[cls]():
         pool = pool_of(pm)
         assert list(pm.products([], [])) == []
         for _ in range(150):
@@ -510,7 +545,7 @@ def test_chain_closed_forms_fault_off_the_carrier_where_the_loop_does(k):
     lefts, rights = random_pairs(random.Random(24 + k), 6, pool_of(pm))
     lefts[k] = ExtNonneg("3/7")
     got = outcome(pm.sup_products, lefts, rights)
-    assert got == outcome(PseudoMul.sup_products, pm, lefts, rights)
+    assert got == outcome(literal_sup, pm, lefts, rights)
     assert got[:2] == ("raises", CarrierDomainError)
     received = []
     with pytest.raises(CarrierDomainError, match="^3/7 is not in the chain carrier"):
@@ -534,13 +569,13 @@ def test_finiteness_probes_are_pairs_of_the_documented_values():
                                                         for k in range(0, 61, 4)]
 
 
-# How each class of PRODUCTS_OVERRIDES is built anew, once its omul is wrapped.
+# How each class of OVERRIDES is built anew, once its omul is wrapped.
 MAKERS = {StandardProduct: StandardProduct, Minimum: Minimum,
           CustomContinuous: lambda: CustomContinuous(float_times, 1),
           DiscreteChain: lambda: DiscreteChain.clamped_product(["0", "1/2", "1", "2", "inf"])}
 
 
-@pytest.mark.parametrize("cls", PRODUCTS_OVERRIDES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(OVERRIDES), ids=lambda cls: cls.__name__)
 def test_closed_forms_follow_the_class_omul_not_a_wrapper_of_it(cls, monkeypatch):
     make = MAKERS[cls]
     lefts, rights = all_pool_pairs(pool_of(make()))
@@ -595,7 +630,7 @@ def test_sup_products_refuses_a_bad_value_at_the_same_pair(fault):
         lefts, rights = random_pairs(rng, 8)
         ours, base = FaultyMap(k, fault), FaultyMap(k, fault)
         got = outcome(CustomContinuous(ours, 1).sup_products, lefts, rights)
-        want = outcome(PseudoMul.sup_products, CustomContinuous(base, 1), lefts, rights)
+        want = outcome(literal_sup, CustomContinuous(base, 1), lefts, rights)
         assert got == want and got[0] == "raises", (k, got, want)
         assert ours.calls == base.calls == k + 1
 
@@ -619,16 +654,15 @@ def package_overrides(method: str) -> set:
     return method_overrides(PseudoMul, "maxitive", method)
 
 
-def test_every_sup_products_override_is_held_to_the_base_loop():
-    overrides = package_overrides("sup_products")
-    assert {CustomContinuous, StandardProduct, Minimum, DiscreteChain} <= overrides
-    assert overrides <= set(SUP_OVERRIDES), "add each new override to SUP_OVERRIDES"
+def test_no_class_of_the_package_overrides_sup_products():
+    # the max is taken once, on the base class, over each class's products
+    assert package_overrides("sup_products") == set()
 
 
 def test_every_products_override_is_held_to_the_base_loop():
     overrides = package_overrides("products")
     assert {StandardProduct, Minimum, CustomContinuous, DiscreteChain} <= overrides
-    assert overrides <= set(PRODUCTS_OVERRIDES), "add each new override to PRODUCTS_OVERRIDES"
+    assert overrides <= set(OVERRIDES), "add each new override to OVERRIDES"
 
 
 def test_override_guard_sees_an_override():
