@@ -261,9 +261,13 @@ def run_command(command: str, doc: Optional[SpecDoc], **params) -> Report:
     """Programmatic dispatch mirroring the CLI (used by tests and embedders)."""
     if command not in _HANDLERS:
         raise _CliError(f"unknown command {command!r}")
+    try:  # the parser's rule for --max-n, on the value written out
+        max_n = _nonnegative_int(str(params.pop("max_n", DEFAULT_MAX_N)))
+    except argparse.ArgumentTypeError as exc:
+        raise _CliError(f"max_n: {exc}") from None
     ns = argparse.Namespace(
         space_file=None, _doc=doc, op=params.pop("op", None),
-        seed=params.pop("seed", 0), max_n=params.pop("max_n", DEFAULT_MAX_N),
+        seed=params.pop("seed", 0), max_n=max_n,
         finitize=params.pop("finitize", False), trials=params.pop("trials", None),
         **params)
     return _HANDLERS[command](ns)
@@ -282,7 +286,7 @@ _HANDLERS = {
 
 
 def _nonnegative_int(text: str) -> int:
-    """An argparse type: an int of at least 0."""
+    """An argparse type, and run_command's check of max_n: an int of at least 0."""
     try:
         value = int(text)
     except ValueError:

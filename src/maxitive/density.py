@@ -7,10 +7,10 @@ minimal solution where one exists and a per-atom failure certificate
 otherwise.  The diagnosis assembles the finiteness conditions that
 characterize when every ⊙-dominated measure admits a density: for a
 continuous ⊙ on a finite space that happens exactly when τ is
-σ-⊙-finite (σ-principality being automatic).  On some validated chains
-it does not: τ is σ-⊙-finite and a ⊙-dominated ν has no density, since
-the chain's image {c ⊙ τ({x})} can skip a dominated value (ROADMAP
-item 3).
+σ-⊙-finite (σ-principality being automatic).  A chain's image
+{c ⊙ τ({x})} can skip a dominated value even where τ is σ-⊙-finite, so
+the diagnosis decides the property atom by atom, and names each atom
+and the value its image skips.
 
 All operations here refuse degenerate ⊙ (only 0 is ⊙-finite), which the
 density theory excludes.
@@ -301,16 +301,26 @@ class RNDiagnosis:
 def diagnose_rn(pm: PseudoMul, tau: MaxMeasure) -> RNDiagnosis:
     """Assemble the Radon-Nikodym-property verdict for τ.
 
-    On a finite space σ-principality is automatic, so the verdict is
-    σ-⊙-finiteness; the report also carries each necessary condition
-    (no ⊙-spots, semi-⊙-finiteness, τ(E) ≤ φ) so that a failing τ names
-    what breaks.  σ-⊙-finiteness, the absence of ⊙-spots and
-    semi-⊙-finiteness each say that every atom mass is ⊙-finite, so one
-    scan of τ's atoms (find_odot_spots) decides all three.
+    Every ν ≪_⊙ τ has a density exactly when, at every atom x, each
+    value ν({x}) may take is some c ⊙ τ({x}).  At an atom of ⊙-infinite
+    mass ν({x}) is unconstrained, and 1_⊙ is no c ⊙ τ({x}); at a
+    ⊙-finite one it is any value ≤ ∞ ⊙ τ({x}), which ``image_gap``
+    decides.  So the verdict is: no ⊙-spot and no gap.  On a finite
+    space σ-principality is automatic, and σ-⊙-finiteness, the absence
+    of ⊙-spots and semi-⊙-finiteness each say that every atom mass is
+    ⊙-finite, so one scan of τ's atoms (find_odot_spots) decides all
+    three; ``image_gap`` is asked only at the atoms outside the spot.
+    The report carries each necessary condition (no ⊙-spots,
+    semi-⊙-finiteness, τ(E) ≤ φ) and a line per gap naming the atom and
+    the value no c ⊙ τ({x}) reaches.
     """
     _require_non_degenerate(pm, "diagnose_rn")
     spots = find_odot_spots(pm, tau)
     finite = not spots.has_spots
+    spot_mask = spots.maximal_spot.mask if spots.has_spots else 0
+    gaps = [(atom, t, gap)
+            for i, (atom, t) in enumerate(zip(tau.space.atoms, tau.masses))
+            if not spot_mask >> i & 1 and (gap := pm.image_gap(t)) is not None]
     profile = pm.finiteness_profile()
     total = tau.total
     satisfied = profile.shape is FrontierShape.WHOLE_INTERVAL or total <= profile.phi
@@ -324,13 +334,15 @@ def diagnose_rn(pm: PseudoMul, tau: MaxMeasure) -> RNDiagnosis:
         failed.append("total mass exceeds the frontier φ")
     if not finite:
         failed += ["not semi-⊙-finite", "not σ-⊙-finite"]
+    failed += [f"atom {atom}: no c ⊙ {t} equals {gap} (< ∞ ⊙ {t}); "
+               f"a ⊙-dominated ν({atom}) = {gap} has no density" for atom, t, gap in gaps]
     return RNDiagnosis(
         sigma_odot_finite=finite,
         sigma_principal=True,
         spots=spots,
         semi_finite=finite,
         total_vs_phi=tv,
-        rn_property=finite,
+        rn_property=finite and not gaps,
         failed_conditions=tuple(failed),
         note="every σ-ideal of a finite powerset is principal",
     )

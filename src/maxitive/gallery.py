@@ -7,6 +7,7 @@ report always comes back and the caller decides how hard to fail.
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Optional
 
@@ -79,7 +80,7 @@ def _rand_space(rng: random.Random, max_n=6) -> Space:
     return Space(list(_LABELS[: rng.randint(1, max_n)]))
 
 
-def shilkret_counterexample(seed: int = 0, trials: Optional[int] = None) -> Report:
+def shilkret_counterexample(seed: int = 0) -> Report:
     """ν = δ_#, τ = ∞·δ_# under the product: dominated but densityless."""
     times = StandardProduct()
     space = Space(["a", "b", "c"])
@@ -168,7 +169,7 @@ def _below(rng: random.Random, bound: ExtNonneg) -> ExtNonneg:
     return bound * ext_ratio(rng.randint(0, 8), 8)
 
 
-def delta_sharp_uncountable(seed: int = 0, trials: Optional[int] = None) -> Report:
+def delta_sharp_uncountable(seed: int = 0) -> Report:
     """δ_# dominates everything, yet on uncountable spaces it loses CCC."""
     times = StandardProduct()
     space = Space(["a", "b", "c"])
@@ -250,7 +251,7 @@ def prop33_finitize(seed: int = 0, trials: Optional[int] = None) -> Report:
     return checks.report("prop33-finitize", {"trials": trials, "seed": seed})
 
 
-def claims_walkthrough(seed: int = 0, trials: Optional[int] = None) -> Report:
+def claims_walkthrough(seed: int = 0) -> Report:
     """The six structural facts behind the density characterization, on fixtures."""
     times = StandardProduct()
     checks = _Checks()
@@ -337,9 +338,15 @@ GALLERY = {
 
 
 def run_gallery(name: str, seed: int = 0, trials: Optional[int] = None) -> Report:
+    """Run one scenario.  ``trials`` (None: the scenario's default) is
+    refused below 1, and for a scenario that draws no trials."""
     if name not in GALLERY:
         raise KeyError(f"unknown gallery scenario {name!r}; "
                        f"known: {', '.join(sorted(GALLERY))}")
-    if trials is not None and trials < 1:
+    if trials is None:
+        return GALLERY[name](seed=seed)
+    if "trials" not in inspect.signature(GALLERY[name]).parameters:
+        raise ValueError(f"scenario {name!r} takes no trials")
+    if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     return GALLERY[name](seed=seed, trials=trials)

@@ -252,6 +252,13 @@ class PseudoMul(abc.ABC):
         attained = True if lower.is_zero or (self.exact and lower == upper) else None
         return AchievableSet(lower, upper, attained)
 
+    def image_gap(self, t: ExtNonneg) -> Optional[ExtNonneg]:
+        """For a ⊙-finite t, a value ≤ ∞ ⊙ t that no c ⊙ t equals, or None
+        when every value up to ∞ ⊙ t is some c ⊙ t.  For a continuous ⊙
+        the image is {0} ∪ [O(t), ∞ ⊙ t], and O(t) = 0 is what ⊙-finite
+        means here (is_odot_finite), so the base class answers None."""
+        return None
+
     def reaches(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Callable[[float], bool]:
         """The test c ↦ c ⊙ tau_x ≥ nu_x on floats c that least_solution bisects."""
         return lambda c: self(ExtNonneg(c), tau_x) >= nu_x
@@ -583,6 +590,13 @@ class DiscreteChain(PseudoMul):
         lower = min(image - {0}, default=0)
         return AchievableSet(carrier[lower], carrier[max(image)], True,
                              explicit_values=frozenset(carrier[r] for r in image))
+
+    def image_gap(self, t: ExtNonneg) -> Optional[ExtNonneg]:
+        """The least carrier value below ∞ ⊙ t missing from t's column."""
+        j = self._index(t)
+        image = {row[j] for row in self._rows}
+        gap = next((r for r in range(max(image)) if r not in image), None)
+        return None if gap is None else self.carrier[gap]
 
     def least_solution(self, nu_x: ExtNonneg, tau_x: ExtNonneg) -> Optional[ExtNonneg]:
         j = self._index(tau_x)

@@ -28,9 +28,9 @@ from typing import Iterator, List, Optional
 from .bytetable import max_rank_table, subset_min
 from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
-from .measure import MaxMeasure, SigmaIdeal, measure_eval
+from .measure import MaxMeasure, SigmaIdeal, _AtomMap, measure_eval
 from .spaces import PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
-from .spaces import Space, SubsetB, _same_space, check_cap, submasks, within_cap
+from .spaces import SubsetB, _same_space, check_cap, submasks, within_cap
 
 __all__ = [
     "QuotientClass",
@@ -238,19 +238,14 @@ def nguyen_bruteforce(tau: MaxMeasure, ideal: SigmaIdeal, B: SubsetB) -> ExtNonn
     return best
 
 
-class AdditiveMeasure:
+class AdditiveMeasure(_AtomMap):
     """A σ-additive measure on the powerset, stored as atom masses.
 
     Evaluation is the exact sum over atoms, with ∞ absorbing."""
 
-    __slots__ = ("space", "masses")
-
-    def __init__(self, space: Space, masses):
-        masses = tuple(as_extnn(v) for v in masses)
-        if len(masses) != space.n:
-            raise ValueError(f"expected {space.n} masses")
-        self.space = space
-        self.masses = masses
+    @property
+    def masses(self) -> tuple:
+        return self._values
 
     def __call__(self, B: SubsetB) -> ExtNonneg:
         _same_space(self.space, B.space)
@@ -258,7 +253,7 @@ class AdditiveMeasure:
         mask = B.mask
         while mask:
             low = mask & -mask
-            total = total + self.masses[low.bit_length() - 1]
+            total = total + self._values[low.bit_length() - 1]
             mask ^= low
         return total
 
@@ -269,18 +264,7 @@ class AdditiveMeasure:
         0, so the entry is the max over B of a 0/1 flag per atom.
         """
         self.space.check_enum_cap(limit)
-        return max_rank_table([0 if v.is_zero else 1 for v in self.masses])
-
-    def __eq__(self, other):
-        return (isinstance(other, AdditiveMeasure)
-                and self.space == other.space and self.masses == other.masses)
-
-    def __hash__(self):
-        return hash((self.space, self.masses))
-
-    def __repr__(self):
-        inner = ", ".join(f"{a}: {v}" for a, v in zip(self.space.atoms, self.masses))
-        return f"AdditiveMeasure({{{inner}}})"
+        return max_rank_table([0 if v.is_zero else 1 for v in self._values])
 
 
 def disjoint_variation(tau: MaxMeasure) -> AdditiveMeasure:

@@ -9,19 +9,16 @@ from dataclasses import dataclass
 from typing import Any
 
 from .extreal import ExtNonneg
-from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, SigmaIdeal
-from .pseudomul import AchievableSet, PseudoMul
-from .quotient import AdditiveMeasure, QuotientClass, QuotientLattice
-from .spaces import Space, SubsetB
+from .measure import _AtomMap
+from .pseudomul import AchievableSet
+from .spaces import SubsetB
 
 __all__ = ["Report", "jsonable", "render_text"]
 
 
 def jsonable(value: Any) -> Any:
     """Convert library values to plain JSON types (strings for rationals)."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, ExtNonneg):
         return str(value)
@@ -29,29 +26,13 @@ def jsonable(value: Any) -> Any:
         return value.value
     if isinstance(value, SubsetB):
         return sorted(value.labels)
-    if isinstance(value, Space):
-        return {"atoms": list(value.atoms)}
-    if isinstance(value, (MaxMeasure, MeasurableFn)):
+    if isinstance(value, _AtomMap):
         return {a: str(v) for a, v in value.as_dict().items()}
-    if isinstance(value, AdditiveMeasure):
-        return {a: str(v) for a, v in zip(value.space.atoms, value.masses)}
-    if isinstance(value, SigmaIdeal):
-        return {"top": sorted(value.top.labels)}
-    if isinstance(value, QuotientClass):
-        return sorted(value.representative.labels)
-    if isinstance(value, QuotientLattice):
-        return {"non_null_atoms": sorted(value.non_null_atoms.labels),
-                "class_count": value.count}
-    if isinstance(value, SetFunctionTable):
-        return {",".join(sorted(SubsetB(value.space, m).labels)) or "∅": str(v)
-                for m, v in enumerate(value.values)}
     if isinstance(value, AchievableSet):
         return {"display": str(value), "lower": str(value.lower), "upper": str(value.upper),
                 "lower_attained": value.lower_attained,
                 "explicit": (sorted(str(v) for v in value.explicit_values)
                              if value.explicit_values is not None else None)}
-    if isinstance(value, PseudoMul):
-        return value.describe()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (frozenset, set)):

@@ -38,6 +38,7 @@ from .errors import SpecIssue, SpecValidationError
 from .extreal import ExtNonneg
 from .measure import MaxMeasure, MeasurableFn, SigmaIdeal
 from .pseudomul import NAMED_OPERATIONS, DiscreteChain, PseudoMul
+from .report import jsonable
 from .spaces import NUMBER_DIGITS_CAP, Space
 
 __all__ = ["SpecDoc", "parse_spec", "render_spec", "load_spec"]
@@ -56,11 +57,9 @@ class SpecDoc:
         if self.pseudo_mul is not None:
             doc["pseudo_mul"] = _render_pm(self.pseudo_mul)
         if self.measures:
-            doc["measures"] = {name: {a: str(v) for a, v in m.as_dict().items()}
-                               for name, m in self.measures.items()}
+            doc["measures"] = jsonable(self.measures)
         if self.functions:
-            doc["functions"] = {name: {a: str(v) for a, v in f.as_dict().items()}
-                                for name, f in self.functions.items()}
+            doc["functions"] = jsonable(self.functions)
         if self.ideals:
             doc["ideals"] = {name: [sorted(g.labels) for g in (i.generators or (i.top,))]
                              for name, i in self.ideals.items()}

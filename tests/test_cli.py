@@ -240,6 +240,17 @@ def test_gallery_trials_below_one_exit_2(capsys, scenario, trials):
     assert f"error: trials must be at least 1, got {trials}" in out.err
 
 
+@pytest.mark.parametrize("scenario", ["shilkret-counterexample", "delta-sharp-uncountable",
+                                      "claims-walkthrough"])
+def test_gallery_trials_for_a_scenario_without_trials_exit_2(capsys, scenario):
+    rc = main(["gallery", scenario, "--trials", "5"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert f"error: scenario {scenario!r} takes no trials" in out.err
+    assert main(["gallery", scenario]) == 0
+
+
 def test_negative_max_n_is_refused_at_parsing(doc_path, capsys):
     argv = ["quotient", "--space-file", doc_path, "--tau", "tau", "--max-n"]
     with pytest.raises(SystemExit) as exc:
@@ -270,6 +281,19 @@ def test_json_to_stdout(doc_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["body"]["diagnosis"]["rn_property"] is True
+
+
+def test_run_command_refuses_a_negative_max_n(doc_path):
+    doc = parse_spec(doc_path)
+    with pytest.raises(cli._CliError, match="max_n: must be at least 0, got -1") as exc:
+        run_command("quotient", doc, tau="tau", max_n=-1)
+    assert exc.value.code == 2
+    for value in (2.5, True):  # no silent truncation to an int
+        with pytest.raises(cli._CliError, match=f"max_n: invalid int value: '{value}'"):
+            run_command("quotient", doc, tau="tau", max_n=value)
+    assert run_command("quotient", doc, tau="tau", max_n=0).body[
+        "complete_lattice_verified"] is None
+    assert run_command("quotient", doc, tau="tau").body["complete_lattice_verified"] is True
 
 
 def test_run_command_programmatic(doc_path):
@@ -312,6 +336,34 @@ def test_chain_document_diagnose(chain_doc_path, capsys):
     rc = main(["diagnose", "--space-file", chain_doc_path, "--tau", "below"])
     assert rc == 0
     assert "rn_property: yes" in capsys.readouterr().out
+
+
+def test_diagnose_names_the_value_a_chain_skips(tmp_path, capsys):
+    # The idempotent uninorm on {0, 1, 3, 7, ∞} with identity 7: τ = {x: ∞}
+    # is ⊙-finite, yet c ⊙ ∞ skips 7, so ν = {x: 7} is dominated with no density.
+    table = [["0", "0", "0", "0", "0"],
+             ["0", "1", "1", "1", "1"],
+             ["0", "1", "3", "3", "3"],
+             ["0", "1", "3", "7", "inf"],
+             ["0", "1", "3", "inf", "inf"]]
+    path = tmp_path / "uninorm.json"
+    path.write_text(json.dumps({
+        "space": {"atoms": ["x"]},
+        "pseudo_mul": {"chain": {"carrier": ["0", "1", "3", "7", "inf"], "table": table,
+                                 "identity": "7"}},
+        "measures": {"tau": {"x": "inf"}, "nu": {"x": "7"}},
+    }))
+    argv = ["--space-file", str(path), "--fatal-verdicts", "--json-out", "-"]
+    assert main(["validate-op", *argv]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", *argv, "--tau", "tau"]) == 4
+    diagnosis = json.loads(capsys.readouterr().out)["body"]["diagnosis"]
+    assert diagnosis["rn_property"] is False
+    assert diagnosis["sigma_odot_finite"] is True
+    [line] = diagnosis["failed_conditions"]
+    assert line.startswith("atom x: no c ⊙ inf equals 7 ")
+    assert main(["density", *argv, "--tau", "tau", "--nu", "nu"]) == 4
+    assert json.loads(capsys.readouterr().out)["body"]["found"] is False
 
 
 def test_chain_document_validate_op(chain_doc_path, capsys):

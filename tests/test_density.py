@@ -433,6 +433,20 @@ def _maximal_spot_bruteforce(pm, mu):
     return union & mu.support.mask
 
 
+def _rn_oracle(pm, tau):
+    """Whether every ν ≪_⊙ τ with masses on the chain's carrier has a
+    density, atom by atom: each carrier value v that a one-atom ν may
+    take under τ({x}) (is_abs_continuous) has a solution c ⊙ τ({x}) = v."""
+    one = Space(["x"])
+    for t in tau.masses:
+        tau_x = MaxMeasure(one, [t])
+        for v in pm.carrier:
+            if (is_abs_continuous(pm, MaxMeasure(one, [v]), tau_x)
+                    and solve_atom_density(pm, v, t) is None):
+                return False
+    return True
+
+
 def test_finiteness_conditions_agree_with_the_oracles():
     rng = random.Random(31)
     verdicts = set()
@@ -445,7 +459,11 @@ def test_finiteness_conditions_agree_with_the_oracles():
             diag = diagnose_rn(pm, mu)
             assert semi == semi_odot_finite_bruteforce(pm, mu), (pm, mu)
             assert semi == (not spots.has_spots) == is_sigma_odot_finite(pm, mu)
-            assert semi == diag.semi_finite == diag.sigma_odot_finite == diag.rn_property
+            assert semi == diag.semi_finite == diag.sigma_odot_finite
+            if pm is TIMES or pm is MIN:  # continuous: σ-⊙-finiteness is the whole verdict
+                assert diag.rn_property == semi
+            else:
+                assert diag.rn_property == _rn_oracle(pm, mu), (pm, mu)
             assert diag.spots == spots
             mask = spots.maximal_spot.mask if spots.has_spots else 0
             assert mask == _maximal_spot_bruteforce(pm, mu), (pm, mu)
@@ -525,8 +543,6 @@ def uninorm_chain():
     return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: rn_property is 'every atom mass "
-                                       "is ⊙-finite', which misses a value c ⊙ τ skips")
 def test_rn_property_is_not_claimed_where_a_dominated_measure_has_no_density():
     pm = uninorm_chain()
     assert validate_pseudo_mul(pm).passed
@@ -536,7 +552,61 @@ def test_rn_property_is_not_claimed_where_a_dominated_measure_has_no_density():
     # ν ≪_⊙ τ, yet 7 is no c ⊙ ∞: the image of c ↦ c ⊙ ∞ is {0, 1, 3, ∞}
     assert is_abs_continuous(pm, nu, tau)
     assert not solve_density(pm, nu, tau).ok
-    assert diagnose_rn(pm, tau).rn_property is not True
+    diag = diagnose_rn(pm, tau)
+    assert diag.rn_property is False
+    assert diag.sigma_odot_finite and not diag.spots.has_spots
+    assert diag.failed_conditions == (
+        "atom x: no c ⊙ inf equals 7 (< ∞ ⊙ inf); a ⊙-dominated ν(x) = 7 has no density",)
+    assert pm.image_gap(INF) == ExtNonneg(7)
+    assert pm.image_gap(ExtNonneg(3)) is None  # the column of 3 is {0, 1, 3}
+
+
+def _chain_tables(k):
+    """Rows of carrier ranks of every table on k elements in which 0
+    annihilates, some positive rank is a two-sided identity, and the
+    operation is monotone and associative, by backtracking over the
+    positive cells in row order."""
+    cells = [(i, j) for i in range(1, k) for j in range(1, k)]
+    for e in range(1, k):
+        rows = [[0] * k for _ in range(k)]
+
+        def fill(n):
+            if n == len(cells):
+                if all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
+                       for a in range(k) for b in range(k) for c in range(k)):
+                    yield tuple(map(tuple, rows))
+                return
+            i, j = cells[n]
+            lo = max(rows[i - 1][j], rows[i][j - 1])
+            for v in ([j if i == e else i] if e in (i, j) else range(lo, k)):
+                if v >= lo:
+                    rows[i][j] = v
+                    yield from fill(n + 1)
+        for table in fill(0):
+            yield e, table
+
+
+def test_rn_property_matches_the_oracle_on_every_small_chain():
+    # Every table on the carrier {0, 1, .., k − 2, ∞}, k ≤ 5, that passes
+    # the validator, under every one-atom τ.  The old verdict, "every atom
+    # mass is ⊙-finite", is wrong in 2 and 20 of these cases.
+    sp = Space(["x"])
+    for k, tables, validated, old_rule_wrong in ((4, 15, 5, 2), (5, 84, 22, 20)):
+        carrier = [ExtNonneg(v) for v in range(k - 1)] + [INF]
+        found = list(_chain_tables(k))
+        assert len(found) == tables
+        chains = [pm for pm in (DiscreteChain(carrier, [[carrier[r] for r in row] for row in rows],
+                                              carrier[e]) for e, rows in found)
+                  if validate_pseudo_mul(pm).passed]
+        assert len(chains) == validated
+        wrong = 0
+        for pm in chains:
+            for t in carrier:
+                tau = MaxMeasure(sp, [t])
+                diag = diagnose_rn(pm, tau)
+                assert diag.rn_property == _rn_oracle(pm, tau), (pm.spec_form(), t)
+                wrong += diag.rn_property != diag.sigma_odot_finite
+        assert wrong == old_rule_wrong
 
 
 def test_diagnose_counterexample():

@@ -2,11 +2,15 @@
 
 Each case is one `maxitive <command> ... --json-out -` command; its
 stdout is kept in `tests/golden/<case>.json`.  The cases run
-`validate-op` on times, min and two chains, and `integrate` on times,
-min and a chain over documents whose functions and measures take 0
-and ∞.  The spec documents lie beside the reports.  A change that is
-meant to change a report regenerates the files, and their diff shows
-the change:
+`validate-op` on times, min and two chains; `integrate`, `density` and
+`diagnose` under times, min and the clamped chain over documents whose
+functions and measures take 0 and ∞, and `diagnose` on a uninorm chain
+whose image c ⊙ ∞ skips a value; `quotient`, `ideal-measures` and
+`variation`, which take no ⊙, once per measure document; and every
+`gallery` scenario at seed 0.  The spec documents lie beside the
+reports, and the directory holds nothing else.  A change that is meant
+to change a report regenerates the files, and their diff shows the
+change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from maxitive.cli import main
+from maxitive.gallery import GALLERY
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -26,6 +31,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def _integrate(doc: str, op: str, function: str, subset=None) -> list:
     return ["integrate", "--space-file", doc, "--op", op, "--measure", "nu",
             "--function", function, *(["--subset", subset] if subset else [])]
+
+
+# The documents with measures tau and nu and an ideal I, by the name their
+# measure-only cases carry, and the ⊙s each is read under.
+_MEASURE_DOCS = {"measures": ("measures.spec.json", ("times", "min")),
+                 "chain": ("chain_measures.spec.json", ("chain",))}
+
+
+def _measures(doc: str, op, command: str, *extra) -> list:
+    return [command, "--space-file", doc, *(["--op", op] if op else []), "--tau", "tau", *extra]
 
 
 CASES = {
@@ -40,7 +55,25 @@ CASES = {
        for op in ("times", "min")},
     "integrate-chain-f": _integrate("chain_integral.spec.json", "chain", "f"),
     "integrate-chain-g-bcd": _integrate("chain_integral.spec.json", "chain", "g", "b,c,d"),
+    **{f"{command}-{op}": _measures(doc, op, command, *extra)
+       for doc, ops in _MEASURE_DOCS.values() for op in ops
+       for command, extra in (("density", ["--nu", "nu"]), ("diagnose", []))},
+    "density-times-finitize": _measures("measures.spec.json", "times", "density",
+                                        "--nu", "nu", "--finitize"),
+    **{f"{command}-{name}": _measures(doc, None, command, *extra)
+       for name, (doc, _) in _MEASURE_DOCS.items()
+       for command, extra in (("quotient", []), ("ideal-measures", ["--ideal", "I"]),
+                              ("variation", []))},
+    **{f"gallery-{scenario}": ["gallery", scenario, "--seed", "0"] for scenario in GALLERY},
+    # c ⊙ ∞ skips 7 on this chain, so τ = {x: ∞} lacks the property though ⊙-finite
+    "diagnose-uninorm-chain": ["diagnose", "--space-file", "uninorm_chain.spec.json",
+                               "--tau", "tau"],
 }
+
+
+def spec_documents(name: str) -> list:
+    """The spec documents the case's command reads."""
+    return [a for a in CASES[name] if a.endswith(".spec.json")]
 
 
 def run_case(name: str) -> tuple:
@@ -57,6 +90,12 @@ def test_the_report_equals_the_committed_one(name):
     rc, out = run_case(name)
     assert rc == 0
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_every_golden_file_belongs_to_a_case():
+    expected = {f"{name}.json" for name in CASES}
+    expected.update(doc for name in CASES for doc in spec_documents(name))
+    assert {p.name for p in GOLDEN.iterdir()} == expected
 
 
 if __name__ == "__main__":
