@@ -5,7 +5,8 @@ ideal-measures, variation, gallery.  Data commands read a JSON spec
 document (--space-file) naming the space, measures, functions, and
 ideals; --op picks the pseudo-multiplication ("times", "min", or
 "chain" to use the document's chain), defaulting to the document's
-choice and then to "times".
+choice and then to "times".  Each command takes only the options its
+handler reads, and run_command parses through the same parser.
 
 Exit codes: 0 computed (a negative mathematical verdict such as "no
 density" is still a computation), 2 invalid input, 3 size cap exceeded,
@@ -55,18 +56,26 @@ EXIT_NEGATIVE = 4
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INVALID):
+    code = EXIT_INVALID
+
+    def __init__(self, message: str, parser=None):
         super().__init__(message)
-        self.code = code
+        self.parser = parser  # the parser that refused the arguments, if one did
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses by raising _CliError, so run_command prints nothing; main
+    hands the refusal back to argparse's own error (usage line, exit 2)."""
+
+    def error(self, message):
+        raise _CliError(message, parser=self)
 
 
 def _maybe_doc(args) -> Optional[SpecDoc]:
-    doc = getattr(args, "_doc", None)
-    if doc is not None:
-        return doc
-    if getattr(args, "space_file", None):
+    """run_command's in-memory document, else the --space-file one, if any."""
+    if args.doc is None and args.space_file:
         return load_spec(args.space_file)
-    return None
+    return args.doc
 
 
 def _load_doc(args) -> SpecDoc:
@@ -77,16 +86,12 @@ def _load_doc(args) -> SpecDoc:
 
 
 def _resolve_pm(args, doc: Optional[SpecDoc]) -> PseudoMul:
-    choice = getattr(args, "op", None)
-    if choice in NAMED_OPERATIONS:
-        return NAMED_OPERATIONS[choice]()
-    if choice == "chain":
-        if doc is None or doc.pseudo_mul is None or doc.pseudo_mul.kind != "chain":
-            raise _CliError("--op chain needs a chain pseudo_mul in the spec document")
-        return doc.pseudo_mul
-    if doc is not None and doc.pseudo_mul is not None:
-        return doc.pseudo_mul
-    return NAMED_OPERATIONS["times"]()
+    own = doc.pseudo_mul if doc is not None else None
+    if args.op in NAMED_OPERATIONS:
+        return NAMED_OPERATIONS[args.op]()
+    if args.op == "chain" and (own is None or own.kind != "chain"):
+        raise _CliError("--op chain needs a chain pseudo_mul in the spec document")
+    return own if own is not None else NAMED_OPERATIONS["times"]()
 
 
 def _named(kind: str, table: dict, name: Optional[str]):
@@ -120,15 +125,13 @@ def _resolve_ideal(doc: SpecDoc, text: str) -> SigmaIdeal:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate_op(args) -> Report:
-    doc = _maybe_doc(args)
-    pm = _resolve_pm(args, doc)
+    pm = _resolve_pm(args, _maybe_doc(args))
     report = validate_pseudo_mul(pm, args.seed)
-    profile = pm.finiteness_profile()
     body = {
         "operation": pm.describe(),
         "identity": jsonable(pm.identity),
         "degenerate": report.degenerate,
-        "profile": jsonable(profile),
+        "profile": jsonable(pm.finiteness_profile()),
         "checks": [jsonable(c) for c in report.checks],
         "passed": report.passed,
     }
@@ -214,8 +217,7 @@ def _cmd_ideal_measures(args) -> Report:
     tau = _named("measure", doc.measures, args.tau)
     ideal = _resolve_ideal(doc, args.ideal)
     restricted = ideal_restriction_measure(tau, ideal)
-    exhaustive = within_cap(doc.space.n, args.max_n)
-    threshold = nguyen_measure(tau, ideal, validate=exhaustive, limit=args.max_n)
+    threshold = nguyen_measure(tau, ideal, args.max_n)
     body = {
         "tau": jsonable(tau),
         "ideal_top": jsonable(ideal.top),
@@ -223,7 +225,7 @@ def _cmd_ideal_measures(args) -> Report:
         "nguyen_threshold": jsonable(threshold),
         "localization": jsonable(localize(tau, ideal, args.max_n)),
     }
-    if exhaustive:
+    if within_cap(doc.space.n, args.max_n):
         body["restricted_maxitive"] = check_maxitive(restricted.table(args.max_n))
         body["nguyen_maxitive"] = check_maxitive(threshold.table(args.max_n))
         body["nguyen_below_tau"] = all(
@@ -258,19 +260,17 @@ def _cmd_gallery(args) -> Report:
 
 
 def run_command(command: str, doc: Optional[SpecDoc], **params) -> Report:
-    """Programmatic dispatch mirroring the CLI (used by tests and embedders)."""
-    if command not in _HANDLERS:
-        raise _CliError(f"unknown command {command!r}")
-    try:  # the parser's rule for --max-n, on the value written out
-        max_n = _nonnegative_int(str(params.pop("max_n", DEFAULT_MAX_N)))
-    except argparse.ArgumentTypeError as exc:
-        raise _CliError(f"max_n: {exc}") from None
-    ns = argparse.Namespace(
-        space_file=None, _doc=doc, op=params.pop("op", None),
-        seed=params.pop("seed", 0), max_n=max_n,
-        finitize=params.pop("finitize", False), trials=params.pop("trials", None),
-        **params)
-    return _HANDLERS[command](ns)
+    """Programmatic dispatch through the CLI's parser (used by tests and embedders):
+    ``max_n=3`` is ``--max-n=3``, True a bare flag, None or False no option, ``scenario``
+    gallery's positional; ``doc`` stands in for --space-file.  Refusals raise _CliError."""
+    argv = [command, *([params.pop("scenario")] if "scenario" in params else [])]
+    for key, value in params.items():
+        if value is not None and value is not False:
+            option = "--" + key.replace("_", "-")
+            argv.append(option if value is True else f"{option}={value}")
+    args = _build_parser().parse_args(argv)
+    args.doc = doc
+    return _HANDLERS[command](args)
 
 
 _HANDLERS = {
@@ -286,7 +286,7 @@ _HANDLERS = {
 
 
 def _nonnegative_int(text: str) -> int:
-    """An argparse type, and run_command's check of max_n: an int of at least 0."""
+    """The type of --max-n, for main and run_command alike: an int of at least 0."""
     try:
         value = int(text)
     except ValueError:
@@ -296,64 +296,66 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+# The options commands share, in --help's order; each command names those it reads.
+_SHARED = {
+    "--space-file": dict(metavar="PATH", help="JSON document: space, measures, functions, ideals"),
+    "--op": dict(choices=[*NAMED_OPERATIONS, "chain"],
+                 help="pseudo-multiplication (default: document's, then times)"),
+    "--json-out": dict(metavar="PATH", help="write the machine-readable report ('-' for stdout)"),
+    "--seed": dict(type=int, default=0, help="seed for sampled checks"),
+    "--max-n": dict(type=_nonnegative_int, default=DEFAULT_MAX_N,
+                    help=f"largest n for the exhaustive cross-checks (default {DEFAULT_MAX_N})"),
+    "--fatal-verdicts": dict(action="store_true", help="exit 4 on a negative mathematical verdict"),
+}
+
+
 @functools.cache  # parsing neither changes the parser nor keeps state in it
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="maxitive",
-        description="Maxitive measures, idempotent ⊙-integrals, and densities "
-                    "on finite spaces.")
+    parser = _Parser(prog="maxitive", description="Maxitive measures, idempotent "
+                     "⊙-integrals, and densities on finite spaces.")
+    parser.set_defaults(doc=None)  # run_command's in-memory document
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--space-file", metavar="PATH",
-                       help="JSON spec document with space/measures/functions/ideals")
-        p.add_argument("--op", choices=[*NAMED_OPERATIONS, "chain"],
-                       help="pseudo-multiplication (default: document's, then times)")
-        p.add_argument("--json-out", metavar="PATH",
-                       help="write the machine-readable report ('-' for stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--max-n", type=_nonnegative_int, default=DEFAULT_MAX_N,
-                       help=f"largest n for the exhaustive cross-checks (default {DEFAULT_MAX_N})")
-        p.add_argument("--fatal-verdicts", action="store_true",
-                       help="exit 4 when the mathematical verdict is negative")
+    def command(name, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for option, spec in _SHARED.items():
+            if option in shared or option == "--json-out":
+                p.add_argument(option, **spec)
+        return p
 
-    p = sub.add_parser("validate-op", help="check the pseudo-multiplication axioms")
-    common(p)
+    command("validate-op", "check the pseudo-multiplication axioms",
+            "--space-file", "--op", "--seed", "--fatal-verdicts")
 
-    p = sub.add_parser("integrate", help="compute an idempotent ⊙-integral")
-    common(p)
+    p = command("integrate", "compute an idempotent ⊙-integral", "--space-file", "--op")
     p.add_argument("--measure", help="name of the measure in the document")
     p.add_argument("--function", help="name of the integrand in the document")
     p.add_argument("--subset", help="comma-separated atoms (default: whole space)")
 
-    p = sub.add_parser("density", help="solve ν(B) = ∫_B c ⊙ dτ")
-    common(p)
+    p = command("density", "solve ν(B) = ∫_B c ⊙ dτ",
+                "--space-file", "--op", "--max-n", "--fatal-verdicts")
     p.add_argument("--nu", required=True, help="dominated measure name")
     p.add_argument("--tau", required=True, help="dominating measure name")
     p.add_argument("--finitize", action="store_true",
                    help="also return the ⊙-finite-valued density")
 
-    p = sub.add_parser("diagnose", help="Radon-Nikodym property diagnosis for τ")
-    common(p)
+    p = command("diagnose", "Radon-Nikodym property diagnosis for τ",
+                "--space-file", "--op", "--max-n", "--fatal-verdicts")
     p.add_argument("--tau", required=True)
 
-    p = sub.add_parser("quotient", help="summary of the quotient lattice modulo null sets")
-    common(p)
+    p = command("quotient", "summary of the quotient lattice modulo null sets",
+                "--space-file", "--max-n")
     p.add_argument("--tau", required=True)
 
-    p = sub.add_parser("ideal-measures",
-                       help="the two measures attached to a σ-ideal, side by side")
-    common(p)
+    p = command("ideal-measures", "the two measures attached to a σ-ideal, side by side",
+                "--space-file", "--max-n")
     p.add_argument("--tau", required=True)
     p.add_argument("--ideal", required=True,
                    help="ideal name from the document, or comma-separated atoms")
 
-    p = sub.add_parser("variation", help="the disjoint variation of τ")
-    common(p)
+    p = command("variation", "the disjoint variation of τ", "--space-file", "--max-n")
     p.add_argument("--tau", required=True)
 
-    p = sub.add_parser("gallery", help="run a named self-asserting scenario")
-    common(p)
+    p = command("gallery", "run a named self-asserting scenario", "--seed")
     p.add_argument("scenario", help=f"one of: {', '.join(sorted(GALLERY))}")
     p.add_argument("--trials", type=int, default=None,
                    help="randomized trial count (scenario default otherwise)")
@@ -372,14 +374,12 @@ def _emit(report: Report, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        report = handler(args)
+        args = _build_parser().parse_args(argv)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        argparse.ArgumentParser.error(exc.parser, str(exc))
+    try:
+        report = _HANDLERS[args.command](args)
     except SpecValidationError as exc:
         print("invalid spec document:", file=sys.stderr)
         for issue in exc.issues:
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
             hint = f"{exc.needed} atoms lie past the hard cap of {ENUM_CAP}; no flag raises it"
         print(f"size cap exceeded: {exc}; {hint}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (CarrierDomainError, DegenerateOperationError, SpaceMismatchError,
+    except (_CliError, CarrierDomainError, DegenerateOperationError, SpaceMismatchError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

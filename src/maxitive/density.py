@@ -323,10 +323,11 @@ def diagnose_rn(pm: PseudoMul, tau: MaxMeasure) -> RNDiagnosis:
             if not spot_mask >> i & 1 and (gap := pm.image_gap(t)) is not None]
     profile = pm.finiteness_profile()
     total = tau.total
-    satisfied = profile.shape is FrontierShape.WHOLE_INTERVAL or total <= profile.phi
+    half_open = profile.shape is FrontierShape.HALF_OPEN  # only [0, φ) has a boundary φ
+    satisfied = not half_open or total <= profile.phi
     tv = TotalVsPhi(total, profile.phi, satisfied,
                     pm.is_odot_finite(total) if pm.representable(total) else False,
-                    at_boundary=(total == profile.phi))
+                    at_boundary=half_open and total == profile.phi)
     failed = []
     if not finite:
         failed.append(f"has a ⊙-spot ({spots.maximal_spot!r})")

@@ -274,7 +274,7 @@ def claims_walkthrough(seed: int = 0) -> Report:
 
     # The threshold measure ν(B) = inf{t > 0 : B ∈ 𝒥_t}.
     small_ideal = SigmaIdeal(space, space.subset(["a"]))
-    ng = nguyen_measure(tau, small_ideal, validate=True)
+    ng = nguyen_measure(tau, small_ideal)
     checks.add("threshold measure is {a:0, b:2, c:3}",
                ng == MaxMeasure(space, {"a": 0, "b": 2, "c": 3}))
     checks.add("threshold closed form matches the 𝒥_t enumeration on every subset",

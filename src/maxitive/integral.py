@@ -231,22 +231,23 @@ def pushforward_measure(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> MaxMe
     return MaxMeasure(f.space, [pm(a, b) for a, b in zip(f.values, nu.masses)])
 
 
-def assert_oracle_consistent(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: SubsetB,
-                             rel_tol: float = 1e-9) -> None:
+ORACLE_REL_TOL = 1e-9  # the relative gap an inexact ⊙'s oracle may leave below its sweep
+
+
+def assert_oracle_consistent(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: SubsetB) -> None:
     """Cross-check the threshold sweep against the canonical-grid oracle.
 
     The oracle must never exceed the sweep; for continuous operations in
-    approximate mode it must also match within ``rel_tol``.  A custom ⊙
+    approximate mode it must also match within ``ORACLE_REL_TOL``.  A custom ⊙
     violating either bound is surfaced, not reconciled.
     """
     sweep = integrate_threshold(pm, f, nu, B)
     oracle = integrate_oracle(pm, f, nu, B, canonical_grid(pm, f, B))
     if oracle > sweep:
-        raise OracleMismatchError(
-            f"grid oracle {oracle} exceeds threshold sweep {sweep}")
+        raise OracleMismatchError(f"grid oracle {oracle} exceeds threshold sweep {sweep}")
     if not pm.exact and sweep.is_finite and oracle.is_finite:
         gap = float(sweep) - float(oracle)
-        if gap > rel_tol * max(1.0, float(sweep)):
+        if gap > ORACLE_REL_TOL * max(1.0, float(sweep)):
             raise OracleMismatchError(
                 f"grid oracle {float(oracle)} differs from sweep {float(sweep)} "
-                f"beyond tolerance {rel_tol}")
+                f"beyond tolerance {ORACLE_REL_TOL}")

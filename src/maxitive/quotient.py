@@ -185,15 +185,14 @@ def ideal_restriction_measure(tau: MaxMeasure, ideal: SigmaIdeal) -> MaxMeasure:
                       [v if (top >> i & 1) else ZERO for i, v in enumerate(tau.masses)])
 
 
-def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
-                   validate: Optional[bool] = None, limit: int | None = None) -> MaxMeasure:
+def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> MaxMeasure:
     """The threshold measure ν(B) = inf{t > 0 : B ∈ 𝒥_t}.
 
     𝒥_t collects the unions I ∪ B' with I in the ideal and τ(B') ≤ t; on
     a finite powerset the infimum collapses to the closed form
     ν(B) = τ(B ∖ top).  The closed form is validated against the
-    definition (by default whenever the space is within the enumeration
-    cap ``limit``), over every subset: the least τ(B ∖ I) over every
+    definition whenever the space is within the enumeration cap
+    ``limit``, over every subset: the least τ(B ∖ I) over every
     I ⊆ B ∩ top, for every B at once, is the subset-min transform of
     τ's rank table over the top's bits (subset_min), and those minima
     are compared with the closed form's table.  nguyen_bruteforce is the
@@ -203,9 +202,7 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal,
     top = ideal.top.mask
     result = MaxMeasure(tau.space,
                         [ZERO if (top >> i & 1) else v for i, v in enumerate(tau.masses)])
-    if validate is None:
-        validate = within_cap(tau.space.n, limit)
-    if validate:
+    if within_cap(tau.space.n, limit):
         tau_table = tau.table(limit)
         closed = result.table(limit)
         position = {v: r for r, v in enumerate(tau_table.universe)}

@@ -266,7 +266,7 @@ def test_criterion_08_ideal_measure_constructions():
             space = tau.space
             ideal = SigmaIdeal(space, space.subset(top_labels))
             restricted = ideal_restriction_measure(tau, ideal)
-            threshold = nguyen_measure(tau, ideal, validate=True)
+            threshold = nguyen_measure(tau, ideal)
             assert check_maxitive(restricted.table())
             assert check_maxitive(threshold.table())
             assert all(nv <= tv for nv, tv in zip(threshold.masses, tau.masses))

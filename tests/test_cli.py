@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -285,11 +286,12 @@ def test_json_to_stdout(doc_path, capsys):
 
 def test_run_command_refuses_a_negative_max_n(doc_path):
     doc = parse_spec(doc_path)
-    with pytest.raises(cli._CliError, match="max_n: must be at least 0, got -1") as exc:
+    with pytest.raises(cli._CliError, match="argument --max-n: must be at least 0, got -1") as exc:
         run_command("quotient", doc, tau="tau", max_n=-1)
     assert exc.value.code == 2
-    for value in (2.5, True):  # no silent truncation to an int
-        with pytest.raises(cli._CliError, match=f"max_n: invalid int value: '{value}'"):
+    for value, message in ((2.5, "invalid int value: '2.5'"),  # no silent truncation to an int
+                           (True, "expected one argument")):
+        with pytest.raises(cli._CliError, match=f"argument --max-n: {message}"):
             run_command("quotient", doc, tau="tau", max_n=value)
     assert run_command("quotient", doc, tau="tau", max_n=0).body[
         "complete_lattice_verified"] is None
@@ -302,6 +304,74 @@ def test_run_command_programmatic(doc_path):
     assert report.body["diagnosis"]["rn_property"] is True
     report = run_command("integrate", doc, measure="nu", function="f", subset=None)
     assert report.body["value"] == "3"
+
+
+# The options several commands share, and the commands that take each.
+SHARED_OPTIONS = {
+    "--json-out": {"validate-op", "integrate", "density", "diagnose", "quotient",
+                   "ideal-measures", "variation", "gallery"},
+    "--space-file": {"validate-op", "integrate", "density", "diagnose", "quotient",
+                     "ideal-measures", "variation"},
+    "--op": {"validate-op", "integrate", "density", "diagnose"},
+    "--seed": {"validate-op", "gallery"},
+    "--max-n": {"density", "diagnose", "quotient", "ideal-measures", "variation"},
+    "--fatal-verdicts": {"validate-op", "density", "diagnose"},
+}
+COMMANDS = sorted(SHARED_OPTIONS["--json-out"])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_exactly_the_shared_options_a_command_takes(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) & set(SHARED_OPTIONS)
+    assert listed == {o for o, takers in SHARED_OPTIONS.items() if command in takers}
+
+
+REQUIRED = {"integrate": [], "density": ["--nu", "nu", "--tau", "tau"],
+            "diagnose": ["--tau", "tau"], "quotient": ["--tau", "tau"],
+            "ideal-measures": ["--tau", "tau", "--ideal", "I"], "variation": ["--tau", "tau"],
+            "validate-op": [], "gallery": ["claims-walkthrough"]}
+VALUES = {"--json-out": "-", "--space-file": "x.json", "--op": "min", "--seed": "5",
+          "--max-n": "3", "--fatal-verdicts": None}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for option, takers in SHARED_OPTIONS.items() for command in COMMANDS
+    if command not in takers])
+def test_a_shared_option_a_command_does_not_read_exits_2(command, option, capsys):
+    value = VALUES[option]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], option, *([value] if value else [])])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert f"maxitive: error: unrecognized arguments: {option}" in out.err
+
+
+def test_run_command_takes_the_parsers_defaults_and_checks(doc_path):
+    doc = parse_spec(doc_path)
+    # options left out take the parser's defaults
+    assert run_command("integrate", doc, measure="nu", function="f").body["value"] == "3"
+    assert run_command("validate-op", None, seed="3").body == run_command(
+        "validate-op", None, seed=3).body
+    assert not run_command("gallery", None, scenario="sugeno-corollary",
+                           trials="5").negative_verdict
+    refusals = [
+        ("diagnose", {}, "the following arguments are required: --tau"),
+        ("integrate", {"function": "f"}, "--measure is required (document has 4 measures)"),
+        ("integrate", {"measure": "nu", "function": "f", "op": "maximum"},
+         "argument --op: invalid choice: 'maximum'"),
+        ("quotient", {"tau": "tau", "colour": "red"}, "unrecognized arguments: --colour=red"),
+        ("integrate", {"measure": "nu", "function": "f", "seed": 5},
+         "unrecognized arguments: --seed=5"),
+        ("gallery", {}, "the following arguments are required: scenario"),
+    ]
+    for command, params, message in refusals:
+        with pytest.raises(cli._CliError, match=re.escape(message)) as exc:
+            run_command(command, doc, **params)
+        assert exc.value.code == 2
 
 
 def test_op_chain_requires_chain_document(doc_path, capsys):

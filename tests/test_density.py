@@ -653,6 +653,15 @@ def test_diagnose_chain_boundary(chain):
     assert diag.spots.has_spots
 
 
+def test_whole_interval_frontier_has_no_boundary():
+    # under min every value is ⊙-finite: φ = ∞ closes no half-open frontier
+    diag = diagnose_rn(Minimum(), MaxMeasure(Space(["a", "b"]), {"a": INF, "b": 1}))
+    tv = diag.total_vs_phi
+    assert (tv.total, tv.phi, tv.satisfied, tv.at_boundary) == (INF, INF, True, False)
+    assert "τ(E) = inf ≤ φ = inf" in str(tv)
+    assert diag.rn_property
+
+
 def test_necessity_witness():
     # non-σ-⊙-finite τ admits a dominated measure with no density
     rng = random.Random(7)

@@ -364,7 +364,7 @@ def test_ideal_measures_at_the_cap_of_twenty_atoms(monkeypatch):
     ideal = SigmaIdeal(space, top)
 
     def both():
-        return nguyen_measure(tau, ideal, validate=True, limit=20), localize(tau, ideal, 20)
+        return nguyen_measure(tau, ideal, limit=20), localize(tau, ideal, 20)
 
     start = time.perf_counter()
     nu, L = both()
@@ -395,7 +395,7 @@ def test_ideal_measures_at_the_cap_of_twenty_atoms(monkeypatch):
     assert first == SubsetB(space, 1 << atom)
     monkeypatch.setattr(quotient_module, "MaxMeasure", lambda space, masses: wrong)
     with pytest.raises(AssertionError) as err:
-        nguyen_measure(tau, ideal, validate=True, limit=20)
+        nguyen_measure(tau, ideal, limit=20)
     assert str(err.value).endswith(f"at {first!r}")
 
 

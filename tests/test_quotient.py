@@ -180,7 +180,7 @@ def test_nguyen_measure_examples():
     sp = Space(["a", "b", "c"])
     tau = MaxMeasure(sp, {"a": 1, "b": 2, "c": 3})
     ideal = SigmaIdeal(sp, sp.subset(["a"]))
-    nu = nguyen_measure(tau, ideal, validate=True)
+    nu = nguyen_measure(tau, ideal)
     assert nu == MaxMeasure(sp, {"a": 0, "b": 2, "c": 3})
     assert nu(sp.subset(["a", "b"])) == ExtNonneg(2)
     assert nguyen_measure(tau, SigmaIdeal.full(sp)) == MaxMeasure.constant(sp, ZERO)
@@ -193,7 +193,7 @@ def test_nguyen_properties_randomized():
         sp = rand_space(rng, hi=5)
         tau = rand_measure(rng, sp, allow_inf=True)
         ideal = SigmaIdeal(sp, rng.choice(list(sp.subsets())))
-        nu = nguyen_measure(tau, ideal, validate=True)
+        nu = nguyen_measure(tau, ideal)
         assert check_maxitive(nu.table())
         assert all(nv <= tv for nv, tv in zip(nu.masses, tau.masses))
         for I in ideal.members():

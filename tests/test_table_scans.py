@@ -1,6 +1,6 @@
 """The table scans of the σ-ideal checks against their per-subset forms.
 
-``nguyen_measure(validate=True)``, the ``localize`` minimality scan, the
+``nguyen_measure``'s validation, the ``localize`` minimality scan, the
 ``variation`` command's null-set comparison and
 ``is_abs_continuous(cross_check=True)`` read byte rank tables instead of
 evaluating measures subset by subset.  These tests hold each scan to
@@ -69,7 +69,7 @@ def doctored(measure, atom, value):
 @given(ideal_instances(), st.data())
 def test_nguyen_scan_refuses_exactly_the_closed_forms_enumeration_refutes(inst, data):
     tau, ideal = inst
-    nu = nguyen_measure(tau, ideal, validate=True)
+    nu = nguyen_measure(tau, ideal)
     assert all(nu(B) == nguyen_bruteforce(tau, ideal, B) for B in tau.space.subsets())
     atom = data.draw(st.integers(0, tau.space.n - 1))
     value = data.draw(st.sampled_from(MASSES + [ExtNonneg(3)]))  # 3: a value τ never takes
@@ -79,7 +79,7 @@ def test_nguyen_scan_refuses_exactly_the_closed_forms_enumeration_refutes(inst, 
         # nguyen_measure builds its closed form through this name
         mp.setattr(quotient_module, "MaxMeasure", lambda space, masses: wrong)
         try:
-            nguyen_measure(tau, ideal, validate=True)
+            nguyen_measure(tau, ideal)
         except AssertionError:
             refused = True
         else:
@@ -94,14 +94,14 @@ def test_wrong_nguyen_closed_form_is_refused(monkeypatch):
     # τ itself, with the ideal's mass not removed
     monkeypatch.setattr(quotient_module, "MaxMeasure", lambda space, masses: tau)
     with pytest.raises(AssertionError, match=r"at \{a\}"):
-        nguyen_measure(tau, ideal, validate=True)
+        nguyen_measure(tau, ideal)
 
 
 def test_nguyen_validates_by_default_within_the_cap(monkeypatch):
     space = Space([f"x{i}" for i in range(10)])
     tau = MaxMeasure(space, ["2", "0", "inf", "1", "3", "1/2", "0", "5", "2", "7"])
     ideal = SigmaIdeal(space, space.subset(["x0", "x3"]))
-    assert nguyen_measure(tau, ideal).masses == nguyen_measure(tau, ideal, validate=False).masses
+    assert nguyen_measure(tau, ideal).masses == nguyen_measure(tau, ideal, limit=0).masses
     # τ itself, with the ideal's mass not removed
     monkeypatch.setattr(quotient_module, "MaxMeasure", lambda space, masses: tau)
     with pytest.raises(AssertionError, match=r"at \{x0\}"):
