@@ -98,7 +98,7 @@ from .quotient import (
     set_partitions,
     verify_lattice_complete,
 )
-from .specdoc import SpecDoc, load_spec, parse_spec, render_spec
+from .specdoc import SpecDoc, load_spec, parse_spec
 from .report import Report, jsonable
 from .gallery import GALLERY, run_gallery
 

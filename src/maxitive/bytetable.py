@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["max_rank_table", "lane_max", "lane_min", "subset_min"]
+__all__ = ["NONZERO", "max_rank_table", "lane_max", "lane_min", "subset_min"]
 
 _IDENTITY = bytes(range(256))
+NONZERO = b"\0" + b"\1" * 255  # translate table: rank 0 stays 0, every other rank is 1
 _CHUNK = 1 << 13  # bytes per integer in the lane-wise kernels
 
 

@@ -5,8 +5,9 @@ ideal-measures, variation, gallery.  Data commands read a JSON spec
 document (--space-file) naming the space, measures, functions, and
 ideals; --op picks the pseudo-multiplication ("times", "min", or
 "chain" to use the document's chain), defaulting to the document's
-choice and then to "times".  Each command takes only the options its
-handler reads, and run_command parses through the same parser.
+choice and then to "times".  main is the one way from argv to a
+handler: each command takes only the options its handler reads, and
+every option must be spelled in full (no prefix of it is accepted).
 
 Exit codes: 0 computed (a negative mathematical verdict such as "no
 density" is still a computation), 2 invalid input, 3 size cap exceeded,
@@ -21,6 +22,7 @@ import functools
 import sys
 from typing import Optional
 
+from .bytetable import NONZERO
 from .density import diagnose_rn, finitize_density, solve_density, verify_density
 from .errors import (
     CarrierDomainError,
@@ -46,7 +48,7 @@ from .report import Report, jsonable
 from .spaces import DEFAULT_MAX_N, ENUM_CAP, SubsetB, within_cap
 from .specdoc import SpecDoc, load_spec
 
-__all__ = ["main", "run_command"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -56,26 +58,12 @@ EXIT_NEGATIVE = 4
 
 
 class _CliError(Exception):
-    code = EXIT_INVALID
-
-    def __init__(self, message: str, parser=None):
-        super().__init__(message)
-        self.parser = parser  # the parser that refused the arguments, if one did
-
-
-class _Parser(argparse.ArgumentParser):
-    """Refuses by raising _CliError, so run_command prints nothing; main
-    hands the refusal back to argparse's own error (usage line, exit 2)."""
-
-    def error(self, message):
-        raise _CliError(message, parser=self)
+    """Invalid input that a handler finds: exit 2."""
 
 
 def _maybe_doc(args) -> Optional[SpecDoc]:
-    """run_command's in-memory document, else the --space-file one, if any."""
-    if args.doc is None and args.space_file:
-        return load_spec(args.space_file)
-    return args.doc
+    """The --space-file document, if one is given."""
+    return load_spec(args.space_file) if args.space_file else None
 
 
 def _load_doc(args) -> SpecDoc:
@@ -240,7 +228,7 @@ def _cmd_variation(args) -> Report:
     same_nulls = None
     if within_cap(doc.space.n, args.max_n):
         # τ's rank 0 is the value 0, so both tables are 0 exactly on the null sets
-        tau_nulls = bytes(map(bool, tau.table(args.max_n).ranks))
+        tau_nulls = tau.table(args.max_n).ranks.translate(NONZERO)
         same_nulls = m.null_table(args.max_n) == tau_nulls
     body = {
         "tau": jsonable(tau),
@@ -259,20 +247,6 @@ def _cmd_gallery(args) -> Report:
         raise _CliError(str(exc.args[0]))
 
 
-def run_command(command: str, doc: Optional[SpecDoc], **params) -> Report:
-    """Programmatic dispatch through the CLI's parser (used by tests and embedders):
-    ``max_n=3`` is ``--max-n=3``, True a bare flag, None or False no option, ``scenario``
-    gallery's positional; ``doc`` stands in for --space-file.  Refusals raise _CliError."""
-    argv = [command, *([params.pop("scenario")] if "scenario" in params else [])]
-    for key, value in params.items():
-        if value is not None and value is not False:
-            option = "--" + key.replace("_", "-")
-            argv.append(option if value is True else f"{option}={value}")
-    args = _build_parser().parse_args(argv)
-    args.doc = doc
-    return _HANDLERS[command](args)
-
-
 _HANDLERS = {
     "validate-op": _cmd_validate_op,
     "integrate": _cmd_integrate,
@@ -286,7 +260,7 @@ _HANDLERS = {
 
 
 def _nonnegative_int(text: str) -> int:
-    """The type of --max-n, for main and run_command alike: an int of at least 0."""
+    """The type of --max-n: an int of at least 0, else argparse's exit 2."""
     try:
         value = int(text)
     except ValueError:
@@ -311,13 +285,13 @@ _SHARED = {
 
 @functools.cache  # parsing neither changes the parser nor keeps state in it
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="maxitive", description="Maxitive measures, idempotent "
-                     "⊙-integrals, and densities on finite spaces.")
-    parser.set_defaults(doc=None)  # run_command's in-memory document
+    parser = argparse.ArgumentParser(
+        prog="maxitive", allow_abbrev=False,
+        description="Maxitive measures, idempotent ⊙-integrals, and densities on finite spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help, *shared):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)  # options in full only
         for option, spec in _SHARED.items():
             if option in shared or option == "--json-out":
                 p.add_argument(option, **spec)
@@ -359,6 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help=f"one of: {', '.join(sorted(GALLERY))}")
     p.add_argument("--trials", type=int, default=None,
                    help="randomized trial count (scenario default otherwise)")
+    p.set_defaults(seed=None)  # the scenario's own seed, unless one is given
 
     return parser
 
@@ -374,10 +349,7 @@ def _emit(report: Report, args) -> None:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except _CliError as exc:
-        argparse.ArgumentParser.error(exc.parser, str(exc))
+    args = _build_parser().parse_args(argv)
     try:
         report = _HANDLERS[args.command](args)
     except SpecValidationError as exc:

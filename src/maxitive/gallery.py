@@ -80,7 +80,7 @@ def _rand_space(rng: random.Random, max_n=6) -> Space:
     return Space(list(_LABELS[: rng.randint(1, max_n)]))
 
 
-def shilkret_counterexample(seed: int = 0) -> Report:
+def shilkret_counterexample() -> Report:
     """ν = δ_#, τ = ∞·δ_# under the product: dominated but densityless."""
     times = StandardProduct()
     space = Space(["a", "b", "c"])
@@ -251,7 +251,7 @@ def prop33_finitize(seed: int = 0, trials: Optional[int] = None) -> Report:
     return checks.report("prop33-finitize", {"trials": trials, "seed": seed})
 
 
-def claims_walkthrough(seed: int = 0) -> Report:
+def claims_walkthrough() -> Report:
     """The six structural facts behind the density characterization, on fixtures."""
     times = StandardProduct()
     checks = _Checks()
@@ -337,16 +337,21 @@ GALLERY = {
 }
 
 
-def run_gallery(name: str, seed: int = 0, trials: Optional[int] = None) -> Report:
-    """Run one scenario.  ``trials`` (None: the scenario's default) is
-    refused below 1, and for a scenario that draws no trials."""
+def run_gallery(name: str, seed: Optional[int] = None,
+                trials: Optional[int] = None) -> Report:
+    """Run one scenario with the values given; None leaves the scenario's
+    default.  A value for a parameter the scenario lacks is refused, and
+    so are trials below 1."""
     if name not in GALLERY:
         raise KeyError(f"unknown gallery scenario {name!r}; "
                        f"known: {', '.join(sorted(GALLERY))}")
-    if trials is None:
-        return GALLERY[name](seed=seed)
-    if "trials" not in inspect.signature(GALLERY[name]).parameters:
-        raise ValueError(f"scenario {name!r} takes no trials")
-    if trials < 1:
+    scenario = GALLERY[name]
+    given = {key: value for key, value in (("seed", seed), ("trials", trials))
+             if value is not None}
+    takes = inspect.signature(scenario).parameters
+    for key in given:
+        if key not in takes:
+            raise ValueError(f"scenario {name!r} takes no {key}")
+    if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    return GALLERY[name](seed=seed, trials=trials)
+    return scenario(**given)

@@ -501,12 +501,13 @@ class DiscreteChain(PseudoMul):
         return tuple(map(tuple, out))
 
     @classmethod
-    def clamped_product(cls, carrier: Sequence, identity=ONE) -> "DiscreteChain":
-        """Chain whose operation is the product rounded down into the carrier."""
+    def clamped_product(cls, carrier: Sequence) -> "DiscreteChain":
+        """Chain whose operation is the product rounded down into the carrier;
+        its identity is 1."""
         values = tuple(sorted({as_extnn(v) for v in carrier}))
         rows = [[max((v for v in values if v <= a * b), default=ZERO) for b in values]
                 for a in values]
-        return cls(values, rows, identity)
+        return cls(values, rows, ONE)
 
     def representable(self, t: ExtNonneg) -> bool:
         return (t._n, t._d) in self._rank
@@ -625,6 +626,8 @@ class DiscreteChain(PseudoMul):
 # probes 2^-k, k = 0, 4, .., 60, taken from it as pairs.
 _DESCENT = tuple(2.0 ** -k for k in range(61))
 _CUSTOM_PROBES = tuple(s.as_integer_ratio() for s in _DESCENT[::4])
+# The points of CustomContinuous's ε-δ continuity grid.
+_CUSTOM_SAMPLE_DOMAIN = (0.0, 0.25, 0.5, 1.0, 2.0, 8.0, 1024.0)
 
 
 class CustomContinuous(PseudoMul):
@@ -632,20 +635,17 @@ class CustomContinuous(PseudoMul):
 
     ``fn`` must accept two nonnegative floats (possibly ``math.inf``)
     and return one.  All derived quantities (zero map, frontier,
-    equality) are estimated with the configured relative tolerance;
+    equality) are estimated with the relative tolerance ``tolerance``;
     nothing symbolic is attempted.
     """
 
     kind = "custom"
     exact = False
+    tolerance = 1e-12
 
-    def __init__(self, fn: Callable[[float, float], float], identity,
-                 name: str = "custom", tolerance: float = 1e-12,
-                 sample_domain: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 8.0, 1024.0)):
+    def __init__(self, fn: Callable[[float, float], float], identity, name: str = "custom"):
         self.fn = fn
         self.name = name
-        self.tolerance = tolerance
-        self.sample_domain = tuple(sample_domain)
         super().__init__(identity)
 
     @staticmethod
@@ -766,10 +766,10 @@ class CustomContinuous(PseudoMul):
         # shrinking output changes at interior sample points.
         worst, detail = None, "ε-δ grid on the sample domain"
         try:
-            for s in self.sample_domain:
+            for s in _CUSTOM_SAMPLE_DOMAIN:
                 if s <= 0 or math.isinf(s):
                     continue
-                for t in self.sample_domain:
+                for t in _CUSTOM_SAMPLE_DOMAIN:
                     if math.isinf(t):
                         continue
                     base = self._checked(s, t)

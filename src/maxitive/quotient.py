@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from .bytetable import max_rank_table, subset_min
+from .bytetable import NONZERO, max_rank_table, subset_min
 from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, _AtomMap, measure_eval
@@ -146,7 +146,7 @@ def verify_lattice_complete(lattice: QuotientLattice, limit: int | None = None) 
     up to the enumeration cap ``limit`` (SizeCapError past it).
     """
     support = lattice.non_null_atoms.mask
-    non_null = lattice.tau.table(limit).ranks.translate(b"\0" + b"\1" * 255)
+    non_null = lattice.tau.table(limit).ranks.translate(NONZERO)
     return non_null == max_rank_table([support >> i & 1 for i in range(lattice.tau.space.n)])
 
 
@@ -382,20 +382,19 @@ def check_ccc(tau: MaxMeasure, witness: Optional[CCCWitness] = None) -> CCCVerdi
     return CCCVerdict(True, cert, conditions)
 
 
-def enumerate_quotient_sigma_ideals(lattice: QuotientLattice,
-                                    cap: int = SIGMA_IDEAL_ENUM_CAP) -> list:
+def enumerate_quotient_sigma_ideals(lattice: QuotientLattice) -> list:
     """All σ-ideals of the quotient lattice, as frozensets of class masks.
 
     Enumerates every downward closed family (their number grows as the
-    Dedekind numbers, hence the cap of 2^cap classes) and keeps those
-    closed under joins.  On a finite Boolean lattice each one is
-    principal; callers assert that its top (the join of its members) is
-    a member.
+    Dedekind numbers, hence the cap of 2^SIGMA_IDEAL_ENUM_CAP classes)
+    and keeps those closed under joins.  On a finite Boolean lattice each
+    one is principal; callers assert that its top (the join of its
+    members) is a member.
     """
     k = lattice.k
-    if k > cap:
+    if k > SIGMA_IDEAL_ENUM_CAP:
         raise SizeCapError(
-            f"σ-ideal enumeration over 2^{k} classes refused (cap {cap}); "
+            f"σ-ideal enumeration over 2^{k} classes refused (cap {SIGMA_IDEAL_ENUM_CAP}); "
             f"down-set counts grow as Dedekind numbers")
     masks = sorted(submasks(lattice.non_null_atoms.mask),
                    key=lambda x: (bin(x).count("1"), x))

@@ -41,7 +41,7 @@ from .pseudomul import NAMED_OPERATIONS, DiscreteChain, PseudoMul
 from .report import jsonable
 from .spaces import NUMBER_DIGITS_CAP, Space
 
-__all__ = ["SpecDoc", "parse_spec", "render_spec", "load_spec"]
+__all__ = ["SpecDoc", "parse_spec", "load_spec"]
 
 
 @dataclass
@@ -341,10 +341,6 @@ def parse_spec(source) -> SpecDoc:
     if issues:
         raise SpecValidationError(issues)
     return SpecDoc(space, pm, measures, functions, ideals)
-
-
-def render_spec(doc: SpecDoc) -> str:
-    return doc.render()
 
 
 def load_spec(path) -> SpecDoc:

@@ -1,5 +1,6 @@
 """Exit-code contract, report rendering, and the JSON round trip."""
 
+import argparse
 import json
 import os
 import re
@@ -11,10 +12,9 @@ from pathlib import Path
 import pytest
 
 from maxitive import MaxMeasure, Space, build_quotient, cli, enumerate_quotient_sigma_ideals
-from maxitive.cli import main, run_command
+from maxitive.cli import main
 from maxitive.report import Report
 from maxitive.spaces import NUMBER_DIGITS_CAP
-from maxitive.specdoc import parse_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -252,6 +252,15 @@ def test_gallery_trials_for_a_scenario_without_trials_exit_2(capsys, scenario):
     assert main(["gallery", scenario]) == 0
 
 
+@pytest.mark.parametrize("scenario", ["shilkret-counterexample", "claims-walkthrough"])
+def test_gallery_seed_for_a_scenario_that_draws_nothing_exit_2(capsys, scenario):
+    rc = main(["gallery", scenario, "--seed", "5"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert f"error: scenario {scenario!r} takes no seed" in out.err
+
+
 def test_negative_max_n_is_refused_at_parsing(doc_path, capsys):
     argv = ["quotient", "--space-file", doc_path, "--tau", "tau", "--max-n"]
     with pytest.raises(SystemExit) as exc:
@@ -284,26 +293,31 @@ def test_json_to_stdout(doc_path, capsys):
     assert payload["body"]["diagnosis"]["rn_property"] is True
 
 
-def test_run_command_refuses_a_negative_max_n(doc_path):
-    doc = parse_spec(doc_path)
-    with pytest.raises(cli._CliError, match="argument --max-n: must be at least 0, got -1") as exc:
-        run_command("quotient", doc, tau="tau", max_n=-1)
-    assert exc.value.code == 2
-    for value, message in ((2.5, "invalid int value: '2.5'"),  # no silent truncation to an int
-                           (True, "expected one argument")):
-        with pytest.raises(cli._CliError, match=f"argument --max-n: {message}"):
-            run_command("quotient", doc, tau="tau", max_n=value)
-    assert run_command("quotient", doc, tau="tau", max_n=0).body[
-        "complete_lattice_verified"] is None
-    assert run_command("quotient", doc, tau="tau").body["complete_lattice_verified"] is True
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-def test_run_command_programmatic(doc_path):
-    doc = parse_spec(doc_path)
-    report = run_command("diagnose", doc, tau="tau")
-    assert report.body["diagnosis"]["rn_property"] is True
-    report = run_command("integrate", doc, measure="nu", function="f", subset=None)
-    assert report.body["value"] == "3"
+def json_body(argv, capsys) -> dict:
+    """The body of the JSON report ``argv`` prints, which must exit 0."""
+    assert main([*argv, "--json-out", "-"]) == 0
+    return json.loads(capsys.readouterr().out)["body"]
+
+
+def test_max_n_takes_only_a_nonnegative_int(doc_path, capsys):
+    argv = ["quotient", "--space-file", doc_path, "--tau", "tau"]
+    for bad, message in ((["--max-n=-1"], "must be at least 0, got -1"),
+                         (["--max-n", "2.5"], "invalid int value: '2.5'"),  # no truncation
+                         (["--max-n"], "expected one argument")):
+        assert exit_code([*argv, *bad]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --max-n: {message}" in out.err
+    assert json_body([*argv, "--max-n=0"], capsys)["complete_lattice_verified"] is None
+    assert json_body(argv, capsys)["complete_lattice_verified"] is True
 
 
 # The options several commands share, and the commands that take each.
@@ -350,28 +364,78 @@ def test_a_shared_option_a_command_does_not_read_exits_2(command, option, capsys
     assert f"maxitive: error: unrecognized arguments: {option}" in out.err
 
 
-def test_run_command_takes_the_parsers_defaults_and_checks(doc_path):
-    doc = parse_spec(doc_path)
-    # options left out take the parser's defaults
-    assert run_command("integrate", doc, measure="nu", function="f").body["value"] == "3"
-    assert run_command("validate-op", None, seed="3").body == run_command(
-        "validate-op", None, seed=3).body
-    assert not run_command("gallery", None, scenario="sugeno-corollary",
-                           trials="5").negative_verdict
+def test_options_left_out_take_the_parsers_defaults(doc_path, capsys):
+    integrate = ["integrate", "--space-file", doc_path, "--measure", "nu", "--function", "f"]
+    assert json_body(integrate, capsys)["value"] == "3"  # --subset: the whole space
+    assert json_body(["validate-op"], capsys) == json_body(["validate-op", "--seed", "0"], capsys)
+    assert json_body(["validate-op", "--seed=3"], capsys) == json_body(
+        ["validate-op", "--seed", "3"], capsys)
+    assert json_body(["gallery", "sugeno-corollary", "--trials", "5"], capsys)["passed"]
+
+
+def test_bad_arguments_exit_2_with_the_reason(doc_path, capsys):
+    integrate = ["integrate", "--space-file", doc_path, "--function", "f"]
     refusals = [
-        ("diagnose", {}, "the following arguments are required: --tau"),
-        ("integrate", {"function": "f"}, "--measure is required (document has 4 measures)"),
-        ("integrate", {"measure": "nu", "function": "f", "op": "maximum"},
+        (["diagnose", "--space-file", doc_path], "the following arguments are required: --tau"),
+        (integrate, "--measure is required (document has 4 measures)"),
+        ([*integrate, "--measure", "nu", "--op", "maximum"],
          "argument --op: invalid choice: 'maximum'"),
-        ("quotient", {"tau": "tau", "colour": "red"}, "unrecognized arguments: --colour=red"),
-        ("integrate", {"measure": "nu", "function": "f", "seed": 5},
-         "unrecognized arguments: --seed=5"),
-        ("gallery", {}, "the following arguments are required: scenario"),
+        (["quotient", "--space-file", doc_path, "--tau", "tau", "--colour=red"],
+         "unrecognized arguments: --colour=red"),
+        ([*integrate, "--measure", "nu", "--seed=5"], "unrecognized arguments: --seed=5"),
+        (["gallery"], "the following arguments are required: scenario"),
     ]
-    for command, params, message in refusals:
-        with pytest.raises(cli._CliError, match=re.escape(message)) as exc:
-            run_command(command, doc, **params)
-        assert exc.value.code == 2
+    for argv, message in refusals:
+        assert exit_code([*argv, "--json-out", "-"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
+
+
+def _subparsers() -> dict:
+    """Each command's parser, by command name."""
+    return next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Every option of every command, --help included.
+OPTIONS = [pytest.param(command, option, action, id=f"{command}-{option}")
+           for command, parser in _subparsers().items()
+           for action in parser._actions for option in action.option_strings
+           if option.startswith("--")]
+
+
+def _value(action) -> str:
+    """A value the option accepts."""
+    return action.choices[-1] if action.choices else "3"
+
+
+@pytest.mark.parametrize("command, option, action", [
+    case for case in OPTIONS if not isinstance(case.values[2], argparse._HelpAction)])
+def test_every_option_is_taken_under_its_full_name(command, option, action):
+    parser = cli._build_parser()
+    if action.nargs == 0:
+        forms, expected = [[option]], action.const
+    else:
+        value = _value(action)
+        forms = [[option, value], [f"{option}={value}"]]
+        expected = action.type(value) if action.type else value
+    for form in forms:
+        args = parser.parse_args([command, *REQUIRED[command], *form])
+        assert getattr(args, action.dest) == expected
+
+
+@pytest.mark.parametrize("command, option, action", OPTIONS)
+def test_every_proper_prefix_of_an_option_exits_2(command, option, action, capsys):
+    for end in range(3, len(option)):
+        prefix = option[:end]
+        value = _value(action)
+        forms = [[prefix]] if action.nargs == 0 else [[prefix, value], [f"{prefix}={value}"]]
+        for form in forms:
+            assert exit_code([command, *REQUIRED[command], *form]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert f"maxitive: error: unrecognized arguments: {form[0]}" in out.err
 
 
 def test_op_chain_requires_chain_document(doc_path, capsys):

@@ -18,6 +18,7 @@ from maxitive import (
     StandardProduct,
     parse_spec,
 )
+from maxitive.cli import main
 from maxitive.spaces import NUMBER_DIGITS_CAP
 from maxitive.specdoc import SpecDoc
 
@@ -349,3 +350,47 @@ def test_a_document_of_plain_and_ratio_strings_builds_no_fraction(monkeypatch):
     assert doc.measures["nu"].mass("x4") == seven_sixths
     ExtNonneg("0.5")  # the general route does build one, so the patch is seen
     assert len(made) == 1
+
+
+def _chain(chain) -> dict:
+    return {**MINIMAL, "pseudo_mul": {"chain": chain}}
+
+
+# One document per located issue the parser raises alone, with that issue.
+LOCATED = [
+    (_chain(5), "pseudo_mul.chain", "chain spec must be an object"),
+    (_chain({"carrier": [], "table": []}), "pseudo_mul.chain.carrier", "expected a nonempty list"),
+    (_chain({"carrier": ["0", "1", "1/1"], "table": []}), "pseudo_mul.chain.carrier",
+     "carrier elements must be distinct"),
+    (_chain({"carrier": ["0", "1"], "table": [["0", "0"], ["0", "0"]]}), "pseudo_mul.chain",
+     "table has no left identity; give one explicitly"),
+    (_chain({"carrier": ["0", "1", "2", "inf"],
+             "table": [["0", "0", "0", "0"], ["0", "1", "2", "inf"],
+                       ["0", "1", "2", "inf"], ["0", "inf", "inf", "inf"]]}),
+     "pseudo_mul.chain", "table has several left identities (1, 2); give one explicitly"),
+    (_chain({"carrier": ["1", "inf"], "table": [["1", "inf"], ["inf", "inf"]]}),
+     "pseudo_mul.chain", "chain carrier must contain 0"),
+    (_chain({"carrier": ["0"], "table": [["0"]], "identity": "0"}),
+     "pseudo_mul.chain", "chain carrier needs at least two elements"),
+    ({**MINIMAL, "measures": {"m": ["1"]}}, "measures.m",
+     "expected an object mapping atoms to values"),
+    ({**MINIMAL, "space": {"atoms": []}}, "space.atoms", "expected a nonempty list of labels"),
+    ({**MINIMAL, "space": {"atoms": ["a", "a"]}}, "space.atoms", "atom labels must be distinct"),
+]
+
+
+@pytest.mark.parametrize("source, path, message", LOCATED, ids=[m for _, _, m in LOCATED])
+def test_each_located_issue_has_its_path_and_message(source, path, message):
+    _, issues = _issues(source)
+    assert [(i.path, i.message) for i in issues] == [(path, message)]
+
+
+@pytest.mark.parametrize("source, path, message", [LOCATED[4], LOCATED[9]],
+                         ids=["several-identities", "repeated-atoms"])
+def test_a_located_issue_exits_2_through_the_cli(source, path, message, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(source))
+    assert main(["validate-op", "--space-file", str(doc)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"invalid spec document:\n  {path}: {message}\n"

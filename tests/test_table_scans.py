@@ -8,6 +8,7 @@ the per-subset loop it replaced and show that each one still rejects a
 wrong answer.
 """
 
+import json
 import random
 
 import pytest
@@ -37,7 +38,6 @@ from maxitive import (
     nguyen_bruteforce,
     nguyen_measure,
 )
-from maxitive.cli import run_command
 from maxitive.specdoc import parse_spec
 
 # 0 and ∞ among few values, so masses repeat
@@ -168,15 +168,23 @@ def test_null_tables_equal_the_per_subset_zero_tests(inst, data):
             assert (tau_ranks[B.mask] == 0) == measure_eval(tau, B).is_zero
 
 
-def test_variation_flags_a_doctored_additive_mass(monkeypatch):
-    doc = parse_spec({"space": {"atoms": ["a", "b", "c"]},
-                      "measures": {"tau": {"a": "2", "b": "0", "c": "inf"}}})
-    assert run_command("variation", doc, tau="tau").body["same_null_sets"] is True
-    tau = doc.measures["tau"]
+def test_variation_flags_a_doctored_additive_mass(monkeypatch, tmp_path, capsys):
+    source = {"space": {"atoms": ["a", "b", "c"]},
+              "measures": {"tau": {"a": "2", "b": "0", "c": "inf"}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(source))
+
+    def same_null_sets():
+        argv = ["variation", "--space-file", str(path), "--tau", "tau", "--json-out", "-"]
+        assert cli_module.main(argv) == 0
+        return json.loads(capsys.readouterr().out)["body"]["same_null_sets"]
+
+    assert same_null_sets() is True
+    tau = parse_spec(source).measures["tau"]
     for atom, value in ((1, ExtNonneg(1)), (0, ZERO), (2, ZERO)):
         wrong = doctored(AdditiveMeasure(tau.space, tau.masses), atom, value)
         monkeypatch.setattr(cli_module, "disjoint_variation", lambda tau: wrong)
-        assert run_command("variation", doc, tau="tau").body["same_null_sets"] is False
+        assert same_null_sets() is False
 
 
 # -- is_abs_continuous -------------------------------------------------------------
