@@ -18,7 +18,9 @@ failure (including a failing gallery self-assertion).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from typing import Optional
 
@@ -338,18 +340,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: Report, args) -> None:
-    if args.json_out == "-":
-        print(report.to_json())
-        return
-    print(report.render())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+def _unwritable(path: str) -> Optional[str]:
+    """Why --json-out ``path`` cannot be opened for writing, as the OS would
+    say it, seen before any work: it is empty or a directory, or its parent
+    is no directory; None when opening it may be tried."""
+    if not path:
+        return os.strerror(errno.ENOENT)
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    return None
+
+
+def _refuse_json_out(path: str, cause: str) -> int:
+    print(f"error: --json-out {path}: {cause}", file=sys.stderr)
+    return EXIT_INVALID
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.json_out not in (None, "-") and (cause := _unwritable(args.json_out)):
+        return _refuse_json_out(args.json_out, cause)
     try:
         report = _HANDLERS[args.command](args)
     except SpecValidationError as exc:
@@ -373,7 +386,13 @@ def main(argv=None) -> int:
     except MaxitiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(report, args)
+    if args.json_out not in (None, "-"):  # the file first: a failed write prints nothing
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            return _refuse_json_out(args.json_out, exc.strerror or str(exc))
+    print(report.to_json() if args.json_out == "-" else report.render())
     if args.command == "gallery" and report.negative_verdict:
         return EXIT_INTERNAL
     if report.negative_verdict and args.fatal_verdicts:

@@ -42,7 +42,7 @@ from .quotient import (
     nguyen_measure,
 )
 from .report import Report, jsonable
-from .spaces import Space
+from .spaces import GALLERY_TRIALS_CAP, Space, check_fixed_cap
 
 __all__ = ["GALLERY", "run_gallery"]
 
@@ -341,7 +341,7 @@ def run_gallery(name: str, seed: Optional[int] = None,
                 trials: Optional[int] = None) -> Report:
     """Run one scenario with the values given; None leaves the scenario's
     default.  A value for a parameter the scenario lacks is refused, and
-    so are trials below 1."""
+    so are trials below 1 and, by SizeCapError, past GALLERY_TRIALS_CAP."""
     if name not in GALLERY:
         raise KeyError(f"unknown gallery scenario {name!r}; "
                        f"known: {', '.join(sorted(GALLERY))}")
@@ -352,6 +352,8 @@ def run_gallery(name: str, seed: Optional[int] = None,
     for key in given:
         if key not in takes:
             raise ValueError(f"scenario {name!r} takes no {key}")
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials is not None:
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        check_fixed_cap(trials, GALLERY_TRIALS_CAP, "gallery trials")
     return scenario(**given)

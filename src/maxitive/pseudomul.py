@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CarrierDomainError, UnresolvedInfimumError
 from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_ratio
+from .spaces import CHAIN_CARRIER_CAP, check_fixed_cap
 
 __all__ = [
     "AchievableSet",
@@ -328,16 +329,13 @@ class PseudoMul(abc.ABC):
             keys.add(scale << 40)
         return [ext_ratio(key, scale) for key in sorted(keys)]
 
-    def axiom_samples(self, seed: int) -> tuple:
-        """``(samples, exhaustive)``: the ascending, distinct values the
-        validator checks the axioms on, and whether they are the whole
-        carrier (associativity then scans every triple instead of
-        drawing some)."""
+    def axiom_samples(self, seed: int) -> list:
+        """The ascending, distinct values the validator checks the axioms on."""
         rng = random.Random(seed)
         values = {*_SPECIAL_SAMPLES, INF, self.identity}
         while len(values) < len(_SPECIAL_SAMPLES) + 2 + RANDOM_SAMPLES:
             values.add(ext_ratio(rng.randint(0, 64), rng.randint(1, 16)))
-        return sorted(values), False
+        return sorted(values)
 
     def extra_axiom_checks(self) -> tuple:
         """Checks of this operation beyond the ones on sample tables."""
@@ -430,9 +428,9 @@ class DiscreteChain(PseudoMul):
     """A pseudo-multiplication on a finite chain, given by a full table.
 
     The carrier is a finite totally ordered subset of [0, ∞] containing
-    0; the table must be closed over the carrier.  Continuity is
-    vacuous, which is the point: chains can realize a finite frontier φ,
-    which no shipped continuous operation does.
+    0, at most ``CHAIN_CARRIER_CAP`` elements; the table must be closed
+    over the carrier.  Continuity is vacuous, which is the point: chains
+    can realize a finite frontier φ, which no shipped continuous ⊙ does.
 
     ``table`` is a mapping (a, b) ↦ a ⊙ b or rows that follow
     ``carrier`` as written, row a's entries in the same order.  Either
@@ -453,6 +451,7 @@ class DiscreteChain(PseudoMul):
 
     def __init__(self, carrier: Sequence, table, identity):
         written = [as_extnn(v) for v in carrier]
+        check_fixed_cap(len(written), CHAIN_CARRIER_CAP, "chain carrier elements")
         values = tuple(sorted(set(written)))
         if len(values) < 2:
             raise ValueError("chain carrier needs at least two elements")
@@ -503,10 +502,10 @@ class DiscreteChain(PseudoMul):
     @classmethod
     def clamped_product(cls, carrier: Sequence) -> "DiscreteChain":
         """Chain whose operation is the product rounded down into the carrier;
-        its identity is 1."""
+        its identity is 1.  Rows are made as read, so none past the cap."""
         values = tuple(sorted({as_extnn(v) for v in carrier}))
-        rows = [[max((v for v in values if v <= a * b), default=ZERO) for b in values]
-                for a in values]
+        rows = ([max((v for v in values if v <= a * b), default=ZERO) for b in values]
+                for a in values)
         return cls(values, rows, ONE)
 
     def representable(self, t: ExtNonneg) -> bool:
@@ -610,8 +609,8 @@ class DiscreteChain(PseudoMul):
     def threshold_grid(self, f, B=None) -> list:
         return [c for c in self.carrier if c.is_finite]
 
-    def axiom_samples(self, seed: int) -> tuple:
-        return list(self.carrier), True
+    def axiom_samples(self, seed: int) -> list:
+        return list(self.carrier)
 
     def spec_form(self):
         names = [str(c) for c in self.carrier]
@@ -898,32 +897,43 @@ def _collect(pm: PseudoMul, lefts: list, rights: list) -> tuple:
     return values, None
 
 
-def _associativity(pm: PseudoMul, samples: list, pairs: list, op: list, blocks) -> AxiomCheck:
-    """Associativity on the index triples (S[i], T[i], U[i]) of each block
-    (S, T, U) of ``blocks``, in order, with two ``products`` calls a
-    block: (s ⊙ t) ⊙ u on every triple, then s ⊙ (t ⊙ u) on the triples
-    before the first fault.  The witness is the first triple where they
-    differ or where one of them faults, the left one first, as a scan of
-    the triples one by one would find."""
+def _associativity(pm: PseudoMul, samples: list, pairs: list, op: list, seed: int) -> AxiomCheck:
+    """Associativity on every triple when each product in the table ``op``
+    is a sample (in lowest terms) and ranks fit a byte, as rows of rank
+    bytes: (x ⊙ y) ⊙ z over all z is row ``rows[x][y]``, x ⊙ (y ⊙ z) row y
+    translated by row x.  Else on ``ASSOCIATIVITY_TRIPLES`` triples drawn
+    by ``seed``, each side in one ``products`` call, the right one on the
+    triples before the left one's first fault.  The witness is the first
+    triple, row-major, where the sides differ or one faults, left first."""
     eq = pm.pairs_equal
-    pair = pairs.__getitem__
-    for S, T, U in blocks:
-        lefts, fault = _collect(pm, [op[s][t] for s, t in zip(S, T)], list(map(pair, U)))
-        m = len(lefts)
-        rights, right_fault = _collect(pm, list(map(pair, S[:m])),
-                                       [op[t][u] for t, u in zip(T[:m], U[:m])])
-        if right_fault is not None:
-            fault = right_fault
-        if lefts != rights:  # equal pairs are equal values; unequal ones may be too
-            broken = next((i for i, (a, b) in enumerate(zip(lefts, rights)) if not eq(a, b)),
-                          None)
-            if broken is not None:
-                return AxiomCheck("associativity", False,
-                                  (samples[S[broken]], samples[T[broken]], samples[U[broken]]))
-        if fault is not None:
-            i = len(rights)
+    k = len(samples)
+    rank = {pair: i for i, pair in enumerate(pairs)}
+    if k <= CHAIN_CARRIER_CAP and all(p in rank for row in op for p in row):
+        rows = [bytes(map(rank.__getitem__, row)) for row in op]
+        tables = [row.ljust(256) for row in rows]  # translate's table: 256 bytes, k of them read
+        for x, y in itertools.product(range(k), repeat=2):
+            left, right = rows[rows[x][y]], rows[y].translate(tables[x])
+            if left != right:  # unequal ranks may be values equal within tolerance
+                z = next((z for z in range(k) if not eq(pairs[left[z]], pairs[right[z]])), None)
+                if z is not None:
+                    return AxiomCheck("associativity", False, (samples[x], samples[y], samples[z]))
+        return AxiomCheck("associativity", True)
+    picks = seeded_picks(random.Random(seed + 1), k, 3 * ASSOCIATIVITY_TRIPLES)
+    S, T, U = picks[0::3], picks[1::3], picks[2::3]
+    lefts, fault = _collect(pm, [op[s][t] for s, t in zip(S, T)], [pairs[u] for u in U])
+    m = len(lefts)
+    rights, right_fault = _collect(pm, [pairs[s] for s in S[:m]],
+                                   [op[t][u] for t, u in zip(T[:m], U[:m])])
+    fault = fault if right_fault is None else right_fault
+    if lefts != rights:  # equal pairs are equal values; unequal ones may be too
+        broken = next((i for i, (a, b) in enumerate(zip(lefts, rights)) if not eq(a, b)), None)
+        if broken is not None:
             return AxiomCheck("associativity", False,
-                              (samples[S[i]], samples[T[i]], samples[U[i]]), str(fault))
+                              (samples[S[broken]], samples[T[broken]], samples[U[broken]]))
+    if fault is not None:
+        i = len(rights)
+        return AxiomCheck("associativity", False,
+                          (samples[S[i]], samples[T[i]], samples[U[i]]), str(fault))
     return AxiomCheck("associativity", True)
 
 
@@ -933,22 +943,22 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
     ⊙ is computed once on every pair of sample values (the whole carrier
     for chains, special and seeded random values otherwise), in one
     ``pm.products`` call.  Monotonicity and the no-crossing property at φ
-    scan that table completely; associativity scans every triple of a
-    chain and otherwise draws ``ASSOCIATIVITY_TRIPLES`` seeded triples,
-    and takes both sides of each block of triples in one ``products``
-    call each.  Every check reads integer pairs (n, d): the samples',
-    the products' and the finiteness probes'.  Order is cross-multiplied;
-    so is equality, by ``pm.pairs_equal``, which also applies an inexact
-    ⊙'s tolerance.  No value is built for a product; a witness is a tuple
-    of samples (and of φ).  Failures are report entries carrying a
-    witness tuple, never exceptions: a ⊙ that raises on a sampled pair
-    fails the totality check there, and one that raises past the sample
-    table fails the check it raised in.  A non-degenerate ⊙ is also
-    checked for commutativity below the identity, the frontier
-    identities at φ and the agreement of the left and right
-    invertibility criteria for ⊙-finiteness.
+    scan that table completely.  Associativity takes every triple, as
+    rank bytes, when the table is closed over the samples (always on a
+    chain), and otherwise ``ASSOCIATIVITY_TRIPLES`` seeded triples, each
+    side in one ``products`` call.  Every check reads integer pairs
+    (n, d): the samples', the products' and the finiteness probes'.
+    Order is cross-multiplied; so is equality, by ``pm.pairs_equal``,
+    which also applies an inexact ⊙'s tolerance.  No value is built for a
+    product; a witness is a tuple of samples (and of φ).  Failures are
+    report entries carrying a witness tuple, never exceptions: a ⊙ that
+    raises on a sampled pair fails the totality check there, and one that
+    raises past the sample table fails the check it raised in.  A
+    non-degenerate ⊙ is also checked for commutativity below the
+    identity, the frontier identities at φ and the agreement of the left
+    and right invertibility criteria for ⊙-finiteness.
     """
-    samples, exhaustive = pm.axiom_samples(seed)
+    samples = pm.axiom_samples(seed)
     pairs = [(v._n, v._d) for v in samples]
     eq = pm.pairs_equal
     # Samples ascend without repeats, so indices compare as their values.
@@ -996,13 +1006,7 @@ def validate_pseudo_mul(pm: PseudoMul, seed: int = 0) -> AxiomReport:
                          if m * d < n * e or r * q < p * w), None)
     checks.append(AxiomCheck("monotonicity", mono_witness is None, mono_witness))
 
-    if exhaustive:  # every triple, a block for each first index
-        ts, us = [t for t in idx for _ in idx], [*idx] * k
-        blocks = (([s] * (k * k), ts, us) for s in idx)
-    else:
-        picks = seeded_picks(random.Random(seed + 1), k, 3 * ASSOCIATIVITY_TRIPLES)
-        blocks = [(picks[0::3], picks[1::3], picks[2::3])]
-    checks.append(_associativity(pm, samples, pairs, op, blocks))
+    checks.append(_associativity(pm, samples, pairs, op, seed))
 
     checks.extend(pm.extra_axiom_checks())
 

@@ -11,8 +11,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, SpaceMismatchError
 
-__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "check_cap", "within_cap",
-           "submasks"]
+__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "check_cap", "check_fixed_cap",
+           "within_cap", "submasks"]
 
 # Hard ceiling for exhaustive powerset enumeration; operations refuse
 # beyond it rather than sample.
@@ -35,6 +35,11 @@ PARTITION_ORACLE_CAP = 6
 # exponent at most this large: Fraction would build 10**exponent first,
 # and Python prints no integer past 4 300 digits.
 NUMBER_DIGITS_CAP = 1000
+# A chain's carrier ranks fit a byte, so the validator checks associativity
+# on rows of rank bytes, every triple at once.
+CHAIN_CARRIER_CAP = 256
+# gallery --trials: a trial takes 0.1 to 0.2 ms (2 vCPU), so the cap runs in 20 s at most.
+GALLERY_TRIALS_CAP = 100_000
 
 
 def _cap(limit: int | None) -> int:
@@ -51,6 +56,12 @@ def check_cap(size: int, limit: int | None, what: str) -> None:
     """Refuse ``what``, an enumeration over ``size`` atoms, past the cap."""
     if not within_cap(size, limit):
         raise SizeCapError(f"{what} exceeds the cap of {_cap(limit)}", needed=size)
+
+
+def check_fixed_cap(size: int, cap: int, what: str) -> None:
+    """Refuse ``size`` of ``what`` past ``cap``, a cap that no argument moves."""
+    if size > cap:
+        raise SizeCapError(f"{size} {what} exceed the cap of {cap}")
 
 
 def submasks(mask: int) -> Iterator[int]:

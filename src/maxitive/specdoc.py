@@ -39,7 +39,7 @@ from .extreal import ExtNonneg
 from .measure import MaxMeasure, MeasurableFn, SigmaIdeal
 from .pseudomul import NAMED_OPERATIONS, DiscreteChain, PseudoMul
 from .report import jsonable
-from .spaces import NUMBER_DIGITS_CAP, Space
+from .spaces import CHAIN_CARRIER_CAP, NUMBER_DIGITS_CAP, Space, check_fixed_cap
 
 __all__ = ["SpecDoc", "parse_spec", "load_spec"]
 
@@ -163,6 +163,7 @@ def _parse_chain(raw, path: str, issues: list, memo: dict) -> Optional[DiscreteC
     if not isinstance(carrier_raw, list) or not carrier_raw:
         issues.append(SpecIssue(f"{path}.carrier", "expected a nonempty list"))
         return None
+    check_fixed_cap(len(carrier_raw), CHAIN_CARRIER_CAP, "chain carrier elements")
     start = len(issues)
     carrier = [_parse_mass(c, memo, issues, f"{path}.carrier[{i}]")
                for i, c in enumerate(carrier_raw)]
@@ -275,7 +276,7 @@ def parse_spec(source) -> SpecDoc:
     A str whose first non-blank character is "{" or "[" is JSON text;
     any other str, and any os.PathLike, names a file to read.  Returns a
     fully validated SpecDoc or raises SpecValidationError carrying every
-    located issue.
+    located issue; a chain carrier past its cap raises SizeCapError.
     """
     issues: list = []
     if isinstance(source, os.PathLike) or (

@@ -146,6 +146,45 @@ def random_chain(rng):
     return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
 
 
+def chain_tables(k):
+    """Rows of carrier ranks of every table on k elements in which 0
+    annihilates, some positive rank is a two-sided identity, and the
+    operation is monotone and associative, by backtracking over the
+    positive cells in row order."""
+    cells = [(i, j) for i in range(1, k) for j in range(1, k)]
+    for e in range(1, k):
+        rows = [[0] * k for _ in range(k)]
+
+        def fill(n):
+            if n == len(cells):
+                if all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
+                       for a in range(k) for b in range(k) for c in range(k)):
+                    yield tuple(map(tuple, rows))
+                return
+            i, j = cells[n]
+            lo = max(rows[i - 1][j], rows[i][j - 1])
+            for v in ([j if i == e else i] if e in (i, j) else range(lo, k)):
+                if v >= lo:
+                    rows[i][j] = v
+                    yield from fill(n + 1)
+        for table in fill(0):
+            yield e, table
+
+
+def small_chains(k):
+    """The chain on {0, 1, .., k − 2, ∞} of each table that chain_tables(k)
+    yields, with its identity."""
+    carrier = [ExtNonneg(v) for v in range(k - 1)] + [INF]
+    for e, rows in chain_tables(k):
+        yield DiscreteChain(carrier, [[carrier[r] for r in row] for row in rows], carrier[e])
+
+
+def min_chain(k):
+    """The carrier {0, 1, .., k − 2, ∞} and min's table on it, as rows of values."""
+    carrier = [ExtNonneg(v) for v in range(k - 1)] + [INF]
+    return carrier, [[min(a, b) for b in carrier] for a in carrier]
+
+
 def probe_values(pm, t: ExtNonneg) -> list:
     """pm's finiteness probes for t, read from their pairs (n, d) as values."""
     return [ext_ratio(n, d) for n, d in pm.finiteness_probes(t)]

@@ -56,8 +56,9 @@ from maxitive import (
     validate_pseudo_mul,
     verify_density,
 )
+from maxitive.spaces import CHAIN_CARRIER_CAP
 
-from conftest import LABELS, float_times, probe_values
+from conftest import LABELS, float_times, min_chain, probe_values
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -300,6 +301,10 @@ def test_criterion_10_axiom_and_structure_theory():
         for pm in (TIMES, MIN, CHAIN):
             report = validate_pseudo_mul(pm, seed=10)
             assert report.passed, str(report)
+        # a chain at its carrier cap: every triple, in well under a second
+        start = time.time()
+        assert validate_pseudo_mul(DiscreteChain(*min_chain(CHAIN_CARRIER_CAP), INF)).passed
+        assert time.time() - start < 1.0
         prof = TIMES.finiteness_profile()
         assert prof.shape is FrontierShape.HALF_OPEN and prof.phi == INF
         assert MIN.finiteness_profile().shape is FrontierShape.WHOLE_INTERVAL

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from maxitive import (
+    INF,
     ONE,
+    DiscreteChain,
     ExtNonneg,
     MaxMeasure,
     Space,
@@ -23,12 +25,17 @@ from maxitive import (
 )
 from maxitive.errors import SizeCapError
 from maxitive.spaces import (
+    CHAIN_CARRIER_CAP,
     ENUM_CAP,
     PARTITION_ORACLE_CAP,
     SIGMA_IDEAL_ENUM_CAP,
     check_cap,
+    check_fixed_cap,
     within_cap,
 )
+from maxitive.specdoc import parse_spec
+
+from conftest import min_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
 
@@ -64,6 +71,45 @@ def test_the_partition_oracle_refuses_through_check_cap():
     with pytest.raises(SizeCapError) as err:
         enumerate_quotient_sigma_ideals(build_quotient(tau))
     assert err.value.needed is None
+
+
+def test_check_fixed_cap_refuses_exactly_past_the_cap():
+    check_fixed_cap(5, 5, "probes")
+    with pytest.raises(SizeCapError, match="^6 probes exceed the cap of 5$") as err:
+        check_fixed_cap(6, 5, "probes")
+    assert err.value.needed is None  # no argument lifts it
+
+
+class UnreadTable:
+    """A chain table that fails the test when anything reads it."""
+
+    def __iter__(self):
+        raise AssertionError("the table was read")
+
+
+def test_a_chain_carrier_past_the_cap_is_refused_before_its_table_is_read():
+    carrier = min_chain(CHAIN_CARRIER_CAP + 1)[0]
+    message = "^257 chain carrier elements exceed the cap of 256$"
+    with pytest.raises(SizeCapError, match=message) as err:
+        DiscreteChain(carrier, UnreadTable(), INF)
+    assert err.value.needed is None
+    with pytest.raises(AssertionError, match="the table was read"):  # at the cap it is read
+        DiscreteChain(min_chain(CHAIN_CARRIER_CAP)[0], UnreadTable(), INF)
+    names = [str(c) for c in carrier]
+    doc = {"space": {"atoms": ["x"]},
+           "pseudo_mul": {"chain": {"carrier": names, "table": "never read", "identity": "inf"}}}
+    with pytest.raises(SizeCapError, match=message):
+        parse_spec(doc)
+
+
+def test_a_clamped_chain_past_the_cap_builds_no_row(monkeypatch):
+    def unbuilt(a, b):
+        raise AssertionError("a row was built")
+    monkeypatch.setattr(ExtNonneg, "__mul__", unbuilt)
+    with pytest.raises(SizeCapError, match="^257 chain carrier elements exceed the cap of 256$"):
+        DiscreteChain.clamped_product(range(CHAIN_CARRIER_CAP + 1))
+    with pytest.raises(AssertionError, match="a row was built"):
+        DiscreteChain.clamped_product(range(CHAIN_CARRIER_CAP))
 
 
 def _names(node) -> set:

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from maxitive import MaxMeasure, Space, build_quotient, cli, enumerate_quotient_sigma_ideals
+from maxitive import (MaxMeasure, Space, build_quotient, cli, enumerate_quotient_sigma_ideals,
+                      gallery)
 from maxitive.cli import main
 from maxitive.report import Report
-from maxitive.spaces import NUMBER_DIGITS_CAP
+from maxitive.spaces import CHAIN_CARRIER_CAP, GALLERY_TRIALS_CAP, NUMBER_DIGITS_CAP
+
+from conftest import min_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -218,6 +221,39 @@ def test_size_cap_exit_3(tmp_path, capsys, monkeypatch):
     assert "this cap is fixed; no flag raises it" in capsys.readouterr().err
 
 
+def test_a_chain_past_its_carrier_cap_exit_3(tmp_path, capsys):
+    carrier, rows = min_chain(CHAIN_CARRIER_CAP + 1)
+    names = [str(c) for c in carrier]
+    path = tmp_path / "big-chain.json"
+    path.write_text(json.dumps({
+        "space": {"atoms": ["x"]},
+        "pseudo_mul": {"chain": {"carrier": names, "table": [[str(v) for v in row] for row in rows],
+                                 "identity": "inf"}},
+    }))
+    assert main(["validate-op", "--space-file", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("size cap exceeded: 257 chain carrier elements exceed the cap of 256; "
+                       "this cap is fixed; no flag raises it\n")
+
+
+@pytest.mark.parametrize("scenario", ["sugeno-corollary", "prop33-finitize"])
+def test_gallery_trials_past_the_cap_exit_3_before_a_trial_runs(scenario, monkeypatch, capsys):
+    runs = []
+
+    def counted(seed=0, trials=None):
+        runs.append(trials)
+        return Report(f"gallery {scenario}", {})
+    monkeypatch.setitem(gallery.GALLERY, scenario, counted)
+    assert main(["gallery", scenario, "--trials", str(GALLERY_TRIALS_CAP + 1)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, runs) == ("", [])
+    assert out.err == ("size cap exceeded: 100001 gallery trials exceed the cap of 100000; "
+                       "this cap is fixed; no flag raises it\n")
+    assert main(["gallery", scenario, "--trials", str(GALLERY_TRIALS_CAP)]) == 0
+    assert runs == [GALLERY_TRIALS_CAP]
+
+
 def test_unknown_gallery_scenario_exit_2(capsys):
     rc = main(["gallery", "mystery"])
     assert rc == 2
@@ -283,6 +319,36 @@ def test_json_out_roundtrip(doc_path, tmp_path, capsys):
     assert payload["body"]["found"] is True
     # machine rendering round-trips losslessly
     assert json.loads(json.dumps(payload)) == payload
+
+
+@pytest.mark.parametrize("where, cause", [
+    ("directory", "Is a directory"),
+    ("missing/report.json", "No such file or directory"),
+    ("file.txt/report.json", "Not a directory"),
+    ("", "No such file or directory"),
+])
+def test_json_out_that_cannot_be_written_exit_2_before_any_work(where, cause, tmp_path,
+                                                                 monkeypatch, capsys):
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "file.txt").write_text("kept")
+    monkeypatch.chdir(tmp_path)
+
+    def unreached(args):
+        raise AssertionError("the handler ran")
+    monkeypatch.setitem(cli._HANDLERS, "validate-op", unreached)
+    assert main(["validate-op", "--op", "min", "--json-out", where]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: --json-out {where}: {cause}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory", "file.txt"]
+
+
+def test_json_out_write_that_fails_exit_2_with_nothing_printed(tmp_path, capsys):
+    # a name past the file system's limit passes the checks made before any work
+    where = str(tmp_path / ("r" * 300))
+    assert main(["validate-op", "--op", "min", "--json-out", where]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: --json-out {where}: File name too long\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_to_stdout(doc_path, capsys):

@@ -249,7 +249,7 @@ def literal_achievable(pm, t):
 @pytest.mark.parametrize("pm", [StandardProduct(), Minimum()], ids=["times", "min"])
 def test_base_achievable_set_equals_the_literal_forms(pm):
     for seed in range(4):
-        samples, _ = pm.axiom_samples(seed)
+        samples = pm.axiom_samples(seed)
         for t in samples + [ZERO, INF]:
             got, want = achievable_set(pm, t), literal_achievable(pm, t)
             assert got == want and str(got) == str(want), t

@@ -4,9 +4,10 @@ validate_pseudo_mul computes ⊙ once on every pair of sample values and
 reads that table in the checks over samples.  validate_literal below
 states the same rules per call, calling ⊙ afresh in every check:
 monotonicity between adjacent samples in each argument, no crossing on
-every pair below and above φ, and associativity on triples drawn from
-the same seeded stream.  Their reports, witnesses included, must be
-equal.  Against the definitions themselves, the monotonicity verdict
+every pair below and above φ, and associativity on every triple when
+each product of two samples is a sample (and they fit a byte), else on
+triples drawn from the same seeded stream.  Their reports, witnesses
+included, must be equal.  Against the definitions themselves, the monotonicity verdict
 must equal a scan of every triple, and every witness must break its
 axiom when recomputed.
 """
@@ -30,6 +31,7 @@ from maxitive import (
     validate_pseudo_mul,
 )
 from maxitive.errors import UnresolvedInfimumError
+from maxitive.spaces import CHAIN_CARRIER_CAP
 from maxitive.pseudomul import (
     ASSOCIATIVITY_TRIPLES,
     OPERATION_FAULTS,
@@ -39,14 +41,13 @@ from maxitive.pseudomul import (
     seeded_picks,
 )
 
-from conftest import FaultyMap, float_times, probe_values
+from conftest import FaultyMap, float_times, min_chain, probe_values, small_chains
 
 
 def validate_literal(pm, seed=0):
     """The per-call oracle: every check calls ⊙ on its own arguments."""
-    samples, _ = pm.axiom_samples(seed)
+    samples = pm.axiom_samples(seed)
     positives = [v for v in samples if not v.is_zero]
-    exhaustive = isinstance(pm, DiscreteChain)
     checks = []
 
     # Totality gate: a custom map may blow up (nan, negatives) on some
@@ -77,7 +78,10 @@ def validate_literal(pm, seed=0):
                          if pm(lo, t) > pm(hi, t) or pm(t, lo) > pm(t, hi)), None)
     checks.append(AxiomCheck("monotonicity", mono_witness is None, mono_witness))
 
-    if exhaustive:
+    # every triple when each product is a sample and the ranks fit a byte
+    members = set(samples)
+    if len(samples) <= CHAIN_CARRIER_CAP and all(pm(s, t) in members
+                                                 for s in samples for t in samples):
         triples = list(itertools.product(samples, samples, samples))
     else:
         rng = random.Random(seed + 1)
@@ -212,7 +216,7 @@ def assert_against_the_definitions(pm, report, seed=0):
             assert breaks_its_axiom(pm, check), check
     mono = [c for c in report.checks if c.name == "monotonicity"]
     if mono:
-        samples, _ = pm.axiom_samples(seed)
+        samples = pm.axiom_samples(seed)
         assert mono[0].passed == monotone_on(pm, samples)
 
 
@@ -256,6 +260,62 @@ def test_random_chain_reports_equal_the_literal_validator():
             failed.update(c.name for c in report.failed())
     assert {"left identity", "annihilator", "no zero divisors", "monotonicity",
             "associativity", "commutative on [0, 1_⊙]", "no crossing at φ"} <= failed
+
+
+@pytest.mark.parametrize("k, tables", [(2, 1), (3, 3), (4, 15), (5, 84)])
+def test_every_small_chain_reports_equal_the_literal_validator(k, tables):
+    chains = list(small_chains(k))
+    assert len(chains) == tables
+    for pm in chains:
+        assert_against_the_definitions(pm, assert_same_report(pm))
+
+
+def unassociative(pm, s, t, u):
+    return not pm.values_equal(pm(pm(s, t), u), pm(s, pm(t, u)))
+
+
+def first_break_row_major(pm, samples):
+    """The first triple of samples, in row-major order, on which the two
+    sides of associativity differ, by one ⊙ call a product."""
+    return next((triple for triple in itertools.product(samples, repeat=3)
+                 if unassociative(pm, *triple)), None)
+
+
+def two_levels(s, t):
+    """1 up to a product of 1, 2 past it, and 0 at a factor 0: every
+    value is a sample, and (s ⊙ t) ⊙ u ≠ s ⊙ (t ⊙ u) at s = t = 2^-10,
+    u just above 1."""
+    if s == 0.0 or t == 0.0:
+        return 0.0
+    return 1.0 if s * t <= 1.0 else 2.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_a_closed_custom_map_is_checked_on_every_triple(seed):
+    pm = counting(CustomContinuous(two_levels, identity=1, name="two-levels"))
+    samples = pm.axiom_samples(seed)
+    assert all(pm(s, t) in samples for s in samples for t in samples)
+    pm.calls = 0
+    validate_pseudo_mul(pm, seed)
+    assert pm.calls == len(samples) ** 2  # the sample table's, and none after it
+    assoc = checks_of(assert_same_report(pm, seed))["associativity"]
+    assert not assoc.passed and assoc.witness == first_break_row_major(pm, samples)
+    assert breaks_its_axiom(pm, assoc)
+    # the seeded draw would have met another triple first
+    rng = random.Random(seed + 1)
+    drawn = ((rng.choice(samples), rng.choice(samples), rng.choice(samples))
+             for _ in range(ASSOCIATIVITY_TRIPLES))
+    assert assoc.witness != next(triple for triple in drawn if unassociative(pm, *triple))
+
+
+def test_a_perturbed_cell_of_a_256_element_chain_breaks_at_the_row_major_first_triple():
+    carrier, rows = min_chain(256)
+    rows[1][-1] = ExtNonneg(2)  # 1 ⊙ ∞ = 2; row 1 and column ∞ stay monotone
+    pm = DiscreteChain(carrier, rows, INF)
+    assoc = checks_of(validate_pseudo_mul(pm))["associativity"]
+    assert not assoc.passed and assoc.witness == first_break_row_major(pm, carrier)
+    assert assoc.witness == (ONE, ONE, INF)
+    assert breaks_its_axiom(pm, assoc)
 
 
 def nan_above_100(s, t):
@@ -316,7 +376,7 @@ def test_a_dip_between_two_adjacent_samples_fails_monotonicity():
     # The product, lowered at (4, 3) to the midpoint of 7/2 · 3 and
     # 19/5 · 3: only 19/5 < 4 in the first argument sees the dip, which
     # one draw in tens of thousands would hit.
-    samples, _ = CustomContinuous(float_times, identity=1).axiom_samples(0)
+    samples = CustomContinuous(float_times, identity=1).axiom_samples(0)
     lo, hi, t = (ExtNonneg(v) for v in ("19/5", "4", "3"))
     below = samples[samples.index(lo) - 1]
     assert samples[samples.index(lo) + 1] == hi and t in samples
@@ -355,7 +415,7 @@ def test_associativity_under_tolerance_is_decided_as_values_equal_decides(expone
         assert report.passed is passes
         assert [c.name for c in report.failed()] == ([] if passes else ["associativity"])
     # on (2, 2, u) the sides are 4u·factor and 4u·factor²
-    samples, _ = pm.axiom_samples(0)
+    samples = pm.axiom_samples(0)
     two = ExtNonneg(2)
     sides = [(pm(pm(two, two), u), pm(two, pm(two, u))) for u in samples if u.is_finite]
     unequal = [(a, b) for a, b in sides if a != b]
@@ -407,7 +467,7 @@ def test_a_validation_builds_no_value_per_product(pm, monkeypatch):
         real_init(self, value)
     monkeypatch.setattr(extreal, "_new", counted_new)
     monkeypatch.setattr(ExtNonneg, "__init__", counted_init)
-    samples, _ = pm.axiom_samples(0)
+    samples = pm.axiom_samples(0)
     made.clear()
     assert validate_pseudo_mul(pm).passed
     assert len(made) <= len(samples) + 4
@@ -417,7 +477,7 @@ def test_a_validation_builds_no_value_per_product(pm, monkeypatch):
 
 
 def test_validator_calls_odot_once_per_sample_pair():
-    samples, _ = StandardProduct().axiom_samples(0)
+    samples = StandardProduct().axiom_samples(0)
     bound = len(samples) ** 2 + 2 * ASSOCIATIVITY_TRIPLES + 1_000
     table = counting(StandardProduct())
     assert validate_pseudo_mul(table).passed
@@ -449,7 +509,7 @@ def test_the_batched_draw_leaves_the_state_choice_leaves_for_every_k_to_300():
 @pytest.mark.parametrize("k", [0, 1, 38, 39, 700, 1520])
 def test_a_fault_in_the_sample_table_is_located_and_not_replayed(k):
     fn = FaultyMap(k, ValueError("no value here"))
-    samples, _ = CustomContinuous(fn, identity=1).axiom_samples(0)
+    samples = CustomContinuous(fn, identity=1).axiom_samples(0)
     assert len(samples) ** 2 > k
     (gate,) = validate_pseudo_mul(CustomContinuous(fn, identity=1)).checks
     assert gate.witness == (samples[k // len(samples)], samples[k % len(samples)])
@@ -461,7 +521,7 @@ def test_a_fault_in_the_sample_table_is_located_and_not_replayed(k):
 def test_a_fault_on_an_outer_product_is_located_and_not_replayed(j):
     # the j-th left outer product (s ⊙ t) ⊙ u faults; the right ones are
     # then taken on the triples before it only
-    samples, _ = CustomContinuous(float_times, identity=1).axiom_samples(0)
+    samples = CustomContinuous(float_times, identity=1).axiom_samples(0)
     k = len(samples)
     picks = seeded_picks(random.Random(1), k, 3 * ASSOCIATIVITY_TRIPLES)
     fn = FaultyMap(k * k + j, ZeroDivisionError("no value here"))
@@ -503,7 +563,7 @@ def checks_of(report):
 def test_a_map_raising_on_an_outer_product_fails_associativity():
     pm = CustomContinuous(big_arguments_raise, identity=1)
     for seed in (0, 1, 5):
-        samples, _ = pm.axiom_samples(seed)
+        samples = pm.axiom_samples(seed)
         rng = random.Random(seed + 1)
         triples = ((rng.choice(samples), rng.choice(samples), rng.choice(samples))
                    for _ in range(ASSOCIATIVITY_TRIPLES))
