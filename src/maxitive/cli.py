@@ -5,9 +5,13 @@ ideal-measures, variation, gallery.  Data commands read a JSON spec
 document (--space-file) naming the space, measures, functions, and
 ideals; --op picks the pseudo-multiplication ("times", "min", or
 "chain" to use the document's chain), defaulting to the document's
-choice and then to "times".  main is the one way from argv to a
-handler: each command takes only the options its handler reads, and
-every option must be spelled in full (no prefix of it is accepted).
+choice and then to "times".  integrate, density and diagnose compute
+under the document's chain only once validate_pseudo_mul passes it;
+each failed check is a located issue at pseudo_mul.chain.table (exit
+2, nothing on stdout).  validate-op still reports every check.  main is
+the one way from argv to a handler: each command takes only the
+options its handler reads, and every option must be spelled in full
+(no prefix of it is accepted).
 
 Exit codes: 0 computed (a negative mathematical verdict such as "no
 density" is still a computation), 2 invalid input, 3 size cap exceeded,
@@ -33,6 +37,7 @@ from .errors import (
     PreconditionError,
     SizeCapError,
     SpaceMismatchError,
+    SpecIssue,
     SpecValidationError,
 )
 from .gallery import GALLERY, run_gallery
@@ -84,6 +89,21 @@ def _resolve_pm(args, doc: Optional[SpecDoc]) -> PseudoMul:
     return own if own is not None else NAMED_OPERATIONS["times"]()
 
 
+def _lawful_pm(args, doc: SpecDoc) -> PseudoMul:
+    """The ⊙ a data command computes under.  Every answer assumes a
+    pseudo-multiplication, so the document's chain is refused, one issue
+    a failed check and its witness, unless ``validate_pseudo_mul`` passes
+    it; times and min are never re-validated."""
+    pm = _resolve_pm(args, doc)
+    failed = validate_pseudo_mul(pm).failed() if pm.kind == "chain" else []
+    if failed:  # every check a chain fails names the samples it fails at
+        raise SpecValidationError(
+            SpecIssue("pseudo_mul.chain.table",
+                      f"{c.name} fails at ({', '.join(map(str, c.witness))})")
+            for c in failed)
+    return pm
+
+
 def _named(kind: str, table: dict, name: Optional[str]):
     if name is None:
         if len(table) == 1:
@@ -130,7 +150,7 @@ def _cmd_validate_op(args) -> Report:
 
 def _cmd_integrate(args) -> Report:
     doc = _load_doc(args)
-    pm = _resolve_pm(args, doc)
+    pm = _lawful_pm(args, doc)
     nu = _named("measure", doc.measures, args.measure)
     f = _named("function", doc.functions, args.function)
     B = _parse_subset(doc, args.subset)
@@ -151,7 +171,7 @@ def _cmd_integrate(args) -> Report:
 
 def _cmd_density(args) -> Report:
     doc = _load_doc(args)
-    pm = _resolve_pm(args, doc)
+    pm = _lawful_pm(args, doc)
     nu = _named("measure", doc.measures, args.nu)
     tau = _named("measure", doc.measures, args.tau)
     result = solve_density(pm, nu, tau)
@@ -181,7 +201,7 @@ def _cmd_density(args) -> Report:
 
 def _cmd_diagnose(args) -> Report:
     doc = _load_doc(args)
-    pm = _resolve_pm(args, doc)
+    pm = _lawful_pm(args, doc)
     tau = _named("measure", doc.measures, args.tau)
     diag = diagnose_rn(pm, tau)
     body = {"operation": pm.describe(), "tau": jsonable(tau),

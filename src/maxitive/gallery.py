@@ -69,15 +69,14 @@ class _Checks:
         return Report("gallery", body, negative_verdict=not self.passed)
 
 
-def _rand_mass(rng: random.Random, allow_inf=False, allow_zero=True) -> ExtNonneg:
+def _rand_mass(rng: random.Random, allow_inf=False) -> ExtNonneg:
     if allow_inf and rng.random() < 0.15:
         return INF
-    lo = 0 if allow_zero else 1
-    return ext_ratio(rng.randint(lo, 12), rng.randint(1, 6))
+    return ext_ratio(rng.randint(0, 12), rng.randint(1, 6))
 
 
-def _rand_space(rng: random.Random, max_n=6) -> Space:
-    return Space(list(_LABELS[: rng.randint(1, max_n)]))
+def _rand_space(rng: random.Random) -> Space:
+    return Space(list(_LABELS[: rng.randint(1, 6)]))
 
 
 def shilkret_counterexample() -> Report:

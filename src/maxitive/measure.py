@@ -265,10 +265,10 @@ class SigmaIdeal:
     def contains(self, B: SubsetB) -> bool:
         return B.issubset(self.top)
 
-    def members(self, limit: int | None = None):
+    def members(self):
         """All member sets (the powerset of the top set)."""
         k = len(self.top)
-        check_cap(k, limit, f"member enumeration over an ideal of {k} atoms")
+        check_cap(k, None, f"member enumeration over an ideal of {k} atoms")
         for mask in submasks(self.top.mask):
             yield SubsetB(self.space, mask)
 
@@ -402,15 +402,14 @@ def is_semi_odot_finite(pm: PseudoMul, mu: MaxMeasure) -> bool:
     return not find_odot_spots(pm, mu).has_spots
 
 
-def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure,
-                                limit: int = SEMI_FINITE_ORACLE_CAP) -> bool:
+def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure) -> bool:
     """Literal sub-enumeration form of semi-⊙-finiteness (test oracle).
 
     Enumerates, for every B, all A ⊆ B, keeping those with μ(A)
     ⊙-finite.  Exponentially slower than is_semi_odot_finite; they must
     agree.
     """
-    table = mu.table(limit).values  # refuses past the cap
+    table = mu.table(SEMI_FINITE_ORACLE_CAP).values  # refuses past the cap
     finite = [pm.is_odot_finite(v) for v in table]
     for bmask in range(1 << mu.space.n):
         if table[bmask] != ext_max(table[a] for a in submasks(bmask) if finite[a]):
@@ -460,7 +459,7 @@ def find_odot_spots(pm: PseudoMul, mu: MaxMeasure) -> SpotReport:
     return SpotReport(spot, spot.labels)
 
 
-def check_maxitive(table: SetFunctionTable, limit: int | None = None) -> bool:
+def check_maxitive(table: SetFunctionTable) -> bool:
     """Whether table(B ∪ B') = table(B) ⊕ table(B') for all pairs.
 
     Checks the equivalent atom-generation property
@@ -470,18 +469,17 @@ def check_maxitive(table: SetFunctionTable, limit: int | None = None) -> bool:
     ``check_maxitive_bruteforce`` is the literal all-pairs scan.
     """
     singletons = [table.universe[table.ranks[1 << i]] for i in range(table.space.n)]
-    return MaxMeasure(table.space, singletons).table(limit) == table
+    return MaxMeasure(table.space, singletons).table() == table
 
 
-def check_maxitive_bruteforce(table: SetFunctionTable,
-                              limit: int = MAXITIVE_ORACLE_CAP) -> bool:
+def check_maxitive_bruteforce(table: SetFunctionTable) -> bool:
     """Literal all-pairs form of check_maxitive (test oracle).
 
     Scans every pair (B, B') for table(B ∪ B') = table(B) ⊕ table(B');
     quadratic in 2^n, so capped lower than check_maxitive.  They must
     agree.
     """
-    table.space.check_enum_cap(limit)
+    table.space.check_enum_cap(MAXITIVE_ORACLE_CAP)
     values = table.values
     size = len(values)
     for a in range(size):

@@ -71,8 +71,8 @@ class FinitenessProfile:
 
     ``phi`` is sup F_⊙.  ``finite_elements`` is the explicit finite set
     for discrete chains and None for continuous kinds (where F is an
-    interval).  ``notes`` records structural violations found while
-    classifying (a healthy ⊙ has none).
+    interval).  Whether ⊙ is a pseudo-multiplication at all is
+    ``validate_pseudo_mul``'s question, not the profile's.
     """
 
     shape: FrontierShape
@@ -80,7 +80,6 @@ class FinitenessProfile:
     degenerate: bool
     finite_elements: Optional[frozenset] = None
     approximate: bool = False
-    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -553,32 +552,15 @@ class DiscreteChain(PseudoMul):
         return list(self._pairs[1:])
 
     def _compute_profile(self) -> FinitenessProfile:
-        carrier, rows = self.carrier, self._rows
+        carrier = self.carrier
         finite = [self.is_odot_finite(c) for c in carrier]
         elements = frozenset(c for c, ok in zip(carrier, finite) if ok)
-        degenerate = elements == {ZERO}
         if all(finite):
-            return FinitenessProfile(
-                FrontierShape.WHOLE_INTERVAL, INF, degenerate=degenerate,
-                finite_elements=elements,
-            )
-        p = finite.index(False)  # φ's rank: every rank below it is finite
-        phi = carrier[p]
-        notes = []
-        if any(finite[p:]):
-            notes.append("finite set is not downward closed below its frontier")
-        o = min(row[p] for row in rows[1:])  # O(φ)'s rank
-        if o != p:
-            notes.append(f"O(φ) = {carrier[o]} differs from φ = {phi}")
-        if rows[p][p] != p:
-            notes.append("φ is not idempotent")
-        for i in range(1, p + 1):
-            if rows[i][p] != p or rows[p][i] != p:
-                notes.append(f"φ is not absorbing at t = {carrier[i]}")
-        return FinitenessProfile(
-            FrontierShape.HALF_OPEN, phi, degenerate=degenerate,
-            finite_elements=elements, notes=tuple(notes),
-        )
+            shape, phi = FrontierShape.WHOLE_INTERVAL, INF
+        else:  # φ is the least element that is not ⊙-finite
+            shape, phi = FrontierShape.HALF_OPEN, carrier[finite.index(False)]
+        return FinitenessProfile(shape, phi, degenerate=elements == {ZERO},
+                                 finite_elements=elements)
 
     def describe(self) -> str:
         return "chain{" + ", ".join(str(c) for c in self.carrier) + "}"
@@ -735,8 +717,7 @@ class CustomContinuous(PseudoMul):
                 FrontierShape.HALF_OPEN, INF, degenerate=degenerate, approximate=True)
         if not finite_probes:
             return FinitenessProfile(
-                FrontierShape.HALF_OPEN, ZERO, degenerate=True, approximate=True,
-                notes=("no positive probe is ⊙-finite",))
+                FrontierShape.HALF_OPEN, ZERO, degenerate=True, approximate=True)
         lo, hi = max(finite_probes), min(infinite_probes)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -748,7 +729,7 @@ class CustomContinuous(PseudoMul):
                 hi = mid
         return FinitenessProfile(
             FrontierShape.HALF_OPEN, ExtNonneg(hi), degenerate=degenerate,
-            approximate=True, notes=("frontier located by bisection",))
+            approximate=True)
 
     def finiteness_probes(self, t: ExtNonneg) -> list:
         return list(_CUSTOM_PROBES)

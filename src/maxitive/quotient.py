@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from .bytetable import NONZERO, max_rank_table, subset_min
-from .errors import SizeCapError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, _AtomMap, measure_eval
 from .spaces import PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
-from .spaces import SubsetB, _same_space, check_cap, submasks, within_cap
+from .spaces import SubsetB, _same_space, check_cap, check_fixed_cap, submasks, within_cap
 
 __all__ = [
     "QuotientClass",
@@ -108,8 +107,8 @@ class QuotientLattice:
         return (cls.measure == self.tau
                 and cls.representative.issubset(self.non_null_atoms))
 
-    def classes(self, limit: int | None = None) -> Iterator[QuotientClass]:
-        check_cap(self.k, limit, f"class enumeration over {self.k} non-null atoms")
+    def classes(self) -> Iterator[QuotientClass]:
+        check_cap(self.k, None, f"class enumeration over {self.k} non-null atoms")
         for mask in submasks(self.non_null_atoms.mask):
             yield QuotientClass(self.tau, SubsetB(self.tau.space, mask))
 
@@ -385,17 +384,12 @@ def check_ccc(tau: MaxMeasure, witness: Optional[CCCWitness] = None) -> CCCVerdi
 def enumerate_quotient_sigma_ideals(lattice: QuotientLattice) -> list:
     """All σ-ideals of the quotient lattice, as frozensets of class masks.
 
-    Enumerates every downward closed family (their number grows as the
-    Dedekind numbers, hence the cap of 2^SIGMA_IDEAL_ENUM_CAP classes)
-    and keeps those closed under joins.  On a finite Boolean lattice each
-    one is principal; callers assert that its top (the join of its
-    members) is a member.
+    Enumerates every downward closed family (refused past
+    SIGMA_IDEAL_ENUM_CAP non-null atoms) and keeps those closed under
+    joins.  On a finite Boolean lattice each one is principal; callers
+    assert that its top (the join of its members) is a member.
     """
-    k = lattice.k
-    if k > SIGMA_IDEAL_ENUM_CAP:
-        raise SizeCapError(
-            f"σ-ideal enumeration over 2^{k} classes refused (cap {SIGMA_IDEAL_ENUM_CAP}); "
-            f"down-set counts grow as Dedekind numbers")
+    check_fixed_cap(lattice.k, SIGMA_IDEAL_ENUM_CAP, "non-null atoms")
     masks = sorted(submasks(lattice.non_null_atoms.mask),
                    key=lambda x: (bin(x).count("1"), x))
     pos = {m: i for i, m in enumerate(masks)}

@@ -23,9 +23,11 @@ ENUM_CAP = 20
 CROSS_CHECK_CAP = 12
 # The CLI's default --max-n: 2^12 subsets keep each check well under a second.
 DEFAULT_MAX_N = 12
-# Quotient σ-ideals are found among all down-sets: 7 581 of 2^5 classes, 7.8e6 of 2^6.
+# Quotient σ-ideals are found among all down-sets of the 2^k classes, whose
+# number grows as the Dedekind numbers: 7 581 at k = 5, 7.8e6 at k = 6.
 SIGMA_IDEAL_ENUM_CAP = 5
-# The brute-force oracles' default limits: semi_odot_finite_bruteforce visits
+# The brute-force oracles' caps (disjoint_variation_bruteforce's is a default
+# its limit argument lifts): semi_odot_finite_bruteforce visits
 # 3^n pairs A ⊆ B, check_maxitive_bruteforce 4^n pairs, and
 # disjoint_variation_bruteforce Bell(n) partitions (203 at n = 6).
 SEMI_FINITE_ORACLE_CAP = 12
@@ -118,9 +120,9 @@ class Space:
     def check_enum_cap(self, limit: int | None = None) -> None:
         check_cap(self.n, limit, f"powerset enumeration over {self.n} atoms")
 
-    def subsets(self, limit: int | None = None) -> Iterator["SubsetB"]:
+    def subsets(self) -> Iterator["SubsetB"]:
         """All 2^n subsets, refusing beyond the enumeration cap."""
-        self.check_enum_cap(limit)
+        self.check_enum_cap()
         for mask in range(1 << self.n):
             yield SubsetB(self, mask)
 

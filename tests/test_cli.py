@@ -1,6 +1,7 @@
 """Exit-code contract, report rendering, and the JSON round trip."""
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -11,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from maxitive import (MaxMeasure, Space, build_quotient, cli, enumerate_quotient_sigma_ideals,
-                      gallery)
+from maxitive import (DiscreteChain, MaxMeasure, Space, build_quotient, cli,
+                      enumerate_quotient_sigma_ideals, gallery, validate_pseudo_mul)
 from maxitive.cli import main
 from maxitive.report import Report
 from maxitive.spaces import CHAIN_CARRIER_CAP, GALLERY_TRIALS_CAP, NUMBER_DIGITS_CAP
@@ -572,6 +573,96 @@ def test_chain_document_validate_op(chain_doc_path, capsys):
     assert rc == 0
     assert "passed: yes" in out
     assert "phi: 2" in out
+
+
+# -- the chain gate: a document's chain is validated before any answer ------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+NONMONOTONE = str(GOLDEN / "nonmonotone_chain.spec.json")  # 2 ⊙ 2 = 1, ν = 2, τ = 1, f = 2
+GATED = [["density", "--nu", "nu", "--tau", "tau"], ["diagnose", "--tau", "tau"],
+         ["integrate", "--measure", "nu", "--function", "f"]]
+
+
+def refusal(issues) -> str:
+    """The stderr of a refused chain, one issue a failed check."""
+    return "invalid spec document:\n" + "".join(
+        f"  pseudo_mul.chain.table: {issue}\n" for issue in issues)
+
+
+@pytest.mark.parametrize("op", [[], ["--op", "chain"]], ids=["document's", "--op chain"])
+@pytest.mark.parametrize("command", GATED, ids=[c[0] for c in GATED])
+def test_a_chain_that_is_not_monotone_is_refused_before_any_answer(command, op, tmp_path,
+                                                                    capsys):
+    report = tmp_path / "r.json"
+    for out in ([], ["--json-out", str(report)]):
+        assert main([*command, "--space-file", NONMONOTONE, *op, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == refusal(["monotonicity fails at (1, 2, 2)"])
+    assert not report.exists()
+
+
+def test_every_failed_check_of_a_chain_is_an_issue_in_report_order(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "nonassociative_chain.spec.json").read_text(encoding="utf-8"))
+    doc["measures"] = {"nu": {"a": "2"}, "tau": {"a": "1"}}
+    path = tmp_path / "nonassociative.json"
+    path.write_text(json.dumps(doc))
+    assert main(["density", "--space-file", str(path), "--nu", "nu", "--tau", "tau",
+                 "--json-out", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == refusal(["monotonicity fails at (1, 2, 3)",
+                                    "associativity fails at (3, 2, 3)"])
+    assert not (tmp_path / "r.json").exists()
+    for fatal, code in (([], 0), (["--fatal-verdicts"], 4)):  # validate-op still reports
+        for doc_path in (str(path), NONMONOTONE):
+            assert main(["validate-op", "--space-file", doc_path, *fatal]) == code
+            assert "passed: no" in capsys.readouterr().out
+
+
+def test_commands_that_take_no_chain_answer_on_a_document_whose_chain_fails(capsys):
+    for argv in (["quotient", "--tau", "tau"], ["variation", "--tau", "tau"],
+                 ["density", "--nu", "nu", "--tau", "tau", "--op", "times"]):
+        assert main([*argv, "--space-file", NONMONOTONE]) == 0
+    assert "found: yes" in capsys.readouterr().out
+
+
+def test_times_and_min_are_never_validated_by_a_data_command(monkeypatch, capsys):
+    def validator_called(pm, seed=0):
+        raise AssertionError(f"{pm.describe()} was validated")
+    monkeypatch.setattr(cli, "validate_pseudo_mul", validator_called)
+    for op in ("times", "min"):
+        assert main(["density", "--space-file", NONMONOTONE, "--nu", "nu", "--tau", "tau",
+                     "--op", op]) == 0
+
+
+def test_density_refuses_exactly_the_three_element_chains_the_validator_fails(tmp_path,
+                                                                              capsys):
+    # every table on {0, 1, ∞} in which 0 annihilates, under each positive identity
+    carrier = ["0", "1", "inf"]
+    path = tmp_path / "chain.json"
+    refused = 0
+    for cells in itertools.product(carrier, repeat=4):
+        table = [["0"] * 3, ["0", *cells[:2]], ["0", *cells[2:]]]
+        for identity in carrier[1:]:
+            path.write_text(json.dumps({
+                "space": {"atoms": ["a", "b", "c"]},
+                "pseudo_mul": {"chain": {"carrier": carrier, "table": table,
+                                         "identity": identity}},
+                "measures": {"nu": {"a": "1", "b": "inf", "c": "0"},
+                             "tau": {"a": "inf", "b": "1", "c": "1"}}}))
+            report = validate_pseudo_mul(DiscreteChain(carrier, table, identity))
+            code = main(["density", "--space-file", str(path), "--nu", "nu", "--tau", "tau"])
+            captured = capsys.readouterr()
+            if report.passed:  # a lawful degenerate chain may still exit 2, for its own reason
+                assert "pseudo_mul.chain.table" not in captured.err
+                assert code == 0 or (code == 2 and report.degenerate), captured.err
+                continue
+            refused += 1
+            assert (code, captured.out) == (2, "")
+            assert captured.err == refusal(
+                f"{c.name} fails at ({', '.join(map(str, c.witness))})" for c in report.failed())
+    assert 0 < refused < 162
 
 
 def test_carrier_domain_error_exit_2(chain_doc_path, tmp_path, capsys):

@@ -1,16 +1,19 @@
 """Committed CLI reports, compared byte for byte.
 
 Each case is one `maxitive <command> ... --json-out -` command; its
-stdout is kept in `tests/golden/<case>.json`.  The cases run
-`validate-op` on times, min and two chains; `integrate`, `density` and
-`diagnose` under times, min and the clamped chain over documents whose
-functions and measures take 0 and ∞, and `diagnose` on a uninorm chain
-whose image c ⊙ ∞ skips a value; `quotient`, `ideal-measures` and
-`variation`, which take no ⊙, once per measure document; and every
-`gallery` scenario, at seed 0 if it draws.  The spec documents lie beside the
-reports, and the directory holds nothing else.  A change that is meant
-to change a report regenerates the files, and their diff shows the
-change:
+stdout is kept in `tests/golden/<case>.json`, or, for a case that
+refuses with the exit code `EXITS` gives, its stderr in
+`tests/golden/<case>.stderr`, and its stdout must be empty.  The cases
+run `validate-op` on times, min and two chains; `integrate`, `density`
+and `diagnose` under times, min and the clamped chain over documents
+whose functions and measures take 0 and ∞, and `diagnose` on a uninorm
+chain whose image c ⊙ ∞ skips a value; `quotient`, `ideal-measures` and
+`variation`, which take no ⊙, once per measure document; every
+`gallery` scenario, at seed 0 if it draws; and `density` and `diagnose`
+on a chain that is not monotone, which refuse with exit 2.  The spec
+documents lie beside the reports, and the directory holds nothing else.
+A change that is meant to change a report regenerates the files, and
+their diff shows the change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -74,7 +77,18 @@ CASES = {
     # c ⊙ ∞ skips 7 on this chain, so τ = {x: ∞} lacks the property though ⊙-finite
     "diagnose-uninorm-chain": ["diagnose", "--space-file", "uninorm_chain.spec.json",
                                "--tau", "tau"],
+    # 2 ⊙ 2 = 1 is not monotone: the chain is refused before any answer
+    **{f"{command}-nonmonotone-chain": _measures("nonmonotone_chain.spec.json", None,
+                                                 command, *extra)
+       for command, extra in (("density", ["--nu", "nu"]), ("diagnose", []))},
 }
+# The cases that refuse, with their exit code; every other case exits 0.
+EXITS = {"density-nonmonotone-chain": 2, "diagnose-nonmonotone-chain": 2}
+
+
+def golden_file(name: str) -> Path:
+    """Where the case keeps its output: stderr for a refusal, else stdout."""
+    return GOLDEN / f"{name}.stderr" if name in EXITS else GOLDEN / f"{name}.json"
 
 
 def spec_documents(name: str) -> list:
@@ -83,30 +97,33 @@ def spec_documents(name: str) -> list:
 
 
 def run_case(name: str) -> tuple:
-    """``(exit code, stdout)`` of the case's command."""
+    """``(exit code, stdout, stderr)`` of the case's command."""
     args = [str(GOLDEN / a) if a.endswith(".spec.json") else a for a in CASES[name]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main([*args, "--json-out", "-"])
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_the_report_equals_the_committed_one(name):
-    rc, out = run_case(name)
-    assert rc == 0
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    rc, out, err = run_case(name)
+    assert rc == EXITS.get(name, 0)
+    if name in EXITS:  # a refusal prints nothing on stdout
+        assert out == ""
+    kept = err if name in EXITS else out
+    assert kept == golden_file(name).read_text(encoding="utf-8")
 
 
 def test_every_golden_file_belongs_to_a_case():
-    expected = {f"{name}.json" for name in CASES}
+    expected = {golden_file(name).name for name in CASES}
     expected.update(doc for name in CASES for doc in spec_documents(name))
     assert {p.name for p in GOLDEN.iterdir()} == expected
 
 
 if __name__ == "__main__":
     for case in CASES:
-        code, text = run_case(case)
-        if code:
+        code, text, errors = run_case(case)
+        if code != EXITS.get(case, 0):
             sys.exit(f"{case}: exit {code}")
-        (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
+        golden_file(case).write_text(errors if case in EXITS else text, encoding="utf-8")

@@ -150,8 +150,16 @@ class ValueScans:
         finite = frozenset(t for t in self.carrier if self.is_odot_finite(t))
         infinite = [t for t in self.carrier if t not in finite]
         if not infinite:
-            return FrontierShape.WHOLE_INTERVAL, INF, finite, ()
-        phi = min(infinite)
+            return FrontierShape.WHOLE_INTERVAL, INF, finite
+        return FrontierShape.HALF_OPEN, min(infinite), finite
+
+    def notes(self):
+        """The structural facts at φ that a pseudo-multiplication has, each
+        broken one named: F downward closed, O(φ) = φ, φ ⊙ φ = φ and φ
+        absorbing on (0, φ]."""
+        shape, phi, finite = self.profile()
+        if shape is FrontierShape.WHOLE_INTERVAL:
+            return ()
         notes = []
         if finite != frozenset(t for t in self.carrier if t < phi):
             notes.append("finite set is not downward closed below its frontier")
@@ -162,7 +170,7 @@ class ValueScans:
         for t in self.positives:
             if t <= phi and (self.table[(t, phi)] != phi or self.table[(phi, t)] != phi):
                 notes.append(f"φ is not absorbing at t = {t}")
-        return FrontierShape.HALF_OPEN, phi, finite, tuple(notes)
+        return tuple(notes)
 
     def spec_form(self):
         return {"chain": {
@@ -209,7 +217,7 @@ def test_the_rank_table_answers_as_the_value_scans():
             assert {(a, b): pm(a, b) for a in pm.carrier for b in pm.carrier} == scans.table
             assert pm.spec_form() == scans.spec_form()
             prof = pm.finiteness_profile()
-            assert (prof.shape, prof.phi, prof.finite_elements, prof.notes) == scans.profile()
+            assert (prof.shape, prof.phi, prof.finite_elements) == scans.profile()
             assert prof.degenerate == (prof.finite_elements == {ZERO})
             for t in scans.carrier:
                 assert pm.zero_map(t) == scans.zero_map(t)
@@ -227,6 +235,17 @@ def test_the_rank_table_answers_as_the_value_scans():
                     with pytest.raises(CarrierDomainError):
                         method(t)
     assert seen_no_zero_image
+
+
+def test_every_chain_with_a_structural_note_fails_the_validator():
+    # a pseudo-multiplication has every structural fact at φ, so a broken
+    # one must show as a failed check
+    noted = 0
+    for carrier, table, identity in chain_cases():
+        if ValueScans(carrier, table, identity).notes():
+            noted += 1
+            assert not validate_pseudo_mul(DiscreteChain(carrier, table, identity)).passed
+    assert noted
 
 
 # -- zero map ---------------------------------------------------------------
@@ -291,7 +310,7 @@ def test_chain_profile_finite_frontier(chain):
     assert prof.phi == ExtNonneg(2)
     assert prof.finite_elements == {ZERO, ONE}
     assert not prof.degenerate
-    assert prof.notes == ()
+    assert validate_pseudo_mul(chain).passed
     # the frontier of a non-degenerate operation sits strictly above 1_⊙
     assert chain.identity < prof.phi
 
