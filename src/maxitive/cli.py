@@ -52,7 +52,7 @@ from .quotient import (
     nguyen_measure,
 )
 from .report import Report, jsonable
-from .spaces import DEFAULT_MAX_N, ENUM_CAP, SubsetB, within_cap
+from .spaces import DEFAULT_MAX_N, SubsetB, within_cap
 from .specdoc import SpecDoc, load_spec
 
 __all__ = ["main"]
@@ -181,8 +181,7 @@ def _cmd_density(args) -> Report:
     if result.ok:
         body["density"] = jsonable(result.density)
         if within_cap(doc.space.n, args.max_n):
-            body["verified_on_all_subsets"] = verify_density(
-                pm, result.density, nu, tau, args.max_n)
+            body["verified_on_all_subsets"] = verify_density(pm, result.density, nu, tau)
         if args.finitize:
             try:
                 c1 = finitize_density(pm, result.density, nu, tau)
@@ -236,8 +235,8 @@ def _cmd_ideal_measures(args) -> Report:
         "localization": jsonable(localize(tau, ideal, args.max_n)),
     }
     if within_cap(doc.space.n, args.max_n):
-        body["restricted_maxitive"] = check_maxitive(restricted.table(args.max_n))
-        body["nguyen_maxitive"] = check_maxitive(threshold.table(args.max_n))
+        body["restricted_maxitive"] = check_maxitive(restricted.table())
+        body["nguyen_maxitive"] = check_maxitive(threshold.table())
         body["nguyen_below_tau"] = all(
             nv <= tv for nv, tv in zip(threshold.masses, tau.masses))
     return Report("ideal-measures", body)
@@ -250,8 +249,8 @@ def _cmd_variation(args) -> Report:
     same_nulls = None
     if within_cap(doc.space.n, args.max_n):
         # τ's rank 0 is the value 0, so both tables are 0 exactly on the null sets
-        tau_nulls = tau.table(args.max_n).ranks.translate(NONZERO)
-        same_nulls = m.null_table(args.max_n) == tau_nulls
+        tau_nulls = tau.table().ranks.translate(NONZERO)
+        same_nulls = m.null_table() == tau_nulls
     body = {
         "tau": jsonable(tau),
         "disjoint_variation": jsonable(m),
@@ -391,13 +390,7 @@ def main(argv=None) -> int:
             print(f"  {issue}", file=sys.stderr)
         return EXIT_INVALID
     except SizeCapError as exc:
-        if exc.needed is None:
-            hint = "this cap is fixed; no flag raises it"
-        elif exc.needed <= ENUM_CAP:
-            hint = f"rerun with --max-n {exc.needed} (at most {ENUM_CAP})"
-        else:
-            hint = f"{exc.needed} atoms lie past the hard cap of {ENUM_CAP}; no flag raises it"
-        print(f"size cap exceeded: {exc}; {hint}", file=sys.stderr)
+        print(f"size cap exceeded: {exc}; this cap is fixed; no flag raises it", file=sys.stderr)
         return EXIT_SIZE_CAP
     except (_CliError, CarrierDomainError, DegenerateOperationError, SpaceMismatchError,
             ValueError) as exc:

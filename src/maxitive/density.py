@@ -36,7 +36,7 @@ from .measure import (
     is_semi_odot_finite,
 )
 from .pseudomul import OPERATION_FAULTS, AchievableSet, FrontierShape, PseudoMul
-from .spaces import CROSS_CHECK_CAP, _same_space
+from .spaces import CROSS_CHECK_CAP, _same_space, check_fixed_cap
 
 __all__ = [
     "AchievableSet",
@@ -74,16 +74,19 @@ def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure,
     Sets with ⊙-infinite τ-measure are deliberately unconstrained.  The
     check runs atom by atom (sound on a powerset since F_⊙ is downward
     closed); ``cross_check`` reruns it exhaustively over all subsets, on
-    the rank tables of ν and τ, and verifies agreement.
+    the rank tables of ν and τ, and verifies agreement; past
+    CROSS_CHECK_CAP atoms it refuses before any ⊙ call.
     """
     _require_non_degenerate(pm, "is_abs_continuous")
     _same_space(nu.space, tau.space)
+    if cross_check:
+        check_fixed_cap(nu.space.n, CROSS_CHECK_CAP, "atoms")
     atomwise = all(
         not pm.is_odot_finite(tv) or nv <= achievable_set(pm, tv).upper
         for nv, tv in zip(nu.masses, tau.masses))
     if cross_check:
-        nu_table = nu.table(CROSS_CHECK_CAP)
-        tau_table = tau.table(CROSS_CHECK_CAP)
+        nu_table = nu.table()
+        tau_table = tau.table()
         # per τ value: the highest rank of ν allowed where τ takes it
         # (255, no bound, where the value is ⊙-infinite)
         allowed = bytes(
@@ -200,8 +203,7 @@ def _solve_or_fail(pm: PseudoMul, atom: str, nv: ExtNonneg, tv: ExtNonneg):
     return c
 
 
-def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasure,
-                   limit: int | None = None) -> bool:
+def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasure) -> bool:
     """Exhaustively check ν(B) = ∫_B c ⊙ dτ over every subset.
 
     The integrals come from the whole-powerset threshold sweep
@@ -215,7 +217,7 @@ def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasu
     _require_non_degenerate(pm, "verify_density")
     _same_space(c.space, nu.space)
     _same_space(c.space, tau.space)
-    universe, order, blocks = threshold_sweep(pm, c, tau, limit, extra=nu.masses)
+    universe, order, blocks = threshold_sweep(pm, c, tau, extra=nu.masses)
     index = {v: r for r, v in enumerate(universe)}
     expected = max_rank_table([index[nu.masses[i]] for i in order])
     for lo, ranks in blocks:

@@ -12,16 +12,12 @@ class SpaceMismatchError(MaxitiveError):
 
 
 class SizeCapError(MaxitiveError):
-    """An exhaustive enumeration would exceed the requested size cap.
+    """An enumeration would exceed its size cap.
 
-    Operations refuse rather than silently sample.  ``needed`` is the
-    least ``limit`` argument that would lift the refusal, which helps
-    only when it is at most ENUM_CAP; None for a cap no argument moves.
+    Operations refuse rather than silently sample.  Every cap is fixed:
+    no argument or option lifts a refusal, and the message names the
+    size and the cap ("21 atoms exceed the cap of 20").
     """
-
-    def __init__(self, message: str, needed: int | None = None):
-        super().__init__(message)
-        self.needed = needed
 
 
 class CarrierDomainError(MaxitiveError):

@@ -46,7 +46,7 @@ from .errors import OracleMismatchError
 from .extreal import INF, ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, measure_eval
 from .pseudomul import PseudoMul
-from .spaces import SubsetB, _same_space
+from .spaces import SubsetB, _same_space, check_enum_cap
 
 __all__ = [
     "integrate_threshold",
@@ -136,7 +136,7 @@ def canonical_grid(pm: PseudoMul, f: MeasurableFn, B: Optional[SubsetB] = None) 
 
 
 def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
-                    limit: int | None = None, extra: Sequence[ExtNonneg] = ()) -> tuple:
+                    extra: Sequence[ExtNonneg] = ()) -> tuple:
     """The threshold sweep for every subset at once, as byte ranks.
 
     The rule is integrate_threshold's: ∫_B f ⊙ dν is the max of the
@@ -166,7 +166,7 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     after any block.  Refuses past the enumeration cap before any ⊙ call.
     """
     _same_space(f.space, nu.space)
-    nu.space.check_enum_cap(limit)
+    check_enum_cap(nu.space.n)
     n = f.space.n
     order = f.descending_order
     masses = tuple(sorted({ZERO, *nu.masses}))
@@ -208,15 +208,14 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     return universe, order, blocks()
 
 
-def pushforward(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
-                limit: int | None = None) -> SetFunctionTable:
+def pushforward(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> SetFunctionTable:
     """The set function B ↦ ∫_B f ⊙ dν over the whole powerset.
 
     Computed by the whole-powerset sweep (threshold_sweep).
     σ-maxitivity of the integral makes this a maxitive measure; callers
     verify with check_maxitive.
     """
-    universe, order, blocks = threshold_sweep(pm, f, nu, limit)
+    universe, order, blocks = threshold_sweep(pm, f, nu)
     swept = b"".join(block for _, block in blocks)
     moved = array("L", [0])  # moved[B]: the mask of B in the sweep's order
     for p in sorted(range(f.space.n), key=order.__getitem__):

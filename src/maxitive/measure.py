@@ -17,7 +17,7 @@ from .bytetable import max_rank_table
 from .extreal import ONE, ZERO, ExtNonneg, as_extnn, ext_max
 from .pseudomul import PseudoMul
 from .spaces import MAXITIVE_ORACLE_CAP, SEMI_FINITE_ORACLE_CAP
-from .spaces import Space, SubsetB, _same_space, check_cap, submasks
+from .spaces import Space, SubsetB, _same_space, check_enum_cap, check_fixed_cap, submasks
 
 __all__ = [
     "MaxMeasure",
@@ -107,13 +107,13 @@ class MaxMeasure(_AtomMap):
                 mask |= 1 << i
         return SubsetB(self.space, mask)
 
-    def table(self, limit: int | None = None) -> "SetFunctionTable":
+    def table(self) -> "SetFunctionTable":
         """The full induced set function (2^n entries, one byte each).
 
         Each entry is the rank of μ(B) among the ≤ n + 1 distinct values
         0 and the atom masses, built by max_rank_table.
         """
-        self.space.check_enum_cap(limit)
+        check_enum_cap(self.space.n)
         universe = tuple(sorted({ZERO, *self._values}))
         index = {v: r for r, v in enumerate(universe)}
         return SetFunctionTable.from_ranks(
@@ -267,8 +267,7 @@ class SigmaIdeal:
 
     def members(self):
         """All member sets (the powerset of the top set)."""
-        k = len(self.top)
-        check_cap(k, None, f"member enumeration over an ideal of {k} atoms")
+        check_enum_cap(len(self.top))
         for mask in submasks(self.top.mask):
             yield SubsetB(self.space, mask)
 
@@ -409,7 +408,8 @@ def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure) -> bool:
     ⊙-finite.  Exponentially slower than is_semi_odot_finite; they must
     agree.
     """
-    table = mu.table(SEMI_FINITE_ORACLE_CAP).values  # refuses past the cap
+    check_fixed_cap(mu.space.n, SEMI_FINITE_ORACLE_CAP, "atoms")
+    table = mu.table().values
     finite = [pm.is_odot_finite(v) for v in table]
     for bmask in range(1 << mu.space.n):
         if table[bmask] != ext_max(table[a] for a in submasks(bmask) if finite[a]):
@@ -479,7 +479,7 @@ def check_maxitive_bruteforce(table: SetFunctionTable) -> bool:
     quadratic in 2^n, so capped lower than check_maxitive.  They must
     agree.
     """
-    table.space.check_enum_cap(MAXITIVE_ORACLE_CAP)
+    check_fixed_cap(table.space.n, MAXITIVE_ORACLE_CAP, "atoms")
     values = table.values
     size = len(values)
     for a in range(size):

@@ -29,7 +29,7 @@ from .bytetable import NONZERO, max_rank_table, subset_min
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, _AtomMap, measure_eval
 from .spaces import PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
-from .spaces import SubsetB, _same_space, check_cap, check_fixed_cap, submasks, within_cap
+from .spaces import SubsetB, _same_space, check_enum_cap, check_fixed_cap, submasks, within_cap
 
 __all__ = [
     "QuotientClass",
@@ -108,7 +108,7 @@ class QuotientLattice:
                 and cls.representative.issubset(self.non_null_atoms))
 
     def classes(self) -> Iterator[QuotientClass]:
-        check_cap(self.k, None, f"class enumeration over {self.k} non-null atoms")
+        check_enum_cap(self.k)
         for mask in submasks(self.non_null_atoms.mask):
             yield QuotientClass(self.tau, SubsetB(self.tau.space, mask))
 
@@ -125,16 +125,16 @@ class QuotientLattice:
 def build_quotient(tau: MaxMeasure, limit: int | None = None) -> QuotientLattice:
     """Build the quotient lattice, verified on τ's table when n ≤ ``limit``.
 
-    ``limit`` defaults to and is capped at ENUM_CAP; past it
-    ``verified_complete`` stays None.
+    ``limit`` (default and ceiling ENUM_CAP) only chooses whether the
+    check runs: past it ``verified_complete`` stays None.
     """
     lattice = QuotientLattice(tau)
     if within_cap(tau.space.n, limit):
-        lattice.verified_complete = verify_lattice_complete(lattice, limit)
+        lattice.verified_complete = verify_lattice_complete(lattice)
     return lattice
 
 
-def verify_lattice_complete(lattice: QuotientLattice, limit: int | None = None) -> bool:
+def verify_lattice_complete(lattice: QuotientLattice) -> bool:
     """Verify that the quotient is the powerset lattice of the non-null atoms.
 
     The class of B is B ∩ support, so the classes modulo τ-null sets
@@ -142,10 +142,10 @@ def verify_lattice_complete(lattice: QuotientLattice, limit: int | None = None) 
     B ∩ support = ∅ for every B; that powerset lattice is complete.  On
     τ's byte table rank 0 is the value 0, so this is one byte per subset
     against the table of the support's atom flags, over all 2^n subsets
-    up to the enumeration cap ``limit`` (SizeCapError past it).
+    up to the enumeration cap (SizeCapError past it).
     """
     support = lattice.non_null_atoms.mask
-    non_null = lattice.tau.table(limit).ranks.translate(NONZERO)
+    non_null = lattice.tau.table().ranks.translate(NONZERO)
     return non_null == max_rank_table([support >> i & 1 for i in range(lattice.tau.space.n)])
 
 
@@ -159,7 +159,7 @@ def localize(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> Su
     (default and ceiling ENUM_CAP).  L ⊆ top, so both sides depend on B
     only through B ∩ top, and the scan runs over the 2^t subsets of the
     top, ascending: the first B that fails among all 2^n is one of them.
-    Past the cap only the first condition is checked; minimality then
+    Past ``limit`` only the first condition is checked; minimality then
     follows from L ⊆ top.
     """
     _same_space(tau.space, ideal.space)
@@ -167,7 +167,7 @@ def localize(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> Su
     if not measure_eval(tau, ideal.top - L).is_zero:
         raise AssertionError("localization failed: some member leaves L non-negligibly")
     if within_cap(tau.space.n, limit):
-        ranks = tau.table(limit).ranks  # rank 0 is the value 0
+        ranks = tau.table().ranks  # rank 0 is the value 0
         top, local = ideal.top.mask, L.mask
         for b in submasks(top):
             if not ranks[top ^ b] and ranks[local & ~b]:
@@ -190,8 +190,8 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None)
     𝒥_t collects the unions I ∪ B' with I in the ideal and τ(B') ≤ t; on
     a finite powerset the infimum collapses to the closed form
     ν(B) = τ(B ∖ top).  The closed form is validated against the
-    definition whenever the space is within the enumeration cap
-    ``limit``, over every subset: the least τ(B ∖ I) over every
+    definition whenever n ≤ ``limit`` (default and ceiling ENUM_CAP),
+    over every subset: the least τ(B ∖ I) over every
     I ⊆ B ∩ top, for every B at once, is the subset-min transform of
     τ's rank table over the top's bits (subset_min), and those minima
     are compared with the closed form's table.  nguyen_bruteforce is the
@@ -202,8 +202,8 @@ def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None)
     result = MaxMeasure(tau.space,
                         [ZERO if (top >> i & 1) else v for i, v in enumerate(tau.masses)])
     if within_cap(tau.space.n, limit):
-        tau_table = tau.table(limit)
-        closed = result.table(limit)
+        tau_table = tau.table()
+        closed = result.table()
         position = {v: r for r, v in enumerate(tau_table.universe)}
         # a value τ never takes is no 𝒥_t minimum: 255 is no rank of τ's
         into_tau = bytes(position.get(v, 255) for v in closed.universe).ljust(256, b"\0")
@@ -253,13 +253,13 @@ class AdditiveMeasure(_AtomMap):
             mask ^= low
         return total
 
-    def null_table(self, limit: int | None = None) -> bytes:
+    def null_table(self) -> bytes:
         """One byte per subset: 0 where the sum over B is 0, 1 elsewhere.
 
         A sum of masses in [0, ∞] is 0 exactly when every mass in B is
         0, so the entry is the max over B of a 0/1 flag per atom.
         """
-        self.space.check_enum_cap(limit)
+        check_enum_cap(self.space.n)
         return max_rank_table([0 if v.is_zero else 1 for v in self._values])
 
 
@@ -286,11 +286,10 @@ def set_partitions(items: List) -> Iterator[List[List]]:
         yield [[first]] + part
 
 
-def disjoint_variation_bruteforce(tau: MaxMeasure, B: SubsetB,
-                                  limit: int = PARTITION_ORACLE_CAP) -> ExtNonneg:
+def disjoint_variation_bruteforce(tau: MaxMeasure, B: SubsetB) -> ExtNonneg:
     """Literal sup over all finite partitions of Σ_{B'∈π} τ(B ∩ B')."""
     _same_space(tau.space, B.space)
-    check_cap(tau.space.n, limit, "partition enumeration")
+    check_fixed_cap(tau.space.n, PARTITION_ORACLE_CAP, "atoms")
     best = ZERO
     for part in set_partitions(list(tau.space.atoms)):
         total = ZERO

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, SpaceMismatchError
 
-__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "check_cap", "check_fixed_cap",
+__all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "check_enum_cap", "check_fixed_cap",
            "within_cap", "submasks"]
 
 # Hard ceiling for exhaustive powerset enumeration; operations refuse
@@ -26,8 +26,7 @@ DEFAULT_MAX_N = 12
 # Quotient σ-ideals are found among all down-sets of the 2^k classes, whose
 # number grows as the Dedekind numbers: 7 581 at k = 5, 7.8e6 at k = 6.
 SIGMA_IDEAL_ENUM_CAP = 5
-# The brute-force oracles' caps (disjoint_variation_bruteforce's is a default
-# its limit argument lifts): semi_odot_finite_bruteforce visits
+# The brute-force oracles' caps: semi_odot_finite_bruteforce visits
 # 3^n pairs A ⊆ B, check_maxitive_bruteforce 4^n pairs, and
 # disjoint_variation_bruteforce Bell(n) partitions (203 at n = 6).
 SEMI_FINITE_ORACLE_CAP = 12
@@ -44,26 +43,22 @@ CHAIN_CARRIER_CAP = 256
 GALLERY_TRIALS_CAP = 100_000
 
 
-def _cap(limit: int | None) -> int:
-    return ENUM_CAP if limit is None else min(limit, ENUM_CAP)
-
-
 def within_cap(size: int, limit: int | None) -> bool:
-    """Whether an enumeration over ``size`` atoms is allowed: ``limit`` (a
-    caller's cap, the CLI's --max-n) is taken at most ENUM_CAP."""
-    return size <= _cap(limit)
-
-
-def check_cap(size: int, limit: int | None, what: str) -> None:
-    """Refuse ``what``, an enumeration over ``size`` atoms, past the cap."""
-    if not within_cap(size, limit):
-        raise SizeCapError(f"{what} exceeds the cap of {_cap(limit)}", needed=size)
+    """Whether an optional check over ``size`` atoms runs: ``limit`` (a
+    caller's choice, the CLI's --max-n) is taken at most ENUM_CAP.  It
+    decides a skip; no limit moves a refusal."""
+    return size <= (ENUM_CAP if limit is None else min(limit, ENUM_CAP))
 
 
 def check_fixed_cap(size: int, cap: int, what: str) -> None:
     """Refuse ``size`` of ``what`` past ``cap``, a cap that no argument moves."""
     if size > cap:
         raise SizeCapError(f"{size} {what} exceed the cap of {cap}")
+
+
+def check_enum_cap(size: int) -> None:
+    """Refuse an enumeration over ``size`` atoms past ENUM_CAP."""
+    check_fixed_cap(size, ENUM_CAP, "atoms")
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -117,12 +112,9 @@ class Space:
     def full(self) -> "SubsetB":
         return SubsetB(self, (1 << self.n) - 1)
 
-    def check_enum_cap(self, limit: int | None = None) -> None:
-        check_cap(self.n, limit, f"powerset enumeration over {self.n} atoms")
-
     def subsets(self) -> Iterator["SubsetB"]:
         """All 2^n subsets, refusing beyond the enumeration cap."""
-        self.check_enum_cap()
+        check_enum_cap(self.n)
         for mask in range(1 << self.n):
             yield SubsetB(self, mask)
 

@@ -1,10 +1,12 @@
 """One place for size caps.
 
-within_cap decides whether an enumeration over n atoms is allowed: a
-caller's limit (the CLI's --max-n) taken at most ENUM_CAP.  check_cap
-refuses by the same decision.  The static guard keeps the decision in
-spaces.py: elsewhere in the package ENUM_CAP is read only by the CLI's
-hint for a SizeCapError.
+Every cap is fixed: check_fixed_cap refuses past it, and no argument or
+option moves it.  within_cap only decides whether an optional check
+runs, by a caller's limit (the CLI's --max-n) taken at most ENUM_CAP;
+build_quotient, localize and nguyen_measure are the only library
+functions that take such a limit.  The static guards keep it so:
+ENUM_CAP is read only in spaces.py, no other function has a ``limit``
+parameter, and SizeCapError takes only its message.
 """
 
 import ast
@@ -20,22 +22,28 @@ from maxitive import (
     MaxMeasure,
     Space,
     build_quotient,
+    check_maxitive_bruteforce,
     disjoint_variation_bruteforce,
     enumerate_quotient_sigma_ideals,
+    is_abs_continuous,
+    semi_odot_finite_bruteforce,
 )
 from maxitive.errors import SizeCapError
 from maxitive.spaces import (
     CHAIN_CARRIER_CAP,
+    CROSS_CHECK_CAP,
     ENUM_CAP,
+    MAXITIVE_ORACLE_CAP,
     PARTITION_ORACLE_CAP,
+    SEMI_FINITE_ORACLE_CAP,
     SIGMA_IDEAL_ENUM_CAP,
-    check_cap,
+    check_enum_cap,
     check_fixed_cap,
     within_cap,
 )
 from maxitive.specdoc import parse_spec
 
-from conftest import min_chain
+from conftest import CountingTimes, min_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
 
@@ -46,38 +54,39 @@ def test_within_cap_takes_the_limit_at_most_the_ceiling():
     assert within_cap(ENUM_CAP, ENUM_CAP + 5) and not within_cap(ENUM_CAP + 1, ENUM_CAP + 5)
 
 
-def test_check_cap_refuses_exactly_outside_the_cap():
-    for size in range(ENUM_CAP + 3):
-        for limit in (None, 0, 5, ENUM_CAP, ENUM_CAP + 5):
-            if within_cap(size, limit):
-                check_cap(size, limit, "probe")
-                continue
-            cap = ENUM_CAP if limit is None else min(limit, ENUM_CAP)
-            with pytest.raises(SizeCapError, match=f"probe exceeds the cap of {cap}$") as err:
-                check_cap(size, limit, "probe")
-            assert err.value.needed == size
-
-
-def test_the_partition_oracle_refuses_through_check_cap():
-    n = PARTITION_ORACLE_CAP + 1
-    tau = MaxMeasure.constant(Space([f"x{i}" for i in range(n)]), ONE)
-    with pytest.raises(SizeCapError, match=f"^partition enumeration exceeds the cap of "
-                                           f"{PARTITION_ORACLE_CAP}$") as err:
-        disjoint_variation_bruteforce(tau, tau.space.full)
-    assert err.value.needed == n
-    assert disjoint_variation_bruteforce(tau, tau.space.full, limit=n) == ExtNonneg(n)
-    # the σ-ideal enumeration's cap is fixed: needed None says no limit lifts it
-    assert build_quotient(tau).k > SIGMA_IDEAL_ENUM_CAP
-    with pytest.raises(SizeCapError) as err:
-        enumerate_quotient_sigma_ideals(build_quotient(tau))
-    assert err.value.needed is None
-
-
 def test_check_fixed_cap_refuses_exactly_past_the_cap():
     check_fixed_cap(5, 5, "probes")
-    with pytest.raises(SizeCapError, match="^6 probes exceed the cap of 5$") as err:
+    with pytest.raises(SizeCapError, match="^6 probes exceed the cap of 5$"):
         check_fixed_cap(6, 5, "probes")
-    assert err.value.needed is None  # no argument lifts it
+    for size in range(ENUM_CAP + 3):  # the enumeration cap is one such cap
+        if size <= ENUM_CAP:
+            check_enum_cap(size)
+            continue
+        with pytest.raises(SizeCapError, match=f"^{size} atoms exceed the cap of {ENUM_CAP}$"):
+            check_enum_cap(size)
+
+
+def test_each_oracle_refuses_one_atom_past_its_cap():
+    # each brute-force oracle checks its own fixed cap, before any ⊙ call
+    def constant(n):
+        return MaxMeasure.constant(Space([f"x{i}" for i in range(n)]), ONE)
+
+    pm = CountingTimes()
+    refusals = [
+        (SEMI_FINITE_ORACLE_CAP, lambda mu: semi_odot_finite_bruteforce(pm, mu)),
+        (MAXITIVE_ORACLE_CAP, lambda mu: check_maxitive_bruteforce(mu.table())),
+        (CROSS_CHECK_CAP, lambda mu: is_abs_continuous(pm, mu, mu, cross_check=True)),
+        (PARTITION_ORACLE_CAP, lambda mu: disjoint_variation_bruteforce(mu, mu.space.full)),
+    ]
+    for cap, oracle in refusals:
+        with pytest.raises(SizeCapError, match=f"^{cap + 1} atoms exceed the cap of {cap}$"):
+            oracle(constant(cap + 1))
+    assert pm.calls == 0
+    at_cap = [oracle(constant(cap)) for cap, oracle in refusals]
+    assert at_cap == [True, True, True, ExtNonneg(PARTITION_ORACLE_CAP)]
+    tau = constant(SIGMA_IDEAL_ENUM_CAP + 1)
+    with pytest.raises(SizeCapError, match="^6 non-null atoms exceed the cap of 5$"):
+        enumerate_quotient_sigma_ideals(build_quotient(tau))
 
 
 class UnreadTable:
@@ -90,9 +99,8 @@ class UnreadTable:
 def test_a_chain_carrier_past_the_cap_is_refused_before_its_table_is_read():
     carrier = min_chain(CHAIN_CARRIER_CAP + 1)[0]
     message = "^257 chain carrier elements exceed the cap of 256$"
-    with pytest.raises(SizeCapError, match=message) as err:
+    with pytest.raises(SizeCapError, match=message):
         DiscreteChain(carrier, UnreadTable(), INF)
-    assert err.value.needed is None
     with pytest.raises(AssertionError, match="the table was read"):  # at the cap it is read
         DiscreteChain(min_chain(CHAIN_CARRIER_CAP)[0], UnreadTable(), INF)
     names = [str(c) for c in carrier]
@@ -119,23 +127,16 @@ def _names(node) -> set:
 
 
 def enum_cap_reads(path: Path) -> list:
-    """``(line, in_hint)`` for each read of ENUM_CAP in ``path``; ``in_hint``
-    when the read sits in an ``except SizeCapError`` handler."""
+    """The line of each read of ENUM_CAP in ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    in_handler = {id(inner) for node in ast.walk(tree)
-                  if isinstance(node, ast.ExceptHandler) and node.type is not None
-                  and "SizeCapError" in _names(node.type)
-                  for inner in ast.walk(node)}
-    return sorted((node.lineno, id(node) in in_handler) for node in ast.walk(tree)
+    return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute))
                   and isinstance(node.ctx, ast.Load) and "ENUM_CAP" in _names(node))
 
 
-def test_enum_cap_is_read_only_by_the_cap_policy_and_the_cli_hint():
-    reads = {path.name: enum_cap_reads(path) for path in sorted(SRC.glob("*.py"))
-             if path.name != "spaces.py"}
-    cli = reads.pop("cli.py")
-    assert cli and all(in_hint for _, in_hint in cli)
+def test_enum_cap_is_read_only_in_spaces():
+    reads = {path.name: enum_cap_reads(path) for path in sorted(SRC.glob("*.py"))}
+    assert reads.pop("spaces.py")
     assert {name: found for name, found in reads.items() if found} == {}
 
 
@@ -146,4 +147,28 @@ def test_cap_guard_sees_a_read(tmp_path):
                     "        return n <= min(limit, spaces.ENUM_CAP)\n"
                     "    except (ValueError, SizeCapError):\n"
                     "        return ENUM_CAP\n", encoding="utf-8")
-    assert enum_cap_reads(path) == [(3, False), (5, True)]
+    assert enum_cap_reads(path) == [3, 5]
+
+
+def limit_parameters(path: Path) -> list:
+    """The name of each function in ``path`` with a parameter ``limit``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and "limit" in {a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                                  *node.args.kwonlyargs)})
+
+
+def test_only_the_skip_bounds_take_a_limit():
+    # a limit only chooses whether a check runs; no function refuses by one
+    found = {name for path in SRC.glob("*.py") for name in limit_parameters(path)}
+    assert found == {"build_quotient", "localize", "nguyen_measure", "within_cap"}
+
+
+def test_size_cap_error_takes_only_its_message():
+    with pytest.raises(TypeError):
+        SizeCapError("probe", needed=21)
+    raised = [node for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Call) and "SizeCapError" in _names(node.func)]
+    assert raised and all(len(call.args) == 1 and not call.keywords for call in raised)

@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from maxitive import (DiscreteChain, MaxMeasure, Space, build_quotient, cli,
-                      enumerate_quotient_sigma_ideals, gallery, validate_pseudo_mul)
+from maxitive import DiscreteChain, MaxMeasure, cli, gallery, validate_pseudo_mul
 from maxitive.cli import main
 from maxitive.report import Report
 from maxitive.spaces import CHAIN_CARRIER_CAP, GALLERY_TRIALS_CAP, NUMBER_DIGITS_CAP
@@ -185,41 +184,20 @@ def test_ambiguous_measure_needs_explicit_name(doc_path, capsys):
 
 
 def test_size_cap_exit_3(tmp_path, capsys, monkeypatch):
-    # every data command answers at any n, so the three hints are driven
-    # through handlers that run a capped enumeration themselves
-    def table_of_the_document(args):  # --max-n moves this cap up to 20
-        doc = cli._load_doc(args)
-        MaxMeasure.constant(doc.space, 1).table(args.max_n)
-        return Report("diagnose", {})
-
-    def sigma_ideals(args):  # a cap no flag moves
-        tau = MaxMeasure.constant(Space([f"x{i}" for i in range(6)]), 1)
-        enumerate_quotient_sigma_ideals(build_quotient(tau))
+    # every data command answers at any n, so the enumeration cap is
+    # driven through a handler that enumerates the document's space itself:
+    # its refusal is fixed like every other, and --max-n does not move it
+    def table_of_the_document(args):
+        MaxMeasure.constant(cli._load_doc(args).space, 1).table()
     monkeypatch.setitem(cli._HANDLERS, "diagnose", table_of_the_document)
-    monkeypatch.setitem(cli._HANDLERS, "quotient", sigma_ideals)
+    atoms = [f"x{i}" for i in range(21)]
     path = tmp_path / "big.json"
-
-    def write(n):
-        atoms = [f"x{i}" for i in range(n)]
-        path.write_text(json.dumps({
-            "space": {"atoms": atoms},
-            "measures": {"tau": {a: "1" for a in atoms}},
-        }))
-
-    write(21)
+    path.write_text(json.dumps({"space": {"atoms": atoms},
+                                "measures": {"tau": {a: "1" for a in atoms}}}))
     for max_n in ([], ["--max-n", "25"]):
-        rc = main(["diagnose", "--space-file", str(path), "--tau", "tau", *max_n])
-        assert rc == 3
-        assert "21 atoms lie past the hard cap of 20; no flag raises it" in capsys.readouterr().err
-    write(16)
-    rc = main(["diagnose", "--space-file", str(path), "--tau", "tau"])
-    assert rc == 3
-    assert "rerun with --max-n 16 (at most 20)" in capsys.readouterr().err
-    assert main(["diagnose", "--space-file", str(path), "--tau", "tau", "--max-n", "16"]) == 0
-    capsys.readouterr()
-    rc = main(["quotient", "--space-file", str(path), "--tau", "tau"])
-    assert rc == 3
-    assert "this cap is fixed; no flag raises it" in capsys.readouterr().err
+        assert main(["diagnose", "--space-file", str(path), "--tau", "tau", *max_n]) == 3
+        assert capsys.readouterr().err == ("size cap exceeded: 21 atoms exceed the cap of 20; "
+                                           "this cap is fixed; no flag raises it\n")
 
 
 def test_a_chain_past_its_carrier_cap_exit_3(tmp_path, capsys):
@@ -695,9 +673,9 @@ def test_ideal_measures_validates_up_to_a_raised_cap(tmp_path, monkeypatch, caps
     scans = []
     table = MaxMeasure.table
 
-    def recorded(self, limit=None):
+    def recorded(self):
         scans.append(sys._getframe(1).f_code.co_name)
-        return table(self, limit)
+        return table(self)
     monkeypatch.setattr(MaxMeasure, "table", recorded)
     rc = main(["ideal-measures", "--space-file", str(path), "--tau", "tau",
                "--ideal", "I", "--max-n", "16", "--json-out", "-"])
@@ -799,10 +777,11 @@ def test_quotient_verdict_follows_max_n(tmp_path, capsys):
 
 
 def test_max_n_past_the_ceiling_omits_what_it_cannot_enumerate(tmp_path, capsys):
-    # Every command answers at any n.  The exhaustive checks run exactly
-    # when n ≤ --max-n, taken at most the enumeration ceiling of 20, so a
-    # --max-n above it reports as the ceiling does; elsewhere they are
-    # omitted or null, and nothing else in a report moves.
+    # Every command answers at any n and no --max-n meets a size cap.  The
+    # exhaustive checks run exactly when n ≤ --max-n, taken at most the
+    # enumeration ceiling of 20, so a --max-n above it reports as the
+    # ceiling does; elsewhere they are omitted or null, and nothing else in
+    # a report moves.
     commands = {"density": ["--nu", "nu", "--tau", "tau", "--finitize"],
                 "diagnose": ["--tau", "spot"], "variation": ["--tau", "tau"],
                 "ideal-measures": ["--tau", "tau", "--ideal", "I"], "quotient": ["--tau", "tau"]}
@@ -823,11 +802,13 @@ def test_max_n_past_the_ceiling_omits_what_it_cannot_enumerate(tmp_path, capsys)
         }))
         for command, extra in commands.items():
             answers = []
-            for max_n in (None, 12, 20, 25):
+            for max_n in (None, 12, 20, 25, n):
                 argv = [command, "--space-file", str(path), *extra, "--json-out", "-"]
                 argv += [] if max_n is None else ["--max-n", str(max_n)]
                 assert main(argv) == 0, (n, command, max_n)
-                body = json.loads(capsys.readouterr().out)["body"]
+                out = capsys.readouterr()
+                assert out.err == "", (n, command, max_n)
+                body = json.loads(out.out)["body"]
                 checks = {k: body.pop(k) for k in exhaustive_fields[command] if k in body}
                 if n <= min(max_n or 12, 20):
                     assert checks == dict.fromkeys(exhaustive_fields[command], True)

@@ -400,18 +400,17 @@ def test_ideal_measures_at_the_cap_of_twenty_atoms(monkeypatch):
 
 
 def test_sweeps_refuse_past_the_cap_before_any_odot_call():
-    space = Space([f"x{i}" for i in range(13)])
-    c = MeasurableFn(space, [ExtNonneg(i % 4) for i in range(13)])
-    tau = MaxMeasure(space, [ExtNonneg(i + 1) for i in range(13)])
-    nu = MaxMeasure(space, [ExtNonneg(2 * i) for i in range(13)])
+    space = Space([f"x{i}" for i in range(21)])
+    c = MeasurableFn(space, [ExtNonneg(i % 4) for i in range(21)])
+    tau = MaxMeasure(space, [ExtNonneg(i + 1) for i in range(21)])
+    nu = MaxMeasure(space, [ExtNonneg(2 * i) for i in range(21)])
     pm = CountingTimes()
-    calls = (lambda: threshold_sweep(pm, c, tau, limit=12),
-             lambda: verify_density(pm, c, nu, tau, limit=12),
-             lambda: pushforward(pm, c, tau, limit=12))
+    calls = (lambda: threshold_sweep(pm, c, tau),
+             lambda: verify_density(pm, c, nu, tau),
+             lambda: pushforward(pm, c, tau))
     for call in calls:
-        with pytest.raises(SizeCapError) as err:
+        with pytest.raises(SizeCapError, match="^21 atoms exceed the cap of 20$"):
             call()
-        assert err.value.needed == 13
     assert pm.calls == 0
 
 

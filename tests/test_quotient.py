@@ -336,10 +336,10 @@ def test_build_quotient_keeps_the_completeness_verdict():
     eleven = delta_sharp(Space([f"x{i}" for i in range(11)]))
     assert build_quotient(eleven).verified_complete is True
     assert build_quotient(eleven, limit=10).verified_complete is None
-    beyond_cap = delta_sharp(Space([f"x{i}" for i in range(21)]))
-    assert build_quotient(beyond_cap).verified_complete is None
-    with pytest.raises(SizeCapError):
-        verify_lattice_complete(build_quotient(eleven), limit=10)
+    beyond_cap = build_quotient(delta_sharp(Space([f"x{i}" for i in range(21)])))
+    assert beyond_cap.verified_complete is None
+    with pytest.raises(SizeCapError, match="^21 atoms exceed the cap of 20$"):
+        verify_lattice_complete(beyond_cap)
 
 
 def test_lattice_check_fails_on_a_wrong_support():
@@ -364,8 +364,8 @@ def test_lattice_check_fails_on_a_doctored_table(monkeypatch):
     tau = MaxMeasure(sp, {"a": 2, "b": 0, "c": 1})
     honest = MaxMeasure.table
     for mask in range(1, 8):
-        def doctored(self, limit=None, mask=mask):
-            table = honest(self, limit)
+        def doctored(self, mask=mask):
+            table = honest(self)
             ranks = bytearray(table.ranks)
             # a non-null set read as null, or a null set read as non-null
             ranks[mask] = 0 if ranks[mask] else 1

@@ -141,7 +141,7 @@ def test_localize_scan_reads_the_table_as_the_literal_loop_does(inst, data):
     L = ideal.top & tau.support
     witness = first_non_minimal(table.value, tau.space, ideal.top, L)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(MaxMeasure, "table", lambda self, limit=None: table)
+        mp.setattr(MaxMeasure, "table", lambda self: table)
         try:
             localize(tau, ideal)
         except AssertionError as exc:
