@@ -209,23 +209,23 @@ def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasu
     The integrals come from the whole-powerset threshold sweep
     (threshold_sweep), whose universe holds ν's masses too; ν's table is
     built from the list of its atoms' ranks in that universe, taken in
-    the sweep's atom order (max_rank_table).  The two are compared block
-    by block up to the first mismatch.  Equal ranks are equal values;
-    unequal ones still pass under an inexact ⊙ when values_equal holds.
+    the sweep's atom order (max_rank_table).  The two tables are compared
+    in one compare: in one universe equal values have equal ranks, so
+    under an exact ⊙ that is the verdict, and an inexact ⊙ still accepts
+    where values_equal holds at every position whose ranks differ.
     Refuses past the enumeration cap before any ⊙ call.
     """
     _require_non_degenerate(pm, "verify_density")
     _same_space(c.space, nu.space)
     _same_space(c.space, tau.space)
-    universe, order, blocks = threshold_sweep(pm, c, tau, extra=nu.masses)
+    universe, order, swept = threshold_sweep(pm, c, tau, extra=nu.masses)
     index = {v: r for r, v in enumerate(universe)}
     expected = max_rank_table([index[nu.masses[i]] for i in order])
-    for lo, ranks in blocks:
-        want = expected[lo:lo + len(ranks)]
-        if ranks != want and not all(pm.values_equal(universe[a], universe[b])
-                                     for a, b in zip(ranks, want)):
-            return False
-    return True
+    if swept == expected:
+        return True
+    # equal values have equal ranks, so only an inexact ⊙ can still accept
+    return not pm.exact and all(pm.values_equal(universe[a], universe[b])
+                                for a, b in zip(swept, expected) if a != b)
 
 
 def finitize_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure,

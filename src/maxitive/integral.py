@@ -18,6 +18,17 @@ Three independent evaluation routes are provided:
   grid refines around the values of f (except on discrete chains,
   where no refinement is possible and it stays a bound).
 
+On a discrete chain the thresholds range over the carrier, and the
+integral the library computes is sup_t t ⊙ ν(B ∩ {f ≥ t}) over the
+carrier, the usual form on a finite ordinal scale (Sugeno's); the sweep
+and the atomwise route give this value.  The {f > t} form equals it
+when s ↦ s ⊙ t is left-continuous, a hypothesis of the continuous ⊙
+that a chain lacks: with no threshold between two carrier elements,
+t ⊙ ν(B ∩ {f > t}) cannot approach the term at a value of f from
+below.  There ``integrate_oracle`` is only a lower bound: on the
+clamped chain {0, 1, 2, ∞}, with f = 2 and ν = 1 on one atom, it gives
+1 where the sweep gives 2.
+
 Each route lists its pairs (s_i, t_i) and takes ⊕_i s_i ⊙ t_i in one
 call, ``pm.sup_products``, the max of ``pm.products``.  ``products`` is
 each operation's one batch closed form: integer pairs for times, min
@@ -28,9 +39,10 @@ and stays independent of the sweep.
 
 Whole-powerset work (``pushforward`` and ``verify_density``) runs the
 threshold sweep for all 2^n subsets at once through ``threshold_sweep``,
-over byte rank tables built and combined by the primitives of
-``bytetable``: a level's terms and the levels above it meet in one
-lane-wise max per block, with no per-subset Python loop.  The
+which returns one byte table of 2^n ranks, built and combined by the
+primitives of ``bytetable``: a level's terms and the levels above it
+meet in one lane-wise max per atom, and the atoms where f = 0 repeat
+the table, with no per-subset Python loop.  The
 per-subset routes above stay independent and serve as its cross-checks.
 """
 
@@ -39,7 +51,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from operator import lt
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bytetable import lane_max, max_rank_table
 from .errors import OracleMismatchError
@@ -149,21 +161,21 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     The atoms are taken in ``order``: by descending f, the atoms where
     f = 0 last, so every L_v is a prefix.  If the last atom of a mask B
     lies in level v, then B ⊆ L_v and the levels above v meet B only in
-    B_h = B ∖ {f ≤ v}, hence ∫_B = max(∫_{B_h}, v ⊙ ν(B)): a block of
-    masks is one slice of ν's table translated to term ranks and one
-    lane_max with the integral over the B_h, and every result equals
-    integrate_threshold's for any ⊙.  ν's table is built in that
+    B_h = B ∖ {f ≤ v}, hence ∫_B = max(∫_{B_h}, v ⊙ ν(B)): the masks
+    whose last atom is p are one slice of ν's table translated to term
+    ranks and one lane_max with the integral over the B_h, and every
+    result equals integrate_threshold's for any ⊙.  A mask whose last
+    atom is one where f = 0 has the integral of the mask without it, so
+    those atoms repeat the table so far.  ν's table is built in that
     order straight from the list of its atoms' ranks among 0 and its
     masses (max_rank_table); no re-ordered measure is made.
 
-    Returns ``(universe, order, blocks)``.  ``universe`` is the ascending
+    Returns ``(universe, order, table)``.  ``universe`` is the ascending
     tuple of 0, the term values and ``extra``; at most
     n(n + 1)/2 + len(extra) + 1 values, so a byte holds a rank up to
-    the cap.  ``blocks`` yields ``(lo, ranks)``, ranks[j] being the
-    rank of the integral over the subset whose mask in ``order`` is
-    lo + j: first the empty set, then one block per atom p holding the
-    masks whose last atom is p, so a caller that compares can stop
-    after any block.  Refuses past the enumeration cap before any ⊙ call.
+    the cap.  ``table`` is one ``bytes`` of 2^n ranks, table[m] being
+    the rank of the integral over the subset whose mask in ``order``
+    is m.  Refuses past the enumeration cap before any ⊙ call.
     """
     _same_space(f.space, nu.space)
     check_enum_cap(nu.space.n)
@@ -186,26 +198,18 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     universe = tuple(sorted({ZERO, *extra}.union(*(t.values() for _, _, t in levels))))
     index = {v: r for r, v in enumerate(universe)}
 
-    def blocks() -> Iterator[tuple]:
-        table = b"\0"
-        yield 0, table
-        for start, stop, terms in levels:
-            row = bytearray(256)  # ν's rank ↦ the rank of this level's term
-            for r, term in terms.items():
-                row[r] = index[term]
-            higher = table  # ∫ over the masks of the levels above
-            for p in range(start, stop):
-                ys = nu_ranks[1 << p:2 << p].translate(row)
-                hs = higher * (1 << (p - start))  # hs[j] = ∫ over B_h
-                block = lane_max(ys, hs) if start else ys
-                table += block
-                yield 1 << p, block
-        for p in range(support, n):  # an atom where f = 0 adds no term
-            block = table
-            table += block
-            yield 1 << p, block
-
-    return universe, order, blocks()
+    table = b"\0"  # table[m]: the rank of ∫ over the subset of mask m in order
+    for start, stop, terms in levels:
+        row = bytearray(256)  # ν's rank ↦ the rank of this level's term
+        for r, term in terms.items():
+            row[r] = index[term]
+        higher = table  # ∫ over the masks of the levels above
+        for p in range(start, stop):
+            ys = nu_ranks[1 << p:2 << p].translate(row)
+            hs = higher * (1 << (p - start))  # hs[j] = ∫ over B_h
+            table += lane_max(ys, hs) if start else ys
+    # an atom where f = 0 adds no term: each such atom repeats the table so far
+    return universe, order, table * (1 << (n - support))
 
 
 def pushforward(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> SetFunctionTable:
@@ -215,8 +219,7 @@ def pushforward(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> SetFunctionTa
     σ-maxitivity of the integral makes this a maxitive measure; callers
     verify with check_maxitive.
     """
-    universe, order, blocks = threshold_sweep(pm, f, nu)
-    swept = b"".join(block for _, block in blocks)
+    universe, order, swept = threshold_sweep(pm, f, nu)
     moved = array("L", [0])  # moved[B]: the mask of B in the sweep's order
     for p in sorted(range(f.space.n), key=order.__getitem__):
         bit = 1 << p

@@ -35,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CarrierDomainError, UnresolvedInfimumError
 from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_ratio
@@ -431,11 +431,10 @@ class DiscreteChain(PseudoMul):
     over the carrier.  Continuity is vacuous, which is the point: chains
     can realize a finite frontier φ, which no shipped continuous ⊙ does.
 
-    ``table`` is a mapping (a, b) ↦ a ⊙ b or rows that follow
-    ``carrier`` as written, row a's entries in the same order.  Either
-    is stored as carrier ranks: ``carrier`` ascending, ``_rank`` the
-    rank of each element's integer pair (n, d), and ``_rows[i][j]`` the
-    rank of carrier[i] ⊙ carrier[j].  Rank order is value order, so
+    ``table`` is rows that follow ``carrier`` as written, row a's entries
+    in the same order.  It is stored as carrier ranks: ``carrier``
+    ascending, ``_rank`` the rank of each element's integer pair (n, d),
+    and ``_rows[i][j]`` the rank of carrier[i] ⊙ carrier[j].  Rank order is value order, so
     every scan below compares ints.
 
     O(t) is the exhaustive minimum of s ⊙ t over positive carrier
@@ -468,34 +467,25 @@ class DiscreteChain(PseudoMul):
         super().__init__(ident)
 
     def _rank_rows(self, written: list, table) -> tuple:
-        """``table``, rows following ``written`` or a mapping, as rows of ranks."""
-        carrier, rank = self.carrier, self._rank
-        k = len(carrier)
+        """``table``, rows following ``written``, as rows of ranks."""
+        rank = self._rank
+        k = len(self.carrier)
         if len(written) != k:
             raise ValueError("chain carrier elements must be distinct")
-        if isinstance(table, Mapping):
-            entries = ((as_extnn(a), as_extnn(b), as_extnn(v)) for (a, b), v in table.items())
-        else:
-            rows = list(table)
-            if len(rows) != k:
-                raise ValueError(f"table must have {k} rows, got {len(rows)}")
-            cells = []
-            for a, row in zip(written, rows):
-                row = list(row)
-                if len(row) != k:
-                    raise ValueError(f"table row for {a} must have {k} entries")
-                cells.append(list(map(as_extnn, row)))
-            entries = ((a, b, v) for a, row in zip(written, cells) for b, v in zip(written, row))
-        out = [[None] * k for _ in range(k)]
-        for a, b, v in entries:
-            i, j, r = rank.get((a._n, a._d)), rank.get((b._n, b._d)), rank.get((v._n, v._d))
-            if i is None or j is None or r is None:
-                raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
-            out[i][j] = r
-        for i, row in enumerate(out):
-            if None in row:
-                raise ValueError(f"table is missing entry for ({carrier[i]}, "
-                                 f"{carrier[row.index(None)]})")
+        rows = [list(row) for row in table]
+        if len(rows) != k:
+            raise ValueError(f"table must have {k} rows, got {len(rows)}")
+        for a, row in zip(written, rows):
+            if len(row) != k:
+                raise ValueError(f"table row for {a} must have {k} entries")
+        ranks = [rank[a._n, a._d] for a in written]
+        out = [[0] * k for _ in range(k)]
+        for i, a, row in zip(ranks, written, rows):
+            for j, b, v in zip(ranks, written, map(as_extnn, row)):
+                r = rank.get((v._n, v._d))
+                if r is None:
+                    raise ValueError(f"table entry {a} ⊙ {b} = {v} leaves the carrier")
+                out[i][j] = r
         return tuple(map(tuple, out))
 
     @classmethod

@@ -143,7 +143,7 @@ def random_chain(rng):
             return ZERO
         return max(a, b) if a >= e and b >= e else min(a, b)
 
-    return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
+    return DiscreteChain(carrier, [[uninorm(a, b) for b in carrier] for a in carrier], e)
 
 
 def chain_tables(k):

@@ -541,7 +541,7 @@ def uninorm_chain():
             return ZERO
         return max(a, b) if a >= e and b >= e else min(a, b)
 
-    return DiscreteChain(carrier, {(a, b): uninorm(a, b) for a in carrier for b in carrier}, e)
+    return DiscreteChain(carrier, [[uninorm(a, b) for b in carrier] for a in carrier], e)
 
 
 def test_rn_property_is_not_claimed_where_a_dominated_measure_has_no_density():

@@ -3,7 +3,8 @@
 ``pushforward`` and ``verify_density`` run the threshold sweep once for
 every subset (``threshold_sweep``); these tests hold them to the
 per-subset ``integrate_threshold`` route, exactly for the exact
-operations and through ``values_equal`` for ``CustomContinuous``.  The
+operations and through ``values_equal`` for ``CustomContinuous``, and
+on every validated chain of at most five elements.  The
 byte tables of ``MaxMeasure.table`` are held to the ExtNonneg low-bit
 DP they replace, ``max_rank_table`` to a literal max per mask, the
 lane-wise ``lane_max`` and ``lane_min`` to per-byte loops, and the
@@ -45,7 +46,9 @@ from maxitive import (
     nguyen_measure,
     pushforward,
     pushforward_measure,
+    solve_density,
     threshold_sweep,
+    validate_pseudo_mul,
     verify_density,
 )
 import maxitive.quotient as quotient_module
@@ -53,7 +56,7 @@ from maxitive import bytetable
 from maxitive.bytetable import lane_max, lane_min, max_rank_table, subset_min
 from maxitive.errors import SizeCapError
 
-from conftest import CountingTimes, float_times
+from conftest import CountingTimes, float_times, small_chains
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -185,10 +188,10 @@ def test_verify_density_at_the_cap_of_twenty_atoms():
     finally:
         tracemalloc.stop()
     assert verdict is True
-    # the check builds 2^20-byte rank tables; its traced peak, 5.8 MiB in
-    # repeated runs, holds a few of them and the sweep's last blocks of
-    # 2^19 bytes, each max taken a chunk at a time, and no per-subset list
-    assert 2 * 2 ** 20 < peak < 6.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+    # the check builds 2^20-byte rank tables; its traced peak, 3.79 MiB in
+    # repeated runs, is τ's table and the sweep's as it doubles for the
+    # last atom, each max taken a chunk at a time, and no per-subset list
+    assert 2 * 2 ** 20 < peak < 4.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
     assert not verify_density(TIMES, c.with_value("x0", INF), nu, tau)
 
 
@@ -202,6 +205,54 @@ def test_sweep_universe_fits_a_byte_with_every_term_distinct():
     assert verify_density(TIMES, c, nu, tau)
     table = pushforward(TIMES, c, tau)
     assert table == nu.table()
+
+
+def test_the_sweep_on_every_validated_small_chain():
+    # a chain's s ↦ s ⊙ t need not be left-continuous, which the sweep's
+    # step from {f > t} to {f ≥ v} leans on for a continuous ⊙
+    chains = [pm for k in range(2, 6) for pm in small_chains(k)
+              if validate_pseudo_mul(pm).passed]
+    assert len(chains) == 30
+    rng = random.Random(23)
+    for pm in chains:
+        carrier = pm.carrier
+        for n in (3, 5):
+            space = Space([f"x{i}" for i in range(n)])
+            f = MeasurableFn(space, [rng.choice(carrier) for _ in range(n)])
+            tau = MaxMeasure(space, [rng.choice(carrier) for _ in range(n)])
+            assert list(pushforward(pm, f, tau).values) == reference_pushforward(pm, f, tau)
+            nu = pushforward_measure(pm, f, tau)
+            c = solve_density(pm, nu, tau).density
+            assert verify_density(pm, c, nu, tau), (pm.spec_form(), f, tau)
+            # (atom, value) whose product with τ differs from c's there
+            moves = [(x, v) for x, t, cx in zip(space.atoms, tau.masses, c.values)
+                     for v in carrier if pm(v, t) != pm(cx, t)]
+            x, v = rng.choice(moves)
+            assert not verify_density(pm, c.with_value(x, v), nu, tau), (pm.spec_form(), x)
+
+
+@pytest.mark.parametrize("n", [10, 16])
+@pytest.mark.parametrize("kind", sorted(OPS))
+def test_a_density_zeroed_at_one_atom_moves_it_to_the_repeated_tail(kind, n):
+    pm = OPS[kind]
+    rng = random.Random(n)
+    space = Space([f"x{i}" for i in range(n)])
+    c = MeasurableFn(space, [rng.choice(POOLS[kind]) for _ in range(n)])
+    tau = MaxMeasure(space, [rng.choice(POOLS[kind]) for _ in range(n)])
+    nu = pushforward_measure(pm, c, tau)
+    _, _, table = threshold_sweep(pm, c, tau)
+    assert type(table) is bytes and len(table) == 1 << n
+    assert verify_density(pm, c, nu, tau)
+    # ν(x) > 0 = 0 ⊙ τ(x): the atom where c is set to 0 joins the atoms
+    # where c = 0, whose masks repeat the table of the atoms before them
+    x = next(x for x, m in zip(space.atoms, nu.masses) if not m.is_zero)
+    assert not verify_density(pm, c.with_value(x, ZERO), nu, tau)
+    if not pm.exact:
+        # every rank moved off the sweep's, each still equal within tolerance
+        nudged = MaxMeasure(space, [m.as_fraction() * (1 + Fraction(1, 10 ** 14))
+                                    if m.is_finite else m for m in nu.masses])
+        assert verify_density(pm, c, nudged, tau)
+        assert not verify_density(pm, c.with_value(x, ZERO), nudged, tau)
 
 
 # -- the byte rank tables ------------------------------------------------------

@@ -388,16 +388,16 @@ def chain_cases():
     clamped = DiscreteChain.clamped_product(["0", "1/2", "1", "2", "inf"])
     yield clamped
     yield shuffled_chain(clamped, rng)
-    left = DiscreteChain([0, 1, "3/2", 4], {(a, b): a if b else 0 for a in (0, 1, "3/2", 4)
-                                            for b in (0, 1, "3/2", 4)}, 1)
+    carrier = (0, 1, "3/2", 4)
+    left = DiscreteChain(carrier, [[a if b else 0 for b in carrier] for a in carrier], 1)
     yield left  # a ⊙ b = a for b > 0: the order of the arguments shows
     yield shuffled_chain(left, rng)
     for _ in range(8):
         pm = random_chain(rng)
         yield pm
         yield shuffled_chain(pm, rng)
-    yield CountingChain(clamped.carrier, {(a, b): clamped(a, b) for a in clamped.carrier
-                                          for b in clamped.carrier}, clamped.identity)
+    yield CountingChain(clamped.carrier, [[clamped(a, b) for b in clamped.carrier]
+                                          for a in clamped.carrier], clamped.identity)
 
 
 # Every class of the package that overrides products, with the instances

@@ -61,25 +61,16 @@ def test_chain_clamped_product_table(chain):
     assert chain(ZERO, INF) == ZERO
 
 
-def test_chain_table_as_rows_or_mapping_is_the_same_chain_with_the_same_checks(chain):
-    carrier, one, two, three = chain.carrier, ONE, ExtNonneg(2), ExtNonneg(3)
+def test_chain_table_rows_are_checked(chain):
+    carrier, three = chain.carrier, ExtNonneg(3)
     rows = [[chain(a, b) for b in carrier] for a in carrier]
-    mapping = {(a, b): chain(a, b) for a in carrier for b in carrier}
     from_rows = DiscreteChain(carrier, rows, ONE)
-    from_mapping = DiscreteChain(carrier, mapping, ONE)
-    assert from_rows.spec_form() == from_mapping.spec_form()
-    assert all(from_rows(a, b) == from_mapping(a, b) == chain(a, b)
-               for a in carrier for b in carrier)
+    assert from_rows.spec_form() == chain.spec_form()
+    assert all(from_rows(a, b) == chain(a, b) for a in carrier for b in carrier)
     off_rows = [row[:] for row in rows]
     off_rows[1][2] = three
-    for table in (off_rows, {**mapping, (one, two): three}):
-        with pytest.raises(ValueError, match="table entry 1 ⊙ 2 = 3 leaves the carrier"):
-            DiscreteChain(carrier, table, ONE)
-    with pytest.raises(ValueError, match="table entry 1 ⊙ 3 = 1 leaves the carrier"):
-        DiscreteChain(carrier, {**mapping, (one, three): one}, ONE)
-    del mapping[(one, two)]
-    with pytest.raises(ValueError, match=r"table is missing entry for \(1, 2\)"):
-        DiscreteChain(carrier, mapping, ONE)
+    with pytest.raises(ValueError, match="table entry 1 ⊙ 2 = 3 leaves the carrier"):
+        DiscreteChain(carrier, off_rows, ONE)
     with pytest.raises(ValueError, match="table row for 2 must have 4 entries"):
         DiscreteChain(carrier, rows[:2] + [rows[2][:3]] + rows[3:], ONE)
     with pytest.raises(ValueError, match="table must have 4 rows, got 3"):
@@ -90,32 +81,24 @@ def test_rows_follow_the_carrier_as_written():
     # min on {0, 1, 2} with identity 2, written for the carrier [0, 2, 1]
     written, ascending = [0, 2, 1], [0, 1, 2]
     chains = [DiscreteChain(written, [[min(a, b) for b in written] for a in written], 2),
-              DiscreteChain(written, {(a, b): min(a, b) for a in written for b in written}, 2),
               DiscreteChain(ascending, [[min(a, b) for b in ascending] for a in ascending], 2)]
     for pm in chains:
-        assert pm.spec_form() == chains[2].spec_form()
+        assert pm.spec_form() == chains[1].spec_form()
         assert [pm(a, b) for a in ascending for b in ascending] == [
             ExtNonneg(min(a, b)) for a in ascending for b in ascending]
 
 
 def test_a_repeated_carrier_element_in_rows_form_is_refused():
     rows = [[0, 0, 0], [0, 1, 1], [0, 1, 1]]
-    for table in (rows, [row[:2] for row in rows[:2]]):
-        with pytest.raises(ValueError, match="^chain carrier elements must be distinct$"):
-            DiscreteChain([0, 1, 1], table, identity=1)
+    # 2/2 is 1 and 0/3 is 0 again: distinct as written, equal as values
+    for carrier in ([0, 1, 1], [0, 1, "2/2"], [0, "0/3", 1]):
+        for table in (rows, [row[:2] for row in rows[:2]]):
+            with pytest.raises(ValueError, match="^chain carrier elements must be distinct$"):
+                DiscreteChain(carrier, table, identity=1)
     # the identity is checked before the table
     with pytest.raises(ValueError, match="^chain identity must belong to the carrier$"):
         DiscreteChain([0, 1, 1], rows, identity=2)
-
-
-def test_a_repeated_carrier_element_in_mapping_form_is_refused():
-    pairs = {(a, b): min(a, b) for a in (0, 1) for b in (0, 1)}
-    for carrier in ([0, 1, 1], [0, 1, "2/2"], [0, "0/3", 1]):
-        with pytest.raises(ValueError, match="^chain carrier elements must be distinct$"):
-            DiscreteChain(carrier, pairs, identity=1)
-    with pytest.raises(ValueError, match="^chain identity must belong to the carrier$"):
-        DiscreteChain([0, 1, 1], pairs, identity=2)
-    assert DiscreteChain([0, 1], pairs, identity=1).carrier == (ZERO, ONE)
+    assert DiscreteChain([0, 1], [[0, 0], [0, 1]], identity=1).carrier == (ZERO, ONE)
 
 
 # -- the rank table against literal value scans --------------------------------
@@ -124,9 +107,11 @@ class ValueScans:
     """A chain as a dict of value pairs, read by min and any over ExtNonneg:
     the literal definitions that DiscreteChain's rank table must agree with."""
 
-    def __init__(self, carrier, table, identity):
-        self.carrier = sorted(set(map(ExtNonneg, carrier)))
-        self.table = {(ExtNonneg(a), ExtNonneg(b)): ExtNonneg(v) for (a, b), v in table.items()}
+    def __init__(self, carrier, rows, identity):
+        written = list(map(ExtNonneg, carrier))
+        self.carrier = sorted(set(written))
+        self.table = {(a, b): ExtNonneg(v) for a, row in zip(written, rows)
+                      for b, v in zip(written, row)}
         self.identity = ExtNonneg(identity)
         self.positives = [s for s in self.carrier if not s.is_zero]
 
@@ -180,25 +165,22 @@ class ValueScans:
 
 
 def chain_cases():
-    """(carrier, table as a dict of pairs, identity): random_chain draws, the
+    """(carrier, rows following it, identity): random_chain draws, the
     uninorm of ROADMAP item 3, the validator tests' failing tables, random
     tables, and one where 0 does not annihilate."""
     rng = random.Random(29)
     for _ in range(60):
         pm = random_chain(rng)
-        yield pm.carrier, {(a, b): pm(a, b) for a in pm.carrier for b in pm.carrier}, pm.identity
+        yield pm.carrier, [[pm(a, b) for b in pm.carrier] for a in pm.carrier], pm.identity
     uninorm, e = [ExtNonneg(v) for v in ("0", "1", "3", "7", "inf")], ExtNonneg(7)
-    yield uninorm, {(a, b): ZERO if ZERO in (a, b) else max(a, b) if min(a, b) >= e else min(a, b)
-                    for a in uninorm for b in uninorm}, e
-    for carrier, rows, identity in (
-            ([0, 1, 2], [[0, 0, 0], [0, 1, 0], [0, 1, 2]], 2),  # a zero divisor
-            ([0, 1, 2, 3], [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 3], [0, 3, 2, 2]], 1),
-            ([0, 1, 2], [[0, 0, 1], [0, 1, 2], [1, 2, 2]], 1)):  # 0 ⊙ 2 = 1
-        pairs = {(a, b): v for a, row in zip(carrier, rows) for b, v in zip(carrier, row)}
-        yield carrier, pairs, identity
+    yield uninorm, [[ZERO if ZERO in (a, b) else max(a, b) if min(a, b) >= e else min(a, b)
+                     for b in uninorm] for a in uninorm], e
+    yield [0, 1, 2], [[0, 0, 0], [0, 1, 0], [0, 1, 2]], 2  # a zero divisor
+    yield [0, 1, 2, 3], [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 3], [0, 3, 2, 2]], 1
+    yield [0, 1, 2], [[0, 0, 1], [0, 1, 2], [1, 2, 2]], 1  # 0 ⊙ 2 = 1
     for carrier in ([0, 1, 2, 3], [0, 1, 2, INF]):
         for _ in range(60):
-            yield carrier, {(a, b): rng.choice(carrier) for a in carrier for b in carrier}, 1
+            yield carrier, [[rng.choice(carrier) for _ in carrier] for _ in carrier], 1
 
 
 # No chain_cases carrier holds these: random_chain draws from 1 to 16 in halves.
@@ -441,16 +423,11 @@ def test_validate_random_nonassociative_tables_caught():
     carrier = [ZERO, ONE, ExtNonneg(2), ExtNonneg(3)]
     caught = 0
     for _ in range(200):
-        table = {}
-        for a in carrier:
-            for b in carrier:
-                if a.is_zero or b.is_zero:
-                    table[(a, b)] = ZERO
-                elif a == ONE:
-                    table[(a, b)] = b
-                else:
-                    table[(a, b)] = rng.choice(carrier[1:])
-        pm = DiscreteChain(carrier, table, identity=1)
+        def cell(a, b):
+            if a.is_zero or b.is_zero:
+                return ZERO
+            return b if a == ONE else rng.choice(carrier[1:])
+        pm = DiscreteChain(carrier, [[cell(a, b) for b in carrier] for a in carrier], identity=1)
         brute = any(pm(pm(s, t), u) != pm(s, pm(t, u))
                     for s in carrier for t in carrier for u in carrier)
         if not brute:

@@ -246,15 +246,14 @@ def test_random_chain_reports_equal_the_literal_validator():
         for _ in range(120):
             # rows of 0 and of the identity mostly kept, so that failures
             # reach the later checks, and sometimes broken
-            table = {}
-            for a, b in itertools.product(carrier, carrier):
+            def cell(a, b):
                 if (a.is_zero or b.is_zero) and rng.random() < 0.95:
-                    table[(a, b)] = ZERO
-                elif a == ONE and rng.random() < 0.9:
-                    table[(a, b)] = b
-                else:
-                    table[(a, b)] = rng.choice(carrier[1:] if rng.random() < 0.9 else carrier)
-            pm = DiscreteChain(carrier, table, identity=1)
+                    return ZERO
+                if a == ONE and rng.random() < 0.9:
+                    return b
+                return rng.choice(carrier[1:] if rng.random() < 0.9 else carrier)
+            pm = DiscreteChain(carrier, [[cell(a, b) for b in carrier] for a in carrier],
+                               identity=1)
             report = assert_same_report(pm)
             assert_against_the_definitions(pm, report)
             failed.update(c.name for c in report.failed())
