@@ -73,6 +73,7 @@ from .density import (
     diagnose_rn,
     finitize_density,
     is_abs_continuous,
+    is_abs_continuous_exhaustive,
     rn_failure_witness,
     solve_atom_density,
     solve_density,
@@ -95,8 +96,11 @@ from .quotient import (
     nguyen_bruteforce,
     nguyen_measure,
     quotient_leq,
+    same_null_sets,
     set_partitions,
     verify_lattice_complete,
+    verify_localization,
+    verify_nguyen_measure,
 )
 from .specdoc import SpecDoc, load_spec, parse_spec
 from .report import Report, jsonable

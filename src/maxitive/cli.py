@@ -13,6 +13,14 @@ the one way from argv to a handler: each command takes only the
 options its handler reads, and every option must be spelled in full
 (no prefix of it is accepted).
 
+Every answer is a closed form.  The handlers here are the one place
+that decides whether an exhaustive cross-check over all 2^n subsets
+runs: each one runs when within_cap(n, --max-n) holds, and its report
+field is omitted or null otherwise.  density runs verify_density;
+quotient, verify_lattice_complete; ideal-measures,
+verify_nguyen_measure, verify_localization and check_maxitive on both
+measures; variation, same_null_sets.  diagnose gates none.
+
 Exit codes: 0 computed (a negative mathematical verdict such as "no
 density" is still a computation), 2 invalid input, 3 size cap exceeded,
 4 negative verdict when --fatal-verdicts is set, 1 unexpected internal
@@ -28,7 +36,6 @@ import os
 import sys
 from typing import Optional
 
-from .bytetable import NONZERO
 from .density import diagnose_rn, finitize_density, solve_density, verify_density
 from .errors import (
     CarrierDomainError,
@@ -50,6 +57,10 @@ from .quotient import (
     disjoint_variation,
     localize,
     nguyen_measure,
+    same_null_sets,
+    verify_lattice_complete,
+    verify_localization,
+    verify_nguyen_measure,
 )
 from .report import Report, jsonable
 from .spaces import DEFAULT_MAX_N, SubsetB, within_cap
@@ -211,12 +222,13 @@ def _cmd_diagnose(args) -> Report:
 def _cmd_quotient(args) -> Report:
     doc = _load_doc(args)
     tau = _named("measure", doc.measures, args.tau)
-    lattice = build_quotient(tau, args.max_n)
+    lattice = build_quotient(tau)
+    verified = verify_lattice_complete(lattice) if within_cap(doc.space.n, args.max_n) else None
     body = {
         "tau": jsonable(tau),
         "non_null_atoms": jsonable(lattice.non_null_atoms),
         "class_count": lattice.count,
-        "complete_lattice_verified": lattice.verified_complete,
+        "complete_lattice_verified": verified,
     }
     return Report("quotient", body)
 
@@ -226,15 +238,18 @@ def _cmd_ideal_measures(args) -> Report:
     tau = _named("measure", doc.measures, args.tau)
     ideal = _resolve_ideal(doc, args.ideal)
     restricted = ideal_restriction_measure(tau, ideal)
-    threshold = nguyen_measure(tau, ideal, args.max_n)
+    threshold = nguyen_measure(tau, ideal)
+    local = localize(tau, ideal)
     body = {
         "tau": jsonable(tau),
         "ideal_top": jsonable(ideal.top),
         "restricted_to_ideal": jsonable(restricted),
         "nguyen_threshold": jsonable(threshold),
-        "localization": jsonable(localize(tau, ideal, args.max_n)),
+        "localization": jsonable(local),
     }
     if within_cap(doc.space.n, args.max_n):
+        verify_nguyen_measure(tau, ideal, threshold)
+        verify_localization(tau, ideal, local)
         body["restricted_maxitive"] = check_maxitive(restricted.table())
         body["nguyen_maxitive"] = check_maxitive(threshold.table())
         body["nguyen_below_tau"] = all(
@@ -246,11 +261,7 @@ def _cmd_variation(args) -> Report:
     doc = _load_doc(args)
     tau = _named("measure", doc.measures, args.tau)
     m = disjoint_variation(tau)
-    same_nulls = None
-    if within_cap(doc.space.n, args.max_n):
-        # τ's rank 0 is the value 0, so both tables are 0 exactly on the null sets
-        tau_nulls = tau.table().ranks.translate(NONZERO)
-        same_nulls = m.null_table() == tau_nulls
+    same_nulls = same_null_sets(tau, m) if within_cap(doc.space.n, args.max_n) else None
     body = {
         "tau": jsonable(tau),
         "disjoint_variation": jsonable(m),

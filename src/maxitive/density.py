@@ -47,6 +47,7 @@ __all__ = [
     "RNDiagnosis",
     "achievable_set",
     "is_abs_continuous",
+    "is_abs_continuous_exhaustive",
     "solve_atom_density",
     "solve_density",
     "verify_density",
@@ -67,37 +68,39 @@ def achievable_set(pm: PseudoMul, t: ExtNonneg) -> AchievableSet:
     return pm.achievable_set(as_extnn(t))
 
 
-def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure,
-                      cross_check: bool = False) -> bool:
+def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> bool:
     """Whether ν(B) ≤ ∞ ⊙ τ(B) for every B with τ(B) ⊙-finite.
 
     Sets with ⊙-infinite τ-measure are deliberately unconstrained.  The
-    check runs atom by atom (sound on a powerset since F_⊙ is downward
-    closed); ``cross_check`` reruns it exhaustively over all subsets, on
-    the rank tables of ν and τ, and verifies agreement; past
-    CROSS_CHECK_CAP atoms it refuses before any ⊙ call.
+    check runs atom by atom, sound on a powerset since F_⊙ is downward
+    closed; is_abs_continuous_exhaustive is the same verdict over all
+    subsets.
     """
     _require_non_degenerate(pm, "is_abs_continuous")
     _same_space(nu.space, tau.space)
-    if cross_check:
-        check_fixed_cap(nu.space.n, CROSS_CHECK_CAP, "atoms")
-    atomwise = all(
+    return all(
         not pm.is_odot_finite(tv) or nv <= achievable_set(pm, tv).upper
         for nv, tv in zip(nu.masses, tau.masses))
-    if cross_check:
-        nu_table = nu.table()
-        tau_table = tau.table()
-        # per τ value: the highest rank of ν allowed where τ takes it
-        # (255, no bound, where the value is ⊙-infinite)
-        allowed = bytes(
-            bisect_right(nu_table.universe, achievable_set(pm, tv).upper) - 1
-            if pm.is_odot_finite(tv) else 255 for tv in tau_table.universe)
-        bounds = tau_table.ranks.translate(allowed.ljust(256, b"\0"))
-        exhaustive = not any(map(gt, nu_table.ranks, bounds))
-        if exhaustive != atomwise:
-            raise AssertionError(
-                "atom-wise absolute continuity disagrees with the exhaustive scan")
-    return atomwise
+
+
+def is_abs_continuous_exhaustive(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> bool:
+    """is_abs_continuous's verdict from every subset, on the rank tables of ν and τ.
+
+    A cross-check of the atom-wise verdict: past CROSS_CHECK_CAP atoms
+    it refuses before any ⊙ call.
+    """
+    _require_non_degenerate(pm, "is_abs_continuous_exhaustive")
+    _same_space(nu.space, tau.space)
+    check_fixed_cap(nu.space.n, CROSS_CHECK_CAP, "atoms")
+    nu_table = nu.table()
+    tau_table = tau.table()
+    # per τ value: the highest rank of ν allowed where τ takes it
+    # (255, no bound, where the value is ⊙-infinite)
+    allowed = bytes(
+        bisect_right(nu_table.universe, achievable_set(pm, tv).upper) - 1
+        if pm.is_odot_finite(tv) else 255 for tv in tau_table.universe)
+    bounds = tau_table.ranks.translate(allowed.ljust(256, b"\0"))
+    return not any(map(gt, nu_table.ranks, bounds))
 
 
 # ---------------------------------------------------------------------------

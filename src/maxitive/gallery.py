@@ -16,6 +16,7 @@ from .density import (
     diagnose_rn,
     finitize_density,
     is_abs_continuous,
+    is_abs_continuous_exhaustive,
     rn_failure_witness,
     solve_density,
     verify_density,
@@ -40,6 +41,8 @@ from .quotient import (
     localize,
     nguyen_bruteforce,
     nguyen_measure,
+    verify_localization,
+    verify_nguyen_measure,
 )
 from .report import Report, jsonable
 from .spaces import GALLERY_TRIALS_CAP, Space, check_fixed_cap
@@ -86,7 +89,8 @@ def shilkret_counterexample() -> Report:
     nu = delta_sharp(space)
     tau = MaxMeasure.constant(space, INF)
     checks = _Checks()
-    checks.add("ν ≪_⊙ τ holds", is_abs_continuous(times, nu, tau, cross_check=True))
+    checks.add("ν ≪_⊙ τ holds", is_abs_continuous(times, nu, tau)
+               and is_abs_continuous_exhaustive(times, nu, tau))
     diag = diagnose_rn(times, tau)
     checks.add("τ is not σ-⊙-finite", not diag.sigma_odot_finite)
     checks.add("τ has a ⊙-spot (the whole space)",
@@ -267,6 +271,7 @@ def claims_walkthrough() -> Report:
                check_maxitive(restricted.table()))
     res = solve_density(times, restricted, tau)
     loc = localize(tau, ideal)
+    verify_localization(tau, ideal, loc)
     checks.add("its density exists and its support localizes the ideal",
                res.ok and verify_density(times, res.density, restricted, tau)
                and res.density.support == loc)
@@ -274,6 +279,7 @@ def claims_walkthrough() -> Report:
     # The threshold measure ν(B) = inf{t > 0 : B ∈ 𝒥_t}.
     small_ideal = SigmaIdeal(space, space.subset(["a"]))
     ng = nguyen_measure(tau, small_ideal)
+    verify_nguyen_measure(tau, small_ideal, ng)
     checks.add("threshold measure is {a:0, b:2, c:3}",
                ng == MaxMeasure(space, {"a": 0, "b": 2, "c": 3}))
     checks.add("threshold closed form matches the 𝒥_t enumeration on every subset",

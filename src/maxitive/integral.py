@@ -220,10 +220,12 @@ def pushforward(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> SetFunctionTa
     verify with check_maxitive.
     """
     universe, order, swept = threshold_sweep(pm, f, nu)
-    moved = array("L", [0])  # moved[B]: the mask of B in the sweep's order
+    # moved[B]: the mask of B in the sweep's order, in 4 bytes (every mask
+    # is below 2^20)
+    moved = array("I", [0])
     for p in sorted(range(f.space.n), key=order.__getitem__):
         bit = 1 << p
-        moved += array("L", (m | bit for m in moved))
+        moved += array("I", (m | bit for m in moved))
     return SetFunctionTable.from_ranks(f.space, universe, bytes(map(swept.__getitem__, moved)))
 
 

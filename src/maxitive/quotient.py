@@ -13,7 +13,10 @@ dominating τ, realized by the atomic partition) and the two measure
 constructions attached to a σ-ideal, ν(B) = ⊕_{I∈𝕀} τ(B ∩ I) and the
 Nguyen threshold measure ν(B) = inf{t > 0 : B ∈ 𝒥_t}.
 
-The exhaustive checks read τ's byte rank table (``bytetable``), where
+Every construction here is a closed form.  Each has an exhaustive
+cross-check of its own over all 2^n subsets, which only a caller runs:
+verify_lattice_complete, verify_localization, verify_nguyen_measure and
+same_null_sets.  They read τ's byte rank table (``bytetable``), where
 rank 0 is the value 0: the 𝒥_t infimum for every subset at once is a
 subset-min transform over the ideal's top, the localization's
 minimality scan reads the subsets of the top, and the quotient and the
@@ -29,7 +32,7 @@ from .bytetable import NONZERO, max_rank_table, subset_min
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, _AtomMap, measure_eval
 from .spaces import PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
-from .spaces import SubsetB, _same_space, check_enum_cap, check_fixed_cap, submasks, within_cap
+from .spaces import SubsetB, _same_space, check_enum_cap, check_fixed_cap, submasks
 
 __all__ = [
     "QuotientClass",
@@ -42,10 +45,13 @@ __all__ = [
     "build_quotient",
     "verify_lattice_complete",
     "localize",
+    "verify_localization",
     "ideal_restriction_measure",
     "nguyen_measure",
+    "verify_nguyen_measure",
     "nguyen_bruteforce",
     "disjoint_variation",
+    "same_null_sets",
     "disjoint_variation_bruteforce",
     "set_partitions",
     "check_ccc",
@@ -85,15 +91,12 @@ class QuotientLattice:
 
     Isomorphic to the powerset of the non-null atoms; joins and meets
     are unions and intersections of representatives, so the lattice is
-    complete and τ is localizable.  ``verified_complete`` holds the
-    verdict of verify_lattice_complete once build_quotient has run it,
-    and None before.
+    complete and τ is localizable.
     """
 
     def __init__(self, tau: MaxMeasure):
         self.tau = tau
         self.non_null_atoms = tau.support
-        self.verified_complete: Optional[bool] = None
 
     @property
     def k(self) -> int:
@@ -122,16 +125,9 @@ class QuotientLattice:
         return f"QuotientLattice(non_null={self.non_null_atoms!r}, classes={self.count})"
 
 
-def build_quotient(tau: MaxMeasure, limit: int | None = None) -> QuotientLattice:
-    """Build the quotient lattice, verified on τ's table when n ≤ ``limit``.
-
-    ``limit`` (default and ceiling ENUM_CAP) only chooses whether the
-    check runs: past it ``verified_complete`` stays None.
-    """
-    lattice = QuotientLattice(tau)
-    if within_cap(tau.space.n, limit):
-        lattice.verified_complete = verify_lattice_complete(lattice)
-    return lattice
+def build_quotient(tau: MaxMeasure) -> QuotientLattice:
+    """The quotient lattice of the powerset modulo τ-null sets."""
+    return QuotientLattice(tau)
 
 
 def verify_lattice_complete(lattice: QuotientLattice) -> bool:
@@ -149,31 +145,35 @@ def verify_lattice_complete(lattice: QuotientLattice) -> bool:
     return non_null == max_rank_table([support >> i & 1 for i in range(lattice.tau.space.n)])
 
 
-def localize(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> SubsetB:
+def localize(tau: MaxMeasure, ideal: SigmaIdeal) -> SubsetB:
     """The canonical set localizing a σ-ideal: its top with null atoms stripped.
 
-    Asserts both localization conditions.  Every member leaves L only by
-    a negligible remainder: τ(top ∖ L) = 0.  L is minimal among sets
-    absorbing the ideal modulo null sets: for every B, τ(top ∖ B) = 0
-    implies τ(L ∖ B) = 0, checked on τ's table when n ≤ ``limit``
-    (default and ceiling ENUM_CAP).  L ⊆ top, so both sides depend on B
-    only through B ∩ top, and the scan runs over the 2^t subsets of the
-    top, ascending: the first B that fails among all 2^n is one of them.
-    Past ``limit`` only the first condition is checked; minimality then
-    follows from L ⊆ top.
+    Asserts that every member leaves L only by a negligible remainder:
+    τ(top ∖ L) = 0.  verify_localization checks that L is minimal.
     """
     _same_space(tau.space, ideal.space)
     L = ideal.top & tau.support
     if not measure_eval(tau, ideal.top - L).is_zero:
         raise AssertionError("localization failed: some member leaves L non-negligibly")
-    if within_cap(tau.space.n, limit):
-        ranks = tau.table().ranks  # rank 0 is the value 0
-        top, local = ideal.top.mask, L.mask
-        for b in submasks(top):
-            if not ranks[top ^ b] and ranks[local & ~b]:
-                raise AssertionError(
-                    f"localization not minimal against {SubsetB(tau.space, b)!r}")
     return L
+
+
+def verify_localization(tau: MaxMeasure, ideal: SigmaIdeal, L: SubsetB) -> None:
+    """Assert that L is minimal among sets absorbing the ideal modulo null sets.
+
+    For every B, τ(top ∖ B) = 0 must imply τ(L ∖ B) = 0; an
+    AssertionError names the first B that fails.  Both sides depend on B
+    only through B ∩ (top ∪ L), so the scan reads τ's table at the
+    subsets of top ∪ L, ascending: the first B that fails among all 2^n
+    is one of them.
+    """
+    _same_space(tau.space, ideal.space)
+    _same_space(tau.space, L.space)
+    ranks = tau.table().ranks  # rank 0 is the value 0
+    top, local = ideal.top.mask, L.mask
+    for b in submasks(top | local):
+        if not ranks[top & ~b] and ranks[local & ~b]:
+            raise AssertionError(f"localization not minimal against {SubsetB(tau.space, b)!r}")
 
 
 def ideal_restriction_measure(tau: MaxMeasure, ideal: SigmaIdeal) -> MaxMeasure:
@@ -184,37 +184,43 @@ def ideal_restriction_measure(tau: MaxMeasure, ideal: SigmaIdeal) -> MaxMeasure:
                       [v if (top >> i & 1) else ZERO for i, v in enumerate(tau.masses)])
 
 
-def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal, limit: int | None = None) -> MaxMeasure:
+def nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal) -> MaxMeasure:
     """The threshold measure ν(B) = inf{t > 0 : B ∈ 𝒥_t}.
 
     𝒥_t collects the unions I ∪ B' with I in the ideal and τ(B') ≤ t; on
     a finite powerset the infimum collapses to the closed form
-    ν(B) = τ(B ∖ top).  The closed form is validated against the
-    definition whenever n ≤ ``limit`` (default and ceiling ENUM_CAP),
-    over every subset: the least τ(B ∖ I) over every
-    I ⊆ B ∩ top, for every B at once, is the subset-min transform of
-    τ's rank table over the top's bits (subset_min), and those minima
-    are compared with the closed form's table.  nguyen_bruteforce is the
-    per-subset form.
+    ν(B) = τ(B ∖ top), which verify_nguyen_measure checks against the
+    definition.
     """
     _same_space(tau.space, ideal.space)
     top = ideal.top.mask
-    result = MaxMeasure(tau.space,
-                        [ZERO if (top >> i & 1) else v for i, v in enumerate(tau.masses)])
-    if within_cap(tau.space.n, limit):
-        tau_table = tau.table()
-        closed = result.table()
-        position = {v: r for r, v in enumerate(tau_table.universe)}
-        # a value τ never takes is no 𝒥_t minimum: 255 is no rank of τ's
-        into_tau = bytes(position.get(v, 255) for v in closed.universe).ljust(256, b"\0")
-        got = closed.ranks.translate(into_tau)
-        del closed  # at most three 2^n-byte tables live: τ's, got and least
-        least = subset_min(tau_table.ranks, top)  # the 𝒥_t minimum, as ranks
-        if got != least:
-            b = next(b for b in range(len(got)) if got[b] != least[b])
-            raise AssertionError("Nguyen closed form disagrees with 𝒥_t enumeration "
-                                 f"at {SubsetB(tau.space, b)!r}")
-    return result
+    return MaxMeasure(tau.space,
+                      [ZERO if (top >> i & 1) else v for i, v in enumerate(tau.masses)])
+
+
+def verify_nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal, nu: MaxMeasure) -> None:
+    """Assert that ν(B) = inf{t > 0 : B ∈ 𝒥_t} for every subset B.
+
+    The least τ(B ∖ I) over every I ⊆ B ∩ top, for every B at once, is
+    the subset-min transform of τ's rank table over the top's bits
+    (subset_min); those minima are compared with ν's table, and an
+    AssertionError names the first B that differs.  nguyen_bruteforce
+    is the per-subset form.
+    """
+    _same_space(tau.space, ideal.space)
+    _same_space(tau.space, nu.space)
+    tau_table = tau.table()
+    closed = nu.table()
+    position = {v: r for r, v in enumerate(tau_table.universe)}
+    # a value τ never takes is no 𝒥_t minimum: 255 is no rank of τ's
+    into_tau = bytes(position.get(v, 255) for v in closed.universe).ljust(256, b"\0")
+    got = closed.ranks.translate(into_tau)
+    del closed  # at most three 2^n-byte tables live: τ's, got and least
+    least = subset_min(tau_table.ranks, ideal.top.mask)  # the 𝒥_t minimum, as ranks
+    if got != least:
+        b = next(b for b in range(len(got)) if got[b] != least[b])
+        raise AssertionError("Nguyen closed form disagrees with 𝒥_t enumeration "
+                             f"at {SubsetB(tau.space, b)!r}")
 
 
 def nguyen_bruteforce(tau: MaxMeasure, ideal: SigmaIdeal, B: SubsetB) -> ExtNonneg:
@@ -272,6 +278,16 @@ def disjoint_variation(tau: MaxMeasure) -> AdditiveMeasure:
     has exactly τ's null sets.
     """
     return AdditiveMeasure(tau.space, tau.masses)
+
+
+def same_null_sets(tau: MaxMeasure, m: AdditiveMeasure) -> bool:
+    """Whether τ and m vanish on the same subsets, compared on all 2^n.
+
+    τ's rank 0 is the value 0, so both tables are 0 exactly on the null
+    sets.
+    """
+    _same_space(tau.space, m.space)
+    return m.null_table() == tau.table().ranks.translate(NONZERO)
 
 
 def set_partitions(items: List) -> Iterator[List[List]]:

@@ -17,9 +17,9 @@ __all__ = ["Space", "SubsetB", "ENUM_CAP", "CROSS_CHECK_CAP", "check_enum_cap", 
 # Hard ceiling for exhaustive powerset enumeration; operations refuse
 # beyond it rather than sample.
 ENUM_CAP = 20
-# is_abs_continuous(cross_check=True) re-derives a verdict the atom-wise
-# check already gives; it is a test aid, so it refuses large spaces
-# rather than scan 2^20 subsets by accident.
+# is_abs_continuous_exhaustive re-derives a verdict the atom-wise
+# is_abs_continuous already gives; it is a test aid, so it refuses large
+# spaces rather than scan 2^20 subsets by accident.
 CROSS_CHECK_CAP = 12
 # The CLI's default --max-n: 2^12 subsets keep each check well under a second.
 DEFAULT_MAX_N = 12
@@ -43,11 +43,11 @@ CHAIN_CARRIER_CAP = 256
 GALLERY_TRIALS_CAP = 100_000
 
 
-def within_cap(size: int, limit: int | None) -> bool:
-    """Whether an optional check over ``size`` atoms runs: ``limit`` (a
-    caller's choice, the CLI's --max-n) is taken at most ENUM_CAP.  It
-    decides a skip; no limit moves a refusal."""
-    return size <= (ENUM_CAP if limit is None else min(limit, ENUM_CAP))
+def within_cap(size: int, limit: int) -> bool:
+    """Whether a cross-check over ``size`` atoms runs: ``limit`` (the
+    CLI's --max-n) is taken at most ENUM_CAP.  It decides a skip; no
+    limit moves a refusal."""
+    return size <= min(limit, ENUM_CAP)
 
 
 def check_fixed_cap(size: int, cap: int, what: str) -> None:

@@ -44,6 +44,7 @@ from maxitive import (
     integrate_oracle,
     integrate_threshold,
     is_abs_continuous,
+    is_abs_continuous_exhaustive,
     is_semi_odot_finite,
     is_sigma_odot_finite,
     measure_eval,
@@ -55,6 +56,7 @@ from maxitive import (
     solve_density,
     validate_pseudo_mul,
     verify_density,
+    verify_nguyen_measure,
 )
 from maxitive.spaces import CHAIN_CARRIER_CAP
 
@@ -94,7 +96,7 @@ def test_criterion_01_shilkret_counterexample():
         space = Space(["a", "b", "c"])
         nu = delta_sharp(space)
         tau = MaxMeasure.constant(space, INF)
-        assert is_abs_continuous(TIMES, nu, tau, cross_check=True)
+        assert is_abs_continuous(TIMES, nu, tau) and is_abs_continuous_exhaustive(TIMES, nu, tau)
         assert diagnose_rn(TIMES, tau).sigma_odot_finite is False
         res = solve_density(TIMES, nu, tau)
         assert not res.ok and len(res.failures) == 3
@@ -268,6 +270,7 @@ def test_criterion_08_ideal_measure_constructions():
             ideal = SigmaIdeal(space, space.subset(top_labels))
             restricted = ideal_restriction_measure(tau, ideal)
             threshold = nguyen_measure(tau, ideal)
+            verify_nguyen_measure(tau, ideal, threshold)
             assert check_maxitive(restricted.table())
             assert check_maxitive(threshold.table())
             assert all(nv <= tv for nv, tv in zip(threshold.masses, tau.masses))

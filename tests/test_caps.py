@@ -1,12 +1,14 @@
 """One place for size caps.
 
 Every cap is fixed: check_fixed_cap refuses past it, and no argument or
-option moves it.  within_cap only decides whether an optional check
-runs, by a caller's limit (the CLI's --max-n) taken at most ENUM_CAP;
-build_quotient, localize and nguyen_measure are the only library
-functions that take such a limit.  The static guards keep it so:
+option moves it.  within_cap only decides whether a cross-check runs,
+by the CLI's --max-n taken at most ENUM_CAP, and only the CLI calls it:
+each library function is a closed form or a cross-check, and none
+decides whether to check itself.  The static guards keep it so:
 ENUM_CAP is read only in spaces.py, no other function has a ``limit``
-parameter, and SizeCapError takes only its message.
+or ``cross_check`` parameter, within_cap is called only in cli.py,
+cli.py reads nothing from bytetable, and SizeCapError takes only its
+message.
 """
 
 import ast
@@ -25,7 +27,7 @@ from maxitive import (
     check_maxitive_bruteforce,
     disjoint_variation_bruteforce,
     enumerate_quotient_sigma_ideals,
-    is_abs_continuous,
+    is_abs_continuous_exhaustive,
     semi_odot_finite_bruteforce,
 )
 from maxitive.errors import SizeCapError
@@ -49,7 +51,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "maxitive"
 
 
 def test_within_cap_takes_the_limit_at_most_the_ceiling():
-    assert within_cap(ENUM_CAP, None) and not within_cap(ENUM_CAP + 1, None)
+    assert within_cap(0, 0) and not within_cap(1, 0)
     assert within_cap(12, 12) and not within_cap(13, 12)
     assert within_cap(ENUM_CAP, ENUM_CAP + 5) and not within_cap(ENUM_CAP + 1, ENUM_CAP + 5)
 
@@ -75,7 +77,7 @@ def test_each_oracle_refuses_one_atom_past_its_cap():
     refusals = [
         (SEMI_FINITE_ORACLE_CAP, lambda mu: semi_odot_finite_bruteforce(pm, mu)),
         (MAXITIVE_ORACLE_CAP, lambda mu: check_maxitive_bruteforce(mu.table())),
-        (CROSS_CHECK_CAP, lambda mu: is_abs_continuous(pm, mu, mu, cross_check=True)),
+        (CROSS_CHECK_CAP, lambda mu: is_abs_continuous_exhaustive(pm, mu, mu)),
         (PARTITION_ORACLE_CAP, lambda mu: disjoint_variation_bruteforce(mu, mu.space.full)),
     ]
     for cap, oracle in refusals:
@@ -150,19 +152,63 @@ def test_cap_guard_sees_a_read(tmp_path):
     assert enum_cap_reads(path) == [3, 5]
 
 
-def limit_parameters(path: Path) -> list:
-    """The name of each function in ``path`` with a parameter ``limit``."""
+def parameter_owners(path: Path, parameter: str) -> list:
+    """The name of each function in ``path`` with a parameter ``parameter``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return sorted(node.name for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and "limit" in {a.arg for a in (*node.args.posonlyargs, *node.args.args,
-                                                  *node.args.kwonlyargs)})
+                  and parameter in {a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                                    *node.args.kwonlyargs)})
 
 
 def test_only_the_skip_bounds_take_a_limit():
     # a limit only chooses whether a check runs; no function refuses by one
-    found = {name for path in SRC.glob("*.py") for name in limit_parameters(path)}
-    assert found == {"build_quotient", "localize", "nguyen_measure", "within_cap"}
+    found = {name for path in SRC.glob("*.py") for name in parameter_owners(path, "limit")}
+    assert found == {"within_cap"}
+
+
+def test_no_function_chooses_whether_to_cross_check_itself():
+    assert [name for path in SRC.glob("*.py")
+            for name in parameter_owners(path, "cross_check")] == []
+
+
+def callers(path: Path, name: str) -> list:
+    """The line of each call of ``name`` in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and name in _names(node.func))
+
+
+def test_only_the_cli_gates_a_cross_check():
+    calls = {path.name: callers(path, "within_cap") for path in sorted(SRC.glob("*.py"))}
+    assert calls.pop("cli.py")
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+def bytetable_imports(path: Path) -> list:
+    """The line of each import from the bytetable module in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and "bytetable" in ".".join([getattr(node, "module", None) or "",
+                                               *(a.name for a in node.names)]).split("."))
+
+
+def test_the_cli_reads_no_byte_table_format():
+    assert bytetable_imports(SRC / "cli.py") == []
+    assert bytetable_imports(SRC / "quotient.py")  # the guard sees an import
+
+
+def test_cross_check_guards_see_what_they_look_for(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from . import bytetable\n"
+                    "def f(x, cross_check=False):\n"
+                    "    return spaces.within_cap(x, 12) or within_cap(x, 3)\n"
+                    "import maxitive.bytetable as b\n"
+                    "from .bytetable import NONZERO\n", encoding="utf-8")
+    assert parameter_owners(path, "cross_check") == ["f"]
+    assert callers(path, "within_cap") == [3, 3]
+    assert bytetable_imports(path) == [1, 4, 5]
 
 
 def test_size_cap_error_takes_only_its_message():

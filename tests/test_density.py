@@ -27,6 +27,7 @@ from maxitive import (
     find_odot_spots,
     finitize_density,
     is_abs_continuous,
+    is_abs_continuous_exhaustive,
     is_semi_odot_finite,
     is_sigma_odot_finite,
     pushforward_measure,
@@ -58,16 +59,22 @@ def _degenerate_pm():
 
 # -- absolute continuity -------------------------------------------------------
 
+def abs_continuous_both_ways(pm, nu, tau) -> bool:
+    """The atom-wise verdict, once the exhaustive scan has agreed with it."""
+    verdict = is_abs_continuous(pm, nu, tau)
+    assert is_abs_continuous_exhaustive(pm, nu, tau) == verdict
+    return verdict
+
+
 def test_abs_continuity_examples():
     sp = Space(["a", "b", "c"])
-    assert is_abs_continuous(TIMES, delta_sharp(sp), MaxMeasure.constant(sp, INF),
-                             cross_check=True)
+    assert abs_continuous_both_ways(TIMES, delta_sharp(sp), MaxMeasure.constant(sp, INF))
     sp1 = Space(["a"])
-    assert not is_abs_continuous(TIMES, MaxMeasure(sp1, {"a": 1}),
-                                 MaxMeasure(sp1, {"a": 0}), cross_check=True)
+    assert not abs_continuous_both_ways(TIMES, MaxMeasure(sp1, {"a": 1}),
+                                        MaxMeasure(sp1, {"a": 0}))
     # under ∧, ∞ ⊙ τ(B) = τ(B), so domination means ν ≤ τ
-    assert not is_abs_continuous(MIN, MaxMeasure(sp1, {"a": 2}),
-                                 MaxMeasure(sp1, {"a": 1}), cross_check=True)
+    assert not abs_continuous_both_ways(MIN, MaxMeasure(sp1, {"a": 2}),
+                                        MaxMeasure(sp1, {"a": 1}))
 
 
 def test_abs_continuity_atomwise_matches_exhaustive():
@@ -77,8 +84,7 @@ def test_abs_continuity_atomwise_matches_exhaustive():
         nu = rand_measure(rng, sp, allow_inf=True)
         tau = rand_measure(rng, sp, allow_inf=True)
         for pm in (TIMES, MIN):
-            # cross_check raises on any disagreement
-            is_abs_continuous(pm, nu, tau, cross_check=True)
+            abs_continuous_both_ways(pm, nu, tau)
 
 
 def test_everything_is_dominated_by_delta_sharp():
@@ -662,6 +668,8 @@ def test_degenerate_operation_refused():
         solve_density(pm, mu, mu)
     with pytest.raises(DegenerateOperationError):
         is_abs_continuous(pm, mu, mu)
+    with pytest.raises(DegenerateOperationError):
+        is_abs_continuous_exhaustive(pm, mu, mu)
     with pytest.raises(DegenerateOperationError):
         diagnose_rn(pm, mu)
     with pytest.raises(DegenerateOperationError):

@@ -9,8 +9,11 @@ and `diagnose` under times, min and the clamped chain over documents
 whose functions and measures take 0 and ∞, and `diagnose` on a uninorm
 chain whose image c ⊙ ∞ skips a value; `quotient`, `ideal-measures` and
 `variation`, which take no ⊙, once per measure document; every
-`gallery` scenario, at seed 0 if it draws; and `density` and `diagnose`
-on a chain that is not monotone, which refuse with exit 2.  The spec
+`gallery` scenario, at seed 0 if it draws; `density`, `quotient`,
+`ideal-measures` and `variation` at `--max-n 0`, which runs none of
+their cross-checks, so those fields are null or absent; and `density`
+and `diagnose` on a chain that is not monotone, which refuse with exit
+2.  The spec
 documents lie beside the reports, and the directory holds nothing else.
 A change that is meant to change a report regenerates the files, and
 their diff shows the change:
@@ -74,6 +77,11 @@ CASES = {
     **{f"gallery-{scenario}": ["gallery", scenario,
                                *([] if scenario in _SEEDLESS else ["--seed", "0"])]
        for scenario in GALLERY},
+    # the CLI's one gate: past --max-n a cross-check's field is null or absent
+    **{f"{command}-measures-max-n0": _measures("measures.spec.json", None, command, *extra,
+                                              "--max-n", "0")
+       for command, extra in (("density", ["--nu", "nu"]), ("quotient", []),
+                              ("ideal-measures", ["--ideal", "I"]), ("variation", []))},
     # c ⊙ ∞ skips 7 on this chain, so τ = {x: ∞} lacks the property though ⊙-finite
     "diagnose-uninorm-chain": ["diagnose", "--space-file", "uninorm_chain.spec.json",
                                "--tau", "tau"],

@@ -10,7 +10,10 @@ is checked on random inputs under the product, the minimum and the
 {0, 1, 2, ∞} chain.  The quotient modulo τ-null sets, the localization
 of an ideal, the two measures attached to it and the disjoint variation
 read τ's atom masses and the ideal's top alone, so they move with the
-atoms and do not see a null atom.
+atoms and do not see a null atom.  A chain is read through the order of
+its carrier, 0, its identity and its table alone, so relabelling every
+small chain's carrier by x ↦ 2x, which is increasing and fixes 0 and ∞,
+maps every check, profile, diagnosis and density along.
 """
 
 import random
@@ -21,6 +24,8 @@ import pytest
 from maxitive import (
     INF,
     ZERO,
+    DiscreteChain,
+    ExtNonneg,
     MaxMeasure,
     MeasurableFn,
     Minimum,
@@ -41,10 +46,14 @@ from maxitive import (
     nguyen_measure,
     pushforward_measure,
     solve_density,
+    validate_pseudo_mul,
     verify_density,
+    verify_lattice_complete,
+    verify_localization,
+    verify_nguyen_measure,
 )
 
-from conftest import rand_fn, rand_mass, rand_measure, rand_space
+from conftest import rand_fn, rand_mass, rand_measure, rand_space, small_chains
 
 ROUTES = (integrate_threshold, integrate_atomwise)
 
@@ -192,13 +201,18 @@ def _quotient_case(rng):
 
 
 def _quotient_verdicts(tau, ideal):
-    """The class count, complete_lattice_verified, the localizing set's mask,
-    the masses of both measures attached to the ideal (validated against
-    𝒥_t) and of the disjoint variation."""
+    """The class count, complete_lattice_verified, the localizing set's mask
+    (verified minimal), the masses of both measures attached to the ideal
+    (the threshold measure verified against 𝒥_t) and of the disjoint
+    variation."""
     lattice = build_quotient(tau)
-    return (lattice.count, lattice.verified_complete, localize(tau, ideal).mask,
+    local = localize(tau, ideal)
+    verify_localization(tau, ideal, local)
+    threshold = nguyen_measure(tau, ideal)
+    verify_nguyen_measure(tau, ideal, threshold)
+    return (lattice.count, verify_lattice_complete(lattice), local.mask,
             ideal_restriction_measure(tau, ideal).masses,
-            nguyen_measure(tau, ideal).masses, disjoint_variation(tau).masses)
+            threshold.masses, disjoint_variation(tau).masses)
 
 
 def test_relabelling_and_permuting_atoms_moves_the_quotient_verdicts():
@@ -233,3 +247,75 @@ def test_a_null_atom_changes_no_quotient_verdict():
             ideal2 = SigmaIdeal(sp2, SubsetB(sp2, ideal.top.mask | with_z << sp.n))
             assert _quotient_verdicts(tau2, ideal2) == (
                 count, verified, local, *((*m, ZERO) for m in masses))
+
+
+def _double(x):
+    return ExtNonneg(2) * x
+
+
+def _doubled(pm):
+    """The chain relabelled by x ↦ 2x: carrier, table and identity."""
+    return DiscreteChain([_double(a) for a in pm.carrier],
+                         [[_double(pm(a, b)) for b in pm.carrier] for a in pm.carrier],
+                         _double(pm.identity))
+
+
+def _gaps(pm, tau, diagnosis):
+    """The value image_gap names at each atom the diagnosis asks it of."""
+    spot = diagnosis.spots.maximal_spot
+    return [pm.image_gap(t) for i, t in enumerate(tau.masses)
+            if spot is None or not spot.mask >> i & 1]
+
+
+def test_doubling_a_small_chains_carrier_maps_every_verdict():
+    space = Space(["a"])
+    validated = witnessed = gapped = 0
+    for k in range(2, 6):
+        for pm in small_chains(k):
+            pm2 = _doubled(pm)
+            report, report2 = validate_pseudo_mul(pm), validate_pseudo_mul(pm2)
+            assert [(c.name, c.passed) for c in report2.checks] == [
+                (c.name, c.passed) for c in report.checks]
+            assert [c.witness for c in report2.checks] == [
+                None if c.witness is None else tuple(map(_double, c.witness))
+                for c in report.checks]
+            witnessed += any(c.witness is not None for c in report.checks)
+            if not report.passed:
+                continue
+            validated += 1
+            profile, profile2 = pm.finiteness_profile(), pm2.finiteness_profile()
+            assert (profile2.shape, profile2.degenerate) == (profile.shape, profile.degenerate)
+            assert profile2.phi == _double(profile.phi)
+            assert profile2.finite_elements == frozenset(map(_double, profile.finite_elements))
+            # one atom for each carrier element, 0 and ∞ among them
+            atoms = Space([f"x{i}" for i in range(k)])
+            tau = MaxMeasure(atoms, pm.carrier)
+            tau2 = MaxMeasure(atoms, pm2.carrier)
+            diagnosis, diagnosis2 = diagnose_rn(pm, tau), diagnose_rn(pm2, tau2)
+            assert (diagnosis2.rn_property, diagnosis2.sigma_odot_finite,
+                    diagnosis2.semi_finite, diagnosis2.spots) == (
+                diagnosis.rn_property, diagnosis.sigma_odot_finite,
+                diagnosis.semi_finite, diagnosis.spots)
+            assert diagnosis2.total_vs_phi == replace(
+                diagnosis.total_vs_phi, total=_double(diagnosis.total_vs_phi.total),
+                phi=_double(diagnosis.total_vs_phi.phi))
+            gaps = _gaps(pm, tau, diagnosis)
+            gapped += any(g is not None for g in gaps)
+            assert _gaps(pm2, tau2, diagnosis2) == [g if g is None else _double(g) for g in gaps]
+            # the conditions that name no value are the same lines
+            assert [c for c in diagnosis2.failed_conditions if not c.startswith("atom ")] == [
+                c for c in diagnosis.failed_conditions if not c.startswith("atom ")]
+            assert len(diagnosis2.failed_conditions) == len(diagnosis.failed_conditions)
+            for nv in pm.carrier:
+                for tv in pm.carrier:
+                    result = solve_density(pm, MaxMeasure(space, [nv]), MaxMeasure(space, [tv]))
+                    result2 = solve_density(pm2, MaxMeasure(space, [_double(nv)]),
+                                            MaxMeasure(space, [_double(tv)]))
+                    assert result2.ok == result.ok
+                    if result.ok:
+                        assert result2.density.values == tuple(map(_double,
+                                                                   result.density.values))
+                    else:
+                        assert [f.reason for f in result2.failures] == [
+                            f.reason for f in result.failures]
+    assert (validated, witnessed > 0, gapped > 0) == (30, True, True)

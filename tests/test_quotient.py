@@ -34,6 +34,8 @@ from maxitive import (
     solve_density,
     verify_density,
     verify_lattice_complete,
+    verify_localization,
+    verify_nguyen_measure,
 )
 from maxitive.errors import SizeCapError
 from maxitive.measure import SetFunctionTable
@@ -121,10 +123,12 @@ def test_quotient_is_powerset_of_non_null_atoms():
 def test_localize_examples():
     sp = Space(["a", "b"])
     positive = delta_sharp(sp)
-    assert localize(positive, SigmaIdeal.full(sp)) == sp.full
-    assert localize(positive, SigmaIdeal.trivial(sp)) == sp.empty
+    for ideal, expected in ((SigmaIdeal.full(sp), sp.full), (SigmaIdeal.trivial(sp), sp.empty)):
+        assert localize(positive, ideal) == expected
+        verify_localization(positive, ideal, expected)
     tau = MaxMeasure(sp, {"a": 0, "b": 1})
     L = localize(tau, SigmaIdeal(sp, sp.subset(["a"])))
+    verify_localization(tau, SigmaIdeal(sp, sp.subset(["a"])), L)
     assert measure_eval(tau, L - sp.subset(["a"])).is_zero
     # {a} itself also satisfies both localization conditions
     ideal_top = sp.subset(["a"])
@@ -173,7 +177,9 @@ def test_ideal_restriction_density_localizes():
         res = solve_density(TIMES, nu, tau)
         assert res.ok
         assert verify_density(TIMES, res.density, nu, tau)
-        assert res.density.support == localize(tau, ideal)
+        L = localize(tau, ideal)
+        verify_localization(tau, ideal, L)
+        assert res.density.support == L
 
 
 def test_nguyen_measure_examples():
@@ -181,6 +187,7 @@ def test_nguyen_measure_examples():
     tau = MaxMeasure(sp, {"a": 1, "b": 2, "c": 3})
     ideal = SigmaIdeal(sp, sp.subset(["a"]))
     nu = nguyen_measure(tau, ideal)
+    verify_nguyen_measure(tau, ideal, nu)
     assert nu == MaxMeasure(sp, {"a": 0, "b": 2, "c": 3})
     assert nu(sp.subset(["a", "b"])) == ExtNonneg(2)
     assert nguyen_measure(tau, SigmaIdeal.full(sp)) == MaxMeasure.constant(sp, ZERO)
@@ -194,6 +201,7 @@ def test_nguyen_properties_randomized():
         tau = rand_measure(rng, sp, allow_inf=True)
         ideal = SigmaIdeal(sp, rng.choice(list(sp.subsets())))
         nu = nguyen_measure(tau, ideal)
+        verify_nguyen_measure(tau, ideal, nu)
         assert check_maxitive(nu.table())
         assert all(nv <= tv for nv, tv in zip(nu.masses, tau.masses))
         for I in ideal.members():
@@ -330,14 +338,14 @@ def test_additive_measure_sum_with_infinity():
     assert m(sp.subset(["b"])) == ExtNonneg(2)
 
 
-def test_build_quotient_keeps_the_completeness_verdict():
-    small = build_quotient(delta_sharp(Space(list("abc"))))
-    assert small.verified_complete is True
+def test_the_completeness_check_runs_up_to_the_enumeration_cap():
+    # build_quotient checks nothing; whether the check runs is the CLI's
+    # --max-n (tests/golden/quotient-measures-max-n0.json)
+    assert verify_lattice_complete(build_quotient(delta_sharp(Space(list("abc"))))) is True
     eleven = delta_sharp(Space([f"x{i}" for i in range(11)]))
-    assert build_quotient(eleven).verified_complete is True
-    assert build_quotient(eleven, limit=10).verified_complete is None
+    assert verify_lattice_complete(build_quotient(eleven)) is True
     beyond_cap = build_quotient(delta_sharp(Space([f"x{i}" for i in range(21)])))
-    assert beyond_cap.verified_complete is None
+    assert beyond_cap.count == 1 << 21
     with pytest.raises(SizeCapError, match="^21 atoms exceed the cap of 20$"):
         verify_lattice_complete(beyond_cap)
 
@@ -346,7 +354,7 @@ def test_lattice_check_fails_on_a_wrong_support():
     sp = Space(list("abcd"))
     tau = MaxMeasure(sp, {"a": 0, "b": 1, "c": INF, "d": 0})
     lattice = build_quotient(tau)
-    assert lattice.verified_complete is True
+    assert verify_lattice_complete(lattice) is True
     for wrong in (sp.subset(["b"]), sp.subset(["b", "c", "d"]), sp.full, sp.empty):
         lattice.non_null_atoms = wrong
         assert verify_lattice_complete(lattice) is False
@@ -356,7 +364,7 @@ def test_lattice_check_fails_when_support_is_patched(monkeypatch):
     sp = Space(list("abc"))
     tau = MaxMeasure(sp, {"a": 2, "b": 0, "c": 1})
     monkeypatch.setattr(MaxMeasure, "support", property(lambda self: self.space.full))
-    assert build_quotient(tau).verified_complete is False
+    assert verify_lattice_complete(build_quotient(tau)) is False
 
 
 def test_lattice_check_fails_on_a_doctored_table(monkeypatch):
@@ -371,9 +379,9 @@ def test_lattice_check_fails_on_a_doctored_table(monkeypatch):
             ranks[mask] = 0 if ranks[mask] else 1
             return SetFunctionTable.from_ranks(self.space, table.universe, bytes(ranks))
         monkeypatch.setattr(MaxMeasure, "table", doctored)
-        assert build_quotient(tau).verified_complete is False
+        assert verify_lattice_complete(build_quotient(tau)) is False
     monkeypatch.setattr(MaxMeasure, "table", honest)
-    assert build_quotient(tau).verified_complete is True
+    assert verify_lattice_complete(build_quotient(tau)) is True
 
 
 def test_quotient_joins_and_meets_are_least_and_greatest_bounds():

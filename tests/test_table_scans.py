@@ -1,11 +1,11 @@
 """The table scans of the σ-ideal checks against their per-subset forms.
 
-``nguyen_measure``'s validation, the ``localize`` minimality scan, the
-``variation`` command's null-set comparison and
-``is_abs_continuous(cross_check=True)`` read byte rank tables instead of
+``verify_nguyen_measure``, ``verify_localization``, ``same_null_sets``
+(the ``variation`` command's null-set comparison) and
+``is_abs_continuous_exhaustive`` read byte rank tables instead of
 evaluating measures subset by subset.  These tests hold each scan to
 the per-subset loop it replaced and show that each one still rejects a
-wrong answer.
+wrong answer, passed to it straight.
 """
 
 import json
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxitive.cli as cli_module
-import maxitive.quotient as quotient_module
 from maxitive import (
     INF,
     ZERO,
@@ -33,10 +32,14 @@ from maxitive import (
     achievable_set,
     disjoint_variation,
     is_abs_continuous,
+    is_abs_continuous_exhaustive,
     localize,
     measure_eval,
     nguyen_bruteforce,
     nguyen_measure,
+    same_null_sets,
+    verify_localization,
+    verify_nguyen_measure,
 )
 from maxitive.specdoc import parse_spec
 
@@ -71,42 +74,49 @@ def test_nguyen_scan_refuses_exactly_the_closed_forms_enumeration_refutes(inst, 
     tau, ideal = inst
     nu = nguyen_measure(tau, ideal)
     assert all(nu(B) == nguyen_bruteforce(tau, ideal, B) for B in tau.space.subsets())
+    verify_nguyen_measure(tau, ideal, nu)
     atom = data.draw(st.integers(0, tau.space.n - 1))
     value = data.draw(st.sampled_from(MASSES + [ExtNonneg(3)]))  # 3: a value τ never takes
     wrong = doctored(nu, atom, value)
     refuted = any(wrong(B) != nguyen_bruteforce(tau, ideal, B) for B in tau.space.subsets())
-    with pytest.MonkeyPatch.context() as mp:
-        # nguyen_measure builds its closed form through this name
-        mp.setattr(quotient_module, "MaxMeasure", lambda space, masses: wrong)
-        try:
-            nguyen_measure(tau, ideal)
-        except AssertionError:
-            refused = True
-        else:
-            refused = False
+    try:
+        verify_nguyen_measure(tau, ideal, wrong)
+    except AssertionError:
+        refused = True
+    else:
+        refused = False
     assert refused == refuted
 
 
-def test_wrong_nguyen_closed_form_is_refused(monkeypatch):
+def test_wrong_nguyen_closed_form_is_refused():
     space = Space(["a", "b", "c"])
     tau = MaxMeasure(space, ["2", "0", "inf"])
     ideal = SigmaIdeal(space, space.subset(["a"]))
     # τ itself, with the ideal's mass not removed
-    monkeypatch.setattr(quotient_module, "MaxMeasure", lambda space, masses: tau)
     with pytest.raises(AssertionError, match=r"at \{a\}"):
-        nguyen_measure(tau, ideal)
+        verify_nguyen_measure(tau, ideal, tau)
 
 
-def test_nguyen_validates_by_default_within_the_cap(monkeypatch):
-    space = Space([f"x{i}" for i in range(10)])
-    tau = MaxMeasure(space, ["2", "0", "inf", "1", "3", "1/2", "0", "5", "2", "7"])
-    ideal = SigmaIdeal(space, space.subset(["x0", "x3"]))
-    assert nguyen_measure(tau, ideal).masses == nguyen_measure(tau, ideal, limit=0).masses
+def test_ideal_measures_verifies_the_nguyen_measure_within_max_n(monkeypatch, tmp_path, capsys):
+    atoms = [f"x{i}" for i in range(10)]
+    masses = ["2", "0", "inf", "1", "3", "1/2", "0", "5", "2", "7"]
+    source = {"space": {"atoms": atoms}, "measures": {"tau": dict(zip(atoms, masses))},
+              "ideals": {"I": [["x0"], ["x3"]]}}
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps(source))
+    argv = ["ideal-measures", "--space-file", str(path), "--tau", "tau", "--ideal", "I",
+            "--json-out", "-"]
+    assert cli_module.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["body"]["nguyen_maxitive"] is True
     # τ itself, with the ideal's mass not removed
-    monkeypatch.setattr(quotient_module, "MaxMeasure", lambda space, masses: tau)
+    monkeypatch.setattr(cli_module, "nguyen_measure", lambda tau, ideal: tau)
     with pytest.raises(AssertionError, match=r"at \{x0\}"):
-        nguyen_measure(tau, ideal)
-    nguyen_measure(tau, ideal, limit=9)  # past the caller's cap it is not validated
+        cli_module.main(argv + ["--max-n", "10"])
+    capsys.readouterr()
+    assert cli_module.main(argv + ["--max-n", "9"]) == 0  # past --max-n it is not verified
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["nguyen_threshold"] == dict(zip(atoms, masses))
+    assert "nguyen_maxitive" not in body
 
 
 # -- localize --------------------------------------------------------------------
@@ -125,7 +135,24 @@ def test_localize_scan_equals_the_literal_loop(inst):
     tau, ideal = inst
     L = localize(tau, ideal)
     assert L == ideal.top & tau.support
+    verify_localization(tau, ideal, L)
     assert first_non_minimal(lambda B: measure_eval(tau, B), tau.space, ideal.top, L) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal_instances(), st.data())
+def test_localization_scan_names_the_literal_loops_first_failure(inst, data):
+    # any L, also one that is not inside the top: the scan then reads the
+    # subsets of top ∪ L
+    tau, ideal = inst
+    L = SubsetB(tau.space, data.draw(st.integers(0, (1 << tau.space.n) - 1)))
+    witness = first_non_minimal(lambda B: measure_eval(tau, B), tau.space, ideal.top, L)
+    try:
+        verify_localization(tau, ideal, L)
+    except AssertionError as exc:
+        assert witness is not None and str(exc).endswith(repr(witness))
+    else:
+        assert witness is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -143,7 +170,7 @@ def test_localize_scan_reads_the_table_as_the_literal_loop_does(inst, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MaxMeasure, "table", lambda self: table)
         try:
-            localize(tau, ideal)
+            verify_localization(tau, ideal, L)
         except AssertionError as exc:
             assert witness is not None and str(exc).endswith(repr(witness))
         else:
@@ -166,6 +193,8 @@ def test_null_tables_equal_the_per_subset_zero_tests(inst, data):
         for B in tau.space.subsets():
             assert (nulls[B.mask] == 0) == additive(B).is_zero
             assert (tau_ranks[B.mask] == 0) == measure_eval(tau, B).is_zero
+        assert same_null_sets(tau, additive) == all(
+            additive(B).is_zero == measure_eval(tau, B).is_zero for B in tau.space.subsets())
 
 
 def test_variation_flags_a_doctored_additive_mass(monkeypatch, tmp_path, capsys):
@@ -199,8 +228,8 @@ def per_subset_abs_continuous(pm, nu, tau):
 
 
 def test_abs_continuity_scan_equals_the_per_subset_loop():
-    # cross_check raises unless the table scan equals the atom-wise
-    # verdict, which must in turn equal the per-subset loop
+    # the table scan equals the atom-wise verdict, which must in turn
+    # equal the per-subset loop
     rng = random.Random(21)
     pools = {"times": MASSES, "min": MASSES, "chain": list(CHAIN.carrier)}
     for kind, pm in OPS.items():
@@ -211,7 +240,8 @@ def test_abs_continuity_scan_equals_the_per_subset_loop():
             space = Space([f"x{i}" for i in range(n)])
             nu = MaxMeasure(space, [rng.choice(pools[kind]) for _ in range(n)])
             tau = MaxMeasure(space, [rng.choice(pools[kind]) for _ in range(n)])
-            verdict = is_abs_continuous(pm, nu, tau, cross_check=True)
+            verdict = is_abs_continuous(pm, nu, tau)
+            assert is_abs_continuous_exhaustive(pm, nu, tau) == verdict
             assert verdict == per_subset_abs_continuous(pm, nu, tau)
             verdicts.add(verdict)
             spots += any(not pm.is_odot_finite(v) for v in tau.masses)
@@ -223,8 +253,8 @@ def test_abs_continuity_cross_check_refuses_a_scan_that_disagrees(monkeypatch):
     space = Space(["a", "b"])
     nu = MaxMeasure(space, ["0", "1"])
     tau = MaxMeasure(space, ["0", "1"])
-    assert is_abs_continuous(OPS["times"], nu, tau, cross_check=True)
+    assert is_abs_continuous_exhaustive(OPS["times"], nu, tau)
     # the scan now reads a ν with mass on the τ-null atom
     monkeypatch.setattr(nu, "table", MaxMeasure(space, ["1", "1"]).table)
-    with pytest.raises(AssertionError, match="disagrees with the exhaustive scan"):
-        is_abs_continuous(OPS["times"], nu, tau, cross_check=True)
+    assert is_abs_continuous(OPS["times"], nu, tau)
+    assert not is_abs_continuous_exhaustive(OPS["times"], nu, tau)
