@@ -13,6 +13,7 @@ machinery (σ-ideals, localization, disjoint variation, CCC).
 
 from .errors import (
     CarrierDomainError,
+    CrossCheckError,
     DegenerateOperationError,
     MaxitiveError,
     OracleMismatchError,

@@ -24,7 +24,8 @@ measures; variation, same_null_sets.  diagnose gates none.
 Exit codes: 0 computed (a negative mathematical verdict such as "no
 density" is still a computation), 2 invalid input, 3 size cap exceeded,
 4 negative verdict when --fatal-verdicts is set, 1 unexpected internal
-failure (including a failing gallery self-assertion).
+failure (including a failing gallery self-assertion and a
+CrossCheckError from a cross-check, each one "error:" line on stderr).
 """
 
 from __future__ import annotations

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import gt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bytetable import max_rank_table
-from .errors import DegenerateOperationError, PreconditionError, UnresolvedInfimumError
+from .errors import (
+    CrossCheckError,
+    DegenerateOperationError,
+    PreconditionError,
+    UnresolvedInfimumError,
+)
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .integral import pushforward_measure, threshold_sweep
 from .measure import (
@@ -113,8 +117,7 @@ class FailureReason(enum.Enum):
     UNRESOLVED_NUMERIC = "numeric solve did not resolve"
 
 
-@dataclass(frozen=True)
-class AtomFailure:
+class AtomFailure(NamedTuple):
     atom: str
     target: ExtNonneg
     tau_mass: ExtNonneg
@@ -130,8 +133,7 @@ class AtomFailure:
                 f"({self.reason.value}{extra})")
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(NamedTuple):
     density: Optional[MeasurableFn]
     failures: tuple = ()
 
@@ -251,8 +253,8 @@ def finitize_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure,
         raise PreconditionError("finitize_density: ν is not semi-⊙-finite")
     c1 = MeasurableFn(c.space, [v if pm.is_odot_finite(v) else ZERO for v in c.values])
     if not is_density(c1):
-        raise AssertionError("finitized density failed to verify; this cannot happen "
-                             "for a semi-⊙-finite ν")
+        raise CrossCheckError("finitized density failed to verify; this cannot happen "
+                              "for a semi-⊙-finite ν")
     return c1
 
 
@@ -260,8 +262,7 @@ def finitize_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure,
 # Diagnosis of the Radon-Nikodym property
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TotalVsPhi:
+class TotalVsPhi(NamedTuple):
     """Verdict of the necessary condition τ(E) ≤ φ."""
 
     total: ExtNonneg
@@ -276,8 +277,7 @@ class TotalVsPhi:
         return f"τ(E) = {self.total} {rel} φ = {self.phi} (total is {fin})"
 
 
-@dataclass(frozen=True)
-class RNDiagnosis:
+class RNDiagnosis(NamedTuple):
     """Whether every measure ⊙-dominated by τ has a density w.r.t. τ."""
 
     sigma_odot_finite: bool

@@ -52,6 +52,16 @@ class OracleMismatchError(MaxitiveError):
     """The grid oracle disagrees with the closed-form integral beyond tolerance."""
 
 
+class CrossCheckError(MaxitiveError, AssertionError):
+    """A cross-check found the library disagreeing with itself.
+
+    The message says what disagreed and names the first failing subset
+    where a subset is at fault.  The CLI reports it as one line on stderr
+    with exit 1; it stays an AssertionError, since a failed cross-check
+    is a failed assertion about the library.
+    """
+
+
 class SpecIssue:
     """One located problem in a spec document."""
 

@@ -7,7 +7,6 @@ report always comes back and the caller decides how hard to fail.
 
 from __future__ import annotations
 
-import inspect
 import random
 from typing import Optional
 
@@ -353,7 +352,8 @@ def run_gallery(name: str, seed: Optional[int] = None,
     scenario = GALLERY[name]
     given = {key: value for key, value in (("seed", seed), ("trials", trials))
              if value is not None}
-    takes = inspect.signature(scenario).parameters
+    code = scenario.__code__
+    takes = code.co_varnames[:code.co_argcount]
     for key in given:
         if key not in takes:
             raise ValueError(f"scenario {name!r} takes no {key}")

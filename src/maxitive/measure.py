@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bytetable import max_rank_table
 from .extreal import ONE, ZERO, ExtNonneg, as_extnn, ext_max
@@ -417,8 +416,7 @@ def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SpotReport:
+class SpotReport(NamedTuple):
     """⊙-spots of a measure: sets of ⊙-infinite measure whose subsets all
     have measure zero or ⊙-infinite.
 

@@ -33,9 +33,8 @@ import enum
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CarrierDomainError, UnresolvedInfimumError
 from .extreal import INF, ONE, ZERO, ExtNonneg, as_extnn, ext_ratio
@@ -65,8 +64,7 @@ class FrontierShape(enum.Enum):
     HALF_OPEN = "half-open"            # F = [0, φ)
 
 
-@dataclass(frozen=True)
-class FinitenessProfile:
+class FinitenessProfile(NamedTuple):
     """Classification of F_⊙ for one pseudo-multiplication.
 
     ``phi`` is sup F_⊙.  ``finite_elements`` is the explicit finite set
@@ -82,8 +80,7 @@ class FinitenessProfile:
     approximate: bool = False
 
 
-@dataclass(frozen=True)
-class AchievableSet:
+class AchievableSet(NamedTuple):
     """The image { c ⊙ t : c ∈ [0, ∞] } for a fixed t.
 
     For a continuous ⊙ this is {0} ∪ [O(t), ∞ ⊙ t]; whether the lower
@@ -768,8 +765,7 @@ class CustomContinuous(PseudoMul):
 OPERATION_FAULTS = (ValueError, TypeError, ArithmeticError)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     name: str
     passed: bool
     witness: Optional[tuple] = None
@@ -785,8 +781,7 @@ class AxiomCheck:
         return f"{mark:4} {self.name}{extra}"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     operation: str
     degenerate: bool
     checks: tuple

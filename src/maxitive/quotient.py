@@ -25,10 +25,10 @@ null sets compare whole tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from .bytetable import NONZERO, max_rank_table, subset_min
+from .errors import CrossCheckError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, _AtomMap, measure_eval
 from .spaces import PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
@@ -59,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuotientClass:
+class QuotientClass(NamedTuple):
     """An equivalence class modulo τ-null sets, canonically represented."""
 
     measure: MaxMeasure
@@ -148,21 +147,22 @@ def verify_lattice_complete(lattice: QuotientLattice) -> bool:
 def localize(tau: MaxMeasure, ideal: SigmaIdeal) -> SubsetB:
     """The canonical set localizing a σ-ideal: its top with null atoms stripped.
 
-    Asserts that every member leaves L only by a negligible remainder:
-    τ(top ∖ L) = 0.  verify_localization checks that L is minimal.
+    Checks that every member leaves L only by a negligible remainder,
+    τ(top ∖ L) = 0, and raises CrossCheckError if not.
+    verify_localization checks that L is minimal.
     """
     _same_space(tau.space, ideal.space)
     L = ideal.top & tau.support
     if not measure_eval(tau, ideal.top - L).is_zero:
-        raise AssertionError("localization failed: some member leaves L non-negligibly")
+        raise CrossCheckError("localization failed: some member leaves L non-negligibly")
     return L
 
 
 def verify_localization(tau: MaxMeasure, ideal: SigmaIdeal, L: SubsetB) -> None:
     """Assert that L is minimal among sets absorbing the ideal modulo null sets.
 
-    For every B, τ(top ∖ B) = 0 must imply τ(L ∖ B) = 0; an
-    AssertionError names the first B that fails.  Both sides depend on B
+    For every B, τ(top ∖ B) = 0 must imply τ(L ∖ B) = 0; a
+    CrossCheckError names the first B that fails.  Both sides depend on B
     only through B ∩ (top ∪ L), so the scan reads τ's table at the
     subsets of top ∪ L, ascending: the first B that fails among all 2^n
     is one of them.
@@ -173,7 +173,7 @@ def verify_localization(tau: MaxMeasure, ideal: SigmaIdeal, L: SubsetB) -> None:
     top, local = ideal.top.mask, L.mask
     for b in submasks(top | local):
         if not ranks[top & ~b] and ranks[local & ~b]:
-            raise AssertionError(f"localization not minimal against {SubsetB(tau.space, b)!r}")
+            raise CrossCheckError(f"localization not minimal against {SubsetB(tau.space, b)!r}")
 
 
 def ideal_restriction_measure(tau: MaxMeasure, ideal: SigmaIdeal) -> MaxMeasure:
@@ -203,8 +203,8 @@ def verify_nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal, nu: MaxMeasure) ->
 
     The least τ(B ∖ I) over every I ⊆ B ∩ top, for every B at once, is
     the subset-min transform of τ's rank table over the top's bits
-    (subset_min); those minima are compared with ν's table, and an
-    AssertionError names the first B that differs.  nguyen_bruteforce
+    (subset_min); those minima are compared with ν's table, and a
+    CrossCheckError names the first B that differs.  nguyen_bruteforce
     is the per-subset form.
     """
     _same_space(tau.space, ideal.space)
@@ -219,8 +219,8 @@ def verify_nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal, nu: MaxMeasure) ->
     least = subset_min(tau_table.ranks, ideal.top.mask)  # the 𝒥_t minimum, as ranks
     if got != least:
         b = next(b for b in range(len(got)) if got[b] != least[b])
-        raise AssertionError("Nguyen closed form disagrees with 𝒥_t enumeration "
-                             f"at {SubsetB(tau.space, b)!r}")
+        raise CrossCheckError("Nguyen closed form disagrees with 𝒥_t enumeration "
+                              f"at {SubsetB(tau.space, b)!r}")
 
 
 def nguyen_bruteforce(tau: MaxMeasure, ideal: SigmaIdeal, B: SubsetB) -> ExtNonneg:
@@ -320,8 +320,7 @@ def disjoint_variation_bruteforce(tau: MaxMeasure, B: SubsetB) -> ExtNonneg:
 # Countable chain condition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CCCWitness:
+class CCCWitness(NamedTuple):
     """Either the trivial finite-space certificate or an intensional family.
 
     An intensional family describes (without constructing) a family of
@@ -347,8 +346,7 @@ class CCCWitness:
         return cls("intensional-family", description, cardinality, as_extnn(member_mass))
 
 
-@dataclass(frozen=True)
-class CCCVerdict:
+class CCCVerdict(NamedTuple):
     satisfied: bool
     certificate: CCCWitness
     conditions: tuple  # pairs (name, verdict) for the four equivalent conditions

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .extreal import ExtNonneg
 from .measure import _AtomMap
@@ -33,8 +31,8 @@ def jsonable(value: Any) -> Any:
                 "lower_attained": value.lower_attained,
                 "explicit": (sorted(str(v) for v in value.explicit_values)
                              if value.explicit_values is not None else None)}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):  # a record, not a list
+        return {name: jsonable(v) for name, v in zip(value._fields, value)}
     if isinstance(value, (frozenset, set)):
         return sorted(jsonable(v) for v in value)
     if isinstance(value, (list, tuple)):
@@ -76,8 +74,7 @@ def render_scalar(v: Any) -> str:
     return str(v)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """One command's outcome; body holds only plain JSON types."""
 
     command: str

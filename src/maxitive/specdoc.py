@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import SpecIssue, SpecValidationError
@@ -44,13 +43,23 @@ from .spaces import CHAIN_CARRIER_CAP, NUMBER_DIGITS_CAP, Space, check_fixed_cap
 __all__ = ["SpecDoc", "parse_spec", "load_spec"]
 
 
-@dataclass
 class SpecDoc:
-    space: Space
-    pseudo_mul: Optional[PseudoMul] = None
-    measures: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)
-    ideals: dict = field(default_factory=dict)
+    """A parsed document: its space, its ⊙ if it names one, and its named
+    measures, functions and ideals (each a dict, fresh per document)."""
+
+    def __init__(self, space: Space, pseudo_mul: Optional[PseudoMul] = None,
+                 measures: Optional[dict] = None, functions: Optional[dict] = None,
+                 ideals: Optional[dict] = None):
+        self.space = space
+        self.pseudo_mul = pseudo_mul
+        self.measures = {} if measures is None else measures
+        self.functions = {} if functions is None else functions
+        self.ideals = {} if ideals is None else ideals
+
+    def __repr__(self):
+        return (f"SpecDoc(space={self.space!r}, pseudo_mul={self.pseudo_mul!r}, "
+                f"measures={self.measures!r}, functions={self.functions!r}, "
+                f"ideals={self.ideals!r})")
 
     def to_jsonable(self) -> dict:
         doc: dict = {"space": {"atoms": list(self.space.atoms)}}
@@ -239,12 +248,14 @@ def _section(data: dict, name: str, issues: list) -> dict:
 
 
 def _reject_duplicates(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ValueError(f"duplicate key {key!r}")
-        seen[key] = value
-    return seen
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # some key repeats: name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def _read_file(path) -> str:

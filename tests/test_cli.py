@@ -894,3 +894,17 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     proc = run_module("diagnose", "--space-file", str(bad), "--tau", "tau")
     assert proc.returncode == 2, proc.stderr
     assert "invalid spec document" in proc.stderr
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Both cost a fresh process set-up time before any work.  -S skips
+    # `site`, whose .pth files may import either module themselves; -I
+    # ignores PYTHONPATH, so the probe puts src on sys.path itself, and
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the probe from writing any.
+    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+             "import maxitive, maxitive.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -17,7 +17,6 @@ maps every check, profile, diagnosis and density along.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -138,9 +137,9 @@ def _moved(diagnosis, space, move_mask):
     if spot is None:
         return diagnosis
     moved = SubsetB(space, move_mask(spot.mask))
-    return replace(diagnosis, spots=SpotReport(moved, moved.labels),
-                   failed_conditions=tuple(c.replace(repr(spot), repr(moved))
-                                           for c in diagnosis.failed_conditions))
+    return diagnosis._replace(spots=SpotReport(moved, moved.labels),
+                              failed_conditions=tuple(c.replace(repr(spot), repr(moved))
+                                                      for c in diagnosis.failed_conditions))
 
 
 def test_relabelling_and_permuting_atoms_permutes_the_density(pm, chain):
@@ -162,7 +161,7 @@ def test_relabelling_and_permuting_atoms_permutes_the_density(pm, chain):
         assert result2.ok == result.ok
         if result.ok:
             assert result2.density.values == tuple(result.density.values[p] for p in perm)
-        failures = sorted((replace(f, atom=label[f.atom]) for f in result.failures),
+        failures = sorted((f._replace(atom=label[f.atom]) for f in result.failures),
                           key=lambda f: sp2.index(f.atom))
         assert list(result2.failures) == failures
         assert verified2 == verified
@@ -296,8 +295,8 @@ def test_doubling_a_small_chains_carrier_maps_every_verdict():
                     diagnosis2.semi_finite, diagnosis2.spots) == (
                 diagnosis.rn_property, diagnosis.sigma_odot_finite,
                 diagnosis.semi_finite, diagnosis.spots)
-            assert diagnosis2.total_vs_phi == replace(
-                diagnosis.total_vs_phi, total=_double(diagnosis.total_vs_phi.total),
+            assert diagnosis2.total_vs_phi == diagnosis.total_vs_phi._replace(
+                total=_double(diagnosis.total_vs_phi.total),
                 phi=_double(diagnosis.total_vs_phi.phi))
             gaps = _gaps(pm, tau, diagnosis)
             gapped += any(g is not None for g in gaps)

@@ -120,10 +120,16 @@ def test_integer_masses_are_bounded_as_number_strings_are():
 
 
 def test_duplicate_keys_detected():
-    text = '{"space": {"atoms": ["a"]}, "measures": {"m": {"a": "1"}}, "measures": {"m": {"a": "2"}}}'
-    with pytest.raises(SpecValidationError) as err:
-        parse_spec(text)
-    assert "duplicate" in str(err.value)
+    for text, key in [
+        ('{"space": {"atoms": ["a"]}, "measures": {"m": {"a": "1"}}, "measures": {"m": {"a": "2"}}}',
+         "measures"),
+        # a repeated atom inside one measure, after a key that does not repeat
+        ('{"space": {"atoms": ["a", "b"]}, "measures": {"tau": {"a": "1", "b": "2", "b": "3"}}}',
+         "b"),
+    ]:
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(text)
+        assert f"duplicate key {key!r}" in str(err.value)
 
 
 def test_error_collection_is_complete():

@@ -10,6 +10,7 @@ wrong answer, passed to it straight.
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -97,25 +98,54 @@ def test_wrong_nguyen_closed_form_is_refused():
         verify_nguyen_measure(tau, ideal, tau)
 
 
-def test_ideal_measures_verifies_the_nguyen_measure_within_max_n(monkeypatch, tmp_path, capsys):
-    atoms = [f"x{i}" for i in range(10)]
-    masses = ["2", "0", "inf", "1", "3", "1/2", "0", "5", "2", "7"]
-    source = {"space": {"atoms": atoms}, "measures": {"tau": dict(zip(atoms, masses))},
+TEN_ATOMS = [f"x{i}" for i in range(10)]
+TEN_MASSES = ["2", "0", "inf", "1", "3", "1/2", "0", "5", "2", "7"]
+
+
+def ideal_measures_argv(tmp_path):
+    """``ideal-measures`` on ten atoms, τ = TEN_MASSES and the ideal {x0, x3}."""
+    source = {"space": {"atoms": TEN_ATOMS},
+              "measures": {"tau": dict(zip(TEN_ATOMS, TEN_MASSES))},
               "ideals": {"I": [["x0"], ["x3"]]}}
     path = tmp_path / "ten.json"
     path.write_text(json.dumps(source))
-    argv = ["ideal-measures", "--space-file", str(path), "--tau", "tau", "--ideal", "I",
+    return ["ideal-measures", "--space-file", str(path), "--tau", "tau", "--ideal", "I",
             "--json-out", "-"]
+
+
+def assert_failed_cross_check(capsys, argv, witness):
+    """The command exits 1 with one stderr line that names the witness."""
+    assert cli_module.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.fullmatch(rf"error: .* {re.escape(witness)}\n", err)
+
+
+def test_ideal_measures_verifies_the_nguyen_measure_within_max_n(monkeypatch, tmp_path, capsys):
+    argv = ideal_measures_argv(tmp_path)
     assert cli_module.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["body"]["nguyen_maxitive"] is True
     # τ itself, with the ideal's mass not removed
     monkeypatch.setattr(cli_module, "nguyen_measure", lambda tau, ideal: tau)
-    with pytest.raises(AssertionError, match=r"at \{x0\}"):
-        cli_module.main(argv + ["--max-n", "10"])
-    capsys.readouterr()
+    assert_failed_cross_check(capsys, argv + ["--max-n", "10"], "at {x0}")
     assert cli_module.main(argv + ["--max-n", "9"]) == 0  # past --max-n it is not verified
     body = json.loads(capsys.readouterr().out)["body"]
-    assert body["nguyen_threshold"] == dict(zip(atoms, masses))
+    assert body["nguyen_threshold"] == dict(zip(TEN_ATOMS, TEN_MASSES))
+    assert "nguyen_maxitive" not in body
+
+
+def test_ideal_measures_verifies_the_localization_within_max_n(monkeypatch, tmp_path, capsys):
+    argv = ideal_measures_argv(tmp_path)
+    assert cli_module.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["body"]["localization"] == ["x0", "x3"]
+    # the localization with x4 added, which no member of the ideal needs
+    monkeypatch.setattr(cli_module, "localize",
+                        lambda tau, ideal: ideal.top | tau.space.subset(["x4"]))
+    assert_failed_cross_check(capsys, argv + ["--max-n", "10"], "against {x0, x3}")
+    assert cli_module.main(argv + ["--max-n", "9"]) == 0  # past --max-n it is not verified
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["localization"] == ["x0", "x3", "x4"]
     assert "nguyen_maxitive" not in body
 
 
