@@ -76,10 +76,6 @@ EXIT_SIZE_CAP = 3
 EXIT_NEGATIVE = 4
 
 
-class _CliError(Exception):
-    """Invalid input that a handler finds: exit 2."""
-
-
 def _maybe_doc(args) -> Optional[SpecDoc]:
     """The --space-file document, if one is given."""
     return load_spec(args.space_file) if args.space_file else None
@@ -88,7 +84,7 @@ def _maybe_doc(args) -> Optional[SpecDoc]:
 def _load_doc(args) -> SpecDoc:
     doc = _maybe_doc(args)
     if doc is None:
-        raise _CliError("this command needs --space-file")
+        raise ValueError("this command needs --space-file")
     return doc
 
 
@@ -97,7 +93,7 @@ def _resolve_pm(args, doc: Optional[SpecDoc]) -> PseudoMul:
     if args.op in NAMED_OPERATIONS:
         return NAMED_OPERATIONS[args.op]()
     if args.op == "chain" and (own is None or own.kind != "chain"):
-        raise _CliError("--op chain needs a chain pseudo_mul in the spec document")
+        raise ValueError("--op chain needs a chain pseudo_mul in the spec document")
     return own if own is not None else NAMED_OPERATIONS["times"]()
 
 
@@ -120,20 +116,16 @@ def _named(kind: str, table: dict, name: Optional[str]):
     if name is None:
         if len(table) == 1:
             return next(iter(table.values()))
-        raise _CliError(f"--{kind} is required (document has {len(table)} {kind}s)")
+        raise ValueError(f"--{kind} is required (document has {len(table)} {kind}s)")
     if name not in table:
-        raise _CliError(f"unknown {kind} {name!r}; document has: {', '.join(sorted(table)) or 'none'}")
+        raise ValueError(f"unknown {kind} {name!r}; document has: {', '.join(sorted(table)) or 'none'}")
     return table[name]
 
 
 def _parse_subset(doc: SpecDoc, text: Optional[str]) -> SubsetB:
     if text is None:
         return doc.space.full
-    labels = [a for a in text.split(",") if a]
-    try:
-        return doc.space.subset(labels)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    return doc.space.subset(a for a in text.split(",") if a)
 
 
 def _resolve_ideal(doc: SpecDoc, text: str) -> SigmaIdeal:
@@ -277,7 +269,7 @@ def _cmd_gallery(args) -> Report:
     try:
         return run_gallery(args.scenario, seed=args.seed, trials=args.trials)
     except KeyError as exc:
-        raise _CliError(str(exc.args[0]))
+        raise ValueError(str(exc.args[0]))
 
 
 _HANDLERS = {
@@ -404,8 +396,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"size cap exceeded: {exc}; this cap is fixed; no flag raises it", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (_CliError, CarrierDomainError, DegenerateOperationError, SpaceMismatchError,
-            ValueError) as exc:
+    except (CarrierDomainError, DegenerateOperationError, SpaceMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MaxitiveError as exc:

@@ -40,7 +40,7 @@ from .measure import (
     is_semi_odot_finite,
 )
 from .pseudomul import OPERATION_FAULTS, AchievableSet, FrontierShape, PseudoMul
-from .spaces import CROSS_CHECK_CAP, _same_space, check_fixed_cap
+from .spaces import _same_space
 
 __all__ = [
     "AchievableSet",
@@ -90,12 +90,11 @@ def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> bool:
 def is_abs_continuous_exhaustive(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> bool:
     """is_abs_continuous's verdict from every subset, on the rank tables of ν and τ.
 
-    A cross-check of the atom-wise verdict: past CROSS_CHECK_CAP atoms
-    it refuses before any ⊙ call.
+    A cross-check of the atom-wise verdict: past the enumeration cap it
+    refuses, in ν's table, before any ⊙ call.
     """
     _require_non_degenerate(pm, "is_abs_continuous_exhaustive")
     _same_space(nu.space, tau.space)
-    check_fixed_cap(nu.space.n, CROSS_CHECK_CAP, "atoms")
     nu_table = nu.table()
     tau_table = tau.table()
     # per τ value: the highest rank of ν allowed where τ takes it

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .bytetable import max_rank_table
 from .extreal import ONE, ZERO, ExtNonneg, as_extnn, ext_max
@@ -264,11 +264,9 @@ class SigmaIdeal:
     def contains(self, B: SubsetB) -> bool:
         return B.issubset(self.top)
 
-    def members(self):
+    def members(self) -> Iterator[SubsetB]:
         """All member sets (the powerset of the top set)."""
-        check_enum_cap(len(self.top))
-        for mask in submasks(self.top.mask):
-            yield SubsetB(self.space, mask)
+        return self.top.subsets()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SigmaIdeal)

@@ -20,7 +20,7 @@ same_null_sets.  They read τ's byte rank table (``bytetable``), where
 rank 0 is the value 0: the 𝒥_t infimum for every subset at once is a
 subset-min transform over the ideal's top, the localization's
 minimality scan reads the subsets of the top, and the quotient and the
-null sets compare whole tables.
+null sets share one compare of whole tables (_null_sets_are).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import CrossCheckError
 from .extreal import ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, SigmaIdeal, _AtomMap, measure_eval
 from .spaces import PARTITION_ORACLE_CAP, SIGMA_IDEAL_ENUM_CAP
-from .spaces import SubsetB, _same_space, check_enum_cap, check_fixed_cap, submasks
+from .spaces import SubsetB, _same_space, check_fixed_cap, submasks
 
 __all__ = [
     "QuotientClass",
@@ -110,9 +110,7 @@ class QuotientLattice:
                 and cls.representative.issubset(self.non_null_atoms))
 
     def classes(self) -> Iterator[QuotientClass]:
-        check_enum_cap(self.k)
-        for mask in submasks(self.non_null_atoms.mask):
-            yield QuotientClass(self.tau, SubsetB(self.tau.space, mask))
+        return (QuotientClass(self.tau, B) for B in self.non_null_atoms.subsets())
 
     def join(self, a: QuotientClass, b: QuotientClass) -> QuotientClass:
         return QuotientClass(self.tau, a.representative | b.representative)
@@ -129,19 +127,26 @@ def build_quotient(tau: MaxMeasure) -> QuotientLattice:
     return QuotientLattice(tau)
 
 
+def _null_sets_are(tau: MaxMeasure, flags: list) -> bool:
+    """Whether τ(B) = 0 exactly when B holds no atom flagged 1, on all 2^n B.
+
+    τ's rank 0 is the value 0, and the max over B of a 0/1 flag per atom
+    (max_rank_table) is 0 exactly when B holds no flagged atom, so this
+    is one compare of two byte tables, refused past the enumeration cap.
+    """
+    return tau.table().ranks.translate(NONZERO) == max_rank_table(flags)
+
+
 def verify_lattice_complete(lattice: QuotientLattice) -> bool:
     """Verify that the quotient is the powerset lattice of the non-null atoms.
 
     The class of B is B ∩ support, so the classes modulo τ-null sets
     correspond to the subsets of the support exactly when τ(B) = 0 ⇔
-    B ∩ support = ∅ for every B; that powerset lattice is complete.  On
-    τ's byte table rank 0 is the value 0, so this is one byte per subset
-    against the table of the support's atom flags, over all 2^n subsets
-    up to the enumeration cap (SizeCapError past it).
+    B ∩ support = ∅ for every B; that powerset lattice is complete.  The
+    flags are the support's bits (_null_sets_are).
     """
     support = lattice.non_null_atoms.mask
-    non_null = lattice.tau.table().ranks.translate(NONZERO)
-    return non_null == max_rank_table([support >> i & 1 for i in range(lattice.tau.space.n)])
+    return _null_sets_are(lattice.tau, [support >> i & 1 for i in range(lattice.tau.space.n)])
 
 
 def localize(tau: MaxMeasure, ideal: SigmaIdeal) -> SubsetB:
@@ -259,15 +264,6 @@ class AdditiveMeasure(_AtomMap):
             mask ^= low
         return total
 
-    def null_table(self) -> bytes:
-        """One byte per subset: 0 where the sum over B is 0, 1 elsewhere.
-
-        A sum of masses in [0, ∞] is 0 exactly when every mass in B is
-        0, so the entry is the max over B of a 0/1 flag per atom.
-        """
-        check_enum_cap(self.space.n)
-        return max_rank_table([0 if v.is_zero else 1 for v in self._values])
-
 
 def disjoint_variation(tau: MaxMeasure) -> AdditiveMeasure:
     """The least σ-additive measure dominating τ.
@@ -283,11 +279,11 @@ def disjoint_variation(tau: MaxMeasure) -> AdditiveMeasure:
 def same_null_sets(tau: MaxMeasure, m: AdditiveMeasure) -> bool:
     """Whether τ and m vanish on the same subsets, compared on all 2^n.
 
-    τ's rank 0 is the value 0, so both tables are 0 exactly on the null
-    sets.
+    A sum of masses in [0, ∞] is 0 exactly when every mass in B is 0, so
+    the flags are m's nonzero masses (_null_sets_are).
     """
     _same_space(tau.space, m.space)
-    return m.null_table() == tau.table().ranks.translate(NONZERO)
+    return _null_sets_are(tau, [0 if v.is_zero else 1 for v in m.masses])
 
 
 def set_partitions(items: List) -> Iterator[List[List]]:

@@ -7,8 +7,9 @@ each library function is a closed form or a cross-check, and none
 decides whether to check itself.  The static guards keep it so:
 ENUM_CAP is read only in spaces.py, no other function has a ``limit``
 or ``cross_check`` parameter, within_cap is called only in cli.py,
-cli.py reads nothing from bytetable, and SizeCapError takes only its
-message.
+check_enum_cap only by the three enumerators (SubsetB.subsets,
+MaxMeasure.table and threshold_sweep), cli.py reads nothing from
+bytetable, and SizeCapError takes only its message.
 """
 
 import ast
@@ -22,18 +23,22 @@ from maxitive import (
     DiscreteChain,
     ExtNonneg,
     MaxMeasure,
+    QuotientClass,
+    SigmaIdeal,
     Space,
     build_quotient,
     check_maxitive_bruteforce,
+    disjoint_variation,
     disjoint_variation_bruteforce,
     enumerate_quotient_sigma_ideals,
     is_abs_continuous_exhaustive,
+    same_null_sets,
     semi_odot_finite_bruteforce,
+    verify_lattice_complete,
 )
 from maxitive.errors import SizeCapError
 from maxitive.spaces import (
     CHAIN_CARRIER_CAP,
-    CROSS_CHECK_CAP,
     ENUM_CAP,
     MAXITIVE_ORACLE_CAP,
     PARTITION_ORACLE_CAP,
@@ -68,16 +73,16 @@ def test_check_fixed_cap_refuses_exactly_past_the_cap():
             check_enum_cap(size)
 
 
+def constant(n):
+    return MaxMeasure.constant(Space([f"x{i}" for i in range(n)]), ONE)
+
+
 def test_each_oracle_refuses_one_atom_past_its_cap():
     # each brute-force oracle checks its own fixed cap, before any ⊙ call
-    def constant(n):
-        return MaxMeasure.constant(Space([f"x{i}" for i in range(n)]), ONE)
-
     pm = CountingTimes()
     refusals = [
         (SEMI_FINITE_ORACLE_CAP, lambda mu: semi_odot_finite_bruteforce(pm, mu)),
         (MAXITIVE_ORACLE_CAP, lambda mu: check_maxitive_bruteforce(mu.table())),
-        (CROSS_CHECK_CAP, lambda mu: is_abs_continuous_exhaustive(pm, mu, mu)),
         (PARTITION_ORACLE_CAP, lambda mu: disjoint_variation_bruteforce(mu, mu.space.full)),
     ]
     for cap, oracle in refusals:
@@ -85,10 +90,34 @@ def test_each_oracle_refuses_one_atom_past_its_cap():
             oracle(constant(cap + 1))
     assert pm.calls == 0
     at_cap = [oracle(constant(cap)) for cap, oracle in refusals]
-    assert at_cap == [True, True, True, ExtNonneg(PARTITION_ORACLE_CAP)]
+    assert at_cap == [True, True, ExtNonneg(PARTITION_ORACLE_CAP)]
     tau = constant(SIGMA_IDEAL_ENUM_CAP + 1)
     with pytest.raises(SizeCapError, match="^6 non-null atoms exceed the cap of 5$"):
         enumerate_quotient_sigma_ideals(build_quotient(tau))
+
+
+def test_whole_powerset_checks_refuse_only_past_the_enumeration_cap():
+    # no whole-powerset check has a cap of its own: each refuses at ENUM_CAP,
+    # the exhaustive ⊙ check before any ⊙ call, and runs at ENUM_CAP itself
+    pm = CountingTimes()
+    checks = [
+        lambda mu: is_abs_continuous_exhaustive(pm, mu, mu),
+        lambda mu: verify_lattice_complete(build_quotient(mu)),
+        lambda mu: same_null_sets(mu, disjoint_variation(mu)),
+    ]
+    enumerators = [
+        lambda mu: mu.space.subsets(),
+        lambda mu: SigmaIdeal.full(mu.space).members(),
+        lambda mu: build_quotient(mu).classes(),
+    ]
+    beyond, at_cap = constant(ENUM_CAP + 1), constant(ENUM_CAP)
+    for call in checks + [lambda mu: next(e(mu)) for e in enumerators]:
+        with pytest.raises(SizeCapError, match="^21 atoms exceed the cap of 20$"):
+            call(beyond)
+    assert pm.calls == 0
+    assert [check(at_cap) for check in checks] == [True, True, True]
+    empty = at_cap.space.empty
+    assert [next(e(at_cap)) for e in enumerators] == [empty, empty, QuotientClass(at_cap, empty)]
 
 
 class UnreadTable:
@@ -185,6 +214,23 @@ def test_only_the_cli_gates_a_cross_check():
     assert {name: found for name, found in calls.items() if found} == {}
 
 
+def enclosing_callers(path: Path, name: str) -> list:
+    """The name of each function in ``path`` whose body calls ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(isinstance(call, ast.Call) and name in _names(call.func)
+                          for call in ast.walk(node)))
+
+
+def test_three_enumerators_check_the_enumeration_cap():
+    # every other whole-powerset scan reaches the cap through one of them
+    found = sorted((path.name, caller) for path in SRC.glob("*.py")
+                   for caller in enclosing_callers(path, "check_enum_cap"))
+    assert found == [("integral.py", "threshold_sweep"), ("measure.py", "table"),
+                     ("spaces.py", "subsets")]  # SubsetB's, not Space's
+
+
 def bytetable_imports(path: Path) -> list:
     """The line of each import from the bytetable module in ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -208,6 +254,7 @@ def test_cross_check_guards_see_what_they_look_for(tmp_path):
                     "from .bytetable import NONZERO\n", encoding="utf-8")
     assert parameter_owners(path, "cross_check") == ["f"]
     assert callers(path, "within_cap") == [3, 3]
+    assert enclosing_callers(path, "within_cap") == ["f"]
     assert bytetable_imports(path) == [1, 4, 5]
 
 

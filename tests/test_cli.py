@@ -183,6 +183,26 @@ def test_ambiguous_measure_needs_explicit_name(doc_path, capsys):
     assert "--measure is required" in capsys.readouterr().err
 
 
+def test_unknown_atom_in_subset_exit_2(doc_path, capsys):
+    rc = main(["integrate", "--space-file", doc_path, "--measure", "nu",
+               "--function", "f", "--subset", "a,zz"])
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (2, "", "error: unknown atom 'zz'\n")
+
+
+def test_integrate_takes_the_only_measure_and_function(tmp_path, capsys):
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({"space": {"atoms": ["a", "b"]},
+                                "measures": {"nu": {"a": "3", "b": "1/2"}},
+                                "functions": {"f": {"a": "1", "b": "2"}}}))
+    assert main(["integrate", "--space-file", str(path)]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["integrate", "--space-file", str(path), "--measure", "nu",
+                 "--function", "f"]) == 0
+    assert implicit == capsys.readouterr().out
+    assert "value: 3" in implicit  # max(1 ⊙ 3, 2 ⊙ 1/2)
+
+
 def test_size_cap_exit_3(tmp_path, capsys, monkeypatch):
     # every data command answers at any n, so the enumeration cap is
     # driven through a handler that enumerates the document's space itself:
@@ -244,6 +264,17 @@ def test_gallery_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "passed: yes" in out
+
+
+def test_gallery_exits_1_when_a_scenario_check_fails(monkeypatch, capsys):
+    def failing():
+        checks = gallery._Checks()
+        checks.add("a check that fails", False)
+        return checks.report("shilkret-counterexample")
+    monkeypatch.setitem(gallery.GALLERY, "shilkret-counterexample", failing)
+    assert main(["gallery", "shilkret-counterexample"]) == 1
+    out = capsys.readouterr()
+    assert "passed: no" in out.out and out.err == ""
 
 
 @pytest.mark.parametrize("scenario", ["sugeno-corollary", "prop33-finitize"])
