@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .spaces import check_enum_cap
+
 __all__ = ["NONZERO", "max_rank_table", "lane_max", "lane_min", "subset_min"]
 
 _IDENTITY = bytes(range(256))
@@ -30,7 +32,9 @@ def max_rank_table(ranks: Sequence[int]) -> bytes:
     below 256).  The table doubles once per atom: the masks whose highest
     atom is i take the entry of the rest of the mask clamped from below
     at ranks[i], by one translate through a slice of one identity table.
+    More than ENUM_CAP ranks are refused before anything is built.
     """
+    check_enum_cap(len(ranks))
     table = b"\0"
     for r in ranks:
         table += table.translate(bytes((r,)) * r + _IDENTITY[r:])  # x ↦ max(x, r)

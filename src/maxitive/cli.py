@@ -11,7 +11,9 @@ each failed check is a located issue at pseudo_mul.chain.table (exit
 2, nothing on stdout).  validate-op still reports every check.  main is
 the one way from argv to a handler: each command takes only the
 options its handler reads, and every option must be spelled in full
-(no prefix of it is accepted).
+(no prefix of it is accepted).  The one exception is diagnose's
+--max-n, which no handler reads: perfbench's cli-docs workload passes
+it, and an exhaustive diagnose cross-check would read it.
 
 Every answer is a closed form.  The handlers here are the one place
 that decides whether an exhaustive cross-check over all 2^n subsets
@@ -24,8 +26,9 @@ measures; variation, same_null_sets.  diagnose gates none.
 Exit codes: 0 computed (a negative mathematical verdict such as "no
 density" is still a computation), 2 invalid input, 3 size cap exceeded,
 4 negative verdict when --fatal-verdicts is set, 1 unexpected internal
-failure (including a failing gallery self-assertion and a
-CrossCheckError from a cross-check, each one "error:" line on stderr).
+failure: a CrossCheckError from a cross-check, one "error:" line on
+stderr, or a failing gallery self-assertion, whose report is still
+printed on stdout.
 """
 
 from __future__ import annotations

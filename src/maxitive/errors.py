@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 
 class MaxitiveError(Exception):
     """Base class for all library errors."""
@@ -62,27 +64,14 @@ class CrossCheckError(MaxitiveError, AssertionError):
     """
 
 
-class SpecIssue:
+class SpecIssue(NamedTuple):
     """One located problem in a spec document."""
 
-    __slots__ = ("path", "message")
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-
-    def __repr__(self):
-        return f"SpecIssue({self.path!r}, {self.message!r})"
+    path: str
+    message: str
 
     def __str__(self):
         return f"{self.path}: {self.message}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpecIssue)
-            and self.path == other.path
-            and self.message == other.message
-        )
 
 
 class SpecValidationError(MaxitiveError):

@@ -58,7 +58,7 @@ from .errors import OracleMismatchError
 from .extreal import INF, ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, measure_eval
 from .pseudomul import PseudoMul
-from .spaces import SubsetB, _same_space, check_enum_cap
+from .spaces import SubsetB, _same_space
 
 __all__ = [
     "integrate_threshold",
@@ -175,10 +175,10 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     n(n + 1)/2 + len(extra) + 1 values, so a byte holds a rank up to
     the cap.  ``table`` is one ``bytes`` of 2^n ranks, table[m] being
     the rank of the integral over the subset whose mask in ``order``
-    is m.  Refuses past the enumeration cap before any ⊙ call.
+    is m.  Refuses past the enumeration cap before any ⊙ call: ν's table
+    (max_rank_table, which refuses) is built before the levels.
     """
     _same_space(f.space, nu.space)
-    check_enum_cap(nu.space.n)
     n = f.space.n
     order = f.descending_order
     masses = tuple(sorted({ZERO, *nu.masses}))

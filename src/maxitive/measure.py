@@ -16,7 +16,7 @@ from .bytetable import max_rank_table
 from .extreal import ONE, ZERO, ExtNonneg, as_extnn, ext_max
 from .pseudomul import PseudoMul
 from .spaces import MAXITIVE_ORACLE_CAP, SEMI_FINITE_ORACLE_CAP
-from .spaces import Space, SubsetB, _same_space, check_enum_cap, check_fixed_cap, submasks
+from .spaces import Space, SubsetB, _same_space, check_fixed_cap, submasks
 
 __all__ = [
     "MaxMeasure",
@@ -110,9 +110,9 @@ class MaxMeasure(_AtomMap):
         """The full induced set function (2^n entries, one byte each).
 
         Each entry is the rank of μ(B) among the ≤ n + 1 distinct values
-        0 and the atom masses, built by max_rank_table.
+        0 and the atom masses, built by max_rank_table, which refuses
+        past the enumeration cap.
         """
-        check_enum_cap(self.space.n)
         universe = tuple(sorted({ZERO, *self._values}))
         index = {v: r for r, v in enumerate(universe)}
         return SetFunctionTable.from_ranks(
@@ -408,7 +408,7 @@ def semi_odot_finite_bruteforce(pm: PseudoMul, mu: MaxMeasure) -> bool:
     check_fixed_cap(mu.space.n, SEMI_FINITE_ORACLE_CAP, "atoms")
     table = mu.table().values
     finite = [pm.is_odot_finite(v) for v in table]
-    for bmask in range(1 << mu.space.n):
+    for bmask in submasks(mu.space.full.mask):
         if table[bmask] != ext_max(table[a] for a in submasks(bmask) if finite[a]):
             return False
     return True

@@ -733,12 +733,8 @@ class CustomContinuous(PseudoMul):
         # shrinking output changes at interior sample points.
         worst, detail = None, "ε-δ grid on the sample domain"
         try:
-            for s in _CUSTOM_SAMPLE_DOMAIN:
-                if s <= 0 or math.isinf(s):
-                    continue
+            for s in (p for p in _CUSTOM_SAMPLE_DOMAIN if p > 0):
                 for t in _CUSTOM_SAMPLE_DOMAIN:
-                    if math.isinf(t):
-                        continue
                     base = self._checked(s, t)
                     if math.isinf(base):
                         continue

@@ -60,7 +60,12 @@ def check_enum_cap(size: int) -> None:
 
 
 def submasks(mask: int) -> Iterator[int]:
-    """Every submask of ``mask``, ascending from 0 to ``mask`` itself."""
+    """Every submask of ``mask``, ascending from 0 to ``mask`` itself.
+
+    The one 2^k loop: a mask of more than ENUM_CAP bits is refused
+    before anything is yielded.
+    """
+    check_enum_cap(mask.bit_count())
     sub = 0
     while True:
         yield sub
@@ -167,9 +172,8 @@ class SubsetB:
     __le__ = issubset
 
     def subsets(self) -> Iterator["SubsetB"]:
-        """Every subset of this set, ascending by mask: the one capped
-        enumerator, refusing past the enumeration cap."""
-        check_enum_cap(len(self))
+        """Every subset of this set, ascending by mask: the one subset
+        enumerator, refusing past the enumeration cap (submasks)."""
         for mask in submasks(self.mask):
             yield SubsetB(self.space, mask)
 

@@ -7,9 +7,10 @@ each library function is a closed form or a cross-check, and none
 decides whether to check itself.  The static guards keep it so:
 ENUM_CAP is read only in spaces.py, no other function has a ``limit``
 or ``cross_check`` parameter, within_cap is called only in cli.py,
-check_enum_cap only by the three enumerators (SubsetB.subsets,
-MaxMeasure.table and threshold_sweep), cli.py reads nothing from
-bytetable, and SizeCapError takes only its message.
+check_enum_cap only by the two 2^n primitives (submasks and
+max_rank_table), no module but spaces.py loops over ``range(1 << …)``,
+cli.py reads nothing from bytetable, and SizeCapError takes only its
+message.
 """
 
 import ast
@@ -32,10 +33,12 @@ from maxitive import (
     disjoint_variation_bruteforce,
     enumerate_quotient_sigma_ideals,
     is_abs_continuous_exhaustive,
+    nguyen_bruteforce,
     same_null_sets,
     semi_odot_finite_bruteforce,
     verify_lattice_complete,
 )
+from maxitive.bytetable import max_rank_table
 from maxitive.errors import SizeCapError
 from maxitive.spaces import (
     CHAIN_CARRIER_CAP,
@@ -46,6 +49,7 @@ from maxitive.spaces import (
     SIGMA_IDEAL_ENUM_CAP,
     check_enum_cap,
     check_fixed_cap,
+    submasks,
     within_cap,
 )
 from maxitive.specdoc import parse_spec
@@ -96,6 +100,18 @@ def test_each_oracle_refuses_one_atom_past_its_cap():
         enumerate_quotient_sigma_ideals(build_quotient(tau))
 
 
+def test_the_two_primitives_refuse_only_past_the_enumeration_cap():
+    message = "^21 atoms exceed the cap of 20$"
+    with pytest.raises(SizeCapError, match=message):
+        next(submasks((1 << ENUM_CAP + 1) - 1))
+    with pytest.raises(SizeCapError, match=message):
+        max_rank_table([1] * (ENUM_CAP + 1))
+    # a mask is measured by its bits, not by its highest one
+    assert list(submasks(1 << 40 | 1)) == [0, 1, 1 << 40, 1 << 40 | 1]
+    assert next(submasks((1 << ENUM_CAP) - 1)) == 0
+    assert max_rank_table([1] * 3) == b"\0" + b"\1" * 7
+
+
 def test_whole_powerset_checks_refuse_only_past_the_enumeration_cap():
     # no whole-powerset check has a cap of its own: each refuses at ENUM_CAP,
     # the exhaustive ⊙ check before any ⊙ call, and runs at ENUM_CAP itself
@@ -110,14 +126,21 @@ def test_whole_powerset_checks_refuse_only_past_the_enumeration_cap():
         lambda mu: SigmaIdeal.full(mu.space).members(),
         lambda mu: build_quotient(mu).classes(),
     ]
+
+    def nguyen(mu, B):  # the literal 𝒥_t infimum, over every I ⊆ B ∩ top
+        return nguyen_bruteforce(mu, SigmaIdeal.full(mu.space), B)
+
     beyond, at_cap = constant(ENUM_CAP + 1), constant(ENUM_CAP)
-    for call in checks + [lambda mu: next(e(mu)) for e in enumerators]:
+    for call in [*checks, lambda mu: nguyen(mu, mu.space.full),
+                 *(lambda mu, e=e: next(e(mu)) for e in enumerators)]:
         with pytest.raises(SizeCapError, match="^21 atoms exceed the cap of 20$"):
             call(beyond)
     assert pm.calls == 0
     assert [check(at_cap) for check in checks] == [True, True, True]
     empty = at_cap.space.empty
     assert [next(e(at_cap)) for e in enumerators] == [empty, empty, QuotientClass(at_cap, empty)]
+    # B = the whole space would take 2^20 evaluations; one atom runs at the cap
+    assert nguyen(at_cap, at_cap.space.subset(["x0"])).is_zero
 
 
 class UnreadTable:
@@ -223,12 +246,28 @@ def enclosing_callers(path: Path, name: str) -> list:
                           for call in ast.walk(node)))
 
 
-def test_three_enumerators_check_the_enumeration_cap():
-    # every other whole-powerset scan reaches the cap through one of them
+def test_only_the_two_primitives_check_the_enumeration_cap():
+    # every 2^n loop walks submasks and every rank table is built by
+    # max_rank_table, so no caller checks the cap itself
     found = sorted((path.name, caller) for path in SRC.glob("*.py")
                    for caller in enclosing_callers(path, "check_enum_cap"))
-    assert found == [("integral.py", "threshold_sweep"), ("measure.py", "table"),
-                     ("spaces.py", "subsets")]  # SubsetB's, not Space's
+    assert found == [("bytetable.py", "max_rank_table"), ("spaces.py", "submasks")]
+
+
+def powerset_ranges(path: Path) -> list:
+    """The line of each ``range(1 << …)`` call in ``path``: a range with an
+    argument that shifts a constant left, such as ``2 << n``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "range" in _names(node.func)
+                  and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.LShift)
+                          and isinstance(arg.left, ast.Constant) for arg in node.args))
+
+
+def test_no_module_but_spaces_loops_over_a_powerset_range():
+    found = {path.name: powerset_ranges(path) for path in sorted(SRC.glob("*.py"))}
+    found.pop("spaces.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def bytetable_imports(path: Path) -> list:
@@ -251,11 +290,15 @@ def test_cross_check_guards_see_what_they_look_for(tmp_path):
                     "def f(x, cross_check=False):\n"
                     "    return spaces.within_cap(x, 12) or within_cap(x, 3)\n"
                     "import maxitive.bytetable as b\n"
-                    "from .bytetable import NONZERO\n", encoding="utf-8")
+                    "from .bytetable import NONZERO\n"
+                    "for m in range(1 << n): pass\n"
+                    "for m in range(0, 2 << n, 2): pass\n"
+                    "for m in range(n << 1): pass\n", encoding="utf-8")
     assert parameter_owners(path, "cross_check") == ["f"]
     assert callers(path, "within_cap") == [3, 3]
     assert enclosing_callers(path, "within_cap") == ["f"]
     assert bytetable_imports(path) == [1, 4, 5]
+    assert powerset_ranges(path) == [6, 7]
 
 
 def test_size_cap_error_takes_only_its_message():

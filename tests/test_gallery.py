@@ -2,7 +2,9 @@
 
 import pytest
 
-from maxitive import GALLERY, run_gallery
+from maxitive import GALLERY, gallery, run_gallery
+from maxitive.cli import main
+from maxitive.errors import CrossCheckError
 
 
 SEEDLESS = ("shilkret-counterexample", "claims-walkthrough")
@@ -35,3 +37,27 @@ def test_seeds_change_trials_not_verdicts():
     a = run_gallery("sugeno-corollary", seed=1, trials=60)
     b = run_gallery("sugeno-corollary", seed=2, trials=60)
     assert a.body["passed"] and b.body["passed"]
+
+
+# The claims-walkthrough entry each exhaustive cross-check backs.
+BACKED = {
+    "verify_localization": "its density exists and its support localizes the ideal",
+    "verify_nguyen_measure": "threshold closed form matches the 𝒥_t enumeration on every subset",
+}
+
+
+@pytest.mark.parametrize("verifier", sorted(BACKED))
+def test_a_failing_cross_check_fails_its_entry_and_the_report_comes_back(
+        verifier, monkeypatch, capsys):
+    def refuted(*args):
+        raise CrossCheckError(f"{verifier} refuted")
+    names = [c["name"] for c in run_gallery("claims-walkthrough").body["checks"]]
+    monkeypatch.setattr(gallery, verifier, refuted)
+    report = run_gallery("claims-walkthrough")
+    failed = {c["name"]: c["detail"] for c in report.body["checks"] if not c["passed"]}
+    assert failed == {BACKED[verifier]: f"{verifier} refuted"}
+    assert report.negative_verdict and [c["name"] for c in report.body["checks"]] == names
+    assert main(["gallery", "claims-walkthrough"]) == 1
+    out = capsys.readouterr()
+    assert "passed: no" in out.out and f"{verifier} refuted" in out.out
+    assert "error:" not in out.err
