@@ -16,7 +16,6 @@ from .errors import (
     CrossCheckError,
     DegenerateOperationError,
     MaxitiveError,
-    OracleMismatchError,
     PreconditionError,
     SizeCapError,
     SpaceMismatchError,

@@ -6,14 +6,14 @@ document (--space-file) naming the space, measures, functions, and
 ideals; --op picks the pseudo-multiplication ("times", "min", or
 "chain" to use the document's chain), defaulting to the document's
 choice and then to "times".  integrate, density and diagnose compute
-under the document's chain only once validate_pseudo_mul passes it;
-each failed check is a located issue at pseudo_mul.chain.table (exit
+under the document's chain only once validate_pseudo_mul passes it and
+it represents every value they read: a failed check is an issue at
+pseudo_mul.chain.table, a value off the carrier one at its place (exit
 2, nothing on stdout).  validate-op still reports every check.  main is
-the one way from argv to a handler: each command takes only the
-options its handler reads, and every option must be spelled in full
-(no prefix of it is accepted).  The one exception is diagnose's
---max-n, which no handler reads: perfbench's cli-docs workload passes
-it, and an exhaustive diagnose cross-check would read it.
+the one way from argv to a handler: each command takes only the options
+its handler reads, and every option must be spelled in full.  The one
+exception is diagnose's --max-n, which no handler reads: perfbench's
+cli-docs workload passes it, and a diagnose cross-check would read it.
 
 Every answer is a closed form.  The handlers here are the one place
 that decides whether an exhaustive cross-check over all 2^n subsets
@@ -125,6 +125,21 @@ def _named(kind: str, table: dict, name: Optional[str]):
     return table[name]
 
 
+def _carried(pm: PseudoMul, doc: SpecDoc, *wanted) -> list:
+    """Each ``(kind, name)`` of ``wanted`` as ``_named`` finds it, once pm
+    represents their values: each one off its carrier is a located issue."""
+    operands, issues = [], []
+    for kind, name in wanted:
+        table = getattr(doc, f"{kind}s")
+        operands.append(_named(kind, table, name))
+        issues += (SpecIssue(f"{kind}s.{name or next(iter(table))}.{atom}",
+                             f"value {v} is not a carrier element")
+                   for atom, v in operands[-1].as_dict().items() if not pm.representable(v))
+    if issues:  # --nu and --tau may name one measure: its issues once
+        raise SpecValidationError(dict.fromkeys(issues))
+    return operands
+
+
 def _parse_subset(doc: SpecDoc, text: Optional[str]) -> SubsetB:
     if text is None:
         return doc.space.full
@@ -158,8 +173,7 @@ def _cmd_validate_op(args) -> Report:
 def _cmd_integrate(args) -> Report:
     doc = _load_doc(args)
     pm = _lawful_pm(args, doc)
-    nu = _named("measure", doc.measures, args.measure)
-    f = _named("function", doc.functions, args.function)
+    nu, f = _carried(pm, doc, ("measure", args.measure), ("function", args.function))
     B = _parse_subset(doc, args.subset)
     sweep = integrate_threshold(pm, f, nu, B)
     atomwise = integrate_atomwise(pm, f, nu, B)
@@ -179,8 +193,7 @@ def _cmd_integrate(args) -> Report:
 def _cmd_density(args) -> Report:
     doc = _load_doc(args)
     pm = _lawful_pm(args, doc)
-    nu = _named("measure", doc.measures, args.nu)
-    tau = _named("measure", doc.measures, args.tau)
+    nu, tau = _carried(pm, doc, ("measure", args.nu), ("measure", args.tau))
     result = solve_density(pm, nu, tau)
     body = {"operation": pm.describe(), "nu": jsonable(nu), "tau": jsonable(tau),
             "found": result.ok}
@@ -208,7 +221,7 @@ def _cmd_density(args) -> Report:
 def _cmd_diagnose(args) -> Report:
     doc = _load_doc(args)
     pm = _lawful_pm(args, doc)
-    tau = _named("measure", doc.measures, args.tau)
+    (tau,) = _carried(pm, doc, ("measure", args.tau))
     diag = diagnose_rn(pm, tau)
     body = {"operation": pm.describe(), "tau": jsonable(tau),
             "diagnosis": jsonable(diag), "text": str(diag).splitlines()}
@@ -269,10 +282,7 @@ def _cmd_variation(args) -> Report:
 
 
 def _cmd_gallery(args) -> Report:
-    try:
-        return run_gallery(args.scenario, seed=args.seed, trials=args.trials)
-    except KeyError as exc:
-        raise ValueError(str(exc.args[0]))
+    return run_gallery(args.scenario, seed=args.seed, trials=args.trials)
 
 
 _HANDLERS = {

@@ -50,17 +50,15 @@ class UnresolvedInfimumError(MaxitiveError):
         self.bracket = bracket
 
 
-class OracleMismatchError(MaxitiveError):
-    """The grid oracle disagrees with the closed-form integral beyond tolerance."""
-
-
 class CrossCheckError(MaxitiveError, AssertionError):
     """A cross-check found the library disagreeing with itself.
 
-    The message says what disagreed and names the first failing subset
-    where a subset is at fault.  The CLI reports it as one line on stderr
-    with exit 1; it stays an AssertionError, since a failed cross-check
-    is a failed assertion about the library.
+    Two routes to one answer differ (a closed form and its enumeration,
+    the grid oracle and the threshold sweep).  The message says what
+    disagreed and names the first failing subset where a subset is at
+    fault.  The CLI reports it as one line on stderr with exit 1; it stays
+    an AssertionError, since a failed cross-check is a failed assertion
+    about the library.
     """
 
 

@@ -54,7 +54,7 @@ from operator import lt
 from typing import Optional, Sequence
 
 from .bytetable import lane_max, max_rank_table
-from .errors import OracleMismatchError
+from .errors import CrossCheckError
 from .extreal import INF, ZERO, ExtNonneg, as_extnn
 from .measure import MaxMeasure, MeasurableFn, SetFunctionTable, measure_eval
 from .pseudomul import PseudoMul
@@ -243,15 +243,15 @@ def assert_oracle_consistent(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure, B: 
 
     The oracle must never exceed the sweep; for continuous operations in
     approximate mode it must also match within ``ORACLE_REL_TOL``.  A custom ⊙
-    violating either bound is surfaced, not reconciled.
+    violating either bound is surfaced as a CrossCheckError, not reconciled.
     """
     sweep = integrate_threshold(pm, f, nu, B)
     oracle = integrate_oracle(pm, f, nu, B, canonical_grid(pm, f, B))
     if oracle > sweep:
-        raise OracleMismatchError(f"grid oracle {oracle} exceeds threshold sweep {sweep}")
+        raise CrossCheckError(f"grid oracle {oracle} exceeds threshold sweep {sweep}")
     if not pm.exact and sweep.is_finite and oracle.is_finite:
         gap = float(sweep) - float(oracle)
         if gap > ORACLE_REL_TOL * max(1.0, float(sweep)):
-            raise OracleMismatchError(
+            raise CrossCheckError(
                 f"grid oracle {float(oracle)} differs from sweep {float(sweep)} "
                 f"beyond tolerance {ORACLE_REL_TOL}")

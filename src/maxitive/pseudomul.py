@@ -730,7 +730,8 @@ class CustomContinuous(PseudoMul):
 
     def extra_axiom_checks(self) -> tuple:
         # Heuristic grid check: perturbations of shrinking size must produce
-        # shrinking output changes at interior sample points.
+        # shrinking output changes at interior sample points; a finite value
+        # that the smallest takes to ∞ fails, as ∞ − ∞ is nan.
         worst, detail = None, "ε-δ grid on the sample domain"
         try:
             for s in (p for p in _CUSTOM_SAMPLE_DOMAIN if p > 0):
@@ -745,7 +746,7 @@ class CustomContinuous(PseudoMul):
                         jump = max(abs(self._checked(s + hs, t + ht) - base),
                                    abs(self._checked(s - hs, max(t - ht, 0.0)) - base))
                         deltas.append(jump)
-                    if not (deltas[2] <= deltas[0] + 1e-9 * max(1.0, abs(base))):
+                    if not deltas[2] - deltas[0] <= 1e-9 * max(1.0, abs(base)):
                         worst = (ExtNonneg(s), ExtNonneg(t))
         except OPERATION_FAULTS as exc:  # the map raised at or near (s, t)
             worst, detail = (ExtNonneg(s), ExtNonneg(t)), str(exc)
@@ -816,12 +817,11 @@ def seeded_picks(rng: random.Random, k: int, count: int) -> list:
     needed in one ``getrandbits(32·m)`` call, which puts word i at bits
     32i to 32i + 31, and keeps the top b bits of each word's top byte
     where they are below k.  Each pick takes at least one word, so no
-    round reads past the last pick.  For k ≥ 256 each draw is one call.
+    round reads past the last pick.  For k ≥ 256 each is rng.randrange(k).
     """
     bits = k.bit_length()
     if bits > 8:
-        draws = map(rng.getrandbits, itertools.repeat(bits))
-        return list(itertools.islice((r for r in draws if r < k), count))
+        return [rng.randrange(k) for _ in range(count)]
     shift = 8 - bits
     top_bits = bytes(b >> shift for b in range(256))
     too_large = bytes(range(k << shift, 256))

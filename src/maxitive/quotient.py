@@ -365,11 +365,7 @@ def check_ccc(tau: MaxMeasure, witness: Optional[CCCWitness] = None) -> CCCVerdi
                 ("dominating_sigma_additive_measure", False),
             )
             return CCCVerdict(False, witness, conditions)
-    cert = witness if witness is not None else CCCWitness.finite_space_trivial()
-    if cert.kind == "intensional-family":
-        # A countable family never violates CCC; fall back to the trivial
-        # finite-space certificate for the verdict itself.
-        cert = CCCWitness.finite_space_trivial()
+        witness = None  # a countable family never violates CCC
     conditions = (
         ("sigma_principal", True),
         ("countable_chain_condition", True),
@@ -377,7 +373,7 @@ def check_ccc(tau: MaxMeasure, witness: Optional[CCCWitness] = None) -> CCCVerdi
         ("dominating_sigma_additive_measure",
          "disjoint variation, with exactly the τ-null sets"),
     )
-    return CCCVerdict(True, cert, conditions)
+    return CCCVerdict(True, witness or CCCWitness.finite_space_trivial(), conditions)
 
 
 def enumerate_quotient_sigma_ideals(lattice: QuotientLattice) -> list:

@@ -256,7 +256,17 @@ def test_gallery_trials_past_the_cap_exit_3_before_a_trial_runs(scenario, monkey
 def test_unknown_gallery_scenario_exit_2(capsys):
     rc = main(["gallery", "mystery"])
     assert rc == 2
-    assert "unknown gallery scenario" in capsys.readouterr().err
+    known = ", ".join(sorted(gallery.GALLERY))
+    assert capsys.readouterr() == (
+        "", f"error: unknown gallery scenario 'mystery'; known: {known}\n")
+
+
+def test_a_key_error_inside_a_scenario_is_no_invalid_input(monkeypatch):
+    def faulty():
+        return {}["missing"]
+    monkeypatch.setitem(gallery.GALLERY, "shilkret-counterexample", faulty)
+    with pytest.raises(KeyError, match="missing"):  # an internal fault, not exit 2
+        main(["gallery", "shilkret-counterexample"])
 
 
 def test_gallery_command(capsys):

@@ -1,8 +1,10 @@
 """Every shipped scenario must be green on its own fixtures."""
 
+import re
+
 import pytest
 
-from maxitive import GALLERY, gallery, run_gallery
+from maxitive import GALLERY, ONE, MeasurableFn, gallery, run_gallery
 from maxitive.cli import main
 from maxitive.errors import CrossCheckError
 
@@ -29,7 +31,9 @@ def test_a_seed_for_a_scenario_that_draws_nothing_is_refused(name):
 
 
 def test_unknown_scenario():
-    with pytest.raises(KeyError):
+    known = ", ".join(sorted(GALLERY))
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown gallery scenario 'nope'; known: {known}")):
         run_gallery("nope")
 
 
@@ -61,3 +65,51 @@ def test_a_failing_cross_check_fails_its_entry_and_the_report_comes_back(
     out = capsys.readouterr()
     assert "passed: no" in out.out and f"{verifier} refuted" in out.out
     assert "error:" not in out.err
+
+
+SOLVE, FINITIZE = gallery.solve_density, gallery.finitize_density
+
+
+def uncertified(pm, nu, tau):
+    """solve_density, with the first atom of each refusal dropped."""
+    res = SOLVE(pm, nu, tau)
+    return res if res.ok else res._replace(failures=res.failures[1:])
+
+
+def refuting(*args):
+    return False
+
+
+def unfinitized(pm, c, nu, tau):
+    """finitize_density answering c itself, ∞ values and all."""
+    return c
+
+
+def moved(pm, c, nu, tau):
+    """finitize_density plus 1 on each τ-null atom: still a finite density,
+    but no longer c when c was one already."""
+    c1 = FINITIZE(pm, c, nu, tau)
+    return MeasurableFn(c1.space, [v + ONE if t.is_zero else v
+                                   for v, t in zip(c1.values, tau.masses)])
+
+
+# Each randomized trial's failing entry: its scenario, the name gallery
+# imports that is replaced, and what replaces it.
+FAILING_TRIALS = {
+    "violation certified": ("sugeno-corollary", "solve_density", uncertified),
+    "density found and verified": ("sugeno-corollary", "verify_density", refuting),
+    "finitization verified": ("prop33-finitize", "finitize_density", unfinitized),
+    "already-finite density left unchanged": ("prop33-finitize", "finitize_density", moved),
+}
+
+
+@pytest.mark.parametrize("entry", FAILING_TRIALS)
+def test_a_failing_trial_fails_its_entry_and_the_report_comes_back(entry, monkeypatch, capsys):
+    scenario, name, stand_in = FAILING_TRIALS[entry]
+    monkeypatch.setattr(gallery, name, stand_in)
+    report = run_gallery(scenario, seed=0, trials=40)
+    failed = [c["name"] for c in report.body["checks"] if not c["passed"]]
+    assert any(re.fullmatch(rf"trial \d+: {entry}", n) for n in failed), failed
+    assert report.negative_verdict and not report.body["passed"]
+    assert main(["gallery", scenario, "--seed", "0", "--trials", "40"]) == 1
+    assert f": {entry}" in capsys.readouterr().out

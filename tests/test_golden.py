@@ -11,8 +11,9 @@ chain whose image c ⊙ ∞ skips a value; `quotient`, `ideal-measures` and
 `variation`, which take no ⊙, once per measure document; every
 `gallery` scenario, at seed 0 if it draws; `density`, `quotient`,
 `ideal-measures` and `variation` at `--max-n 0`, which runs none of
-their cross-checks, so those fields are null or absent; and `density`
-and `diagnose` on a chain that is not monotone, which refuse with exit
+their cross-checks, so those fields are null or absent; `density` and
+`diagnose` on a chain that is not monotone, and `density` on a chain
+document with a measure value off the carrier, which refuse with exit
 2.  The spec
 documents lie beside the reports, and the directory holds nothing else.
 A change that is meant to change a report regenerates the files, and
@@ -89,9 +90,13 @@ CASES = {
     **{f"{command}-nonmonotone-chain": _measures("nonmonotone_chain.spec.json", None,
                                                  command, *extra)
        for command, extra in (("density", ["--nu", "nu"]), ("diagnose", []))},
+    # τ(a) = 3 is no element of the chain's carrier: refused, located, before any answer
+    "density-offcarrier-chain": _measures("offcarrier_chain.spec.json", None, "density",
+                                          "--nu", "nu"),
 }
 # The cases that refuse, with their exit code; every other case exits 0.
-EXITS = {"density-nonmonotone-chain": 2, "diagnose-nonmonotone-chain": 2}
+EXITS = {"density-nonmonotone-chain": 2, "diagnose-nonmonotone-chain": 2,
+         "density-offcarrier-chain": 2}
 
 
 def golden_file(name: str) -> Path:
@@ -104,13 +109,19 @@ def spec_documents(name: str) -> list:
     return [a for a in CASES[name] if a.endswith(".spec.json")]
 
 
-def run_case(name: str) -> tuple:
-    """``(exit code, stdout, stderr)`` of the case's command."""
-    args = [str(GOLDEN / a) if a.endswith(".spec.json") else a for a in CASES[name]]
+def run(args: list) -> tuple:
+    """``(exit code, stdout, stderr)`` of a command, its spec documents
+    read from the golden directory."""
+    args = [str(GOLDEN / a) if a.endswith(".spec.json") else a for a in args]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main([*args, "--json-out", "-"])
     return rc, out.getvalue(), err.getvalue()
+
+
+def run_case(name: str) -> tuple:
+    """``(exit code, stdout, stderr)`` of the case's command."""
+    return run(CASES[name])
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -121,6 +132,18 @@ def test_the_report_equals_the_committed_one(name):
         assert out == ""
     kept = err if name in EXITS else out
     assert kept == golden_file(name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("integrate", ["--measure", "tau", "--function", "f"]),
+    ("density", ["--nu", "nu", "--tau", "tau"]),
+    ("diagnose", ["--tau", "tau"])])
+def test_every_command_under_the_chain_refuses_a_value_off_its_carrier(command, extra):
+    args = [command, "--space-file", "offcarrier_chain.spec.json", *extra]
+    refusal = golden_file("density-offcarrier-chain").read_text(encoding="utf-8")
+    assert run(args) == (2, "", refusal)
+    rc, out, err = run([*args, "--op", "times"])  # the product represents 3
+    assert (rc, err) == (0, "") and out
 
 
 def test_every_golden_file_belongs_to_a_case():

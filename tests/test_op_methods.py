@@ -109,6 +109,25 @@ def test_bare_subclass_reports_an_unhit_target_as_unresolved():
         solve_atom_density(pm, ONE, ExtNonneg(3))
 
 
+def level_past_one(s, t):
+    """s·t for t ≤ 1, max(s·t, t − 1) above it, and 0 at s = 0: c ⊙ 2 stays
+    1 however small c > 0 is, so no bisection for c ⊙ 2 = 1 settles."""
+    if s == 0.0:
+        return 0.0
+    return s * t if t <= 1.0 else max(s * t, t - 1.0)
+
+
+def test_a_bisection_that_never_settles_is_unresolved():
+    pm = CustomContinuous(level_past_one, identity=1)
+    sp = Space(["a"])
+    res = solve_density(pm, MaxMeasure(sp, {"a": 1}), MaxMeasure(sp, {"a": 2}))
+    (failure,) = res.failures
+    assert failure.reason is FailureReason.UNRESOLVED_NUMERIC
+    assert failure.bracket == (ZERO, ExtNonneg(Fraction(1, 2 ** 200)))
+    with pytest.raises(UnresolvedInfimumError, match="did not converge"):
+        pm.least_solution(ONE, ExtNonneg(2))
+
+
 def test_bare_subclass_validates_and_grids_like_times():
     pm, times = WrittenProduct(), StandardProduct()
     assert validate_pseudo_mul(pm).passed
@@ -276,8 +295,13 @@ def test_chain_achievable_set_is_its_image():
 
 
 # -- no module outside pseudomul.py dispatches on the operation's class --------
+# -- and only the CLI tests its kind, twice ------------------------------------
 
 OPERATION_CLASSES = {"StandardProduct", "Minimum", "DiscreteChain", "CustomContinuous"}
+OPERATION_KINDS = {"times", "min", "chain", "custom"}
+# The CLI's two tests of the kind: --op chain needs the document's chain,
+# and only a chain is validated before a data command computes.
+CLI_KIND_TESTS = ('own.kind != "chain"', 'pm.kind == "chain"')
 
 
 def _named_classes(node) -> set:
@@ -286,18 +310,36 @@ def _named_classes(node) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _is_dispatch(node) -> bool:
+    """An isinstance test against an operation class, or a comparison of a
+    ``.kind`` with the name of an operation kind."""
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and bool(_named_classes(node.args[1]) & OPERATION_CLASSES))
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        return (any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in sides)
+                and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                        and n.value in OPERATION_KINDS for n in sides))
+    return False
+
+
 def operation_dispatches(path: Path) -> list:
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance" and len(node.args) == 2
-            and _named_classes(node.args[1]) & OPERATION_CLASSES]
+    hits = sorted((node for node in ast.walk(tree) if _is_dispatch(node)),
+                  key=lambda node: node.lineno)
+    return [f"{path.name}:{node.lineno}" for node in hits]
 
 
 def test_no_isinstance_dispatch_on_operations():
     assert sorted(SRC.glob("*.py"))
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in operation_dispatches(path)]
-    assert found == []
+    cli = (SRC / "cli.py").read_text(encoding="utf-8").splitlines()
+    sites = [f"cli.py:{i}" for i, line in enumerate(cli, 1)
+             if any(test in line for test in CLI_KIND_TESTS)]
+    assert len(sites) == len(CLI_KIND_TESTS)
+    assert found == sites
 
 
 def test_dispatch_guard_sees_a_dispatch(tmp_path):
@@ -305,8 +347,9 @@ def test_dispatch_guard_sees_a_dispatch(tmp_path):
     path.write_text("def f(pm):\n"
                     "    if isinstance(pm, (int, maxitive.DiscreteChain)):\n"
                     "        return isinstance(pm, Minimum)\n"
+                    "    flag = pm.name == \"min\" or pm.kind == \"measure\" or \"min\" != pm.kind\n"
                     "    return isinstance(pm, PseudoMul)\n", encoding="utf-8")
-    assert operation_dispatches(path) == ["probe.py:2", "probe.py:3"]
+    assert operation_dispatches(path) == ["probe.py:2", "probe.py:3", "probe.py:4"]
 
 
 class SubclassedProduct(StandardProduct):

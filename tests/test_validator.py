@@ -668,6 +668,30 @@ def test_a_value_outside_the_range_on_the_continuity_grid_fails_continuity():
         False, (ExtNonneg(2), ExtNonneg(2)), message)
 
 
+def inf_past_four(s, t):
+    """The product up to 4 and ∞ past it: from a finite 4 at (2, 2), every
+    nudge up jumps to ∞."""
+    return math.inf if s * t > 4.0 else s * t
+
+
+def inf_at_1024(s, t):
+    """s·t / (1024 − t), rising to ∞ at t = 1024 and staying there: the
+    grid's column t = 1024 is ∞, which no finite nudge can be held to."""
+    return math.inf if t >= 1024.0 else s * t / (1024.0 - t)
+
+
+def test_a_finite_value_that_a_nudge_takes_to_infinity_fails_continuity():
+    (continuity,) = CustomContinuous(inf_past_four, identity=1).extra_axiom_checks()
+    assert not continuity.passed
+    s, t = continuity.witness
+    assert s * t == ExtNonneg(4)
+
+
+def test_the_continuity_grid_skips_an_infinite_value():
+    (continuity,) = CustomContinuous(inf_at_1024, identity=1).extra_axiom_checks()
+    assert (continuity.passed, continuity.witness) == (True, None)
+
+
 def test_a_map_raising_on_the_continuity_grid_fails_continuity():
     pm = CustomContinuous(eight_nudged_raises, identity=1)
     continuity = checks_of(validate_pseudo_mul(pm))["continuity (sampled)"]
