@@ -330,7 +330,7 @@ def diagnose_rn(pm: PseudoMul, tau: MaxMeasure) -> RNDiagnosis:
     half_open = profile.shape is FrontierShape.HALF_OPEN  # only [0, φ) has a boundary φ
     satisfied = not half_open or total <= profile.phi
     tv = TotalVsPhi(total, profile.phi, satisfied,
-                    pm.is_odot_finite(total) if pm.representable(total) else False,
+                    pm.is_odot_finite(total),
                     at_boundary=half_open and total == profile.phi)
     failed = []
     if not finite:

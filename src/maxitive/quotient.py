@@ -18,9 +18,9 @@ cross-check of its own over all 2^n subsets, which only a caller runs:
 verify_lattice_complete, verify_localization, verify_nguyen_measure and
 same_null_sets.  They read τ's byte rank table (``bytetable``), where
 rank 0 is the value 0: the 𝒥_t infimum for every subset at once is a
-subset-min transform over the ideal's top, the localization's
-minimality scan reads the subsets of the top, and the quotient and the
-null sets share one compare of whole tables (_null_sets_are).
+subset-min transform over the ideal's top, the localization's scan
+reads the subsets of the top and of L, and the quotient and the null
+sets share one compare of whole tables (_null_sets_are).
 """
 
 from __future__ import annotations
@@ -152,29 +152,31 @@ def verify_lattice_complete(lattice: QuotientLattice) -> bool:
 def localize(tau: MaxMeasure, ideal: SigmaIdeal) -> SubsetB:
     """The canonical set localizing a σ-ideal: its top with null atoms stripped.
 
-    L = top ∩ support, so every member leaves L only by null atoms:
-    τ(top ∖ L) = 0.  verify_localization checks that L is minimal.
+    L = top ∩ support; verify_localization checks both conditions of the
+    definition: L absorbs the ideal modulo null sets, and is least so.
     """
     _same_space(tau.space, ideal.space)
     return ideal.top & tau.support
 
 
 def verify_localization(tau: MaxMeasure, ideal: SigmaIdeal, L: SubsetB) -> None:
-    """Assert that L is minimal among sets absorbing the ideal modulo null sets.
+    """Assert that L localizes the ideal; a CrossCheckError names the first B that fails.
 
-    For every B, τ(top ∖ B) = 0 must imply τ(L ∖ B) = 0; a
-    CrossCheckError names the first B that fails.  Both sides depend on B
-    only through B ∩ (top ∪ L), so the scan reads τ's table at the
-    subsets of top ∪ L, ascending: the first B that fails among all 2^n
-    is one of them.
+    L must absorb the ideal, τ(I ∖ L) = 0 for every member I, and be least
+    so: τ(L ∖ B) = 0 for every B with τ(I ∖ B) = 0 for every I.  Members
+    lie in the top, so together these say τ(top ∖ B) = 0 ⇔ τ(L ∖ B) = 0
+    for every B (B = L gives absorption, and absorption gives ⇐).  Both
+    sides depend on B only through B ∩ (top ∪ L), so the scan reads the
+    subsets of top ∪ L, ascending: the first failing B is among them.
     """
     _same_space(tau.space, ideal.space)
     _same_space(tau.space, L.space)
     ranks = tau.table().ranks  # rank 0 is the value 0
     top, local = ideal.top.mask, L.mask
     for b in submasks(top | local):
-        if not ranks[top & ~b] and ranks[local & ~b]:
-            raise CrossCheckError(f"localization not minimal against {SubsetB(tau.space, b)!r}")
+        if (not ranks[top & ~b]) != (not ranks[local & ~b]):
+            fault = "not minimal" if ranks[local & ~b] else "does not absorb the ideal"
+            raise CrossCheckError(f"localization {fault} against {SubsetB(tau.space, b)!r}")
 
 
 def ideal_restriction_measure(tau: MaxMeasure, ideal: SigmaIdeal) -> MaxMeasure:
@@ -204,19 +206,19 @@ def verify_nguyen_measure(tau: MaxMeasure, ideal: SigmaIdeal, nu: MaxMeasure) ->
 
     The least τ(B ∖ I) over every I ⊆ B ∩ top, for every B at once, is
     the subset-min transform of τ's rank table over the top's bits
-    (subset_min); those minima are compared with ν's table, and a
+    (subset_min).  ν's table is built straight in τ's universe: τ's
+    ranks ascend with its values, so the max of ν's masses' ranks is the
+    rank of their max, and a mass τ never takes ranks 255, above every
+    rank of τ's.  The minima are compared with that table, and a
     CrossCheckError names the first B that differs.  nguyen_bruteforce
     is the per-subset form.
     """
     _same_space(tau.space, ideal.space)
     _same_space(tau.space, nu.space)
     tau_table = tau.table()
-    closed = nu.table()
     position = {v: r for r, v in enumerate(tau_table.universe)}
     # a value τ never takes is no 𝒥_t minimum: 255 is no rank of τ's
-    into_tau = bytes(position.get(v, 255) for v in closed.universe).ljust(256, b"\0")
-    got = closed.ranks.translate(into_tau)
-    del closed  # at most three 2^n-byte tables live: τ's, got and least
+    got = max_rank_table([position.get(v, 255) for v in nu.masses])
     least = subset_min(tau_table.ranks, ideal.top.mask)  # the 𝒥_t minimum, as ranks
     if got != least:
         b = next(b for b in range(len(got)) if got[b] != least[b])
@@ -354,26 +356,21 @@ def check_ccc(tau: MaxMeasure, witness: Optional[CCCWitness] = None) -> CCCVerdi
     non-negligible pairwise disjoint sets certifies failure instead; a
     witness whose members are negligible is rejected as inconsistent.
     """
+    holds = True
     if witness is not None and witness.kind == "intensional-family":
         if witness.member_mass.is_zero:
             raise ValueError("inconsistent witness: members of mass 0 are negligible")
-        if witness.cardinality == "uncountable":
-            conditions = (
-                ("sigma_principal", False),
-                ("countable_chain_condition", False),
-                ("quotient_sigma_ideals_principal", False),
-                ("dominating_sigma_additive_measure", False),
-            )
-            return CCCVerdict(False, witness, conditions)
-        witness = None  # a countable family never violates CCC
+        holds = witness.cardinality != "uncountable"
+        if holds:
+            witness = None  # a countable family never violates CCC
     conditions = (
-        ("sigma_principal", True),
-        ("countable_chain_condition", True),
-        ("quotient_sigma_ideals_principal", True),
+        ("sigma_principal", holds),
+        ("countable_chain_condition", holds),
+        ("quotient_sigma_ideals_principal", holds),
         ("dominating_sigma_additive_measure",
-         "disjoint variation, with exactly the τ-null sets"),
+         holds and "disjoint variation, with exactly the τ-null sets"),
     )
-    return CCCVerdict(True, witness or CCCWitness.finite_space_trivial(), conditions)
+    return CCCVerdict(holds, witness or CCCWitness.finite_space_trivial(), conditions)
 
 
 def enumerate_quotient_sigma_ideals(lattice: QuotientLattice) -> list:

@@ -721,7 +721,7 @@ def test_ideal_measures_validates_up_to_a_raised_cap(tmp_path, monkeypatch, caps
     rc = main(["ideal-measures", "--space-file", str(path), "--tau", "tau",
                "--ideal", "I", "--max-n", "16", "--json-out", "-"])
     assert rc == 0
-    # the 𝒥_t validation and the localize minimality scan both ran at n = 16
+    # the 𝒥_t validation and the localization scan both ran at n = 16
     assert {"verify_nguyen_measure", "verify_localization"} <= set(scans)
     body = json.loads(capsys.readouterr().out)["body"]
     assert body["restricted_maxitive"] is True

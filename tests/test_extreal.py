@@ -41,6 +41,16 @@ def test_rejected_values(bad):
         ExtNonneg(bad)
 
 
+def test_an_object_of_no_number_type_is_refused():
+    with pytest.raises(TypeError, match="^cannot build ExtNonneg from object$"):
+        ExtNonneg(object())
+
+
+def test_only_zero_is_false():
+    assert not ZERO
+    assert ONE and INF and ExtNonneg("1/3")
+
+
 def test_order_endpoints():
     assert ZERO <= ONE <= INF
     assert ZERO < INF

@@ -332,6 +332,15 @@ def test_sigma_ideal_membership_and_generators():
     assert len(list(ideal.members())) == 4
 
 
+def test_sigma_ideals_with_one_top_are_equal_whatever_their_generators():
+    sp = Space(["a", "b", "c"])
+    by_atoms = SigmaIdeal.from_generators(sp, [sp.subset(["a"]), sp.subset(["b"])])
+    by_pair = SigmaIdeal.from_generators(sp, [sp.subset(["a", "b"])])
+    assert by_atoms.generators != by_pair.generators
+    assert by_atoms == by_pair and hash(by_atoms) == hash(by_pair)
+    assert by_atoms != SigmaIdeal(sp, sp.subset(["a"]))
+
+
 def test_enumeration_caps():
     big = Space([f"x{i}" for i in range(21)])
     with pytest.raises(SizeCapError):

@@ -120,6 +120,14 @@ def test_quotient_is_powerset_of_non_null_atoms():
                 assert m.leq(a) and m.leq(b)
 
 
+def test_classes_of_two_quotients_are_not_ordered():
+    sp = Space(["a", "b"])
+    a = canonical_rep(MaxMeasure(sp, {"a": 1, "b": 0}), sp.subset(["a"]))
+    b = canonical_rep(delta_sharp(sp), sp.full)
+    with pytest.raises(ValueError, match="^classes belong to different quotients$"):
+        a.leq(b)
+
+
 def test_localize_examples():
     sp = Space(["a", "b"])
     positive = delta_sharp(sp)
@@ -268,12 +276,47 @@ def test_check_ccc_uncountable_witness():
     assert not verdict.satisfied
     assert verdict.certificate == witness
     assert all(v is False for _, v in verdict.conditions)
+    assert str(verdict) == (
+        "CCC fails (intensional-family: singletons of an uncountable set, each of mass 1)\n"
+        "  sigma_principal: False\n"
+        "  countable_chain_condition: False\n"
+        "  quotient_sigma_ideals_principal: False\n"
+        "  dominating_sigma_additive_measure: False")
 
 
 def test_check_ccc_countable_witness_is_harmless():
     sp = Space(["a"])
     witness = CCCWitness.intensional_family("a countable family", "countable", ONE)
     assert check_ccc(delta_sharp(sp), witness).satisfied
+
+
+@pytest.mark.parametrize("witness", [
+    None,
+    CCCWitness.finite_space_trivial(),
+    CCCWitness.intensional_family("a countable family", "countable", ONE),
+], ids=["none", "finite-space-trivial", "countable"])
+def test_check_ccc_holds_with_the_trivial_certificate(witness):
+    verdict = check_ccc(delta_sharp(Space(["a", "b"])), witness)
+    assert verdict == (True, CCCWitness.finite_space_trivial(), (
+        ("sigma_principal", True),
+        ("countable_chain_condition", True),
+        ("quotient_sigma_ideals_principal", True),
+        ("dominating_sigma_additive_measure", "disjoint variation, with exactly the τ-null sets"),
+    ))
+    if witness is not None and witness.kind == "finite-space-trivial":
+        assert verdict.certificate is witness
+    assert str(verdict) == (
+        "CCC satisfied (finite-space-trivial: a finite powerset admits only finitely many "
+        "disjoint sets)\n"
+        "  sigma_principal: True\n"
+        "  countable_chain_condition: True\n"
+        "  quotient_sigma_ideals_principal: True\n"
+        "  dominating_sigma_additive_measure: disjoint variation, with exactly the τ-null sets")
+
+
+def test_an_intensional_family_is_countable_or_uncountable():
+    with pytest.raises(ValueError, match="^cardinality must be 'countable' or 'uncountable'$"):
+        CCCWitness.intensional_family("a finite family", "finite", ONE)
 
 
 def test_check_ccc_rejects_zero_mass_witness():

@@ -11,9 +11,12 @@ import maxitive.extreal as extreal
 
 from maxitive import (
     INF,
+    ONE,
+    CustomContinuous,
     DiscreteChain,
     ExtNonneg,
     Minimum,
+    Space,
     SpecValidationError,
     StandardProduct,
     parse_spec,
@@ -73,6 +76,13 @@ def test_chain_document_and_identity_inference():
     assert isinstance(chain, DiscreteChain)
     assert chain.identity == ExtNonneg(1)  # inferred from the table
     assert chain(ExtNonneg(2), ExtNonneg(2)) == ExtNonneg(2)
+
+
+def test_a_custom_operation_has_no_file_form():
+    doc = SpecDoc(Space(["a"]), CustomContinuous(min, ONE))
+    with pytest.raises(ValueError, match=r"^custom\(custom\) has no file representation "
+                                         r"\(library-only\)$"):
+        doc.render()
 
 
 def test_negative_mass_located():

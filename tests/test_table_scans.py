@@ -21,6 +21,7 @@ from maxitive import (
     INF,
     ZERO,
     AdditiveMeasure,
+    CrossCheckError,
     DiscreteChain,
     ExtNonneg,
     MaxMeasure,
@@ -98,6 +99,19 @@ def test_wrong_nguyen_closed_form_is_refused():
         verify_nguyen_measure(tau, ideal, tau)
 
 
+def test_a_nguyen_mass_that_tau_never_takes_is_refused_at_its_singleton():
+    space = Space(["a", "b", "c"])
+    tau = MaxMeasure(space, ["2", "0", "inf"])
+    ideal = SigmaIdeal(space, space.empty)
+    # 1 is no value of τ's and lies below ν's mass 2 at a: {b} still differs first
+    wrong = MaxMeasure(space, ["2", "1", "inf"])
+    first = next(B for B in space.subsets() if wrong(B) != nguyen_bruteforce(tau, ideal, B))
+    assert first == space.subset(["b"])
+    with pytest.raises(CrossCheckError) as exc:
+        verify_nguyen_measure(tau, ideal, wrong)
+    assert str(exc.value) == "Nguyen closed form disagrees with 𝒥_t enumeration at {b}"
+
+
 TEN_ATOMS = [f"x{i}" for i in range(10)]
 TEN_MASSES = ["2", "0", "inf", "1", "3", "1/2", "0", "5", "2", "7"]
 
@@ -149,12 +163,51 @@ def test_ideal_measures_verifies_the_localization_within_max_n(monkeypatch, tmp_
     assert "nguyen_maxitive" not in body
 
 
+def test_ideal_measures_refuses_a_localization_that_does_not_absorb(monkeypatch, tmp_path,
+                                                                    capsys):
+    argv = ideal_measures_argv(tmp_path)
+    monkeypatch.setattr(cli_module, "localize", lambda tau, ideal: tau.space.empty)
+    assert cli_module.main(argv + ["--max-n", "10"]) == 1
+    assert capsys.readouterr() == ("", "error: localization does not absorb the ideal "
+                                       "against {}\n")
+
+
 # -- localize --------------------------------------------------------------------
 
+@pytest.mark.parametrize("top, atoms, message", [
+    (["a", "b"], [], "localization does not absorb the ideal against {}"),
+    (["a", "b"], ["a"], "localization does not absorb the ideal against {a}"),
+    (["a", "b"], ["c"], "localization does not absorb the ideal against {}"),
+    (["a", "b"], ["a", "b"], None),
+    (["a", "b"], ["a", "b", "c"], None),
+    (["a"], ["a", "b"], "localization not minimal against {a}"),
+], ids=["empty", "a", "c", "ab", "abc", "b-outside-top-a"])
+def test_localization_checks_absorption_and_minimality(top, atoms, message):
+    space = Space(["a", "b", "c"])
+    tau = MaxMeasure(space, {"a": 1, "b": 2, "c": 0})
+    ideal, L = SigmaIdeal(space, space.subset(top)), space.subset(atoms)
+    witness = first_non_minimal(lambda B: measure_eval(tau, B), space, ideal.top, L)
+    if message is None:
+        assert witness is None
+        verify_localization(tau, ideal, L)
+    else:
+        assert message.endswith(f"against {witness!r}")
+        with pytest.raises(CrossCheckError) as exc:
+            verify_localization(tau, ideal, L)
+        assert str(exc.value) == message
+
+
 def first_non_minimal(value, space, top, L):
-    """The literal minimality loop: the first B with top ∖ B null but not L ∖ B."""
+    """The literal localization loop: the first B against which L fails.
+
+    L must absorb the ideal, τ(top ∖ L) = 0, and be least so: τ(L ∖ B) = 0
+    for every B with τ(top ∖ B) = 0.  Against B, L is not least when
+    top ∖ B is null but L ∖ B is not, and does not absorb the ideal when
+    L ∖ B is null but top ∖ B is not, since top ∖ B ⊆ (top ∖ L) ∪ (L ∖ B).
+    """
     for B in space.subsets():
-        if value(top - B).is_zero and not value(L - B).is_zero:
+        top_null, local_null = value(top - B).is_zero, value(L - B).is_zero
+        if (top_null and not local_null) or (local_null and not top_null):
             return B
     return None
 
