@@ -67,7 +67,7 @@ from .quotient import (
     verify_nguyen_measure,
 )
 from .report import Report, jsonable
-from .spaces import DEFAULT_MAX_N, SubsetB, within_cap
+from .spaces import DEFAULT_MAX_N, QUOTIENT_NON_NULL_CAP, SubsetB, check_fixed_cap, within_cap
 from .specdoc import SpecDoc, load_spec
 
 __all__ = ["main"]
@@ -232,6 +232,7 @@ def _cmd_quotient(args) -> Report:
     doc = _load_doc(args)
     tau = _named("measure", doc.measures, args.tau)
     lattice = build_quotient(tau)
+    check_fixed_cap(lattice.k, QUOTIENT_NON_NULL_CAP, "non-null atoms")
     verified = verify_lattice_complete(lattice) if within_cap(doc.space.n, args.max_n) else None
     body = {
         "tau": jsonable(tau),

@@ -211,9 +211,9 @@ def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasu
     """Exhaustively check ν(B) = ∫_B c ⊙ dτ over every subset.
 
     The integrals come from the whole-powerset threshold sweep
-    (threshold_sweep), whose universe holds ν's masses too; ν's table is
-    built from the list of its atoms' ranks in that universe, taken in
-    the sweep's atom order (max_rank_table).  The two tables are compared
+    (threshold_sweep), whose rank dict holds ν's masses too; ν's table is
+    built from the list of its atoms' ranks in that dict, taken in the
+    sweep's atom order (max_rank_table).  The two tables are compared
     in one compare: in one universe equal values have equal ranks, so
     under an exact ⊙ that is the verdict, and an inexact ⊙ still accepts
     where values_equal holds at every position whose ranks differ.
@@ -222,14 +222,15 @@ def verify_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure, tau: MaxMeasu
     _require_non_degenerate(pm, "verify_density")
     _same_space(c.space, nu.space)
     _same_space(c.space, tau.space)
-    universe, order, swept = threshold_sweep(pm, c, tau, extra=nu.masses)
-    index = {v: r for r, v in enumerate(universe)}
+    index, order, swept = threshold_sweep(pm, c, tau, extra=nu.masses)
     expected = max_rank_table([index[nu.masses[i]] for i in order])
     if swept == expected:
         return True
-    # equal values have equal ranks, so only an inexact ⊙ can still accept
-    return not pm.exact and all(pm.values_equal(universe[a], universe[b])
-                                for a, b in zip(swept, expected) if a != b)
+    if pm.exact:  # equal values have equal ranks, so only an inexact ⊙ can still accept
+        return False
+    universe = tuple(index)
+    return all(pm.values_equal(universe[a], universe[b])
+               for a, b in zip(swept, expected) if a != b)
 
 
 def finitize_density(pm: PseudoMul, c: MeasurableFn, nu: MaxMeasure,

@@ -41,8 +41,8 @@ Whole-powerset work (``pushforward`` and ``verify_density``) runs the
 threshold sweep for all 2^n subsets at once through ``threshold_sweep``,
 which returns one byte table of 2^n ranks, built and combined by the
 primitives of ``bytetable``: a level's terms and the levels above it
-meet in one lane-wise max per atom, and the atoms where f = 0 repeat
-the table, with no per-subset Python loop.  The
+meet in one lane-wise max per level of f, and the atoms where f = 0
+repeat the table, with no per-subset Python loop.  The
 per-subset routes above stay independent and serve as its cross-checks.
 """
 
@@ -161,19 +161,21 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
     The atoms are taken in ``order``: by descending f, the atoms where
     f = 0 last, so every L_v is a prefix.  If the last atom of a mask B
     lies in level v, then B ⊆ L_v and the levels above v meet B only in
-    B_h = B ∖ {f ≤ v}, hence ∫_B = max(∫_{B_h}, v ⊙ ν(B)): the masks
-    whose last atom is p are one slice of ν's table translated to term
-    ranks and one lane_max with the integral over the B_h, and every
-    result equals integrate_threshold's for any ⊙.  A mask whose last
-    atom is one where f = 0 has the integral of the mask without it, so
-    those atoms repeat the table so far.  ν's table is built in that
-    order straight from the list of its atoms' ranks among 0 and its
-    masses (max_rank_table); no re-ordered measure is made.
+    B_h = B ∖ {f ≤ v}, hence ∫_B = max(∫_{B_h}, v ⊙ ν(B)), and every
+    result equals integrate_threshold's for any ⊙.  The masks whose last
+    atom lies in the level's atoms start..stop-1 are the run from 2^start
+    to 2^stop: one slice of ν's table translated to term ranks, and one
+    lane_max with the table so far repeated 2^(stop-start) - 1 times, the
+    integrals over their B_h (the first level takes the slice alone).
+    A mask whose last atom is one where f = 0 has the integral of the
+    mask without it, so those atoms repeat the table so far.  ν's table
+    is built in that order straight from the list of its atoms' ranks
+    among 0 and its masses (max_rank_table); no re-ordered measure is made.
 
-    Returns ``(universe, order, table)``.  ``universe`` is the ascending
-    tuple of 0, the term values and ``extra``; at most
-    n(n + 1)/2 + len(extra) + 1 values, so a byte holds a rank up to
-    the cap.  ``table`` is one ``bytes`` of 2^n ranks, table[m] being
+    Returns ``(index, order, table)``.  ``index`` maps 0, the term values
+    and ``extra`` to their ranks in ascending order, so ``tuple(index)``
+    is the universe; at most n(n + 1)/2 + len(extra) + 1 values, so a
+    byte holds a rank up to the cap.  ``table`` is one ``bytes`` of 2^n ranks, table[m] being
     the rank of the integral over the subset whose mask in ``order``
     is m.  Refuses past the enumeration cap before any ⊙ call: ν's table
     (max_rank_table, which refuses) is built before the levels.
@@ -193,9 +195,9 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
         start, stop = support, support + len(list(group))
         lowest = min(atom_ranks[start:stop])
         reached = {r for r in atom_ranks[:stop] if r >= lowest}
-        levels.append((start, stop, {r: pm(v, masses[r]) for r in reached}))
+        levels.append((start, stop, {r: pm.omul(v, masses[r]) for r in reached}))
         support = stop
-    universe = tuple(sorted({ZERO, *extra}.union(*(t.values() for _, _, t in levels))))
+    universe = sorted({ZERO, *extra}.union(*(t.values() for _, _, t in levels)))
     index = {v: r for r, v in enumerate(universe)}
 
     table = b"\0"  # table[m]: the rank of ∫ over the subset of mask m in order
@@ -203,13 +205,12 @@ def threshold_sweep(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure,
         row = bytearray(256)  # ν's rank ↦ the rank of this level's term
         for r, term in terms.items():
             row[r] = index[term]
-        higher = table  # ∫ over the masks of the levels above
-        for p in range(start, stop):
-            ys = nu_ranks[1 << p:2 << p].translate(row)
-            hs = higher * (1 << (p - start))  # hs[j] = ∫ over B_h
-            table += lane_max(ys, hs) if start else ys
+        # the masks whose last atom lies in this level: 2^start up to 2^stop
+        ys = nu_ranks[1 << start:1 << stop].translate(row)
+        # the integrals over their B_h: the table so far, once per 2^start masks
+        table += lane_max(ys, table * ((1 << (stop - start)) - 1)) if start else ys
     # an atom where f = 0 adds no term: each such atom repeats the table so far
-    return universe, order, table * (1 << (n - support))
+    return index, order, table * (1 << (n - support))
 
 
 def pushforward(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> SetFunctionTable:
@@ -219,14 +220,14 @@ def pushforward(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> SetFunctionTa
     σ-maxitivity of the integral makes this a maxitive measure; callers
     verify with check_maxitive.
     """
-    universe, order, swept = threshold_sweep(pm, f, nu)
+    index, order, swept = threshold_sweep(pm, f, nu)
     # moved[B]: the mask of B in the sweep's order, in 4 bytes (every mask
     # is below 2^20)
     moved = array("I", [0])
     for p in sorted(range(f.space.n), key=order.__getitem__):
         bit = 1 << p
         moved += array("I", (m | bit for m in moved))
-    return SetFunctionTable.from_ranks(f.space, universe, bytes(map(swept.__getitem__, moved)))
+    return SetFunctionTable.from_ranks(f.space, tuple(index), bytes(map(swept.__getitem__, moved)))
 
 
 def pushforward_measure(pm: PseudoMul, f: MeasurableFn, nu: MaxMeasure) -> MaxMeasure:

@@ -34,6 +34,9 @@ PARTITION_ORACLE_CAP = 6
 # exponent at most this large: Fraction would build 10**exponent first,
 # and Python prints no integer past 4 300 digits.
 NUMBER_DIGITS_CAP = 1000
+# quotient prints its class count 2^k as an int, and for the same limit
+# k is held here: 2^14 284 has 4 300 digits, 2^14 285 has 4 301.
+QUOTIENT_NON_NULL_CAP = 14_284
 # A chain's carrier ranks fit a byte, so the validator checks associativity
 # on rows of rank bytes, every triple at once.
 CHAIN_CARRIER_CAP = 256

@@ -15,7 +15,8 @@ import pytest
 from maxitive import DiscreteChain, MaxMeasure, cli, gallery, validate_pseudo_mul
 from maxitive.cli import main
 from maxitive.report import Report
-from maxitive.spaces import CHAIN_CARRIER_CAP, GALLERY_TRIALS_CAP, NUMBER_DIGITS_CAP
+from maxitive.spaces import (CHAIN_CARRIER_CAP, GALLERY_TRIALS_CAP, NUMBER_DIGITS_CAP,
+                             QUOTIENT_NON_NULL_CAP)
 
 from conftest import min_chain
 
@@ -815,6 +816,29 @@ def test_quotient_verdict_follows_max_n(tmp_path, capsys):
     assert body["complete_lattice_verified"] is True
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["body"]["complete_lattice_verified"] is None
+
+
+def test_quotient_refuses_a_class_count_past_the_printable_digits(tmp_path):
+    # class_count is the int 2^k, and Python prints no int past 4 300
+    # digits: 2^14 284 has 4 300, 2^14 285 has 4 301.  The cap counts the
+    # non-null atoms, so one null atom more changes nothing.
+    def document(k):
+        path = tmp_path / f"k{k}.json"
+        atoms = [f"x{i}" for i in range(k + 1)]
+        tau = {a: "1" for a in atoms[:k]} | {atoms[k]: "0"}
+        path.write_text(json.dumps({"space": {"atoms": atoms}, "measures": {"tau": tau}}))
+        return ["quotient", "--space-file", str(path), "--tau", "tau"]
+    at_cap = document(QUOTIENT_NON_NULL_CAP)
+    proc = run_module(*at_cap, "--json-out", "-")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["body"]["class_count"] == 1 << QUOTIENT_NON_NULL_CAP
+    proc = run_module(*at_cap)
+    assert proc.returncode == 0, proc.stderr
+    assert f"class_count: {1 << QUOTIENT_NON_NULL_CAP}" in proc.stdout
+    proc = run_module(*document(QUOTIENT_NON_NULL_CAP + 1))
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == ("size cap exceeded: 14285 non-null atoms exceed the cap of 14284; "
+                           "this cap is fixed; no flag raises it\n")
 
 
 def test_max_n_past_the_ceiling_omits_what_it_cannot_enumerate(tmp_path, capsys):

@@ -4,7 +4,9 @@
 every subset (``threshold_sweep``); these tests hold them to the
 per-subset ``integrate_threshold`` route, exactly for the exact
 operations and through ``values_equal`` for ``CustomContinuous``, and
-on every validated chain of at most five elements.  The
+on every validated chain of at most five elements.  Over levels of
+f that hold many atoms the sweep computes each term once, in the same
+order, and takes one ``lane_max`` per level after the first.  The
 byte tables of ``MaxMeasure.table`` are held to the ExtNonneg low-bit
 DP they replace, ``max_rank_table`` to a literal max per mask, the
 lane-wise ``lane_max`` and ``lane_min`` to per-byte loops, and the
@@ -15,6 +17,7 @@ past the cap before any ⊙ call, and ``verify_density`` builds its rank
 tables from rank lists, making no re-ordered ``Space``.
 """
 
+import math
 import random
 import time
 import tracemalloc
@@ -53,11 +56,11 @@ from maxitive import (
     verify_localization,
     verify_nguyen_measure,
 )
-from maxitive import bytetable
+from maxitive import bytetable, integral
 from maxitive.bytetable import lane_max, lane_min, max_rank_table, subset_min
 from maxitive.errors import SizeCapError
 
-from conftest import CountingTimes, float_times, small_chains
+from conftest import CountingTimes, FaultyMap, float_times, outcome, small_chains
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -82,6 +85,18 @@ def reference_pushforward(pm, f, nu):
 def reference_verify(pm, c, nu, tau):
     return all(pm.values_equal(integrate_threshold(pm, c, tau, B), measure_eval(nu, B))
                for B in c.space.subsets())
+
+
+def sweep_terms(f, tau):
+    """The pairs (v, m) whose v ⊙ m the sweep computes, level by level:
+    for each positive value v of f, descending, every distinct mass of τ
+    on {f ≥ v} that is at least τ's least mass on {f = v}."""
+    pairs = []
+    for v in sorted({x for x in f.values if not x.is_zero}, reverse=True):
+        lowest = min(t for x, t in zip(f.values, tau.masses) if x == v)
+        pairs += [(v, m) for m in {t for x, t in zip(f.values, tau.masses)
+                                   if x >= v and t >= lowest}]
+    return pairs
 
 
 def agree(pm, got, want):
@@ -120,6 +135,101 @@ def test_verify_density_equals_per_subset_sweep(inst):
     pm = OPS[kind]
     nu = pushforward_measure(pm, c, tau)
     assert verify_density(pm, candidate, nu, tau) == reference_verify(pm, candidate, nu, tau)
+
+
+@st.composite
+def tied_instances(draw):
+    """(kind, f, τ, candidate) with many ties: f takes 1 to 3 distinct
+    values, 0 and ∞ among those it may draw, each on 2 to 12 atoms of at
+    most 12; candidate is f, possibly changed on one atom."""
+    kind = draw(st.sampled_from(["times", "min", "chain", "counting"]))
+    pool = POOLS["chain" if kind == "chain" else "times"]
+    values = draw(st.lists(st.sampled_from([ZERO, INF, *pool]), min_size=1, max_size=3,
+                           unique=True))
+    sizes = [draw(st.integers(2, 12 // len(values))) for _ in values]
+    f_values = draw(st.permutations([v for v, k in zip(values, sizes) for _ in range(k)]))
+    n = len(f_values)
+    space = Space([f"x{i}" for i in range(n)])
+    f = MeasurableFn(space, f_values)
+    tau = MaxMeasure(space, [draw(st.sampled_from(pool)) for _ in range(n)])
+    candidate = f
+    if draw(st.booleans()):
+        candidate = f.with_value(f"x{draw(st.integers(0, n - 1))}", draw(st.sampled_from(pool)))
+    return kind, f, tau, candidate
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_instances())
+def test_the_sweep_over_tied_levels_equals_the_per_subset_route(inst):
+    kind, f, tau, candidate = inst
+    pm = CountingTimes() if kind == "counting" else OPS[kind]
+    assert list(pushforward(pm, f, tau).values) == reference_pushforward(pm, f, tau)
+    nu = pushforward_measure(pm, f, tau)
+    for d in (f, candidate):
+        assert verify_density(pm, d, nu, tau) == reference_verify(pm, d, nu, tau)
+    if kind == "counting":
+        # each term once: no level computes a product twice
+        for sweep in (lambda: threshold_sweep(pm, f, tau, extra=nu.masses),
+                      lambda: pushforward(pm, f, tau)):
+            pm.calls = 0
+            sweep()
+            assert pm.calls == len(sweep_terms(f, tau))
+
+
+def test_a_raising_odot_faults_at_the_same_term_of_the_sweep():
+    # three levels, ∞, 2 and 1, with ties in f and in τ; the sweep's ⊙
+    # calls, level by level, are sweep_terms' pairs in this order
+    space = Space(list("abcdefg"))
+    f = MeasurableFn(space, ["2", "1", "2", "0", "inf", "1", "2"])
+    tau = MaxMeasure(space, ["3", "1/2", "5", "2", "1", "4", "5"])
+    pairs = [(math.inf, 1.0), (2.0, 3.0), (2.0, 5.0),
+             (1.0, 0.5), (1.0, 1.0), (1.0, 3.0), (1.0, 4.0), (1.0, 5.0)]
+    assert sorted(pairs) == sorted((float(v), float(m)) for v, m in sweep_terms(f, tau))
+    seen = []
+    recorded = CustomContinuous(lambda s, t: seen.append((s, t)) or float_times(s, t), 1)
+    threshold_sweep(recorded, f, tau)
+    assert seen == pairs
+    for sweep in (threshold_sweep, pushforward):
+        for k in range(len(pairs) + 1):
+            fn = FaultyMap(k, ValueError("map undefined here"))
+            got = outcome(sweep, CustomContinuous(fn, 1), f, tau)
+            if k < len(pairs):
+                assert (got, fn.calls) == (("raises", ValueError, "map undefined here", None),
+                                           k + 1), (sweep.__name__, k)
+            else:
+                assert (got[0], fn.calls) == ("value", k), sweep.__name__
+
+
+def test_the_sweep_takes_one_lane_max_per_level_after_the_first(monkeypatch):
+    # the masks whose last atom lies in one level are one run, so a level
+    # of many atoms still takes one lane_max; the first level takes none
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return lane_max(a, b)
+
+    monkeypatch.setattr(integral, "lane_max", counted)
+    rng = random.Random(36)
+    many = 0
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        space = Space([f"x{i}" for i in range(n)])
+        values = rng.sample(POOLS["times"], rng.randint(1, 4))
+        f = MeasurableFn(space, [rng.choice(values + [ZERO]) for _ in range(n)])
+        tau = MaxMeasure(space, [rng.choice(POOLS["times"]) for _ in range(n)])
+        extra = [rng.choice(POOLS["times"]) for _ in range(rng.randint(0, 4))]
+        calls.clear()
+        index, order, table = threshold_sweep(TIMES, f, tau, extra=extra)
+        positive = {v for v in f.values if not v.is_zero}
+        assert len(calls) == max(len(positive) - 1, 0)
+        many += any(f.values.count(v) > 1 for v in positive)
+        # the value-to-rank dict, ascending, holding 0 and every extra mass
+        assert list(index) == sorted(index)
+        assert list(index.values()) == list(range(len(index)))
+        assert ZERO in index and all(m in index for m in extra)
+        assert set(table) <= set(index.values())
+    assert many > 100
 
 
 def test_both_verdicts_occur_for_every_operation():
