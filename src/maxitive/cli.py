@@ -23,6 +23,12 @@ quotient, verify_lattice_complete; ideal-measures,
 verify_nguyen_measure, verify_localization and check_maxitive on both
 measures; variation, same_null_sets.  diagnose gates none.
 
+Four fixed caps refuse here, each with exit 3 and no flag to raise it: a
+chain carrier past CHAIN_CARRIER_CAP, gallery --trials past
+GALLERY_TRIALS_CAP, quotient past QUOTIENT_NON_NULL_CAP non-null atoms,
+and variation on a finite total whose numerator or denominator has more
+than VARIATION_TOTAL_DIGITS_CAP digits, the most Python prints.
+
 Exit codes: 0 computed (a negative mathematical verdict such as "no
 density" is still a computation), 2 invalid input, 3 size cap exceeded,
 4 negative verdict when --fatal-verdicts is set, 1 unexpected internal
@@ -38,6 +44,7 @@ import errno
 import functools
 import os
 import sys
+from decimal import Decimal
 from typing import Optional
 
 from .density import diagnose_rn, finitize_density, solve_density, verify_density
@@ -67,7 +74,8 @@ from .quotient import (
     verify_nguyen_measure,
 )
 from .report import Report, jsonable
-from .spaces import DEFAULT_MAX_N, QUOTIENT_NON_NULL_CAP, SubsetB, check_fixed_cap, within_cap
+from .spaces import (DEFAULT_MAX_N, QUOTIENT_NON_NULL_CAP, VARIATION_TOTAL_DIGITS_CAP, SubsetB,
+                     check_fixed_cap, within_cap)
 from .specdoc import SpecDoc, load_spec
 
 __all__ = ["main"]
@@ -271,11 +279,16 @@ def _cmd_variation(args) -> Report:
     doc = _load_doc(args)
     tau = _named("measure", doc.measures, args.tau)
     m = disjoint_variation(tau)
+    total = m(doc.space.full)
+    if total.is_finite:  # Decimal counts the digits of an int str() refuses
+        q = total.as_fraction()
+        check_fixed_cap(Decimal(max(q.numerator, q.denominator)).adjusted() + 1,
+                        VARIATION_TOTAL_DIGITS_CAP, "digits in the total's numerator or denominator")
     same_nulls = same_null_sets(tau, m) if within_cap(doc.space.n, args.max_n) else None
     body = {
         "tau": jsonable(tau),
         "disjoint_variation": jsonable(m),
-        "total": jsonable(m(doc.space.full)),
+        "total": jsonable(total),
         "dominates_tau": all(v <= w for v, w in zip(tau.masses, m.masses)),
         "same_null_sets": same_nulls,
     }

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+__all__ = ["MaxitiveError", "SpaceMismatchError", "SizeCapError", "CarrierDomainError",
+           "DegenerateOperationError", "PreconditionError", "UnresolvedInfimumError",
+           "CrossCheckError", "SpecIssue", "SpecValidationError"]
+
 
 class MaxitiveError(Exception):
     """Base class for all library errors."""

@@ -195,17 +195,9 @@ def as_extnn(value: Coercible) -> ExtNonneg:
 
 def ext_max(values: Iterable[ExtNonneg]) -> ExtNonneg:
     """⊕ of a finite family; the empty family yields 0."""
-    best = ZERO
-    for v in values:
-        if best < v:
-            best = v
-    return best
+    return max(values, default=ZERO)
 
 
 def ext_min(values: Iterable[ExtNonneg]) -> ExtNonneg:
     """Meet of a finite family; the empty family yields ∞."""
-    best = INF
-    for v in values:
-        if v < best:
-            best = v
-    return best
+    return min(values, default=INF)

@@ -68,6 +68,7 @@ __all__ = [
     "pushforward",
     "pushforward_measure",
     "threshold_sweep",
+    "assert_oracle_consistent",
 ]
 
 

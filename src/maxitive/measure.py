@@ -41,7 +41,7 @@ def _values_from(space: Space, values) -> tuple:
         missing = [a for a in space.atoms if a not in values]
         if missing:
             raise ValueError(f"missing masses for atoms {missing}")
-        extra = [k for k in values if k not in space.atoms]
+        extra = [k for k in values if k not in space.positions]
         if extra:
             raise ValueError(f"values given for unknown atoms {extra}")
         return tuple(as_extnn(values[a]) for a in space.atoms)

@@ -490,7 +490,7 @@ class DiscreteChain(PseudoMul):
         """Chain whose operation is the product rounded down into the carrier;
         its identity is 1.  Rows are made as read, so none past the cap."""
         values = tuple(sorted({as_extnn(v) for v in carrier}))
-        rows = ([max((v for v in values if v <= a * b), default=ZERO) for b in values]
+        rows = ([values[bisect.bisect_right(values, a * b) - 1] for b in values]
                 for a in values)
         return cls(values, rows, ONE)
 

@@ -383,7 +383,7 @@ def enumerate_quotient_sigma_ideals(lattice: QuotientLattice) -> list:
     """
     check_fixed_cap(lattice.k, SIGMA_IDEAL_ENUM_CAP, "non-null atoms")
     masks = sorted(submasks(lattice.non_null_atoms.mask),
-                   key=lambda x: (bin(x).count("1"), x))
+                   key=lambda x: (x.bit_count(), x))
     pos = {m: i for i, m in enumerate(masks)}
     included = [False] * len(masks)
     downsets: list = []

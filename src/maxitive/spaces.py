@@ -37,6 +37,9 @@ NUMBER_DIGITS_CAP = 1000
 # quotient prints its class count 2^k as an int, and for the same limit
 # k is held here: 2^14 284 has 4 300 digits, 2^14 285 has 4 301.
 QUOTIENT_NON_NULL_CAP = 14_284
+# variation prints its total, a sum of τ's masses, as n/d, and for the
+# same limit each of n and d may have at most 4 300 digits.
+VARIATION_TOTAL_DIGITS_CAP = 4_300
 # A chain's carrier ranks fit a byte, so the validator checks associativity
 # on rows of rank bytes, every triple at once.
 CHAIN_CARRIER_CAP = 256
@@ -188,7 +191,7 @@ class SubsetB:
         return self.mask == 0
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[str]:
         for i, label in enumerate(self.space.atoms):

@@ -339,7 +339,7 @@ def parse_spec(source) -> SpecDoc:
         if isinstance(raw, list) and all(isinstance(g, list) for g in raw):
             gens = []
             for i, g in enumerate(raw):
-                bad = [a for a in g if a not in space.atoms]
+                bad = [a for a in g if not (isinstance(a, str) and a in space.positions)]
                 if bad:
                     issues.append(SpecIssue(f"{path}[{i}]", f"unknown atoms {bad}"))
                     gens = None

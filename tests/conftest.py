@@ -83,6 +83,20 @@ class CountingTimes(StandardProduct):
         return super().omul(s, t)
 
 
+class ScanFreeAtoms(tuple):
+    """An atom tuple that fails the test on a membership scan: a label is
+    to be looked up in ``Space.positions``."""
+
+    def __contains__(self, label):
+        raise AssertionError(f"the atom tuple was scanned for {label!r}")
+
+
+def scan_free(space: Space) -> Space:
+    """``space``, its atoms held in a ScanFreeAtoms."""
+    space.atoms = ScanFreeAtoms(space.atoms)
+    return space
+
+
 @pytest.fixture
 def times():
     return StandardProduct()

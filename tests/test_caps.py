@@ -14,6 +14,8 @@ message.
 """
 
 import ast
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ from maxitive import (
     nguyen_bruteforce,
     same_null_sets,
     semi_odot_finite_bruteforce,
+    validate_pseudo_mul,
     verify_lattice_complete,
 )
 from maxitive.bytetable import max_rank_table
@@ -172,6 +175,47 @@ def test_a_clamped_chain_past_the_cap_builds_no_row(monkeypatch):
         DiscreteChain.clamped_product(range(CHAIN_CARRIER_CAP + 1))
     with pytest.raises(AssertionError, match="a row was built"):
         DiscreteChain.clamped_product(range(CHAIN_CARRIER_CAP))
+
+
+def test_a_clamped_chain_forms_one_product_per_cell(monkeypatch):
+    products = []
+    mul = ExtNonneg.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(ExtNonneg, "__mul__", counted)
+    chain = DiscreteChain.clamped_product([0, 1, "1/2", 2, 3, 7, "inf"])
+    k = len(chain.carrier)
+    assert len(products) == k * k
+    assert set(products) == {(a, b) for a in chain.carrier for b in chain.carrier}
+
+
+def test_a_clamped_chain_rounds_each_product_down_into_its_carrier():
+    # The literal rule on random carriers of 2 to 16 elements, with and
+    # without ∞: a ⊙ b is the largest carrier element at most a · b.
+    rng = random.Random(37)
+    for trial in range(300):
+        size = rng.randint(2, 16)
+        carrier = {ExtNonneg(0), ONE} | ({INF} if trial % 2 else set())
+        while len(carrier) < size:
+            carrier.add(ExtNonneg(Fraction(rng.randint(1, 40), rng.randint(1, 8))))
+        chain = DiscreteChain.clamped_product(rng.sample(sorted(carrier), len(carrier)))
+        for a in carrier:
+            for b in carrier:
+                assert chain(a, b) == max(v for v in carrier if v <= a * b), (carrier, a, b)
+
+
+def test_a_clamped_chain_at_the_cap_builds_and_validates():
+    # 0, ∞ and the powers 2^e for e in {0, 1} ∪ {3k, 3k + 1 : 1 ≤ k ≤ 126}:
+    # a product adds exponents and rounds the sum down into that set, which
+    # is associative, and φ = 2 is idempotent (2 ⊙ 2 = 4 rounds down to 2).
+    powers = [1, 2] + [2 ** e for k in range(1, 127) for e in (3 * k, 3 * k + 1)]
+    chain = DiscreteChain.clamped_product([0, *powers, "inf"])
+    assert len(chain.carrier) == CHAIN_CARRIER_CAP
+    assert chain(ExtNonneg(8), ExtNonneg(16)) == ExtNonneg(2 ** 7)
+    assert chain(ExtNonneg(16), ExtNonneg(16)) == ExtNonneg(2 ** 7)
+    assert validate_pseudo_mul(chain).passed
 
 
 def _names(node) -> set:

@@ -16,7 +16,7 @@ from maxitive import DiscreteChain, MaxMeasure, cli, gallery, validate_pseudo_mu
 from maxitive.cli import main
 from maxitive.report import Report
 from maxitive.spaces import (CHAIN_CARRIER_CAP, GALLERY_TRIALS_CAP, NUMBER_DIGITS_CAP,
-                             QUOTIENT_NON_NULL_CAP)
+                             QUOTIENT_NON_NULL_CAP, VARIATION_TOTAL_DIGITS_CAP)
 
 from conftest import min_chain
 
@@ -838,6 +838,32 @@ def test_quotient_refuses_a_class_count_past_the_printable_digits(tmp_path):
     proc = run_module(*document(QUOTIENT_NON_NULL_CAP + 1))
     assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
     assert proc.stderr == ("size cap exceeded: 14285 non-null atoms exceed the cap of 14284; "
+                           "this cap is fixed; no flag raises it\n")
+
+
+def test_variation_refuses_a_total_past_the_printable_digits(tmp_path):
+    # Each mass 1/(10^990 + 2i + 1) is a number text within the cap, but
+    # six of them sum to a total whose denominator Python cannot print.
+    def document(k):
+        path = tmp_path / f"k{k}.json"
+        dens = [10 ** 990 + 2 * i + 1 for i in range(k)]
+        tau = {f"x{i}": f"1/{d}" for i, d in enumerate(dens)}
+        path.write_text(json.dumps({"space": {"atoms": list(tau)}, "measures": {"tau": tau}}))
+        total = sum(Fraction(1, d) for d in dens)
+        digits = next(n for n in itertools.count(1) if total.denominator < 10 ** n)
+        return ["variation", "--space-file", str(path), "--tau", "tau"], total, digits
+    argv, total, digits = document(4)
+    assert digits <= VARIATION_TOTAL_DIGITS_CAP
+    proc = run_module(*argv, "--json-out", "-")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["body"]["total"] == str(total)
+    argv, total, digits = document(6)
+    assert digits > VARIATION_TOTAL_DIGITS_CAP
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert "Exceeds the limit" not in proc.stderr
+    assert proc.stderr == (f"size cap exceeded: {digits} digits in the total's numerator or "
+                           f"denominator exceed the cap of {VARIATION_TOTAL_DIGITS_CAP}; "
                            "this cap is fixed; no flag raises it\n")
 
 

@@ -60,6 +60,18 @@ def test_order_endpoints():
     assert ext_min([]) == INF
 
 
+@given(st.lists(extnn))
+def test_ext_max_and_ext_min_are_the_literal_loops(values):
+    top, bottom = ZERO, INF
+    for v in values:
+        if top < v:
+            top = v
+        if v < bottom:
+            bottom = v
+    assert ext_max(values) == top
+    assert ext_min(iter(values)) == bottom
+
+
 @given(a=extnn, b=extnn)
 def test_total_order(a, b):
     assert (a <= b) or (b <= a)

@@ -34,7 +34,7 @@ from maxitive import (
 )
 from maxitive.errors import SizeCapError
 
-from conftest import LABELS, extnn, fraction_key, rand_measure, rand_space
+from conftest import LABELS, extnn, fraction_key, rand_measure, rand_space, scan_free
 
 TIMES = StandardProduct()
 MIN = Minimum()
@@ -368,3 +368,8 @@ def test_subset_algebra(data):
     assert (A - B) | (A & B) == A
     assert (~A | A) == sp.full
     assert A.issubset(A | B)
+
+
+def test_masses_by_atom_are_looked_up_not_scanned():
+    mu = MaxMeasure(scan_free(Space(["a", "b", "c"])), {"c": 3, "a": "1/2", "b": INF})
+    assert mu.masses == (ExtNonneg("1/2"), INF, ExtNonneg(3))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxitive.extreal as extreal
+import maxitive.specdoc as specdoc
 
 from maxitive import (
     INF,
@@ -24,6 +25,8 @@ from maxitive import (
 from maxitive.cli import main
 from maxitive.spaces import NUMBER_DIGITS_CAP
 from maxitive.specdoc import SpecDoc
+
+from conftest import scan_free
 
 
 MINIMAL = {
@@ -220,6 +223,16 @@ def test_a_section_that_is_not_an_object_is_located(section, raw):
 def test_ideal_generators_of_any_json_are_located():
     issues, _ = _issues({**MINIMAL, "ideals": {"I": [["a", [1], {"x": 2}, None, 5]]}})
     assert issues == {("ideals.I[0]", "unknown atoms [[1], {'x': 2}, None, 5]")}
+
+
+def test_ideal_generators_are_looked_up_not_scanned(monkeypatch):
+    monkeypatch.setattr(specdoc, "Space", lambda atoms: scan_free(Space(atoms)))
+    doc = {"space": {"atoms": ["a", "b", "c"]}, "measures": {"mu": {"a": 1, "b": 2, "c": 0}},
+           "ideals": {"I": [["a"], ["c", "b"]]}}
+    parsed = parse_spec(doc)
+    assert parsed.ideals["I"].top == parsed.space.full
+    issues, _ = _issues({**doc, "ideals": {"I": [["a", "z", 1]]}})
+    assert issues == {("ideals.I[0]", "unknown atoms ['z', 1]")}
 
 
 # -- one read path for number strings ---------------------------------------------
