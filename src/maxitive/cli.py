@@ -23,11 +23,12 @@ quotient, verify_lattice_complete; ideal-measures,
 verify_nguyen_measure, verify_localization and check_maxitive on both
 measures; variation, same_null_sets.  diagnose gates none.
 
-Four fixed caps refuse here, each with exit 3 and no flag to raise it: a
-chain carrier past CHAIN_CARRIER_CAP, gallery --trials past
-GALLERY_TRIALS_CAP, quotient past QUOTIENT_NON_NULL_CAP non-null atoms,
-and variation on a finite total whose numerator or denominator has more
-than VARIATION_TOTAL_DIGITS_CAP digits, the most Python prints.
+Three refusals are exit 3, and no flag lifts them: a chain carrier past
+CHAIN_CARRIER_CAP, gallery --trials past GALLERY_TRIALS_CAP, and a report
+value with more digits than Python prints.  A handler puts library values
+in its Report, which converts them as it is built and names the field it
+cannot print; by default only quotient's class_count and variation's
+total can reach that.
 
 Exit codes: 0 computed (a negative mathematical verdict such as "no
 density" is still a computation), 2 invalid input, 3 size cap exceeded,
@@ -44,7 +45,6 @@ import errno
 import functools
 import os
 import sys
-from decimal import Decimal
 from typing import Optional
 
 from .density import diagnose_rn, finitize_density, solve_density, verify_density
@@ -73,9 +73,8 @@ from .quotient import (
     verify_localization,
     verify_nguyen_measure,
 )
-from .report import Report, jsonable
-from .spaces import (DEFAULT_MAX_N, QUOTIENT_NON_NULL_CAP, VARIATION_TOTAL_DIGITS_CAP, SubsetB,
-                     check_fixed_cap, within_cap)
+from .report import Report
+from .spaces import DEFAULT_MAX_N, SubsetB, within_cap
 from .specdoc import SpecDoc, load_spec
 
 __all__ = ["main"]
@@ -167,14 +166,8 @@ def _resolve_ideal(doc: SpecDoc, text: str) -> SigmaIdeal:
 def _cmd_validate_op(args) -> Report:
     pm = _resolve_pm(args, _maybe_doc(args))
     report = validate_pseudo_mul(pm, args.seed)
-    body = {
-        "operation": pm.describe(),
-        "identity": jsonable(pm.identity),
-        "degenerate": report.degenerate,
-        "profile": jsonable(pm.finiteness_profile()),
-        "checks": [jsonable(c) for c in report.checks],
-        "passed": report.passed,
-    }
+    body = {"operation": pm.describe(), "identity": pm.identity, "degenerate": report.degenerate,
+            "profile": pm.finiteness_profile(), "checks": report.checks, "passed": report.passed}
     return Report("validate-op", body, negative_verdict=not report.passed)
 
 
@@ -186,15 +179,9 @@ def _cmd_integrate(args) -> Report:
     sweep = integrate_threshold(pm, f, nu, B)
     atomwise = integrate_atomwise(pm, f, nu, B)
     oracle = integrate_oracle(pm, f, nu, B, canonical_grid(pm, f, B))
-    body = {
-        "operation": pm.describe(),
-        "subset": jsonable(B),
-        "value": jsonable(sweep),
-        "threshold_sweep": jsonable(sweep),
-        "atomwise": jsonable(atomwise),
-        "oracle_lower_bound": jsonable(oracle),
-        "paths_agree": pm.values_equal(sweep, atomwise),
-    }
+    body = {"operation": pm.describe(), "subset": B, "value": sweep, "threshold_sweep": sweep,
+            "atomwise": atomwise, "oracle_lower_bound": oracle,
+            "paths_agree": pm.values_equal(sweep, atomwise)}
     return Report("integrate", body)
 
 
@@ -203,11 +190,10 @@ def _cmd_density(args) -> Report:
     pm = _lawful_pm(args, doc)
     nu, tau = _carried(pm, doc, ("measure", args.nu), ("measure", args.tau))
     result = solve_density(pm, nu, tau)
-    body = {"operation": pm.describe(), "nu": jsonable(nu), "tau": jsonable(tau),
-            "found": result.ok}
+    body = {"operation": pm.describe(), "nu": nu, "tau": tau, "found": result.ok}
     negative = not result.ok
     if result.ok:
-        body["density"] = jsonable(result.density)
+        body["density"] = result.density
         if within_cap(doc.space.n, args.max_n):
             body["verified_on_all_subsets"] = verify_density(pm, result.density, nu, tau)
         if args.finitize:
@@ -219,9 +205,9 @@ def _cmd_density(args) -> Report:
                 body["finitize_refused"] = str(exc)
                 negative = True
             else:
-                body["finitized_density"] = jsonable(c1)
+                body["finitized_density"] = c1
     else:
-        body["failures"] = [jsonable(f) for f in result.failures]
+        body["failures"] = result.failures
         body["certificate"] = [str(f) for f in result.failures]
     return Report("density", body, negative_verdict=negative)
 
@@ -231,8 +217,8 @@ def _cmd_diagnose(args) -> Report:
     pm = _lawful_pm(args, doc)
     (tau,) = _carried(pm, doc, ("measure", args.tau))
     diag = diagnose_rn(pm, tau)
-    body = {"operation": pm.describe(), "tau": jsonable(tau),
-            "diagnosis": jsonable(diag), "text": str(diag).splitlines()}
+    body = {"operation": pm.describe(), "tau": tau,
+            "diagnosis": diag, "text": str(diag).splitlines()}
     return Report("diagnose", body, negative_verdict=not diag.rn_property)
 
 
@@ -240,14 +226,9 @@ def _cmd_quotient(args) -> Report:
     doc = _load_doc(args)
     tau = _named("measure", doc.measures, args.tau)
     lattice = build_quotient(tau)
-    check_fixed_cap(lattice.k, QUOTIENT_NON_NULL_CAP, "non-null atoms")
     verified = verify_lattice_complete(lattice) if within_cap(doc.space.n, args.max_n) else None
-    body = {
-        "tau": jsonable(tau),
-        "non_null_atoms": jsonable(lattice.non_null_atoms),
-        "class_count": lattice.count,
-        "complete_lattice_verified": verified,
-    }
+    body = {"tau": tau, "non_null_atoms": lattice.non_null_atoms, "class_count": lattice.count,
+            "complete_lattice_verified": verified}
     return Report("quotient", body)
 
 
@@ -258,13 +239,8 @@ def _cmd_ideal_measures(args) -> Report:
     restricted = ideal_restriction_measure(tau, ideal)
     threshold = nguyen_measure(tau, ideal)
     local = localize(tau, ideal)
-    body = {
-        "tau": jsonable(tau),
-        "ideal_top": jsonable(ideal.top),
-        "restricted_to_ideal": jsonable(restricted),
-        "nguyen_threshold": jsonable(threshold),
-        "localization": jsonable(local),
-    }
+    body = {"tau": tau, "ideal_top": ideal.top, "restricted_to_ideal": restricted,
+            "nguyen_threshold": threshold, "localization": local}
     if within_cap(doc.space.n, args.max_n):
         verify_nguyen_measure(tau, ideal, threshold)
         verify_localization(tau, ideal, local)
@@ -279,19 +255,10 @@ def _cmd_variation(args) -> Report:
     doc = _load_doc(args)
     tau = _named("measure", doc.measures, args.tau)
     m = disjoint_variation(tau)
-    total = m(doc.space.full)
-    if total.is_finite:  # Decimal counts the digits of an int str() refuses
-        q = total.as_fraction()
-        check_fixed_cap(Decimal(max(q.numerator, q.denominator)).adjusted() + 1,
-                        VARIATION_TOTAL_DIGITS_CAP, "digits in the total's numerator or denominator")
     same_nulls = same_null_sets(tau, m) if within_cap(doc.space.n, args.max_n) else None
-    body = {
-        "tau": jsonable(tau),
-        "disjoint_variation": jsonable(m),
-        "total": jsonable(total),
-        "dominates_tau": all(v <= w for v, w in zip(tau.masses, m.masses)),
-        "same_null_sets": same_nulls,
-    }
+    body = {"tau": tau, "disjoint_variation": m, "total": m(doc.space.full),
+            "dominates_tau": all(v <= w for v, w in zip(tau.masses, m.masses)),
+            "same_null_sets": same_nulls}
     return Report("variation", body)
 
 

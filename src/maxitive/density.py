@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     UnresolvedInfimumError,
 )
-from .extreal import ZERO, ExtNonneg, as_extnn
+from .extreal import INF, ZERO, ExtNonneg, as_extnn
 from .integral import pushforward_measure, threshold_sweep
 from .measure import (
     MaxMeasure,
@@ -72,6 +72,12 @@ def achievable_set(pm: PseudoMul, t: ExtNonneg) -> AchievableSet:
     return pm.achievable_set(as_extnn(t))
 
 
+def _bound(pm: PseudoMul, t: ExtNonneg) -> ExtNonneg:
+    """∞ ⊙ t, the most any c ⊙ t reaches; a chain whose carrier lacks ∞
+    takes the top of its achievable set, t's column maximum."""
+    return pm(INF, t) if pm.representable(INF) else pm.achievable_set(t).upper
+
+
 def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> bool:
     """Whether ν(B) ≤ ∞ ⊙ τ(B) for every B with τ(B) ⊙-finite.
 
@@ -83,7 +89,7 @@ def is_abs_continuous(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure) -> bool:
     _require_non_degenerate(pm, "is_abs_continuous")
     _same_space(nu.space, tau.space)
     return all(
-        not pm.is_odot_finite(tv) or nv <= achievable_set(pm, tv).upper
+        not pm.is_odot_finite(tv) or nv <= _bound(pm, tv)
         for nv, tv in zip(nu.masses, tau.masses))
 
 
@@ -100,7 +106,7 @@ def is_abs_continuous_exhaustive(pm: PseudoMul, nu: MaxMeasure, tau: MaxMeasure)
     # per τ value: the highest rank of ν allowed where τ takes it
     # (255, no bound, where the value is ⊙-infinite)
     allowed = bytes(
-        bisect_right(nu_table.universe, achievable_set(pm, tv).upper) - 1
+        bisect_right(nu_table.universe, _bound(pm, tv)) - 1
         if pm.is_odot_finite(tv) else 255 for tv in tau_table.universe)
     bounds = tau_table.ranks.translate(allowed.ljust(256, b"\0"))
     return not any(map(gt, nu_table.ranks, bounds))

@@ -43,7 +43,7 @@ from .quotient import (
     verify_localization,
     verify_nguyen_measure,
 )
-from .report import Report, jsonable
+from .report import Report
 from .spaces import GALLERY_TRIALS_CAP, Space, check_fixed_cap
 
 __all__ = ["GALLERY", "run_gallery"]
@@ -56,8 +56,7 @@ class _Checks:
         self.entries = []
 
     def add(self, name: str, passed: bool, detail="") -> bool:
-        self.entries.append({"name": name, "passed": bool(passed),
-                             "detail": jsonable(detail)})
+        self.entries.append({"name": name, "passed": bool(passed), "detail": detail})
         return bool(passed)
 
     @property
@@ -66,9 +65,7 @@ class _Checks:
 
     def report(self, scenario: str, extra: Optional[dict] = None) -> Report:
         body = {"scenario": scenario, "passed": self.passed, "checks": self.entries}
-        if extra:
-            body.update(jsonable(extra))
-        return Report("gallery", body, negative_verdict=not self.passed)
+        return Report("gallery", body | (extra or {}), negative_verdict=not self.passed)
 
 
 def _cross_check_failure(verify, *args) -> str:

@@ -7,6 +7,7 @@ represented as a bitmask over the atom order.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, SpaceMismatchError
@@ -30,16 +31,12 @@ SIGMA_IDEAL_ENUM_CAP = 5
 SEMI_FINITE_ORACLE_CAP = 12
 MAXITIVE_ORACLE_CAP = 10
 PARTITION_ORACLE_CAP = 6
-# A number string may have at most this many characters and a decimal
-# exponent at most this large: Fraction would build 10**exponent first,
-# and Python prints no integer past 4 300 digits.
+# A number string may have at most this many characters and an exponent
+# of ten at most this large: Fraction would build 10**exponent first.
+# So a number's numerator has at most 1 995 digits ("9"*995 + "e1000") and
+# its denominator at most 1 993 ("0." + "9"*992 + "e-1000"); the first over
+# the second, a density, prints with 3 987, within Python's default 4 300.
 NUMBER_DIGITS_CAP = 1000
-# quotient prints its class count 2^k as an int, and for the same limit
-# k is held here: 2^14 284 has 4 300 digits, 2^14 285 has 4 301.
-QUOTIENT_NON_NULL_CAP = 14_284
-# variation prints its total, a sum of τ's masses, as n/d, and for the
-# same limit each of n and d may have at most 4 300 digits.
-VARIATION_TOTAL_DIGITS_CAP = 4_300
 # A chain's carrier ranks fit a byte, so the validator checks associativity
 # on rows of rank bytes, every triple at once.
 CHAIN_CARRIER_CAP = 256
@@ -194,9 +191,8 @@ class SubsetB:
         return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[str]:
-        for i, label in enumerate(self.space.atoms):
-            if self.mask >> i & 1:
-                yield label
+        # the mask's bits read once, lowest first: bit i is atom i
+        return compress(self.space.atoms, map("1".__eq__, reversed(format(self.mask, "b"))))
 
     @property
     def labels(self) -> tuple:

@@ -9,12 +9,13 @@ ENUM_CAP is read only in spaces.py, no other function has a ``limit``
 or ``cross_check`` parameter, within_cap is called only in cli.py,
 check_enum_cap only by the two 2^n primitives (submasks and
 max_rank_table), no module but spaces.py loops over ``range(1 << …)``,
-cli.py reads nothing from bytetable, and SizeCapError takes only its
-message.
+cli.py reads nothing from bytetable, only report.py converts a report's
+body (jsonable), and SizeCapError takes only its message.
 """
 
 import ast
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 from maxitive import (
     INF,
     ONE,
+    AchievableSet,
     DiscreteChain,
     ExtNonneg,
     MaxMeasure,
@@ -43,6 +45,8 @@ from maxitive import (
 )
 from maxitive.bytetable import max_rank_table
 from maxitive.errors import SizeCapError
+from maxitive.extreal import ext_ratio
+from maxitive.report import Report
 from maxitive.spaces import (
     CHAIN_CARRIER_CAP,
     ENUM_CAP,
@@ -343,6 +347,59 @@ def test_cross_check_guards_see_what_they_look_for(tmp_path):
     assert enclosing_callers(path, "within_cap") == ["f"]
     assert bytetable_imports(path) == [1, 4, 5]
     assert powerset_ranges(path) == [6, 7]
+
+
+def test_only_a_report_converts_its_body():
+    # handlers put library values in a Report, and it converts them in one
+    # pass, where a value that cannot be printed is refused
+    assert callers(SRC / "cli.py", "jsonable") == []
+    assert callers(SRC / "gallery.py", "jsonable") == []
+    assert callers(SRC / "report.py", "jsonable")
+
+
+def test_the_conversion_guard_sees_a_call(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from .report import Report, jsonable\n"
+                    "body = {'tau': jsonable(tau)}\n"
+                    "rows = [report.jsonable(c) for c in checks]\n", encoding="utf-8")
+    assert callers(path, "jsonable") == [2, 3]
+
+
+def digits_of(n: int) -> int:
+    """len(str(n)), with no limit on the digits Python prints."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return len(str(n))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_report_refuses_what_python_cannot_print_and_names_its_field():
+    # an int, or a rational's numerator or denominator, of more digits than
+    # sys.get_int_max_str_digits(): the message names where it sits
+    limit = sys.get_int_max_str_digits()
+    past = 10 ** limit
+    space = Space(["a", "b"])
+    Report("probe", {"count": past - 1, "nu": MaxMeasure(space, [ext_ratio(1, past - 1), ONE])})
+    bodies = {"count": {"count": past},
+              "nu.a": {"nu": MaxMeasure(space, [ext_ratio(1, past), ONE])},
+              "failures.0.achievable.upper":
+                  {"failures": [{"achievable": AchievableSet(ONE, ExtNonneg(past), True)}]},
+              "checks.1.1": {"checks": (ONE, (2, past))}}
+    for field, body in bodies.items():
+        with pytest.raises(SizeCapError,
+                           match=f"^{limit + 1} digits in {field} exceed the cap of {limit}$"):
+            Report("probe", body)
+    rng = random.Random(38)
+    for n in (past, past * 10 - 1, 1 << 3 * limit + 1,
+              *(rng.getrandbits(bits) for bits in range(3 * limit, 4 * limit, 37))):
+        digits = digits_of(n)
+        if digits <= limit:
+            assert Report("probe", {"n": n}).body == {"n": n}
+            continue
+        with pytest.raises(SizeCapError, match=f"^{digits} digits in n exceed"):
+            Report("probe", {"n": n})
 
 
 def test_size_cap_error_takes_only_its_message():

@@ -15,8 +15,7 @@ import pytest
 from maxitive import DiscreteChain, MaxMeasure, cli, gallery, validate_pseudo_mul
 from maxitive.cli import main
 from maxitive.report import Report
-from maxitive.spaces import (CHAIN_CARRIER_CAP, GALLERY_TRIALS_CAP, NUMBER_DIGITS_CAP,
-                             QUOTIENT_NON_NULL_CAP, VARIATION_TOTAL_DIGITS_CAP)
+from maxitive.spaces import CHAIN_CARRIER_CAP, GALLERY_TRIALS_CAP, NUMBER_DIGITS_CAP
 
 from conftest import min_chain
 
@@ -818,53 +817,112 @@ def test_quotient_verdict_follows_max_n(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["body"]["complete_lattice_verified"] is None
 
 
+def quotient_argv(tmp_path, k):
+    """quotient on k non-null atoms and one null one: class_count is 2^k."""
+    path = tmp_path / f"k{k}.json"
+    atoms = [f"x{i}" for i in range(k + 1)]
+    tau = {a: "1" for a in atoms[:k]} | {atoms[k]: "0"}
+    path.write_text(json.dumps({"space": {"atoms": atoms}, "measures": {"tau": tau}}))
+    return ["quotient", "--space-file", str(path), "--tau", "tau"]
+
+
+def variation_argv(tmp_path, k, exponent):
+    """variation on k masses 1/(10^exponent + 2i + 1), with its total and the
+    digits of the total's denominator, counted without str()."""
+    path = tmp_path / f"k{k}e{exponent}.json"
+    dens = [10 ** exponent + 2 * i + 1 for i in range(k)]
+    tau = {f"x{i}": f"1/{d}" for i, d in enumerate(dens)}
+    path.write_text(json.dumps({"space": {"atoms": list(tau)}, "measures": {"tau": tau}}))
+    total = sum(Fraction(1, d) for d in dens)
+    digits = next(n for n in itertools.count(1) if total.denominator < 10 ** n)
+    return ["variation", "--space-file", str(path), "--tau", "tau"], total, digits
+
+
+def refused(proc, out: Path, digits: int, field: str, limit: int) -> bool:
+    """Whether ``proc`` refused ``field`` past ``limit`` digits: exit 3, one
+    stderr line, nothing on stdout and no --json-out file ``out``."""
+    return (proc.returncode, proc.stdout, proc.stderr, out.exists()) == (
+        3, "", f"size cap exceeded: {digits} digits in {field} exceed the cap of {limit}; "
+               "this cap is fixed; no flag raises it\n", False)
+
+
 def test_quotient_refuses_a_class_count_past_the_printable_digits(tmp_path):
-    # class_count is the int 2^k, and Python prints no int past 4 300
-    # digits: 2^14 284 has 4 300, 2^14 285 has 4 301.  The cap counts the
-    # non-null atoms, so one null atom more changes nothing.
-    def document(k):
-        path = tmp_path / f"k{k}.json"
-        atoms = [f"x{i}" for i in range(k + 1)]
-        tau = {a: "1" for a in atoms[:k]} | {atoms[k]: "0"}
-        path.write_text(json.dumps({"space": {"atoms": atoms}, "measures": {"tau": tau}}))
-        return ["quotient", "--space-file", str(path), "--tau", "tau"]
-    at_cap = document(QUOTIENT_NON_NULL_CAP)
-    proc = run_module(*at_cap, "--json-out", "-")
+    # class_count is the int 2^k, and Python prints at most 4 300 digits by
+    # default: 2^14 284 has 4 300, 2^14 285 has 4 301.  One null atom more
+    # changes nothing.
+    at_limit = quotient_argv(tmp_path, 14_284)
+    proc = run_module(*at_limit, "--json-out", "-")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["body"]["class_count"] == 1 << QUOTIENT_NON_NULL_CAP
-    proc = run_module(*at_cap)
+    assert json.loads(proc.stdout)["body"]["class_count"] == 1 << 14_284
+    proc = run_module(*at_limit)
     assert proc.returncode == 0, proc.stderr
-    assert f"class_count: {1 << QUOTIENT_NON_NULL_CAP}" in proc.stdout
-    proc = run_module(*document(QUOTIENT_NON_NULL_CAP + 1))
-    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
-    assert proc.stderr == ("size cap exceeded: 14285 non-null atoms exceed the cap of 14284; "
-                           "this cap is fixed; no flag raises it\n")
+    assert f"class_count: {1 << 14_284}" in proc.stdout
+    out = tmp_path / "report.json"
+    proc = run_module(*quotient_argv(tmp_path, 14_285), "--json-out", str(out))
+    assert refused(proc, out, 4_301, "class_count", 4_300), proc.stderr
 
 
 def test_variation_refuses_a_total_past_the_printable_digits(tmp_path):
     # Each mass 1/(10^990 + 2i + 1) is a number text within the cap, but
     # six of them sum to a total whose denominator Python cannot print.
-    def document(k):
-        path = tmp_path / f"k{k}.json"
-        dens = [10 ** 990 + 2 * i + 1 for i in range(k)]
-        tau = {f"x{i}": f"1/{d}" for i, d in enumerate(dens)}
-        path.write_text(json.dumps({"space": {"atoms": list(tau)}, "measures": {"tau": tau}}))
-        total = sum(Fraction(1, d) for d in dens)
-        digits = next(n for n in itertools.count(1) if total.denominator < 10 ** n)
-        return ["variation", "--space-file", str(path), "--tau", "tau"], total, digits
-    argv, total, digits = document(4)
-    assert digits <= VARIATION_TOTAL_DIGITS_CAP
+    argv, total, digits = variation_argv(tmp_path, 4, 990)
+    assert digits <= 4_300
     proc = run_module(*argv, "--json-out", "-")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["body"]["total"] == str(total)
-    argv, total, digits = document(6)
-    assert digits > VARIATION_TOTAL_DIGITS_CAP
-    proc = run_module(*argv)
-    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
-    assert "Exceeds the limit" not in proc.stderr
-    assert proc.stderr == (f"size cap exceeded: {digits} digits in the total's numerator or "
-                           f"denominator exceed the cap of {VARIATION_TOTAL_DIGITS_CAP}; "
-                           "this cap is fixed; no flag raises it\n")
+    argv, total, digits = variation_argv(tmp_path, 6, 990)
+    assert digits > 4_300
+    out = tmp_path / "report.json"
+    proc = run_module(*argv, "--json-out", str(out))
+    assert refused(proc, out, digits, "total", 4_300), proc.stderr
+
+
+def test_the_digit_refusal_follows_the_interpreter_limit(tmp_path):
+    # PYTHONINTMAXSTRDIGITS sets the limit: at 640, the least Python takes,
+    # each report names the field it cannot print; at 0, no limit, quotient
+    # prints the 4 301 digits of 2^14 285.
+    out = tmp_path / "report.json"
+    proc = run_module(*quotient_argv(tmp_path, 2_200), "--json-out", str(out),
+                      PYTHONINTMAXSTRDIGITS="640")
+    assert refused(proc, out, 663, "class_count", 640), proc.stderr
+    argv, _, digits = variation_argv(tmp_path, 6, 200)
+    proc = run_module(*argv, "--json-out", str(out), PYTHONINTMAXSTRDIGITS="640")
+    assert refused(proc, out, digits, "total", 640), proc.stderr
+    doc = tmp_path / "nu.json"
+    doc.write_text(json.dumps({"space": {"atoms": ["a", "b"]},
+                               "measures": {"nu": {"a": "1e700", "b": "1"},
+                                            "tau": {"a": "1", "b": "1"}}}))
+    proc = run_module("density", "--space-file", str(doc), "--nu", "nu", "--tau", "tau",
+                      "--json-out", str(out), PYTHONINTMAXSTRDIGITS="640")
+    assert refused(proc, out, 701, "nu.a", 640), proc.stderr
+    proc = run_module(*quotient_argv(tmp_path, 14_285), "--json-out", "-",
+                      PYTHONINTMAXSTRDIGITS="0")
+    assert proc.returncode == 0, proc.stderr
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # to read the count back in this process
+    try:
+        assert json.loads(proc.stdout)["body"]["class_count"] == 1 << 14_285
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_the_largest_numbers_print_within_the_default_limit(tmp_path, capsys):
+    # The largest numerator a number text gives has 1 995 digits, the
+    # largest denominator 1 993; their ratio, the density, has 3 987, and
+    # the integral of the first against itself 3 990: both within 4 300.
+    big, small = "9" * 995 + "e1000", "0." + "9" * 992 + "e-1000"
+    path = tmp_path / "largest.json"
+    path.write_text(json.dumps({"space": {"atoms": ["a", "b"]}, "pseudo_mul": "times",
+                                "measures": {"nu": {"a": big, "b": "1"},
+                                             "tau": {"a": small, "b": "1"}},
+                                "functions": {"f": {"a": big, "b": small}}}))
+    doc = ["--space-file", str(path), "--json-out", "-"]
+    assert main(["density", *doc, "--nu", "nu", "--tau", "tau"]) == 0
+    density = json.loads(capsys.readouterr().out)["body"]["density"]["a"]
+    assert len(density.partition("/")[0]) == 3_987
+    assert main(["integrate", *doc, "--measure", "nu", "--function", "f"]) == 0
+    value = json.loads(capsys.readouterr().out)["body"]["value"]
+    assert len(value) == 3_990 and "/" not in value
 
 
 def test_max_n_past_the_ceiling_omits_what_it_cannot_enumerate(tmp_path, capsys):
@@ -968,10 +1026,11 @@ def test_one_parser_serves_every_call(doc_path, capsys):
     assert shared == fresh
 
 
-def run_module(*argv):
-    """``python -m maxitive`` in a fresh process, bounded in time."""
+def run_module(*argv, **env):
+    """``python -m maxitive`` in a fresh process, bounded in time, with the
+    environment variables ``env`` set."""
     env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]), **env}
     return subprocess.run([sys.executable, "-m", "maxitive", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 

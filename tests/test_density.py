@@ -588,6 +588,38 @@ def test_rn_property_matches_the_oracle_on_every_small_chain():
         assert wrong == old_rule_wrong
 
 
+def old_abs_continuity(pm, nu, tau):
+    """is_abs_continuous's atom-wise verdict, bounding each ν({x}) by the top
+    of the whole achievable set of τ({x})."""
+    return all(not pm.is_odot_finite(tv) or nv <= achievable_set(pm, tv).upper
+               for nv, tv in zip(nu.masses, tau.masses))
+
+
+def test_the_abs_continuity_bound_equals_the_top_of_the_achievable_set():
+    # is_abs_continuous reads ∞ ⊙ τ({x}) alone; by monotonicity it is the top
+    # of the achievable set, whose lower end O(t) costs a zero-map descent.
+    # Every value pair of every validated small chain, a chain with no ∞ in
+    # its carrier, and random pairs under times, min and a custom ⊙.
+    sp = Space(["x"])
+    digits = [ExtNonneg(v) for v in range(4)]
+    chains = [pm for k in range(2, 6) for pm in small_chains(k) if validate_pseudo_mul(pm).passed]
+    chains.append(DiscreteChain(digits, [[min(a, b) for b in digits] for a in digits], digits[-1]))
+    cases = [(pm, MaxMeasure(sp, [v]), MaxMeasure(sp, [t]))
+             for pm in chains for v in pm.carrier for t in pm.carrier]
+    rng = random.Random(38)
+    space = Space(list("abcd"))
+    for pm in (TIMES, MIN, CustomContinuous(float_times, identity=1, name="float-times")):
+        cases += [(pm, rand_measure(rng, space, allow_inf=True, num_max=4),
+                   rand_measure(rng, space, allow_inf=True, num_max=4)) for _ in range(60)]
+    verdicts = set()
+    for pm, nu, tau in cases:
+        verdict = old_abs_continuity(pm, nu, tau)
+        assert is_abs_continuous(pm, nu, tau) == verdict, (pm.describe(), nu, tau)
+        assert is_abs_continuous_exhaustive(pm, nu, tau) == verdict, (pm.describe(), nu, tau)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_diagnose_counterexample():
     sp = Space(["a", "b", "c"])
     diag = diagnose_rn(TIMES, MaxMeasure.constant(sp, INF))

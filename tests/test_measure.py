@@ -190,6 +190,21 @@ def test_check_maxitive_at_ten_atoms_agrees_with_the_all_pairs_scan():
     assert not check_maxitive(broken) and not check_maxitive_bruteforce(broken)
 
 
+def test_a_table_of_more_than_256_values_round_trips_through_int_ranks():
+    # past 256 distinct values the ranks are a tuple of ints, not bytes
+    sp = Space([f"x{i}" for i in range(9)])
+    values = [ZERO] + [ExtNonneg(Fraction(1 + 7 * m % 299, 3)) for m in range(1, 1 << 9)]
+    table = SetFunctionTable(sp, values)
+    assert len(table.universe) == 300 and isinstance(table.ranks, tuple)
+    assert table.values == tuple(values)
+    assert all(table.value(B) == values[B.mask] for B in sp.subsets())
+    again = SetFunctionTable(sp, table.values)
+    assert again == table and hash(again) == hash(table)
+    values[-1] += ONE
+    assert SetFunctionTable(sp, values) != table
+    assert check_maxitive(table) is False and check_maxitive_bruteforce(table) is False
+
+
 def test_set_function_table_requires_zero_at_empty():
     sp = Space(["a"])
     with pytest.raises(ValueError):
@@ -368,6 +383,14 @@ def test_subset_algebra(data):
     assert (A - B) | (A & B) == A
     assert (~A | A) == sp.full
     assert A.issubset(A | B)
+
+
+def test_a_subset_lists_the_atoms_of_its_set_bits():
+    rng = random.Random(38)
+    for n in range(1, 71):
+        sp = Space([f"x{i}" for i in range(n)])
+        for mask in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(5))):
+            assert list(SubsetB(sp, mask)) == [a for i, a in enumerate(sp.atoms) if mask >> i & 1]
 
 
 def test_masses_by_atom_are_looked_up_not_scanned():
